@@ -237,19 +237,21 @@ func (d *Daemon) shardStatusLocked(i int, reconfigured bool) api.ShardStatus {
 	return out
 }
 
-// waitHandle polls an operation handle from outside the node context
-// until it completes or the deadline passes.
-func (d *Daemon) waitHandle(h *regmem.Handle) bool {
-	deadline := time.Now().Add(d.opTimeout)
-	for time.Now().Before(deadline) {
-		done := false
-		if !d.tr.Inspect(d.self, func() { done = h.Done() }) {
-			return false
-		}
-		if done {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
+// waitHandle blocks until the operation completes, the node stops taking
+// steps, or the operation deadline passes — whichever comes first — and
+// answers the two failures itself. It reports whether the operation
+// completed. The node's own step wakes it: nothing is polled.
+func (d *Daemon) waitHandle(w http.ResponseWriter, h *regmem.Handle, what string, sh int) bool {
+	deadline := time.NewTimer(d.opTimeout)
+	defer deadline.Stop()
+	select {
+	case <-h.Wait():
+		return true
+	case <-d.tr.Done(d.self):
+		nodeDown(w)
+	case <-deadline.C:
+		api.WriteError(w, api.Errorf(api.CodeTimeout,
+			"%s did not complete (retry)", what).WithShard(sh))
 	}
 	return false
 }
@@ -394,20 +396,11 @@ func (d *Daemon) Handler() http.Handler {
 				nodeDown(w)
 				return
 			}
-			if !d.waitHandle(h) {
-				api.WriteError(w, api.Errorf(api.CodeTimeout,
-					"sync read did not complete (retry)").WithShard(sh))
+			if !d.waitHandle(w, h, "sync read", sh) {
 				return
 			}
-			var resp api.RegResponse
-			if !d.tr.Inspect(d.self, func() {
-				v, found := h.Value()
-				resp = api.RegResponse{Name: name, Shard: sh, Value: v, Found: found, Done: true}
-			}) {
-				nodeDown(w)
-				return
-			}
-			api.WriteJSON(w, resp)
+			v, found := h.Value()
+			api.WriteJSON(w, api.RegResponse{Name: name, Shard: sh, Value: v, Found: found, Done: true})
 			return
 		}
 		var resp api.RegResponse
@@ -439,9 +432,7 @@ func (d *Daemon) Handler() http.Handler {
 			nodeDown(w)
 			return
 		}
-		if !d.waitHandle(h) {
-			api.WriteError(w, api.Errorf(api.CodeTimeout,
-				"write did not complete (retry)").WithShard(sh))
+		if !d.waitHandle(w, h, "write", sh) {
 			return
 		}
 		api.WriteJSON(w, api.RegResponse{Name: name, Shard: sh, Value: value, Done: true})

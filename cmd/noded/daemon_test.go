@@ -186,6 +186,84 @@ func TestWriteTimesOutWithoutQuorum(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz during stall: %d", resp.StatusCode)
 	}
+	// A write the submission queue refuses is tracked by nothing and can
+	// never complete: it, too, is answered by the deadline.
+	if !tr.Inspect(1, func() {
+		for i := 0; i < 64; i++ {
+			d.Mem().Write(fmt.Sprintf("filler-%d", i), "v")
+		}
+	}) {
+		t.Fatal("Inspect failed")
+	}
+	resp, data = doReq(t, http.MethodPut, srv.URL+"/v1/reg/refused", "value")
+	if e := api.DecodeError(resp.StatusCode, data); resp.StatusCode != http.StatusGatewayTimeout || e.Code != api.CodeTimeout {
+		t.Fatalf("refused write: status %d, envelope %+v, want the timeout", resp.StatusCode, e)
+	}
+}
+
+// TestWaitEndsWhenNodeStops: a handler waiting on an operation returns as
+// soon as the node takes no further steps — with the unavailable envelope,
+// long before the operation deadline.
+func TestWaitEndsWhenNodeStops(t *testing.T) {
+	tr := inproc.New(33, transport.Options{Capacity: 64, TickEvery: time.Millisecond})
+	defer tr.Close()
+	both := ids.NewSet(1, 2) // node 2 never starts: no view, the write stalls
+	d, err := NewDaemon(tr, 1, DaemonConfig{
+		Peers: both, Members: both, Shards: 1, Batch: 1, MaxN: 8,
+		OpTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	type answer struct {
+		status int
+		body   []byte
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		defer close(answered)
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/reg/stuck", strings.NewReader("value"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		answered <- answer{resp.StatusCode, data}
+	}()
+	// Wait until the write is queued inside the node, then stop the node.
+	for queued := 0; queued == 0; {
+		if !tr.Inspect(1, func() {
+			mem, _ := d.Mem().Mem(0)
+			queued = mem.SMR().PendingLen()
+		}) {
+			t.Fatal("Inspect failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tr.Close()
+	select {
+	case a, ok := <-answered:
+		if !ok {
+			t.Fatal("the request failed")
+		}
+		if e := api.DecodeError(a.status, a.body); a.status != http.StatusServiceUnavailable || e.Code != api.CodeUnavailable {
+			t.Fatalf("write cut short by shutdown: status %d, envelope %+v, want unavailable", a.status, e)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler kept waiting after its node stopped")
+	}
 }
 
 // TestShardedDaemonServesAcrossShards: a solo daemon with 4 shards

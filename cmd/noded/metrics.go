@@ -46,6 +46,9 @@ func (d *Daemon) initMetrics() {
 	reg.CounterFunc("repro_node_ticks_total",
 		"Timer ticks executed by the node's step machine.",
 		nil, d.node.Ticks)
+	reg.CounterFunc("repro_node_receipt_steps_total",
+		"Service-layer steps taken on a delivery or a submission instead of the timer.",
+		nil, d.node.ReceiptSteps)
 
 	registerBuildInfo(reg)
 	d.registerDatalink(reg)
@@ -112,6 +115,9 @@ func (d *Daemon) registerDatalink(reg *obs.Registry) {
 	reg.CounterFunc("repro_datalink_evictions_total",
 		"Queued payloads displaced by outbound-queue overflow.",
 		nil, view(func(s datalink.Stats) uint64 { return s.QueueEvicted }))
+	reg.CounterFunc("repro_datalink_kicked_cycles_total",
+		"DATA cycles started off the timer because the node's outgoing state changed.",
+		nil, view(func(s datalink.Stats) uint64 { return s.KickedCycles }))
 	reg.GaugeFunc("repro_datalink_queue_depth",
 		"Total outbound-queue depth across all links.",
 		nil, func() float64 { return float64(ep.QueuedTotal()) })

@@ -14,7 +14,8 @@ type metricFamily struct {
 // anywhere in the tree must resolve to a row in this table.
 var metricFamilies = map[string]metricFamily{
 	// node core
-	"repro_node_ticks_total": {kind: "counter"},
+	"repro_node_ticks_total":         {kind: "counter"},
+	"repro_node_receipt_steps_total": {kind: "counter"},
 
 	// datalink (internal/datalink)
 	"repro_datalink_cleanings_total":      {kind: "counter"},
@@ -25,6 +26,7 @@ var metricFamilies = map[string]metricFamily{
 	"repro_datalink_batches_total":        {kind: "counter"},
 	"repro_datalink_batch_payloads_total": {kind: "counter"},
 	"repro_datalink_evictions_total":      {kind: "counter"},
+	"repro_datalink_kicked_cycles_total":  {kind: "counter"},
 	"repro_datalink_queue_depth":          {kind: "gauge"},
 	"repro_datalink_inflight_window":      {kind: "gauge"},
 	"repro_datalink_ack_rtt_ticks":        {kind: "histogram"},

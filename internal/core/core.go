@@ -51,6 +51,22 @@ type App interface {
 	Outgoing(to ids.ID, n *Node) any
 }
 
+// ReceiptStepper is an App that can also take its step when a delivery or
+// a submission changed what the step would read, instead of waiting for
+// the timer. On a medium that allows it (Transport.ReceiptSteps) the node
+// offers every such app a step after each Receive and on StepApps; on the
+// simulator only Tick ever steps an app.
+type ReceiptStepper interface {
+	App
+	// ReceiptStep runs one iteration of the app's loop if something that
+	// iteration reads changed since the app last stepped and the app has a
+	// command waiting on it. ran reports that an iteration ran, changed
+	// that it altered the part of Outgoing peers gate their own progress
+	// on; the node rebuilds its envelopes and asks the links for a cycle
+	// only when changed is true.
+	ReceiptStep(n *Node) (ran, changed bool)
+}
+
 // Envelope is the single message type a node broadcasts; it aggregates the
 // per-layer state the paper's algorithms each send on their own. Bundling
 // them preserves semantics (each layer still receives the latest state of
@@ -116,13 +132,17 @@ type Node struct {
 	maMsg recma.Message
 	// joinTargets are the processors the joiner polls this tick.
 	joinTargets ids.Set
-	// pendingJoinResp holds one response per requesting joiner, carried
-	// by the next envelope toward it.
+	// pendingJoinResp holds one response per requesting joiner. Every
+	// envelope built toward the joiner carries it until the data link has
+	// taken one of them (handedOver): a snapshot that is overwritten before
+	// the link pulls it must not take the response with it.
 	pendingJoinResp map[ids.ID]*join.Response
-	// outbox snapshots the per-peer envelope at the end of every tick.
-	// The data link pulls from the snapshot (never from live state), so
-	// echoes always reflect the state of the last atomic step — the
-	// paper's interleaving model, on which the unison proofs depend.
+	// outbox snapshots the per-peer envelope at the end of every step —
+	// every tick, and on live media every receipt-driven app step, which
+	// replaces the application part only. The data link pulls from the
+	// snapshot (never from live state), so echoes always reflect the state
+	// of the last atomic step — the paper's interleaving model, on which
+	// the unison proofs depend.
 	outbox map[ids.ID]Envelope
 	// batching mirrors Params.Link.MaxBatch > 1 or Link.Window > 1:
 	// every tick's envelope is additionally pushed into the data link's
@@ -133,8 +153,14 @@ type Node struct {
 	// legacy pull-only path is preserved bit-for-bit.
 	batching bool
 
-	// ticks is atomic: /metrics reads it live while the node runs.
-	ticks atomic.Uint64
+	// steppers are the apps that take receipt-driven steps; nil on a
+	// medium where only the timer may trigger a step (DESIGN.md §17).
+	steppers []ReceiptStepper
+
+	// ticks and receiptSteps are atomic: /metrics reads them live while
+	// the node runs.
+	ticks        atomic.Uint64
+	receiptSteps atomic.Uint64
 }
 
 // NewNode constructs a node attached to the transport. The caller must
@@ -189,10 +215,22 @@ func NewNode(net Transport, p Params) (*Node, error) {
 			if !ok {
 				return nil
 			}
+			n.handedOver(to, env)
 			return env
 		},
 	})
 	n.batching = n.Endpoint.MaxBatch() > 1 || n.Endpoint.Window() > 1
+	// Whether a delivery may trigger a step is a property of the medium.
+	// The method is part of transport.Transport, so a decorator that
+	// embeds the interface passes the answer through; the simulator's
+	// network and other bare core.Transports lack it and stay tick-driven.
+	if m, ok := net.(interface{ ReceiptSteps() bool }); ok && m.ReceiptSteps() {
+		for _, a := range apps {
+			if st, ok := a.(ReceiptStepper); ok {
+				n.steppers = append(n.steppers, st)
+			}
+		}
+	}
 	if err := net.AddNode(p.Self, n); err != nil {
 		return nil, err
 	}
@@ -205,6 +243,11 @@ func (n *Node) Self() ids.ID { return n.self }
 // Ticks returns the number of timer ticks executed. Safe to call
 // concurrently with the node's own execution.
 func (n *Node) Ticks() uint64 { return n.ticks.Load() }
+
+// ReceiptSteps returns the number of app iterations that ran on a delivery
+// or a submission rather than on the timer. Safe to call concurrently with
+// the node's own execution.
+func (n *Node) ReceiptSteps() uint64 { return n.receiptSteps.Load() }
 
 // Connect establishes the data link toward a peer.
 func (n *Node) Connect(peer ids.ID) { n.Endpoint.Connect(peer) }
@@ -250,22 +293,80 @@ func (n *Node) Tick() {
 		app.Tick(n)
 	}
 	n.Endpoint.Peers().Each(func(to ids.ID) {
-		env := n.buildEnvelope(to)
-		n.outbox[to] = env
-		if n.batching {
-			n.Endpoint.Enqueue(to, env)
-		}
+		n.publish(to, n.buildEnvelope(to))
 	})
 	n.Endpoint.Tick()
 }
 
-// Receive handles a raw network packet.
+// publish makes env the snapshot the data link sends toward a peer next.
+func (n *Node) publish(to ids.ID, env Envelope) {
+	n.outbox[to] = env
+	if n.batching && n.Endpoint.Enqueue(to, env) {
+		n.handedOver(to, env)
+	}
+}
+
+// handedOver records that the data link took env for transmission toward
+// a peer: the join response it carries, if any, is spent — no later
+// envelope repeats it.
+func (n *Node) handedOver(to ids.ID, env Envelope) {
+	if env.JoinResp == nil {
+		return
+	}
+	if n.pendingJoinResp[to] == env.JoinResp {
+		delete(n.pendingJoinResp, to)
+	}
+	env.JoinResp = nil
+	n.outbox[to] = env
+}
+
+// Receive handles a raw network packet and, on a medium that allows it,
+// lets the apps step on what it delivered.
 func (n *Node) Receive(from ids.ID, payload any) {
 	pkt, ok := payload.(datalink.Packet)
 	if !ok {
 		return // unknown garbage (possible after fault injection)
 	}
 	n.Endpoint.HandlePacket(from, pkt)
+	n.StepApps()
+}
+
+// StepApps offers every app a receipt-driven step (ReceiptStepper) and, if
+// one of them changed what its peers act on, snapshots the new application
+// payloads and asks every link for a cycle. Receive calls it after each
+// delivery; an app that is handed a command between two steps (regmem's
+// Write and SyncRead, which run inside the node's execution context) calls
+// it so the command need not wait for the timer. It must never be called
+// from inside a step. It does nothing on a medium without receipt-driven
+// steps.
+//
+// The reconfiguration layers are not stepped and their part of the
+// snapshot is left as the last tick built it: recSA, recMA, joining and
+// the failure detector keep the timer's cadence.
+func (n *Node) StepApps() {
+	changed := false
+	for _, app := range n.steppers {
+		ran, ch := app.ReceiptStep(n)
+		if ran {
+			n.receiptSteps.Add(1)
+		}
+		changed = changed || ch
+	}
+	if !changed {
+		return
+	}
+	peers := n.Endpoint.Peers()
+	peers.Each(func(to ids.ID) {
+		env, ok := n.outbox[to]
+		if !ok {
+			return // no tick has built this peer's envelope yet
+		}
+		env.App, env.ShardApps = n.appPayloads(to)
+		n.publish(to, env)
+	})
+	// Kick only after every snapshot is in place, and from here, a
+	// top-level call: the endpoint's callbacks run under its mutex.
+	peers.Each(n.Endpoint.Kick)
 }
 
 // buildEnvelope assembles the outgoing message for one peer from the state
@@ -282,20 +383,28 @@ func (n *Node) buildEnvelope(to ids.ID) Envelope {
 	}
 	if resp, ok := n.pendingJoinResp[to]; ok {
 		env.JoinResp = resp
-		delete(n.pendingJoinResp, to)
 	}
+	env.App, env.ShardApps = n.appPayloads(to)
+	return env
+}
+
+// appPayloads collects every shard's application payload for one peer:
+// shard 0's, and the tagged payloads of the shards after it.
+func (n *Node) appPayloads(to ids.ID) (any, []ShardApp) {
+	var first any
+	var rest []ShardApp
 	for shard, app := range n.apps {
 		payload := app.Outgoing(to, n)
 		if payload == nil {
 			continue
 		}
 		if shard == 0 {
-			env.App = payload
+			first = payload
 		} else {
-			env.ShardApps = append(env.ShardApps, ShardApp{Shard: shard, App: payload})
+			rest = append(rest, ShardApp{Shard: shard, App: payload})
 		}
 	}
-	return env
+	return first, rest
 }
 
 // deliver processes a cleanly received envelope from the data link.

@@ -212,6 +212,10 @@ type peer struct {
 	curTick   uint64 // endpoint tick at which cur was first sent
 	acks      int
 	stale     int
+	// kicked marks a Kick that found the stop-and-wait cycle still in
+	// flight: the acknowledgment that completes it starts the next cycle
+	// at once instead of leaving that to the next tick.
+	kicked bool
 	// inflight holds the outstanding cycles of a pipelined link
 	// (Window > 1), oldest first, with consecutive sequence numbers
 	// ending just below seq (the next label to assign). Empty on
@@ -306,6 +310,7 @@ type statsCounters struct {
 	batches       atomic.Uint64
 	batchPayloads atomic.Uint64
 	queueEvicted  atomic.Uint64
+	kickedCycles  atomic.Uint64
 }
 
 // Stats is a snapshot of the endpoint's link-level event counters, used
@@ -322,6 +327,9 @@ type Stats struct {
 	Batches       uint64
 	BatchPayloads uint64
 	QueueEvicted  uint64
+	// KickedCycles counts DATA cycles started by Kick (at once, or on the
+	// acknowledgment of the cycle it found in flight) rather than by Tick.
+	KickedCycles uint64
 }
 
 // Config carries the injected callbacks for NewEndpoint.
@@ -393,6 +401,7 @@ func (e *Endpoint) Stats() Stats {
 		Batches:       e.stats.batches.Load(),
 		BatchPayloads: e.stats.batchPayloads.Load(),
 		QueueEvicted:  e.stats.queueEvicted.Load(),
+		KickedCycles:  e.stats.kickedCycles.Load(),
 	}
 }
 
@@ -522,6 +531,7 @@ func (e *Endpoint) startClean(p *peer) {
 	p.curValid = false
 	e.dropInflight(p)
 	p.sessionAcked = false
+	p.kicked = false
 	p.acks = 0
 	p.stale = 0
 	e.stats.cleanings.Add(1)
@@ -576,11 +586,8 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 			break
 		}
 		if !p.curValid {
-			p.cur, p.curBatch = e.nextPayload(to, p)
-			p.curValid = true
-			p.curTick = e.ticks
-			p.acks = 0
-			e.inflightN.Add(1)
+			e.startCycle(to, p)
+			break
 		}
 		e.send(to, Packet{Kind: KindData, Session: p.session, Seq: p.seq, Payload: p.cur, Batch: p.curBatch})
 	default:
@@ -595,6 +602,58 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 	}
 }
 
+// startCycle opens the stop-and-wait link's next DATA cycle: it pulls the
+// payload (queue first, Source otherwise) and transmits it once.
+func (e *Endpoint) startCycle(to ids.ID, p *peer) {
+	p.cur, p.curBatch = e.nextPayload(to, p)
+	p.curValid = true
+	p.curTick = e.ticks
+	p.acks = 0
+	p.kicked = false
+	e.inflightN.Add(1)
+	e.send(to, Packet{Kind: KindData, Session: p.session, Seq: p.seq, Payload: p.cur, Batch: p.curBatch})
+}
+
+// Kick asks the established link toward a peer for a DATA cycle now,
+// because the owner's outgoing state changed between ticks. An idle
+// stop-and-wait link starts the cycle at once; one with a cycle in flight
+// starts it on the acknowledgment that completes that cycle; a pipelined
+// link tops its window up from the outbound queue, as an acknowledgment
+// would. The payload comes from the same queue and Source a tick pulls
+// from. Kick retransmits nothing and does not touch the staleness count:
+// retransmission, the progress timeout and cleaning stay on Tick, so a
+// link that is never kicked behaves exactly as before. The owner calls it
+// only when its state changed — an unconditional caller would turn the
+// one-token-per-tick heartbeat of an idle link into a ping-pong at the
+// network round trip. Like every Endpoint call it must be a top-level
+// step, never made from inside a callback.
+//
+// A kicked link reuses a packet label within a round trip instead of a
+// tick. The strict discipline does not care. The legacy alternating bit
+// stays exact on a channel that keeps order (tcp, an undelayed inproc);
+// on one that reorders, a retransmission two cycles old may still be in
+// flight when its bit comes round again, so a payload can then be
+// delivered twice or its cycle completed by a stale ack. The stack only
+// runs the legacy link in pull mode, where every cycle carries the latest
+// snapshot and the next tick's cycle repairs either accident.
+func (e *Endpoint) Kick(to ids.ID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, ok := e.peers[to]
+	if !ok || p.state != senderSteady {
+		return
+	}
+	switch {
+	case e.windowed():
+		e.stats.kickedCycles.Add(uint64(e.fillWindow(to, p, true)))
+	case p.curValid:
+		p.kicked = true
+	default:
+		e.startCycle(to, p)
+		e.stats.kickedCycles.Add(1)
+	}
+}
+
 // fillWindow starts new DATA cycles until the pipelining window is full
 // or there is nothing useful to send. On a tick (onAck false) the first
 // cycle of an empty window may fall back to the pull Source, so an idle
@@ -603,8 +662,9 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 // outbound queue: pipelining copies of the same latest-state snapshot
 // would waste channel capacity for no information, and an idle link
 // restarting empty cycles on ack would ping-pong at the network RTT
-// instead of the tick period.
-func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) {
+// instead of the tick period. It returns the number of cycles started.
+func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) int {
+	started := 0
 	limit := e.opts.Window
 	if !p.sessionAcked {
 		// Slow start: one cycle until the session's first completion
@@ -614,7 +674,7 @@ func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) {
 	}
 	for len(p.inflight) < limit {
 		if len(p.queue) == 0 && (onAck || len(p.inflight) > 0) {
-			return
+			break
 		}
 		payload, batch := e.nextPayload(to, p)
 		c := cycle{seq: p.seq, payload: payload, batch: batch, sentTick: e.ticks}
@@ -622,7 +682,9 @@ func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) {
 		p.inflight = append(p.inflight, c)
 		e.inflightN.Add(1)
 		e.send(to, Packet{Kind: KindData, Session: p.session, Seq: c.seq, Payload: c.payload, Batch: c.batch})
+		started++
 	}
+	return started
 }
 
 // ewmaShift is the adaptive-batch smoothing factor: the estimate moves
@@ -808,6 +870,10 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 			p.acks = 0
 			e.inflightN.Add(-1)
 			e.heartbeat(from)
+			if p.kicked {
+				e.startCycle(from, p)
+				e.stats.kickedCycles.Add(1)
+			}
 		}
 	default:
 		e.stats.staleIgnored.Add(1)

@@ -18,6 +18,20 @@ import (
 // successor; the legacy alternating-bit discipline (MaxBatch 1) is
 // at-least-once under duplication, so its arms run duplication-free
 // (loss + jitter reordering only), where stop-and-wait is exact.
+//
+// The kick arms run the same adversaries with Kick calls interleaved at
+// random points, as a node whose state changes between ticks issues them.
+// A kicked cycle carries the same queue in the same order, so the strict
+// links still deliver exactly the enqueued sequence; and since a kick
+// neither retransmits nor ages the link, it never causes a cleaning. The
+// legacy link is exact under kicks on a channel that loses and duplicates
+// but keeps order (what tcp and an undelayed inproc are). On a reordering
+// channel its one-bit label is only as good as the time between cycles:
+// a kicked link reuses a label within a round trip, a retransmission two
+// cycles old can still be in flight, and its stale ack completes a cycle
+// that never arrived. That arm therefore checks what the stack relies on
+// at batch 1 / window 1, where it only ever pulls the latest snapshot:
+// nothing is invented, the link keeps draining, and it never re-cleans.
 func TestOrderedExactDeliveryProperty(t *testing.T) {
 	type schedule struct {
 		name     string
@@ -36,6 +50,11 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 		dup      float64
 		maxDelay sim.Time
 		payloads int
+		// kick interleaves Kick calls at random points of the run.
+		kick bool
+		// fifo gives every packet the same delay: the channel loses and
+		// duplicates but never reorders.
+		fifo bool
 	}
 	cases := []schedule{
 		{name: "legacy-unbatched/loss+jitter", seeds: []int64{1, 7, 23},
@@ -66,6 +85,21 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 			maxBatch: 4, window: 4, pace: 1, loss: 0.15, dup: 0.20, maxDelay: 12, payloads: 60},
 		{name: "window2/late-dup-cleans", seeds: []int64{19, 37, 41},
 			maxBatch: 4, window: 2, loss: 0.10, dup: 0.30, maxDelay: 120, payloads: 40},
+		// The same seeds and adversaries at window 1 and 4, kicked.
+		{name: "kicked/legacy-unbatched/fifo/loss+dup", seeds: []int64{1, 7, 23}, kick: true, fifo: true,
+			maxBatch: 1, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 60},
+		{name: "kicked/legacy-unbatched/loss+dup+jitter", seeds: []int64{1, 7, 23}, kick: true,
+			maxBatch: 1, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 60},
+		{name: "kicked/batch4/loss+dup+jitter", seeds: []int64{2, 11, 29}, kick: true,
+			maxBatch: 4, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 120},
+		{name: "kicked/batch4/single-payload-cycles", seeds: []int64{5, 17}, kick: true,
+			maxBatch: 4, pace: 1, loss: 0.15, dup: 0.20, maxDelay: 12, payloads: 60},
+		{name: "kicked/window4/batch1/loss+dup+jitter", seeds: []int64{4, 14, 43}, kick: true,
+			maxBatch: 1, window: 4, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 120},
+		{name: "kicked/window4/batch4/loss+dup+jitter", seeds: []int64{6, 21, 47}, kick: true,
+			maxBatch: 4, window: 4, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 160},
+		{name: "kicked/window4/late-dup-cleans", seeds: []int64{19, 37, 41}, kick: true,
+			maxBatch: 4, window: 4, loss: 0.10, dup: 0.30, maxDelay: 120, payloads: 40},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -76,6 +110,12 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 					LossProb: tc.loss, DupProb: tc.dup,
 					TickEvery: 10, TickJitter: 5,
 				}
+				if tc.fifo {
+					netOpts.MinDelay = tc.maxDelay
+				}
+				// The legacy label under kicks on a reordering channel: the
+				// weaker property (see the test comment).
+				weak := tc.kick && !tc.fifo && tc.maxBatch <= 1 && tc.window <= 1
 				linkOpts := Options{
 					Capacity: 8, AckThreshold: 1,
 					// Generous staleness tolerance: a re-clean drops the
@@ -102,16 +142,59 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 				}
 				next := 0
 				deadline := sim.Time(400_000)
-				for h.sched.Now() < deadline && len(h.delivered[2]) < len(want) {
+				// The kick schedule has its own source, so that it does not
+				// depend on what the network drew.
+				kicks := newTestRng(seed)
+				finished := func() bool {
+					if weak {
+						return next == len(want) && h.eps[1].QueueLen(2) == 0 && h.eps[1].InflightTotal() == 0
+					}
+					return len(h.delivered[2]) >= len(want)
+				}
+				for h.sched.Now() < deadline && !finished() {
 					for next < len(want) && h.eps[1].QueueLen(2) < bound {
 						if !h.eps[1].Enqueue(2, want[next]) {
 							t.Fatalf("seed %d: enqueue %d refused", seed, next)
 						}
 						next++
 					}
-					h.sched.RunUntil(h.sched.Now() + 20)
+					if !tc.kick {
+						h.sched.RunUntil(h.sched.Now() + 20)
+						continue
+					}
+					// The same 20 ticks in uneven pieces, a kick (or two in
+					// a row) between them: before any tick saw the payload,
+					// with a cycle in flight, and on an idle link.
+					for end := h.sched.Now() + 20; h.sched.Now() < end; {
+						for k := kicks.Intn(3); k > 0; k-- {
+							h.eps[1].Kick(2)
+						}
+						h.sched.RunUntil(min(end, h.sched.Now()+1+sim.Time(kicks.Intn(7))))
+					}
 				}
 				got := h.delivered[2]
+				if tc.kick {
+					st := h.eps[1].Stats()
+					if st.KickedCycles == 0 {
+						t.Fatalf("seed %d: no cycle was started by a kick — property not exercised", seed)
+					}
+					if st.Cleanings != 1 || st.TimeoutsReset != 0 {
+						t.Fatalf("seed %d: kicked link cleaned %d times (%d timeouts), want only the cleaning that established it",
+							seed, st.Cleanings, st.TimeoutsReset)
+					}
+				}
+				if weak {
+					if !finished() {
+						t.Fatalf("seed %d: kicked legacy link stopped draining: %d/%d enqueued, %d still queued",
+							seed, next, len(want), h.eps[1].QueueLen(2))
+					}
+					for _, v := range got {
+						if n, ok := v.(int); !ok || n < 1 || n > len(want) {
+							t.Fatalf("seed %d: delivered %v, which was never enqueued", seed, v)
+						}
+					}
+					continue
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: delivered %d/%d payloads, sequence equal=%v\n got=%v",
 						seed, len(got), len(want), reflect.DeepEqual(got, want), truncateSeq(got))

@@ -182,6 +182,7 @@ func (a *countingApp) Apply(state any, r vs.Round) any {
 	return v + len(r.Inputs)
 }
 func (a *countingApp) Fetch() any         { return "x" }
+func (a *countingApp) Pending() bool      { return true }
 func (a *countingApp) Deliver(r vs.Round) { a.delivered++ }
 
 // e6Cell measures Theorem 4.13: the service gap (virtual ticks without

@@ -50,6 +50,11 @@ type Detector struct {
 	self   ids.ID
 	opts   Options
 	counts map[ids.ID]uint64
+	// trusted caches Trusted() between changes of counts: every layer of a
+	// node asks for it several times per step, and a step runs on every
+	// delivery that carries news.
+	trusted      ids.Set
+	trustedValid bool
 }
 
 // New constructs a detector for processor self.
@@ -76,6 +81,7 @@ func New(self ids.ID, opts Options) *Detector {
 // window (trusted = {self}) transiently violates the majority-supportive
 // core assumption and provokes spurious reconfigurations.
 func (d *Detector) Bootstrap(peers ids.Set) {
+	d.trustedValid = false
 	peers.Each(func(p ids.ID) {
 		if p != d.self && p.Valid() {
 			d.counts[p] = 0
@@ -89,6 +95,7 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 	if !peer.Valid() || peer == d.self {
 		return
 	}
+	d.trustedValid = false
 	for id, c := range d.counts {
 		if id != peer && c < d.opts.MaxCount {
 			d.counts[id] = c + 1
@@ -98,7 +105,10 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 }
 
 // Forget drops a peer's entry entirely (e.g., when the processor left).
-func (d *Detector) Forget(peer ids.ID) { delete(d.counts, peer) }
+func (d *Detector) Forget(peer ids.ID) {
+	d.trustedValid = false
+	delete(d.counts, peer)
+}
 
 // Count returns the current heartbeat count for peer and whether the peer
 // is known at all.
@@ -111,6 +121,7 @@ func (d *Detector) Count(peer ids.ID) (uint64, bool) {
 // the transient-fault hook for stabilization tests. Identifier order keeps
 // rng-based value generators deterministic.
 func (d *Detector) CorruptCounts(next func(ids.ID) uint64) {
+	d.trustedValid = false
 	order := make([]ids.ID, 0, len(d.counts))
 	for id := range d.counts {
 		order = append(order, id)
@@ -146,6 +157,9 @@ func (d *Detector) ranked() []rankedEntry {
 // processors are eventually suspected, i.e. excluded). The processor always
 // trusts itself. The result is capped at N entries.
 func (d *Detector) Trusted() ids.Set {
+	if d.trustedValid {
+		return d.trusted
+	}
 	trusted := ids.NewSet(d.self)
 	ranked := d.ranked()
 	prev := d.opts.GapFloor
@@ -164,6 +178,7 @@ func (d *Detector) Trusted() ids.Set {
 		prev = e.count
 		_ = i
 	}
+	d.trusted, d.trustedValid = trusted, true
 	return trusted
 }
 

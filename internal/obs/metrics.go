@@ -38,6 +38,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,8 +239,11 @@ func escapeHelp(v string) string {
 // seriesFor resolves (creating as needed) the series of one name+labels
 // under a declared type, panicking on any inconsistency — registration
 // happens at wiring time, where a mistake is a bug, not a runtime
-// condition.
-func (r *Registry) seriesFor(name, help, typ string, labels Labels) *series {
+// condition. attach installs or checks the series' instrument; it runs
+// under the registry lock, so a concurrent Render never sees a series
+// without its instrument (the HTTP middleware registers lazily, per
+// route and status code, while pages are being served).
+func (r *Registry) seriesFor(name, help, typ string, labels Labels, attach func(s *series)) {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -260,72 +264,76 @@ func (r *Registry) seriesFor(name, help, typ string, labels Labels) *series {
 		f.series[lbl] = s
 		f.order = append(f.order, lbl)
 	}
-	return s
+	attach(s)
 }
 
 // Counter registers (or fetches) a counter series. Keep the returned
 // pointer; increments through it are allocation-free.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.seriesFor(name, help, TypeCounter, labels)
-	if s.counterFn != nil {
-		panic(fmt.Sprintf("obs: %s%s already registered as a counter view", name, s.labels))
-	}
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	var c *Counter
+	r.seriesFor(name, help, TypeCounter, labels, func(s *series) {
+		if s.counterFn != nil {
+			panic(fmt.Sprintf("obs: %s%s already registered as a counter view", name, s.labels))
+		}
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+		c = s.counter
+	})
+	return c
 }
 
 // CounterFunc registers a counter view: fn is read at render time. Use
 // it to expose an existing atomic counter (a package's Stats field)
 // without counting it twice.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	s := r.seriesFor(name, help, TypeCounter, labels)
-	if s.counter != nil || s.counterFn != nil {
-		panic(fmt.Sprintf("obs: duplicate counter registration %s%s", name, s.labels))
-	}
-	s.counterFn = fn
+	r.seriesFor(name, help, TypeCounter, labels, func(s *series) {
+		if s.counter != nil || s.counterFn != nil {
+			panic(fmt.Sprintf("obs: duplicate counter registration %s%s", name, s.labels))
+		}
+		s.counterFn = fn
+	})
 }
 
 // Gauge registers (or fetches) a gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.seriesFor(name, help, TypeGauge, labels)
-	if s.gaugeFn != nil {
-		panic(fmt.Sprintf("obs: %s%s already registered as a gauge view", name, s.labels))
-	}
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	var g *Gauge
+	r.seriesFor(name, help, TypeGauge, labels, func(s *series) {
+		if s.gaugeFn != nil {
+			panic(fmt.Sprintf("obs: %s%s already registered as a gauge view", name, s.labels))
+		}
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+		g = s.gauge
+	})
+	return g
 }
 
 // GaugeFunc registers a gauge view evaluated at render time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.seriesFor(name, help, TypeGauge, labels)
-	if s.gauge != nil || s.gaugeFn != nil {
-		panic(fmt.Sprintf("obs: duplicate gauge registration %s%s", name, s.labels))
-	}
-	s.gaugeFn = fn
+	r.seriesFor(name, help, TypeGauge, labels, func(s *series) {
+		if s.gauge != nil || s.gaugeFn != nil {
+			panic(fmt.Sprintf("obs: duplicate gauge registration %s%s", name, s.labels))
+		}
+		s.gaugeFn = fn
+	})
 }
 
 // Histogram registers (or fetches) a histogram series with the given
 // bucket upper bounds (+Inf implicit). Re-registration must use
 // identical bounds.
 func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
-	s := r.seriesFor(name, help, TypeHistogram, labels)
-	if s.hist == nil {
-		s.hist = NewHistogram(buckets)
-		return s.hist
-	}
-	if len(s.hist.upper) != len(buckets) {
-		panic(fmt.Sprintf("obs: %s re-registered with different buckets", name))
-	}
-	for i := range buckets {
-		if s.hist.upper[i] != buckets[i] {
+	var h *Histogram
+	r.seriesFor(name, help, TypeHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = NewHistogram(buckets)
+		} else if !slices.Equal(s.hist.upper, buckets) {
 			panic(fmt.Sprintf("obs: %s re-registered with different buckets", name))
 		}
-	}
-	return s.hist
+		h = s.hist
+	})
+	return h
 }
 
 // formatValue renders a sample value: integral floats without exponent
@@ -355,13 +363,21 @@ func (r *Registry) Render(w io.Writer) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	// The series of each family, copied under the lock: registration may
+	// go on while the page is written.
 	fams := make([]*family, len(names))
+	members := make([][]*series, len(names))
 	for i, n := range names {
-		fams[i] = r.fams[n]
+		f := r.fams[n]
+		fams[i] = f
+		members[i] = make([]*series, len(f.order))
+		for j, lbl := range f.order {
+			members[i][j] = f.series[lbl]
+		}
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for i, f := range fams {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
 				return err
@@ -370,8 +386,8 @@ func (r *Registry) Render(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		for _, lbl := range f.order {
-			if err := renderSeries(w, f, f.series[lbl]); err != nil {
+		for _, s := range members[i] {
+			if err := renderSeries(w, f, s); err != nil {
 				return err
 			}
 		}
@@ -407,7 +423,10 @@ func renderSeries(w io.Writer, f *family, s *series) error {
 
 // renderHistogram emits the cumulative _bucket series, then _sum and
 // _count. The le label is appended to (or merged into) the series'
-// constant labels.
+// constant labels. _count is the total of the bucket values read for this
+// page, not the histogram's own counter: Observe bumps the two separately,
+// so a page rendered meanwhile could otherwise show +Inf and _count apart,
+// which Parse rejects.
 func renderHistogram(w io.Writer, name string, s *series) error {
 	h := s.hist
 	cum := uint64(0)
@@ -430,6 +449,6 @@ func renderHistogram(w io.Writer, name string, s *series) error {
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, s.labels, formatValue(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, s.labels, h.Count())
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, s.labels, cum)
 	return err
 }

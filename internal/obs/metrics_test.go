@@ -127,19 +127,32 @@ func TestConcurrentIncrements(t *testing.T) {
 			}
 		}()
 	}
-	// Render concurrently with the increments: must not race or error.
+	// Render concurrently with the increments, until they are done: no
+	// page may race, fail, or fail the strict parser — a histogram caught
+	// between Observe's two counters must still show +Inf equal to _count.
+	observing := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 50; i++ {
+		for pages := 0; ; pages++ {
 			var buf bytes.Buffer
 			if err := r.Render(&buf); err != nil {
 				t.Errorf("concurrent render: %v", err)
 				return
 			}
+			if _, err := Parse(&buf); err != nil {
+				t.Errorf("page %d rendered during Observe does not parse: %v", pages, err)
+				return
+			}
+			select {
+			case <-observing:
+				return
+			default:
+			}
 		}
 	}()
 	wg.Wait()
+	close(observing)
 	<-done
 
 	if c.Value() != workers*per {

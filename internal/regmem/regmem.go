@@ -158,18 +158,43 @@ func (regMachine) Apply(state any, cmd any) any {
 	return asState(state).put(c.Name, c.Value)
 }
 
-// Handle tracks an operation until its command has been delivered.
+// Handle tracks an operation until its command has been delivered. The
+// node's execution context completes it; any goroutine may wait on it and
+// read it.
 type Handle struct {
-	done  bool
+	done  chan struct{} // closed on completion, after value/hasV are set
 	value string
 	hasV  bool
 }
 
+func newHandle() *Handle { return &Handle{done: make(chan struct{})} }
+
+// complete marks the operation done and wakes every waiter. It runs at
+// most once per handle: the tracking maps drop a handle as they complete
+// it.
+func (h *Handle) complete() { close(h.done) }
+
+// Wait returns a channel that is closed when the operation completes. A
+// handle whose submission was refused never completes.
+func (h *Handle) Wait() <-chan struct{} { return h.done }
+
 // Done reports completion.
-func (h *Handle) Done() bool { return h.done }
+func (h *Handle) Done() bool {
+	select {
+	case <-h.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Value returns the result of a completed synchronous read.
-func (h *Handle) Value() (string, bool) { return h.value, h.hasV && h.done }
+func (h *Handle) Value() (string, bool) {
+	if !h.Done() {
+		return "", false
+	}
+	return h.value, h.hasV
+}
 
 // SharedMemory is the per-processor register-file frontend. It implements
 // core.App by delegating to the underlying vs.Manager.
@@ -177,6 +202,11 @@ type SharedMemory struct {
 	self ids.ID
 	rep  *smr.Replica
 	mgr  *vs.Manager
+
+	// node is the node this stack rides on, as of its last Tick (nil
+	// before the first): Write and SyncRead offer it a step on the command
+	// they just queued, which a live medium takes at once.
+	node *core.Node
 
 	nextSeq         uint64
 	writes          map[uint64]*Handle
@@ -195,7 +225,7 @@ type SharedMemory struct {
 	onSnapshot func(d time.Duration, err error)
 }
 
-var _ core.App = (*SharedMemory)(nil)
+var _ core.ReceiptStepper = (*SharedMemory)(nil)
 
 // New builds the shared-memory application for processor self. eval may be
 // nil (no coordinator-led reconfigurations).
@@ -223,12 +253,13 @@ func (s *SharedMemory) SMR() *smr.Replica { return s.rep }
 // to every view member).
 func (s *SharedMemory) Write(name, value string) *Handle {
 	s.nextSeq++
-	h := &Handle{}
+	h := newHandle()
 	cmd := WriteCmd{Name: name, Value: value, Writer: s.self, Seq: s.nextSeq}
 	if !s.rep.Submit(cmd) {
 		return h // stays un-done; caller retries
 	}
 	s.writes[s.nextSeq] = h
+	s.submitted()
 	return h
 }
 
@@ -250,13 +281,26 @@ func (s *SharedMemory) Registers() int {
 // read). The handle's Value carries the result.
 func (s *SharedMemory) SyncRead(name string) *Handle {
 	s.nextSeq++
-	h := &Handle{}
+	h := newHandle()
 	if !s.rep.Submit(MarkerCmd{Reader: s.self, Seq: s.nextSeq}) {
 		return h
 	}
 	s.reads[s.nextSeq] = h
 	s.pendingReadName[s.nextSeq] = name
+	s.submitted()
 	return h
+}
+
+// submitted lets the node step on a command that was just queued, if it is
+// the only one: behind others it can only be fetched after them, and the
+// step that fetches them is triggered by what frees the input slot. Like
+// Write and SyncRead themselves it runs inside the node's execution
+// context, between two of its steps, so the step is a top-level one. On
+// the simulator StepApps does nothing and the command waits for the timer.
+func (s *SharedMemory) submitted() {
+	if s.node != nil && s.rep.PendingLen() == 1 {
+		s.node.StepApps()
+	}
 }
 
 // --- vs.App delegation (SharedMemory wraps the replica to observe
@@ -270,6 +314,9 @@ func (s *SharedMemory) Apply(state any, r vs.Round) any { return s.rep.Apply(sta
 
 // Fetch implements vs.App.
 func (s *SharedMemory) Fetch() any { return s.rep.Fetch() }
+
+// Pending implements vs.App.
+func (s *SharedMemory) Pending() bool { return s.rep.Pending() }
 
 // Deliver implements vs.App: write-ahead-logs the round's commands and
 // completes handles whose commands appear (each member's round input
@@ -295,7 +342,7 @@ func (s *SharedMemory) deliverInput(in any) {
 		case WriteCmd:
 			if c.Writer == s.self {
 				if h, ok := s.writes[c.Seq]; ok {
-					h.done = true
+					h.complete()
 					delete(s.writes, c.Seq)
 				}
 			}
@@ -303,9 +350,9 @@ func (s *SharedMemory) deliverInput(in any) {
 			if c.Reader == s.self {
 				if h, ok := s.reads[c.Seq]; ok {
 					name := s.pendingReadName[c.Seq]
-					// The state as of this round is not yet applied
-					// here; read after the manager applies it — mark
-					// and resolve on the next tick.
+					// The manager applies this round only after Deliver
+					// returns: mark the read and resolve it at the end
+					// of the step that is running (finishStep).
 					s.readyReads = append(s.readyReads, readyRead{h: h, name: name})
 					delete(s.reads, c.Seq)
 					delete(s.pendingReadName, c.Seq)
@@ -334,16 +381,31 @@ type readyRead struct {
 
 // Tick implements core.App.
 func (s *SharedMemory) Tick(n *core.Node) {
+	s.node = n
 	s.mgr.Tick(n)
-	if len(s.readyReads) > 0 {
-		for _, rr := range s.readyReads {
-			v, ok := s.Read(rr.name)
-			rr.h.value, rr.h.hasV = v, ok
-			rr.h.done = true
-		}
-		s.readyReads = nil
+	s.finishStep()
+}
+
+// ReceiptStep implements core.ReceiptStepper: the manager's receipt-driven
+// iteration, followed by what follows every iteration.
+func (s *SharedMemory) ReceiptStep(n *core.Node) (ran, changed bool) {
+	ran, changed = s.mgr.ReceiptStep(n)
+	if ran {
+		s.finishStep()
 	}
-	// Snapshot after the manager ticked: the state now includes every
+	return ran, changed
+}
+
+// finishStep runs after every manager iteration: it resolves the
+// synchronous reads whose markers the iteration delivered, against the
+// state that now includes their round, and takes a due snapshot.
+func (s *SharedMemory) finishStep() {
+	for _, rr := range s.readyReads {
+		rr.h.value, rr.h.hasV = s.Read(rr.name)
+		rr.h.complete()
+	}
+	s.readyReads = nil
+	// Snapshot after the manager stepped: the state now includes every
 	// round whose commands Deliver appended, so the snapshot's coverage
 	// claim (all records so far) holds.
 	s.maybeSnapshot()

@@ -100,6 +100,9 @@ func (r *Replica) Submit(cmd any) bool {
 // PendingLen returns the number of unsent commands.
 func (r *Replica) PendingLen() int { return len(r.pending) }
 
+// Pending implements vs.App.
+func (r *Replica) Pending() bool { return len(r.pending) > 0 }
+
 // Log returns a copy of the applied-command log.
 func (r *Replica) Log() []Applied {
 	out := make([]Applied, len(r.log))

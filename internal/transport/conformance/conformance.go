@@ -27,6 +27,16 @@ import (
 	"repro/internal/regmem"
 	"repro/internal/shard"
 	"repro/internal/transport"
+	"repro/internal/vs"
+)
+
+// simFollowerTicks and simCoordTicks are what the 100 commits of each
+// ReceiptDrivenWrites loop cost on the simulator, in ticks of the writing
+// node, at the subtest's fixed seed — measured at the commit before
+// receipt-driven steps existed. The simulator must never move off them.
+const (
+	simFollowerTicks = 334
+	simCoordTicks    = 243
 )
 
 // Backend describes one transport implementation under test.
@@ -124,6 +134,27 @@ func inspected[T any](t *testing.T, h Harness, id ids.ID, read func() T) T {
 		t.Fatalf("Inspect(%v) failed", id)
 	}
 	return out
+}
+
+// connectAll links every node to every other and seeds its failure
+// detector with them, each inside its own execution context.
+func connectAll(t *testing.T, h Harness, nodes map[ids.ID]*core.Node) {
+	t.Helper()
+	all := ids.Set{}
+	for id := range nodes {
+		all = all.Add(id)
+	}
+	// In identifier order: on the simulator the links draw their session
+	// nonces from the one seeded source as they are connected.
+	all.Each(func(id ids.ID) {
+		others := all.Remove(id)
+		if !h.Net.Inspect(id, func() {
+			nodes[id].ConnectAll(others)
+			nodes[id].Detector.Bootstrap(others)
+		}) {
+			t.Fatalf("wiring node %v failed", id)
+		}
+	})
 }
 
 // Run executes the conformance suite against the backend.
@@ -496,14 +527,7 @@ func Run(t *testing.T, b Backend) {
 			}
 			nodes[i] = n
 		}
-		for i := ids.ID(1); i <= 3; i++ {
-			if !h.Net.Inspect(i, func() {
-				nodes[i].ConnectAll(all.Remove(i))
-				nodes[i].Detector.Bootstrap(all.Remove(i))
-			}) {
-				t.Fatalf("wiring node %v failed", i)
-			}
-		}
+		connectAll(t, h, nodes)
 		converged := func() bool {
 			for i := ids.ID(1); i <= 3; i++ {
 				ok := inspected(t, h, i, func() bool {
@@ -519,6 +543,137 @@ func Run(t *testing.T, b Backend) {
 		if !await(h, 60*time.Second, converged) {
 			t.Fatal("full stack never converged on this backend")
 		}
+	})
+
+	t.Run("ReceiptDrivenWrites", func(t *testing.T) {
+		// The live write path: a 3-node single-shard register cluster, a
+		// depth-1 write loop at a follower and then at the coordinator.
+		// On a medium that lets a delivery trigger a step a commit costs
+		// less than one timer tick of its node; on the simulator only the
+		// timer steps, a commit costs whole ticks, and the run is the
+		// function of the seed it always was. Around the loop the cluster
+		// sits idle, and an idle cluster takes no receipt-driven step and
+		// starts no cycle off the timer — one token per link per tick.
+		const n = 3
+		// A tick long enough that a commit fits into it many times over
+		// even under the race detector: the comparison is between a commit
+		// and a tick, whatever the tick.
+		opts := transport.Options{
+			Capacity:   64,
+			TickEvery:  10 * time.Millisecond,
+			TickJitter: 5 * time.Millisecond,
+		}
+		h := b.New(t, 12, opts, universe)
+		defer h.Net.Close()
+		all := ids.Range(1, n)
+		mems := make(map[ids.ID]*regmem.SharedMemory)
+		nodes := make(map[ids.ID]*core.Node)
+		for i := ids.ID(1); i <= n; i++ {
+			mems[i] = regmem.New(i, nil)
+			node, err := core.NewNode(h.Net, core.Params{
+				Self: i, N: 16, Initial: recsa.ConfigOf(all),
+				EvalConf: func(ids.Set, ids.Set) bool { return false },
+				App:      mems[i],
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = node
+		}
+		connectAll(t, h, nodes)
+		var coord ids.ID
+		if !await(h, 60*time.Second, func() bool {
+			for i := ids.ID(1); i <= n; i++ {
+				v := inspected(t, h, i, func() vs.View { v, _ := mems[i].VS().CurrentView(); return v })
+				if !v.Valid() || !v.Set.Equal(all) {
+					return false
+				}
+				coord = v.Coordinator()
+			}
+			return true
+		}) {
+			t.Fatal("no full view on every node")
+		}
+		follower := all.Remove(coord).Members()[0]
+
+		// idle lets the cluster sit for a while and checks, per node, how
+		// many cycles completed in how many timer ticks, and that there was
+		// no receipt-driven step and no kicked cycle.
+		type counts struct{ ticks, cycles, steps, kicked uint64 }
+		read := func(i ids.ID) counts {
+			st := nodes[i].Endpoint.Stats()
+			return counts{nodes[i].Ticks(), st.CyclesDone, nodes[i].ReceiptSteps(), st.KickedCycles}
+		}
+		idle := func(when string) {
+			h.Settle(100 * time.Millisecond) // let the last commit's rounds drain
+			before := map[ids.ID]counts{}
+			for i := ids.ID(1); i <= n; i++ {
+				before[i] = read(i)
+			}
+			h.Settle(400 * time.Millisecond)
+			for i := ids.ID(1); i <= n; i++ {
+				a, z := before[i], read(i)
+				ticks, cycles := z.ticks-a.ticks, z.cycles-a.cycles
+				if ticks < 10 {
+					t.Fatalf("%s: node %v ticked only %d times", when, i, ticks)
+				}
+				// Two links per node, one cycle per link per tick; the
+				// slack covers a cycle straddling either edge of the window.
+				if cycles > 2*ticks+4 {
+					t.Errorf("%s: node %v completed %d cycles in %d ticks, want at most one per link per tick", when, i, cycles, ticks)
+				}
+				if z.steps != a.steps || z.kicked != a.kicked {
+					t.Errorf("%s: idle node %v took %d receipt-driven steps and started %d cycles off the timer",
+						when, i, z.steps-a.steps, z.kicked-a.kicked)
+				}
+			}
+		}
+		idle("before the writes")
+
+		// loop writes depth-1 at one node and returns how many times that
+		// node's timer fired meanwhile.
+		const commits = 100
+		loop := func(at ids.ID) uint64 {
+			start := nodes[at].Ticks()
+			for c := 0; c < commits; c++ {
+				var hnd *regmem.Handle
+				if !h.Net.Inspect(at, func() { hnd = mems[at].Write("r", fmt.Sprintf("%v-%d", at, c)) }) {
+					t.Fatalf("Inspect(%v) failed", at)
+				}
+				for waited := time.Duration(0); !hnd.Done(); waited += 100 * time.Microsecond {
+					if waited > 30*time.Second {
+						t.Fatalf("write %d at %v never completed", c, at)
+					}
+					h.Settle(100 * time.Microsecond)
+				}
+				for i := ids.ID(1); i <= n; i++ {
+					if tr := inspected(t, h, i, func() ids.Set { return nodes[i].Trusted() }); !tr.Equal(all) {
+						t.Fatalf("after write %d at %v, node %v trusts %v", c, at, i, tr)
+					}
+				}
+			}
+			return nodes[at].Ticks() - start
+		}
+		atFollower := loop(follower)
+		atCoord := loop(coord)
+		t.Logf("%d commits cost %d ticks at follower %v and %d at coordinator %v", commits, atFollower, follower, atCoord, coord)
+		if h.Net.ReceiptSteps() {
+			if atFollower >= commits || atCoord >= commits {
+				t.Errorf("a live medium still pays a tick or more per commit: %d commits cost %d ticks at the follower, %d at the coordinator",
+					commits, atFollower, atCoord)
+			}
+		} else {
+			if atFollower != simFollowerTicks || atCoord != simCoordTicks {
+				t.Errorf("the simulator moved: %d commits cost %d ticks at the follower (were %d), %d at the coordinator (were %d)",
+					commits, atFollower, simFollowerTicks, atCoord, simCoordTicks)
+			}
+			for i := ids.ID(1); i <= n; i++ {
+				if s := nodes[i].ReceiptSteps(); s != 0 {
+					t.Errorf("node %v took %d receipt-driven steps on the simulator", i, s)
+				}
+			}
+		}
+		idle("after the writes")
 	})
 
 	t.Run("ShardedServiceStacks", func(t *testing.T) {
@@ -552,14 +707,7 @@ func Run(t *testing.T, b Backend) {
 			}
 			nodes[i] = node
 		}
-		for i := ids.ID(1); i <= n; i++ {
-			if !h.Net.Inspect(i, func() {
-				nodes[i].ConnectAll(all.Remove(i))
-				nodes[i].Detector.Bootstrap(all.Remove(i))
-			}) {
-				t.Fatalf("wiring node %v failed", i)
-			}
-		}
+		connectAll(t, h, nodes)
 		// Every shard of every node installs a view.
 		if !await(h, 60*time.Second, func() bool {
 			for i := ids.ID(1); i <= n; i++ {

@@ -208,6 +208,19 @@ func (l *Net) Inspect(id ids.ID, fn func()) bool {
 	}
 }
 
+// Done implements transport.Transport.
+func (l *Net) Done(id ids.ID) <-chan struct{} {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if n, ok := l.nodes[id]; ok {
+		return n.done
+	}
+	return transport.Stopped
+}
+
+// ReceiptSteps implements transport.Transport: a live medium.
+func (l *Net) ReceiptSteps() bool { return true }
+
 // Alive implements transport.Transport.
 func (l *Net) Alive() ids.Set {
 	l.mu.RLock()

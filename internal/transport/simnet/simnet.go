@@ -25,6 +25,8 @@ type Net struct {
 	sched  *sim.Scheduler
 	net    *netsim.Network
 	closed bool
+	// done holds the Done channel of every node somebody asked about.
+	done map[ids.ID]chan struct{}
 }
 
 var _ transport.Transport = (*Net)(nil)
@@ -74,7 +76,36 @@ func (s *Net) Send(from, to ids.ID, payload any) { s.net.Send(from, to, payload)
 func (s *Net) Rand() *rand.Rand { return s.sched.Rand() }
 
 // Crash implements transport.Transport.
-func (s *Net) Crash(id ids.ID) { s.net.Crash(id) }
+func (s *Net) Crash(id ids.ID) {
+	s.net.Crash(id)
+	if c, ok := s.done[id]; ok {
+		close(c)
+		delete(s.done, id)
+	}
+}
+
+// Done implements transport.Transport. The channel closes on Crash and
+// Close of this adapter; nothing can usefully block on it while the same
+// goroutine pumps the scheduler.
+func (s *Net) Done(id ids.ID) <-chan struct{} {
+	if s.closed || !s.net.Alive().Contains(id) {
+		return transport.Stopped
+	}
+	c, ok := s.done[id]
+	if !ok {
+		if s.done == nil {
+			s.done = make(map[ids.ID]chan struct{})
+		}
+		c = make(chan struct{})
+		s.done[id] = c
+	}
+	return c
+}
+
+// ReceiptSteps implements transport.Transport: on the simulator only the
+// timer triggers a step, so every count on the simulated clock is a
+// function of the seed and of nothing a live-path change can touch.
+func (s *Net) ReceiptSteps() bool { return false }
 
 // Alive implements transport.Transport.
 func (s *Net) Alive() ids.Set { return s.net.Alive() }
@@ -96,5 +127,9 @@ func (s *Net) Inspect(id ids.ID, fn func()) bool {
 func (s *Net) Close() error {
 	s.closed = true
 	s.sched.Halt()
+	for id, c := range s.done {
+		close(c)
+		delete(s.done, id)
+	}
 	return nil
 }

@@ -425,6 +425,19 @@ func (t *Net) Inspect(id ids.ID, fn func()) bool {
 	}
 }
 
+// Done implements transport.Transport.
+func (t *Net) Done(id ids.ID) <-chan struct{} {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if n, ok := t.local[id]; ok {
+		return n.done
+	}
+	return transport.Stopped
+}
+
+// ReceiptSteps implements transport.Transport: a live medium.
+func (t *Net) ReceiptSteps() bool { return true }
+
 // Alive implements transport.Transport (local nodes only; remote
 // liveness is the failure detector's business).
 func (t *Net) Alive() ids.Set {

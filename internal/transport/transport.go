@@ -60,10 +60,31 @@ type Transport interface {
 	// it — the only safe way to read node state from outside. It
 	// reports false for unknown or crashed nodes.
 	Inspect(id ids.ID, fn func()) bool
+	// Done returns a channel that is closed once the node takes no
+	// further steps — it was crashed, the transport was closed, or it
+	// never existed. Whoever waits for something the node would do
+	// selects on it.
+	Done(id ids.ID) <-chan struct{}
+	// ReceiptSteps reports whether a delivery may trigger an application
+	// step on this medium, as the asynchronous model allows, or only the
+	// timer may. It is a fact about the medium, not a setting: the live
+	// backends say yes; the simulator says no, because its tables count
+	// steps on the simulated timer. core.NewNode reads it once. A
+	// decorator that embeds Transport inherits the answer of what it
+	// wraps.
+	ReceiptSteps() bool
 	// Close stops every node and releases backend resources (sockets,
 	// goroutines). It is idempotent.
 	Close() error
 }
+
+// Stopped is the closed channel Done returns for a node that is not (or
+// no longer) registered.
+var Stopped = func() <-chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Conn is one node's handle on a transport: the Transport/Conn pair is
 // the subsystem's client-facing surface. A Conn pins the sender identity

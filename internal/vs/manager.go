@@ -41,11 +41,14 @@ type Manager struct {
 	// which rounds of the current view were handed to the application.
 	lastDelivered uint64
 	haveDelivered bool
+	// dirty: a record the next iteration reads changed, in a field it
+	// gates on, since the last iteration ran (receipt-driven steps).
+	dirty bool
 
 	metrics metricsCounters
 }
 
-var _ core.App = (*Manager)(nil)
+var _ core.ReceiptStepper = (*Manager)(nil)
 
 // NewManager builds the VS application. app must be non-nil; eval may be
 // nil (no coordinator-led reconfigurations).
@@ -164,6 +167,7 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 // Tick implements core.App — one iteration of Algorithm 4.7's do-forever
 // loop for a participant.
 func (m *Manager) Tick(n *core.Node) {
+	m.dirty = false
 	m.ctr.Tick(n)
 	if !n.IsParticipant() {
 		return
@@ -216,6 +220,81 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 		return false
 	}
 	return m.eval(conf, trusted)
+}
+
+// ReceiptStep implements core.ReceiptStepper: it runs the same iteration
+// as Tick, but only on the live write path — an installed, unsuspended
+// view with a coordinator — and only when that iteration has something new
+// to read and a command to move: either a stored record changed in a field
+// the iteration gates on while some view member's command is in flight,
+// or the application has a command to fetch and the input slot is free.
+// An idle view therefore never steps here (its empty rounds keep the
+// timer's pace and its links one token per tick), and neither does a view
+// change or a suspended view. changed reports that the iteration altered
+// this processor's own record in a gated field; only then does the node
+// send anything.
+//
+// A coordinator with a free input slot fills it before the iteration, as
+// a follower's iteration does (follow's same-round arm), instead of only
+// when a round completes. The input joins the same round either way, but
+// the record shows it at once: the members echo a round still in flight
+// now rather than on their timers, and the occupied slot stops further
+// deliveries from triggering iterations that could only find the round
+// incomplete again.
+//
+// When every other view member is untrusted (a one-processor view above
+// all) no echo can follow, so the processor's own changed record is the
+// only news there will be: the loop then runs the next iteration at once —
+// up to soloBurst of them, so that an application that always has another
+// input cannot keep the node from its timer.
+func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
+	for i := 0; i < soloBurst && m.receiptStepDue(); i++ {
+		before := m.rep
+		if m.rep.Crd == m.self && m.rep.Input == nil {
+			m.rep.Input = m.app.Fetch()
+		}
+		m.Tick(n)
+		ran = true
+		if m.rep.sameGate(before) {
+			break
+		}
+		changed = true
+		if !n.Trusted().Intersect(m.rep.View.Set).Equal(ids.NewSet(m.self)) {
+			break
+		}
+		m.dirty = true
+	}
+	return ran, changed
+}
+
+// receiptStepDue is ReceiptStep's condition: on the live write path, with
+// news to read and a command to move, or with a command to fetch into a
+// free slot.
+func (m *Manager) receiptStepDue() bool {
+	if m.rep.Status != StatusMulticast || !m.rep.View.Valid() || m.rep.NoCrd || m.rep.Suspend {
+		return false
+	}
+	return (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
+}
+
+// soloBurst bounds the back-to-back iterations of a processor that waits
+// for nobody's echo: enough to fetch a command, complete its round and
+// complete the empty round after it, with one to spare.
+const soloBurst = 4
+
+// loaded reports whether a command of some view member is in flight: a
+// fetched input not yet consumed, or a round that carries inputs and has
+// not been delivered here. Records of processors outside the view do not
+// count — a crashed member's last input would otherwise keep the view
+// stepping at the network's pace forever.
+func (m *Manager) loaded() bool {
+	found := false
+	m.rep.View.Set.Each(func(k ids.ID) {
+		if r, ok := m.replicaOf(k); ok && (r.Input != nil || len(r.Inputs) > 0) {
+			found = true
+		}
+	})
+	return found
 }
 
 // maybePropose starts (or completes) a view proposal when line 10's
@@ -583,6 +662,9 @@ func (m *Manager) HandleApp(from ids.ID, payload any, n *core.Node) {
 		m.ctr.HandleApp(from, p.Counter, n)
 	}
 	if p.Replica != nil {
+		if old, ok := m.views[from]; !ok || !old.sameGate(*p.Replica) {
+			m.dirty = true
+		}
 		m.views[from] = p.Replica.clone()
 	}
 }

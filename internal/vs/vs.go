@@ -87,6 +87,9 @@ type App interface {
 	Apply(state any, r Round) any
 	// Fetch returns the next input to multicast, or nil when idle.
 	Fetch() any
+	// Pending reports whether Fetch would return an input now. It lets a
+	// submission trigger a step on live transports (Manager.ReceiptStep).
+	Pending() bool
 	// Deliver is the side-effect hook invoked exactly once per round a
 	// replica processes (the reliable-multicast delivery indication).
 	Deliver(r Round)
@@ -116,6 +119,20 @@ type Replica struct {
 	NoCrd   bool
 	Suspend bool
 	Crd     ids.ID // this processor's current coordinator (FD.crd)
+}
+
+// sameGate reports whether two records agree on every field a peer's
+// iteration of Algorithm 4.7 gates its own progress on: status, round,
+// view, proposal, the suspend and no-coordinator flags, the coordinator,
+// and whether an input is present. (The inputs of a round change only
+// with the round number, and a fetched input only when a round consumed
+// its predecessor.) A record that differs from the previous one only in
+// its state or counter payload gives a peer nothing new to act on.
+func (r Replica) sameGate(o Replica) bool {
+	return r.Status == o.Status && r.Rnd == o.Rnd &&
+		r.Suspend == o.Suspend && r.NoCrd == o.NoCrd && r.Crd == o.Crd &&
+		(r.Input == nil) == (o.Input == nil) &&
+		r.View.Equal(o.View) && r.PropV.Equal(o.PropV)
 }
 
 // clone returns a shallow copy with a fresh Inputs map (state values are

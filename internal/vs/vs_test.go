@@ -44,6 +44,8 @@ func (a *logApp) Fetch() any {
 	return next
 }
 
+func (a *logApp) Pending() bool { return len(a.pending) > 0 }
+
 func (a *logApp) Deliver(r Round) { a.delivered = append(a.delivered, r) }
 
 type vsCluster struct {
