@@ -222,65 +222,42 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 	return m.eval(conf, trusted)
 }
 
-// ReceiptStep implements core.ReceiptStepper: it runs the same iteration
-// as Tick, but only on the live write path — an installed, unsuspended
-// view with a coordinator — and only when that iteration has something new
-// to read and a command to move: either a stored record changed in a field
-// the iteration gates on while some view member's command is in flight,
-// or the application has a command to fetch and the input slot is free.
-// An idle view therefore never steps here (its empty rounds keep the
-// timer's pace and its links one token per tick), and neither does a view
-// change or a suspended view. changed reports that the iteration altered
-// this processor's own record in a gated field; only then does the node
-// send anything.
+// ReceiptStep implements core.ReceiptStepper: a follower runs the same
+// iteration as Tick when a delivery or a submission gave that iteration
+// something new to read and there is a command to move — a stored record
+// changed in a field the iteration gates on while some view member's
+// command is in flight, or the application has a command to fetch and the
+// input slot is free. changed reports that the iteration altered this
+// processor's own record in a gated field; only then does the node send
+// anything.
 //
-// A coordinator with a free input slot fills it before the iteration, as
-// a follower's iteration does (follow's same-round arm), instead of only
-// when a round completes. The input joins the same round either way, but
-// the record shows it at once: the members echo a round still in flight
-// now rather than on their timers, and the occupied slot stops further
-// deliveries from triggering iterations that could only find the round
-// incomplete again.
-//
-// When every other view member is untrusted (a one-processor view above
-// all) no echo can follow, so the processor's own changed record is the
-// only news there will be: the loop then runs the next iteration at once —
-// up to soloBurst of them, so that an application that always has another
-// input cannot keep the node from its timer.
+// The coordinator never steps here. Its round counter is the view's clock:
+// a round starts and completes on the coordinator's timer, and everything
+// between two of its ticks — a follower's input reaching it, the members'
+// echoes of the round it started — happens at the network's pace. A write
+// therefore costs two coordinator ticks, however fast or slow the
+// processors are at that moment, instead of a chain of processing times
+// (DESIGN.md §17 has the measurements behind that choice). Nor does an
+// idle view step here (its empty rounds keep the timer's pace and its
+// links one token per tick), a view change, or a suspended view.
 func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
-	for i := 0; i < soloBurst && m.receiptStepDue(); i++ {
-		before := m.rep
-		if m.rep.Crd == m.self && m.rep.Input == nil {
-			m.rep.Input = m.app.Fetch()
-		}
-		m.Tick(n)
-		ran = true
-		if m.rep.sameGate(before) {
-			break
-		}
-		changed = true
-		if !n.Trusted().Intersect(m.rep.View.Set).Equal(ids.NewSet(m.self)) {
-			break
-		}
-		m.dirty = true
+	if !m.receiptStepDue() {
+		return false, false
 	}
-	return ran, changed
+	before := m.rep
+	m.Tick(n)
+	return true, !m.rep.sameGate(before)
 }
 
-// receiptStepDue is ReceiptStep's condition: on the live write path, with
-// news to read and a command to move, or with a command to fetch into a
-// free slot.
+// receiptStepDue is ReceiptStep's condition: a follower on the live write
+// path, with news to read and a command to move, or with a command to
+// fetch into a free slot.
 func (m *Manager) receiptStepDue() bool {
-	if m.rep.Status != StatusMulticast || !m.rep.View.Valid() || m.rep.NoCrd || m.rep.Suspend {
+	if m.rep.Status != StatusMulticast || !m.rep.View.Valid() || m.rep.NoCrd || m.rep.Suspend || m.rep.Crd == m.self {
 		return false
 	}
 	return (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
 }
-
-// soloBurst bounds the back-to-back iterations of a processor that waits
-// for nobody's echo: enough to fetch a command, complete its round and
-// complete the empty round after it, with one to spare.
-const soloBurst = 4
 
 // loaded reports whether a command of some view member is in flight: a
 // fetched input not yet consumed, or a round that carries inputs and has
