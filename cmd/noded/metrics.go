@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/datalink"
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/transport/tcp"
 	"repro/pkg/api"
@@ -28,6 +29,13 @@ import (
 // stays transport-generic (inproc test transports simply expose no
 // transport family).
 type tcpStats interface{ Stats() tcp.Stats }
+
+// tickLateObserver is what the transports whose node timers run on the
+// wall clock (tcp, inproc) offer; a medium without one simply exports no
+// tick-lateness family.
+type tickLateObserver interface {
+	ObserveTickLate(id ids.ID, fn func(late time.Duration)) bool
+}
 
 // storageMirror holds one shard's backend counters, copied out of the
 // node context by the gather hook and read lock-free by counter views.
@@ -49,6 +57,16 @@ func (d *Daemon) initMetrics() {
 	reg.CounterFunc("repro_node_receipt_steps_total",
 		"Service-layer steps taken on a delivery or a submission instead of the timer.",
 		nil, d.node.ReceiptSteps)
+	// How long after its due time each tick started: the node's clock as
+	// the wall clock saw it. The observer runs on the node's run loop, so
+	// the histogram is resolved here and only Observe (pure atomics) runs
+	// per tick.
+	if tl, ok := d.tr.(tickLateObserver); ok {
+		late := reg.Histogram("repro_node_tick_late_seconds",
+			"Time from a timer tick's due time to its start.",
+			nil, []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1})
+		tl.ObserveTickLate(d.self, func(l time.Duration) { late.Observe(l.Seconds()) })
+	}
 
 	registerBuildInfo(reg)
 	d.registerDatalink(reg)

@@ -94,6 +94,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// both against a live 3-node cluster.)
 	nonzero := []string{
 		"repro_node_ticks_total",
+		"repro_node_tick_late_seconds",
 		"repro_build_info",
 		"repro_vs_rounds_applied_total",
 		"repro_shard_ops_total",

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -244,7 +245,15 @@ func (l *Loader) load(path string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Build constraints (file name suffixes, //go:build lines) as the
+		// compiler on this platform sees them: a package may keep one
+		// implementation per GOOS.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if ok {
 			names = append(names, n)
 		}
 	}

@@ -16,6 +16,7 @@ var metricFamilies = map[string]metricFamily{
 	// node core
 	"repro_node_ticks_total":         {kind: "counter"},
 	"repro_node_receipt_steps_total": {kind: "counter"},
+	"repro_node_tick_late_seconds":   {kind: "histogram"},
 
 	// datalink (internal/datalink)
 	"repro_datalink_cleanings_total":      {kind: "counter"},

@@ -17,6 +17,7 @@ package conformance
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -88,6 +89,16 @@ func (h *handler) Receive(from ids.ID, payload any) {
 }
 
 func (h *handler) Tick() { h.ticks++ }
+
+// tickStamper notes when each of its ticks began; touched only from the
+// node's execution context, like handler.
+type tickStamper struct {
+	at []time.Time
+}
+
+func (s *tickStamper) Receive(ids.ID, any) {}
+
+func (s *tickStamper) Tick() { s.at = append(s.at, time.Now()) }
 
 // packetRecorder keeps every received datalink packet in arrival order;
 // touched only from the node's execution context, like handler.
@@ -685,6 +696,55 @@ func Run(t *testing.T, b Backend) {
 			}
 		}
 		idle("after the writes")
+	})
+
+	t.Run("TickPacing", func(t *testing.T) {
+		// A live node's timer keeps the period it was given: due times
+		// accumulate and the wait for one is good to a fraction of a
+		// millisecond, so a 2.5 ms tick lasts 2.5 ms and not the 3.2 that
+		// re-arming a runtime timer after every tick makes of it — and no
+		// tick starts sooner than the period after the one before.
+		if testing.Short() {
+			t.Skip("measures wall time")
+		}
+		const every, ticks = 2500 * time.Microsecond, 400
+		opts := transport.Options{Capacity: 64, TickEvery: every}
+		var median time.Duration
+		for attempt := 1; attempt <= 3; attempt++ {
+			h := b.New(t, 13, opts, universe)
+			if !h.Net.ReceiptSteps() {
+				h.Net.Close()
+				t.Skip("no wall-clock timer on this backend")
+			}
+			st := &tickStamper{at: make([]time.Time, 0, 2*ticks)}
+			if err := h.Net.AddNode(1, st); err != nil {
+				t.Fatal(err)
+			}
+			if !await(h, 30*time.Second, func() bool {
+				return inspected(t, h, 1, func() int { return len(st.at) }) > ticks
+			}) {
+				t.Fatal("node stopped ticking")
+			}
+			h.Net.Close() // no step after this: the stamps may be read
+			gaps := make([]time.Duration, 0, len(st.at))
+			for k := 1; k < len(st.at); k++ {
+				gap := st.at[k].Sub(st.at[k-1])
+				if gap < every {
+					t.Fatalf("tick %d began %v after the one before, sooner than the %v period", k, gap, every)
+				}
+				gaps = append(gaps, gap)
+			}
+			sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+			median = gaps[len(gaps)/2]
+			t.Logf("attempt %d: %d ticks at a %v period: median gap %v, p95 %v", attempt, len(gaps), every, median, gaps[len(gaps)*95/100])
+			// The median, and a bound halfway to what rounding up to whole
+			// milliseconds would give: a busy runner can delay any one tick,
+			// not half of them three times in a row.
+			if median <= 2900*time.Microsecond {
+				return
+			}
+		}
+		t.Fatalf("median tick period %v at a nominal %v, want at most 2.9ms", median, every)
 	})
 
 	t.Run("ShardedServiceStacks", func(t *testing.T) {

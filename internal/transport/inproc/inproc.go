@@ -34,6 +34,7 @@ type node struct {
 	handler transport.Handler
 	inbox   chan inboxItem
 	done    chan struct{}
+	pacer   *transport.Pacer // owned by the node's goroutine
 }
 
 // Net is the goroutine-per-node transport.
@@ -97,6 +98,7 @@ func (l *Net) AddNode(id ids.ID, h transport.Handler) error {
 		handler: h,
 		inbox:   make(chan inboxItem, l.opts.Capacity),
 		done:    make(chan struct{}),
+		pacer:   transport.NewPacer(l.opts.TickEvery, l.opts.TickJitter, l.Rand()),
 	}
 	l.nodes[id] = n
 	l.wg.Add(1)
@@ -106,17 +108,11 @@ func (l *Net) AddNode(id ids.ID, h transport.Handler) error {
 
 func (l *Net) run(n *node) {
 	defer l.wg.Done()
-	rng := l.Rand()
-	period := func() time.Duration {
-		d := l.opts.TickEvery
-		if j := int64(l.opts.TickJitter); j > 0 {
-			d += time.Duration(rng.Int63n(j + 1))
-		}
-		return d
-	}
-	timer := time.NewTimer(period())
-	defer timer.Stop()
+	defer n.pacer.Stop()
+	tick := n.handler.Tick
 	for {
+		// The timer first: a due tick does not wait behind the inbox.
+		n.pacer.Poll(tick)
 		select {
 		case <-n.done:
 			return
@@ -126,9 +122,7 @@ func (l *Net) run(n *node) {
 			} else {
 				n.handler.Receive(item.from, item.payload)
 			}
-		case <-timer.C:
-			n.handler.Tick()
-			timer.Reset(period())
+		case <-n.pacer.C():
 		}
 	}
 }
@@ -206,6 +200,17 @@ func (l *Net) Inspect(id ids.ID, fn func()) bool {
 	case <-n.done:
 		return false
 	}
+}
+
+// ObserveTickLate has fn called from the node's execution context at the
+// start of each of its ticks with how long after its due time the tick
+// started (fn must not allocate). It reports false for unknown or crashed
+// nodes.
+func (l *Net) ObserveTickLate(id ids.ID, fn func(time.Duration)) bool {
+	l.mu.RLock()
+	n, ok := l.nodes[id]
+	l.mu.RUnlock()
+	return ok && l.Inspect(id, func() { n.pacer.ObserveLate(fn) })
 }
 
 // Done implements transport.Transport.

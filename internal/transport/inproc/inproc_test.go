@@ -45,6 +45,61 @@ func TestDuplicationCounter(t *testing.T) {
 	t.Fatalf("duplicated %d, want 10", n.Duplicated())
 }
 
+// TestDueTickDoesNotQueueBehindInbox floods a node whose every delivery
+// takes two tick periods: a tick is due each time a delivery returns, and
+// the run loop, which polls its timer before it looks at the inbox, must
+// run it before the next delivery however deep the inbox is.
+func TestDueTickDoesNotQueueBehindInbox(t *testing.T) {
+	const every = time.Millisecond
+	n := inproc.New(1, transport.Options{Capacity: 64, TickEvery: every})
+	defer n.Close()
+	h := &slowReceiver{cost: 2 * every}
+	if err := n.AddNode(1, h); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.Send(2, 1, "flood")
+			}
+		}
+	}()
+	time.Sleep(150 * every)
+	close(stop)
+	<-flooded
+	n.Close() // no step after this: the handler may be read
+	if h.received < 20 {
+		t.Fatalf("only %d deliveries in 150 periods: the flood never built up", h.received)
+	}
+	if h.inARow > 1 {
+		t.Fatalf("%d deliveries in a row with a tick due (%d deliveries, %d ticks)", h.inARow, h.received, h.ticks)
+	}
+}
+
+// slowReceiver takes cost per delivery and keeps the longest run of
+// deliveries that no tick interrupted.
+type slowReceiver struct {
+	cost              time.Duration
+	received, ticks   int
+	sinceTick, inARow int
+}
+
+func (h *slowReceiver) Receive(ids.ID, any) {
+	time.Sleep(h.cost)
+	h.received++
+	if h.sinceTick++; h.sinceTick > h.inARow {
+		h.inARow = h.sinceTick
+	}
+}
+
+func (h *slowReceiver) Tick() { h.ticks++; h.sinceTick = 0 }
+
 type nopHandler struct{}
 
 func (nopHandler) Receive(ids.ID, any) {}

@@ -30,9 +30,16 @@ type Options struct {
 	LossProb float64
 	// DupProb is the probability a delivered packet is delivered twice.
 	DupProb float64
-	// TickEvery is the node timer period; each firing is delayed by an
-	// independent jitter drawn from [0, TickJitter] (timer rates are
-	// unknown in the asynchronous model).
+	// TickEvery is the node timer period and TickJitter bounds the
+	// independent draw from [0, TickJitter] added to each period (timer
+	// rates are unknown in the asynchronous model). On the wall-clock
+	// backends (inproc, tcp) the Pacer keeps that contract: a tick is due
+	// TickEvery plus its draw after the previous tick was DUE, so due
+	// times accumulate and a tick's own work or a late start comes out of
+	// the next period instead of stretching it; a tick never starts
+	// sooner than TickEvery after the previous tick returned; and a node
+	// whose next tick is already overdue when one returns drops the ticks
+	// it missed and counts from now — it never runs a catch-up burst.
 	TickEvery, TickJitter time.Duration
 }
 

@@ -128,6 +128,7 @@ type node struct {
 	inbox    chan inboxItem
 	done     chan struct{}
 	listener net.Listener
+	pacer    *transport.Pacer // owned by the node's goroutine
 }
 
 // Net is the TCP transport.
@@ -221,6 +222,7 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 		inbox:    make(chan inboxItem, t.cfg.Opts.Capacity),
 		done:     make(chan struct{}),
 		listener: ln,
+		pacer:    transport.NewPacer(t.cfg.Opts.TickEvery, t.cfg.Opts.TickJitter, t.Rand()),
 	}
 	t.local[id] = n
 	t.wg.Add(2)
@@ -232,17 +234,11 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 // runNode owns the node's handler: ticks, deliveries, Inspect closures.
 func (t *Net) runNode(n *node) {
 	defer t.wg.Done()
-	rng := t.Rand()
-	period := func() time.Duration {
-		d := t.cfg.Opts.TickEvery
-		if j := int64(t.cfg.Opts.TickJitter); j > 0 {
-			d += time.Duration(rng.Int63n(j + 1))
-		}
-		return d
-	}
-	timer := time.NewTimer(period())
-	defer timer.Stop()
+	defer n.pacer.Stop()
+	tick := n.handler.Tick
 	for {
+		// The timer first: a due tick does not wait behind the inbox.
+		n.pacer.Poll(tick)
 		select {
 		case <-n.done:
 			return
@@ -253,9 +249,7 @@ func (t *Net) runNode(n *node) {
 				t.delivered.Add(1)
 				n.handler.Receive(item.from, item.payload)
 			}
-		case <-timer.C:
-			n.handler.Tick()
-			timer.Reset(period())
+		case <-n.pacer.C():
 		}
 	}
 }
@@ -423,6 +417,17 @@ func (t *Net) Inspect(id ids.ID, fn func()) bool {
 	case <-n.done:
 		return false
 	}
+}
+
+// ObserveTickLate has fn called from the node's execution context at the
+// start of each of its ticks with how long after its due time the tick
+// started (fn must not allocate). It reports false for unknown or crashed
+// nodes.
+func (t *Net) ObserveTickLate(id ids.ID, fn func(time.Duration)) bool {
+	t.mu.RLock()
+	n, ok := t.local[id]
+	t.mu.RUnlock()
+	return ok && t.Inspect(id, func() { n.pacer.ObserveLate(fn) })
 }
 
 // Done implements transport.Transport.

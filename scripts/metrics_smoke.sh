@@ -100,6 +100,7 @@ done
 # folded server.shard_ops series.
 FAMILIES=(
   repro_node_ticks_total=nonzero
+  repro_node_tick_late_seconds=nonzero
   repro_build_info=nonzero
   repro_tcp_sent_total=nonzero
   repro_tcp_delivered_total=nonzero
@@ -122,6 +123,25 @@ for i in $(seq 1 "$N"); do
   say "scraping node $i ($url) → strict parse + family assertions"
   curl -fsS "$url" >"$TMP/metrics$i.txt"
   "$TMP/metricslint" "${FAMILIES[@]}" <"$TMP/metrics$i.txt"
+done
+
+# Advisory, not a gate: the rate each node's timer achieved over a
+# second, beside what the defaults this script boots with (-tick 2ms
+# -jitter 1ms) ask for. A loaded runner reads lower.
+ticks() {
+  curl -fsS "http://127.0.0.1:$((BASE_HTTP + $1))/metrics" |
+    awk '$1 == "repro_node_ticks_total" { print $2 }'
+}
+say "achieved tick rate per node (nominal 1/(tick + jitter/2) = 400/s)"
+declare -a TICKS0=() AT0=()
+for i in $(seq 1 "$N"); do
+  AT0[i]="$(date +%s.%N)"
+  TICKS0[i]="$(ticks "$i")"
+done
+sleep 1
+for i in $(seq 1 "$N"); do
+  awk -v i="$i" -v a="${TICKS0[i]}" -v t0="${AT0[i]}" -v t1="$(date +%s.%N)" -v b="$(ticks "$i")" \
+    'BEGIN { printf "node %d: %.0f ticks/s\n", i, (b - a) / (t1 - t0) }'
 done
 
 say "concurrent scrapes stay strict-parser clean"
