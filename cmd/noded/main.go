@@ -250,6 +250,13 @@ func runDaemon(args []string) error {
 		logger.Error("bootstrap failed", "id", int(self), "err", err)
 		return err
 	}
+	// One line per connection-loss hint the failure detector acted on.
+	fdLog := obs.Component(logger, "fd")
+	tr.Inspect(self, func() {
+		d.Node().ObservePeerDown(func(peer ids.ID) {
+			fdLog.Info("peer down: connection lost and redial failed", "peer", int(peer))
+		})
+	})
 
 	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {

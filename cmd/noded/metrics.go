@@ -57,6 +57,9 @@ func (d *Daemon) initMetrics() {
 	reg.CounterFunc("repro_node_receipt_steps_total",
 		"Service-layer steps taken on a delivery or a submission instead of the timer.",
 		nil, d.node.ReceiptSteps)
+	reg.CounterFunc("repro_fd_peer_down_total",
+		"Connection-loss hints from the transport that raised a failure-detector count.",
+		nil, d.node.PeerDowns)
 	// How long after its due time each tick started: the node's clock as
 	// the wall clock saw it. The observer runs on the node's run loop, so
 	// the histogram is resolved here and only Observe (pure atomics) runs

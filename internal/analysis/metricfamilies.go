@@ -18,6 +18,9 @@ var metricFamilies = map[string]metricFamily{
 	"repro_node_receipt_steps_total": {kind: "counter"},
 	"repro_node_tick_late_seconds":   {kind: "histogram"},
 
+	// failure detector (internal/fd, fed by core.Node.PeerDown)
+	"repro_fd_peer_down_total": {kind: "counter"},
+
 	// datalink (internal/datalink)
 	"repro_datalink_cleanings_total":      {kind: "counter"},
 	"repro_datalink_cycles_total":         {kind: "counter"},

@@ -157,10 +157,13 @@ type Node struct {
 	// medium where only the timer may trigger a step (DESIGN.md §17).
 	steppers []ReceiptStepper
 
-	// ticks and receiptSteps are atomic: /metrics reads them live while
-	// the node runs.
+	// ticks, receiptSteps and peerDowns are atomic: /metrics reads them
+	// live while the node runs.
 	ticks        atomic.Uint64
 	receiptSteps atomic.Uint64
+	peerDowns    atomic.Uint64
+	// onPeerDown, when set, is told of every hint that changed a count.
+	onPeerDown func(peer ids.ID)
 }
 
 // NewNode constructs a node attached to the transport. The caller must
@@ -249,6 +252,15 @@ func (n *Node) Ticks() uint64 { return n.ticks.Load() }
 // the node's own execution.
 func (n *Node) ReceiptSteps() uint64 { return n.receiptSteps.Load() }
 
+// PeerDowns returns the number of connection-loss hints that raised a
+// failure-detector count. Safe to call concurrently with the node's own
+// execution.
+func (n *Node) PeerDowns() uint64 { return n.peerDowns.Load() }
+
+// ObservePeerDown has fn called, from the node's execution context, for
+// every hint that raised a count. Call it from that context (Inspect).
+func (n *Node) ObservePeerDown(fn func(peer ids.ID)) { n.onPeerDown = fn }
+
 // Connect establishes the data link toward a peer.
 func (n *Node) Connect(peer ids.ID) { n.Endpoint.Connect(peer) }
 
@@ -329,6 +341,22 @@ func (n *Node) Receive(from ids.ID, payload any) {
 	}
 	n.Endpoint.HandlePacket(from, pkt)
 	n.StepApps()
+}
+
+// PeerDown implements transport.PeerDownHandler: the medium saw its
+// connection to peer break and a redial fail, so the failure detector takes
+// peer's count to where the other peers' tokens would have taken it anyway
+// (fd.Detector.Suspect; DESIGN.md §4). Nothing is stepped: recSA, recMA, the
+// apps and joining read the smaller trusted set on their next tick, and one
+// token returned by peer undoes it.
+func (n *Node) PeerDown(peer ids.ID) {
+	if !n.Detector.Suspect(peer) {
+		return
+	}
+	n.peerDowns.Add(1)
+	if n.onPeerDown != nil {
+		n.onPeerDown(peer)
+	}
 }
 
 // StepApps offers every app a receipt-driven step (ReceiptStepper) and, if

@@ -104,6 +104,22 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 	d.counts[peer] = 0
 }
 
+// Suspect raises a known peer's count to the cap: the state an unbroken run
+// of other peers' returned tokens would have reached, taken in one step on
+// evidence the medium has that the peer's endpoint is gone (DESIGN.md §4).
+// Unknown peers and self are left alone — evidence can only move a count
+// the detector already keeps — and the next Heartbeat from the peer resets
+// the count as it resets any other. It reports whether the count changed.
+func (d *Detector) Suspect(peer ids.ID) bool {
+	c, known := d.counts[peer]
+	if !known || peer == d.self || c == d.opts.MaxCount {
+		return false
+	}
+	d.trustedValid = false
+	d.counts[peer] = d.opts.MaxCount
+	return true
+}
+
 // Forget drops a peer's entry entirely (e.g., when the processor left).
 func (d *Detector) Forget(peer ids.ID) {
 	d.trustedValid = false
@@ -163,7 +179,7 @@ func (d *Detector) Trusted() ids.Set {
 	trusted := ids.NewSet(d.self)
 	ranked := d.ranked()
 	prev := d.opts.GapFloor
-	for i, e := range ranked {
+	for _, e := range ranked {
 		if trusted.Size() >= d.opts.N {
 			break
 		}
@@ -176,7 +192,6 @@ func (d *Detector) Trusted() ids.Set {
 		}
 		trusted = trusted.Add(e.id)
 		prev = e.count
-		_ = i
 	}
 	d.trusted, d.trustedValid = trusted, true
 	return trusted

@@ -183,3 +183,126 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", d.opts)
 	}
 }
+
+func TestSuspectKnownPeersOnly(t *testing.T) {
+	d := New(1, DefaultOptions(8))
+	d.Bootstrap(ids.NewSet(2, 3))
+	before := d.Trusted()
+	if d.Suspect(9) {
+		t.Fatal("Suspect of an unknown peer reported a change")
+	}
+	if _, known := d.Count(9); known {
+		t.Fatal("Suspect made an unknown peer known")
+	}
+	if d.Suspect(1) {
+		t.Fatal("Suspect of self reported a change")
+	}
+	if _, known := d.Count(1); known {
+		t.Fatal("Suspect recorded a count for self")
+	}
+	if got := d.Trusted(); !got.Equal(before) {
+		t.Fatalf("Trusted moved from %v to %v on no-op hints", before, got)
+	}
+}
+
+func TestSuspectCapsCountAndOneTokenRestoresTrust(t *testing.T) {
+	opts := DefaultOptions(8)
+	opts.MaxCount = 1000
+	d := New(1, opts)
+	d.Bootstrap(ids.NewSet(2, 3))
+	if !d.Suspect(3) {
+		t.Fatal("Suspect of a known peer reported no change")
+	}
+	if d.Trusted().Contains(3) {
+		t.Fatalf("suspected peer still trusted: %v", d.Trusted())
+	}
+	if !d.Trusted().Contains(2) {
+		t.Fatalf("the hint about p3 cost p2 its trust: %v", d.Trusted())
+	}
+	if d.Suspect(3) {
+		t.Fatal("a second hint about the same peer reported a change")
+	}
+	// Neither further hints nor further tokens from others take it past
+	// the cap.
+	simulateRounds(d, []ids.ID{2}, 50)
+	d.Suspect(3)
+	if c, _ := d.Count(3); c != opts.MaxCount {
+		t.Fatalf("count %d, want the cap %d", c, opts.MaxCount)
+	}
+	// One returned token undoes the hint.
+	d.Heartbeat(3)
+	if c, _ := d.Count(3); c != 0 {
+		t.Fatalf("count %d after a returned token, want 0", c)
+	}
+	if !d.Trusted().Equal(ids.NewSet(1, 2, 3)) {
+		t.Fatalf("Trusted = %v after the peer's token returned", d.Trusted())
+	}
+}
+
+func TestQuickSuspectIsWhereOtherPeersTokensLead(t *testing.T) {
+	// Property: a hint only anticipates the count gap. After any heartbeat
+	// history, a detector told Suspect(p) and one told nothing agree on
+	// every count and on Trusted() once MaxCount tokens from peers other
+	// than p have returned — heartbeats alone drive p's count to the cap the
+	// hint set — whether a transient fault rewrites the counts before the
+	// hint, after it, or not at all; and meanwhile the hinted detector
+	// differs from the other in p's count alone.
+	const maxCount = 150
+	f := func(seed int64, corruptWhen uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		opts := DefaultOptions(12)
+		opts.MaxCount = maxCount
+		hinted, plain := New(1, opts), New(1, opts)
+		both := func(fn func(d *Detector)) { fn(hinted); fn(plain) }
+		peers := ids.Range(2, 3+ids.ID(rng.Intn(6))).Members()
+		victim := peers[rng.Intn(len(peers))]
+		beat := func(k int, alsoVictim bool) {
+			for k > 0 {
+				p := peers[rng.Intn(len(peers))]
+				if p == victim && !alsoVictim {
+					continue
+				}
+				both(func(d *Detector) { d.Heartbeat(p) })
+				k--
+			}
+		}
+		corrupt := func() {
+			vals := map[ids.ID]uint64{}
+			for _, p := range peers {
+				vals[p] = uint64(rng.Int63n(4 * maxCount))
+			}
+			both(func(d *Detector) { d.CorruptCounts(func(p ids.ID) uint64 { return vals[p] }) })
+		}
+		both(func(d *Detector) { d.Bootstrap(ids.NewSet(peers...)) })
+		beat(rng.Intn(300), true)
+		if corruptWhen%3 == 1 {
+			corrupt()
+		}
+		hinted.Suspect(victim)
+		if c, _ := hinted.Count(victim); c != maxCount {
+			return false
+		}
+		for _, p := range peers {
+			a, _ := hinted.Count(p)
+			b, _ := plain.Count(p)
+			if p != victim && a != b {
+				return false
+			}
+		}
+		if corruptWhen%3 == 2 {
+			corrupt()
+		}
+		beat(maxCount, false)
+		for _, p := range peers {
+			a, _ := hinted.Count(p)
+			b, _ := plain.Count(p)
+			if a != b || a > maxCount {
+				return false
+			}
+		}
+		return hinted.Trusted().Equal(plain.Trusted())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,11 +18,13 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datalink"
+	"repro/internal/fd"
 	"repro/internal/ids"
 	"repro/internal/recsa"
 	"repro/internal/regmem"
@@ -167,6 +169,95 @@ func connectAll(t *testing.T, h Harness, nodes map[ids.ID]*core.Node) {
 		}
 	})
 }
+
+// registerCluster builds one single-shard register node per member on
+// medium (h.Net, or a decorator of it), wires them and waits until each has
+// installed the view of all of them; it returns the view's coordinator.
+// eval is the coordinator's reconfiguration predicate (nil: never).
+func registerCluster(t *testing.T, h Harness, medium transport.Transport, all ids.Set, eval vs.EvalConf) (map[ids.ID]*core.Node, map[ids.ID]*regmem.SharedMemory, ids.ID) {
+	t.Helper()
+	mems := make(map[ids.ID]*regmem.SharedMemory)
+	nodes := make(map[ids.ID]*core.Node)
+	all.Each(func(i ids.ID) {
+		mems[i] = regmem.New(i, eval)
+		node, err := core.NewNode(medium, core.Params{
+			Self: i, N: 16, Initial: recsa.ConfigOf(all),
+			EvalConf: func(ids.Set, ids.Set) bool { return false },
+			App:      mems[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	})
+	connectAll(t, h, nodes)
+	var coord ids.ID
+	if !awaitView(t, h, mems, all, all, &coord) {
+		t.Fatal("no full view on every node")
+	}
+	return nodes, mems, coord
+}
+
+// awaitView waits until every node of at has installed the view whose
+// members are exactly want, and stores its coordinator.
+func awaitView(t *testing.T, h Harness, mems map[ids.ID]*regmem.SharedMemory, at, want ids.Set, coord *ids.ID) bool {
+	t.Helper()
+	return await(h, 60*time.Second, func() bool {
+		for _, i := range at.Members() {
+			v := inspected(t, h, i, func() vs.View { v, _ := mems[i].VS().CurrentView(); return v })
+			if !v.Valid() || !v.Set.Equal(want) {
+				return false
+			}
+			*coord = v.Coordinator()
+		}
+		return true
+	})
+}
+
+// lateStepper crashes its own node (after a peer) from inside Receive and
+// then lingers there while a tick falls due and the peer's PeerDown arrives:
+// whatever it counts after that, a stopped node did. Touched only from the
+// node's execution context.
+type lateStepper struct {
+	crash        func()
+	ticks, downs int
+	atCrash      int // ticks when the node was crashed; -1 before
+}
+
+func (s *lateStepper) Receive(ids.ID, any) {
+	s.crash()
+	s.atCrash = s.ticks
+}
+
+func (s *lateStepper) Tick() { s.ticks++ }
+
+func (s *lateStepper) PeerDown(ids.ID) { s.downs++ }
+
+// muted loses every packet to and from one node once it is silenced: the
+// node is alive and every connection to it stays up, but nobody hears it —
+// a partition, a stopped process, a powered-off host.
+type muted struct {
+	transport.Transport
+	victim   ids.ID
+	silenced atomic.Bool
+}
+
+func (m *muted) Send(from, to ids.ID, payload any) {
+	if m.silenced.Load() && (from == m.victim || to == m.victim) {
+		return
+	}
+	m.Transport.Send(from, to, payload)
+}
+
+// evictUntrusted is the reconfiguration predicate noded runs with: replace
+// the configuration once it has a member the detector no longer trusts.
+func evictUntrusted(cur, trusted ids.Set) bool { return cur.Diff(trusted).Size() > 0 }
+
+// simDetectTicks is how many ticks of a survivor pass on the simulator
+// between CrashHint's crash and both survivors suspecting the victim, at the
+// subtest's fixed seed — measured at the commit before connection-loss
+// hints existed. No medium reports anything there, so it must never move.
+const simDetectTicks = 65
 
 // Run executes the conformance suite against the backend.
 func Run(t *testing.T, b Backend) {
@@ -579,34 +670,7 @@ func Run(t *testing.T, b Backend) {
 		h := b.New(t, 12, opts, universe)
 		defer h.Net.Close()
 		all := ids.Range(1, n)
-		mems := make(map[ids.ID]*regmem.SharedMemory)
-		nodes := make(map[ids.ID]*core.Node)
-		for i := ids.ID(1); i <= n; i++ {
-			mems[i] = regmem.New(i, nil)
-			node, err := core.NewNode(h.Net, core.Params{
-				Self: i, N: 16, Initial: recsa.ConfigOf(all),
-				EvalConf: func(ids.Set, ids.Set) bool { return false },
-				App:      mems[i],
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes[i] = node
-		}
-		connectAll(t, h, nodes)
-		var coord ids.ID
-		if !await(h, 60*time.Second, func() bool {
-			for i := ids.ID(1); i <= n; i++ {
-				v := inspected(t, h, i, func() vs.View { v, _ := mems[i].VS().CurrentView(); return v })
-				if !v.Valid() || !v.Set.Equal(all) {
-					return false
-				}
-				coord = v.Coordinator()
-			}
-			return true
-		}) {
-			t.Fatal("no full view on every node")
-		}
+		nodes, mems, coord := registerCluster(t, h, h.Net, all, nil)
 		follower := all.Remove(coord).Members()[0]
 
 		// idle lets the cluster sit for a while and checks, per node, how
@@ -696,6 +760,156 @@ func Run(t *testing.T, b Backend) {
 			}
 		}
 		idle("after the writes")
+	})
+
+	t.Run("StoppedNodeTakesNoStep", func(t *testing.T) {
+		// A node crashed while one of its steps runs takes no further step:
+		// not the tick that fell due meanwhile, not the hint about a peer
+		// that reached its inbox meanwhile.
+		opts := quietOpts()
+		h := b.New(t, 14, opts, universe)
+		defer h.Net.Close()
+		live := h.Net.ReceiptSteps()
+		subject, peer := &lateStepper{atCrash: -1}, &handler{}
+		subject.crash = func() {
+			h.Net.Crash(2)
+			if live {
+				time.Sleep(20 * opts.TickEvery) // the hint about 2 is in the inbox
+			}
+			h.Net.Crash(1)
+			if live {
+				time.Sleep(5 * opts.TickEvery) // and a tick is overdue
+			}
+		}
+		if err := h.Net.AddNode(1, subject); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Net.AddNode(2, peer); err != nil {
+			t.Fatal(err)
+		}
+		// 1 reaches 2 first: only a link that was up can report a loss.
+		h.Net.Send(1, 2, "hello")
+		if !await(h, 10*time.Second, func() bool {
+			return inspected(t, h, 2, func() int { return peer.received }) == 1
+		}) {
+			t.Fatal("1 never reached 2")
+		}
+		h.Net.Send(2, 1, "crash yourself")
+		if !await(h, 10*time.Second, func() bool { return !h.Net.Alive().Contains(1) }) {
+			t.Fatal("the subject never crashed itself")
+		}
+		h.Settle(20 * opts.TickEvery)
+		h.Net.Close() // no step after this: the handler may be read
+		if subject.atCrash < 0 {
+			t.Fatal("Receive never returned")
+		}
+		if subject.ticks != subject.atCrash {
+			t.Errorf("%d ticks ran after the node was crashed", subject.ticks-subject.atCrash)
+		}
+		if subject.downs != 0 {
+			t.Errorf("%d PeerDown calls ran after the node was crashed", subject.downs)
+		}
+	})
+
+	// hintOpts: a tick long enough that "within ten ticks" is about the
+	// medium and not about the race detector's slowdown.
+	hintOpts := transport.Options{
+		Capacity:   64,
+		TickEvery:  10 * time.Millisecond,
+		TickJitter: 5 * time.Millisecond,
+	}
+	gap := fd.DefaultOptions(16)
+	gapCount := uint64(gap.GapFactor) * gap.GapFloor
+
+	t.Run("CrashHint", func(t *testing.T) {
+		// A 3-node register cluster loses a member the way a process dies.
+		// A connection-oriented medium tells the survivors (inproc: the
+		// crash itself; tcp: the connection broke and the redial was
+		// refused) and their detectors suspect it within a few ticks; on the
+		// simulator nothing tells them, and the count gap takes exactly the
+		// ticks it always took. Either way the configuration is replaced and
+		// a write commits in the two-member view.
+		h := b.New(t, 15, hintOpts, universe)
+		defer h.Net.Close()
+		all := ids.Range(1, 3)
+		nodes, mems, coord := registerCluster(t, h, h.Net, all, evictUntrusted)
+		victim := all.Remove(coord).Members()[1]
+		rest := all.Remove(victim)
+		watcher := rest.Members()[0]
+
+		before := nodes[watcher].Ticks()
+		h.Net.Crash(victim)
+		if !await(h, 60*time.Second, func() bool {
+			for _, i := range rest.Members() {
+				if inspected(t, h, i, func() bool { return nodes[i].Trusted().Contains(victim) }) {
+					return false
+				}
+			}
+			return true
+		}) {
+			t.Fatal("the survivors never suspected the crashed node")
+		}
+		took := nodes[watcher].Ticks() - before
+		t.Logf("survivors suspected %v within %d ticks of node %v", victim, took, watcher)
+		for _, i := range rest.Members() {
+			count := inspected(t, h, i, func() uint64 { c, _ := nodes[i].Detector.Count(victim); return c })
+			hints := nodes[i].PeerDowns()
+			if h.Net.ReceiptSteps() {
+				if hints != 1 || count != gap.MaxCount {
+					t.Errorf("node %v: %d hints and count %d for the crashed node, want one hint and the cap", i, hints, count)
+				}
+			} else if hints != 0 || count <= gapCount || count >= gap.MaxCount {
+				t.Errorf("node %v: %d hints and count %d on the simulator, want none and a count past the gap", i, hints, count)
+			}
+		}
+		if h.Net.ReceiptSteps() {
+			if took > 10 {
+				t.Errorf("a connection-oriented medium took %d ticks to have a crashed peer suspected, want at most 10", took)
+			}
+		} else if took != simDetectTicks {
+			t.Errorf("the simulator moved: suspicion took %d ticks (was %d)", took, simDetectTicks)
+		}
+
+		if !awaitView(t, h, mems, rest, rest, &coord) {
+			t.Fatal("the survivors never installed their two-member view")
+		}
+		var hnd *regmem.Handle
+		if !h.Net.Inspect(watcher, func() { hnd = mems[watcher].Write("r", "after the crash") }) {
+			t.Fatalf("Inspect(%v) failed", watcher)
+		}
+		if !await(h, 60*time.Second, hnd.Done) {
+			t.Fatal("no write committed in the new view")
+		}
+	})
+
+	t.Run("SilentFailure", func(t *testing.T) {
+		// The same cluster loses a member the quiet way: the node lives and
+		// its connections stay up, but every packet to and from it is lost.
+		// No medium has anything to report, so on every backend the
+		// survivors suspect it only once its count has passed the gap.
+		all := ids.Range(1, 3)
+		h := b.New(t, 16, hintOpts, universe)
+		defer h.Net.Close()
+		medium := &muted{Transport: h.Net}
+		nodes, _, coord := registerCluster(t, h, medium, all, evictUntrusted)
+		medium.victim = all.Remove(coord).Members()[1]
+		rest := all.Remove(medium.victim)
+		medium.silenced.Store(true)
+		for _, i := range rest.Members() {
+			var count uint64
+			if !await(h, 60*time.Second, func() bool {
+				return inspected(t, h, i, func() bool {
+					count, _ = nodes[i].Detector.Count(medium.victim)
+					return !nodes[i].Trusted().Contains(medium.victim)
+				})
+			}) {
+				t.Fatalf("node %v never suspected the silent node", i)
+			}
+			if hints := nodes[i].PeerDowns(); hints != 0 || count <= gapCount || count >= gap.MaxCount {
+				t.Errorf("node %v suspected a silent node on %d hints at count %d, want no hint and a count past the gap of %d",
+					i, hints, count, gapCount)
+			}
+		}
 	})
 
 	t.Run("TickPacing", func(t *testing.T) {

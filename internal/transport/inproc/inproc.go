@@ -26,7 +26,7 @@ import (
 type inboxItem struct {
 	from    ids.ID
 	payload any
-	ctl     func() // control closure (Inspect); nil for packets
+	ctl     func() // control closure (Inspect, PeerDown); nil for packets
 }
 
 type node struct {
@@ -35,6 +35,19 @@ type node struct {
 	inbox   chan inboxItem
 	done    chan struct{}
 	pacer   *transport.Pacer // owned by the node's goroutine
+	// peerDown is the handler's optional hint entry point; nil when the
+	// handler takes no hints.
+	peerDown transport.PeerDownHandler
+}
+
+// stopped reports whether the node was crashed or its network closed.
+func (n *node) stopped() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Net is the goroutine-per-node transport.
@@ -100,6 +113,7 @@ func (l *Net) AddNode(id ids.ID, h transport.Handler) error {
 		done:    make(chan struct{}),
 		pacer:   transport.NewPacer(l.opts.TickEvery, l.opts.TickJitter, l.Rand()),
 	}
+	n.peerDown, _ = h.(transport.PeerDownHandler)
 	l.nodes[id] = n
 	l.wg.Add(1)
 	go l.run(n)
@@ -111,12 +125,20 @@ func (l *Net) run(n *node) {
 	defer n.pacer.Stop()
 	tick := n.handler.Tick
 	for {
+		// A stopped node takes no step, not even the tick that fell due or
+		// the item that arrived while its last step ran.
+		if n.stopped() {
+			return
+		}
 		// The timer first: a due tick does not wait behind the inbox.
 		n.pacer.Poll(tick)
 		select {
 		case <-n.done:
 			return
 		case item := <-n.inbox:
+			if n.stopped() {
+				return
+			}
 			if item.ctl != nil {
 				item.ctl()
 			} else {
@@ -238,12 +260,23 @@ func (l *Net) Alive() ids.Set {
 }
 
 // Crash implements transport.Transport: the node's goroutine exits and
-// its inbox drains to nowhere.
+// its inbox drains to nowhere. The remaining nodes are told the peer's
+// endpoint is gone, as tcp tells them when a connection breaks and the
+// redial fails (transport.PeerDownHandler); a full inbox drops the hint.
 func (l *Net) Crash(id ids.ID) {
 	l.mu.Lock()
 	n, ok := l.nodes[id]
 	if ok {
 		delete(l.nodes, id)
+		for _, rest := range l.nodes {
+			if rest.peerDown == nil {
+				continue
+			}
+			select {
+			case rest.inbox <- inboxItem{ctl: func() { rest.peerDown.PeerDown(id) }}:
+			default:
+			}
+		}
 	}
 	l.mu.Unlock()
 	if ok {

@@ -5,12 +5,20 @@
 //
 // Topology: every node listens on its address from the cluster address
 // book (Config.Addrs); for each destination the transport maintains one
-// outbound connection, dialed lazily and redialed with backoff after a
-// failure. Sends never block: while a destination is unreachable (or
-// its send queue is full) packets are dropped, which is exactly the
-// omission behavior of the paper's bounded-capacity lossy links — the
-// data-link layer's retransmission makes the link fair again once the
-// destination returns.
+// outbound connection, dialed lazily, redialed at once when it breaks and
+// with backoff after a failed dial. Sends never block: while a destination
+// is unreachable (or its send queue is full) packets are dropped, which is
+// exactly the omission behavior of the paper's bounded-capacity lossy
+// links — the data-link layer's retransmission makes the link fair again
+// once the destination returns.
+//
+// Connection loss is evidence: the peer never writes on the connection a
+// link dialed, so one read parked on it returns exactly when the peer's
+// end closes or resets. When that happens (or a write fails) and the
+// immediate redial fails too, the peer's endpoint is gone, and every local
+// node whose handler is a transport.PeerDownHandler is told so (DESIGN.md
+// §8). A peer that is merely silent — partitioned, stopped, powered off —
+// breaks no connection and produces no report.
 //
 // Fault injection: the same transport.Options adversary as the other
 // backends (probabilistic loss and duplication, optional artificial
@@ -57,7 +65,9 @@ type Config struct {
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
 	// RedialBackoff is the initial pause after a failed dial, doubling
-	// up to 16x (default 50ms).
+	// up to 16x (default 50ms). Only a failed dial starts it: a link whose
+	// connection broke redials at once, so a peer that restarted
+	// immediately is reached by the next frame.
 	RedialBackoff time.Duration
 	// WriteTimeout bounds each connection write syscall (default 2s):
 	// a stalled peer is cut within it, while a slow-but-progressing
@@ -129,6 +139,19 @@ type node struct {
 	done     chan struct{}
 	listener net.Listener
 	pacer    *transport.Pacer // owned by the node's goroutine
+	// peerDown is the handler's optional hint entry point; nil when the
+	// handler takes no hints.
+	peerDown transport.PeerDownHandler
+}
+
+// stopped reports whether the node was crashed or its transport closed.
+func (n *node) stopped() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Net is the TCP transport.
@@ -138,7 +161,7 @@ type Net struct {
 	mu     sync.RWMutex
 	local  map[ids.ID]*node
 	links  map[ids.ID]*link
-	conns  map[net.Conn]struct{} // accepted inbound connections
+	conns  map[net.Conn]*node // accepted inbound connections, by accepting node
 	closed bool
 
 	rngMu  sync.Mutex
@@ -161,7 +184,7 @@ func New(cfg Config) *Net {
 		cfg:   cfg,
 		local: make(map[ids.ID]*node),
 		links: make(map[ids.ID]*link),
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[net.Conn]*node),
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x7c3f)), //nolint:gosec
 	}
 }
@@ -224,6 +247,7 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 		listener: ln,
 		pacer:    transport.NewPacer(t.cfg.Opts.TickEvery, t.cfg.Opts.TickJitter, t.Rand()),
 	}
+	n.peerDown, _ = h.(transport.PeerDownHandler)
 	t.local[id] = n
 	t.wg.Add(2)
 	go t.runNode(n)
@@ -237,12 +261,20 @@ func (t *Net) runNode(n *node) {
 	defer n.pacer.Stop()
 	tick := n.handler.Tick
 	for {
+		// A stopped node takes no step, not even the tick that fell due or
+		// the item that arrived while its last step ran.
+		if n.stopped() {
+			return
+		}
 		// The timer first: a due tick does not wait behind the inbox.
 		n.pacer.Poll(tick)
 		select {
 		case <-n.done:
 			return
 		case item := <-n.inbox:
+			if n.stopped() {
+				return
+			}
 			if item.ctl != nil {
 				item.ctl()
 			} else {
@@ -268,7 +300,7 @@ func (t *Net) acceptLoop(n *node) {
 			conn.Close()
 			return
 		}
-		t.conns[conn] = struct{}{}
+		t.conns[conn] = n
 		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn)
@@ -455,18 +487,45 @@ func (t *Net) Alive() ids.Set {
 	return out
 }
 
-// Crash implements transport.Transport: the node's listener closes, its
+// Crash implements transport.Transport: the node's listener and the
+// connections it accepted close, as a dead process's sockets do, its
 // goroutine exits, and its inbox drains to nowhere.
 func (t *Net) Crash(id ids.ID) {
 	t.mu.Lock()
 	n, ok := t.local[id]
+	var accepted []net.Conn
 	if ok {
 		delete(t.local, id)
+		for c, by := range t.conns {
+			if by == n {
+				accepted = append(accepted, c)
+			}
+		}
 	}
 	t.mu.Unlock()
 	if ok {
 		close(n.done)
 		n.listener.Close()
+		for _, c := range accepted {
+			c.Close()
+		}
+	}
+}
+
+// peerDown tells every local node that takes hints that peer's endpoint is
+// gone. It never blocks: a full inbox drops the hint, and omission is always
+// safe — the failure detector's counts find the peer without it.
+func (t *Net) peerDown(peer ids.ID) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, n := range t.local {
+		if n.peerDown == nil {
+			continue
+		}
+		select {
+		case n.inbox <- inboxItem{ctl: func() { n.peerDown.PeerDown(peer) }}:
+		default:
+		}
 	}
 }
 
@@ -513,9 +572,10 @@ func (t *Net) logf(format string, args ...any) {
 	}
 }
 
-// link is one outbound connection toward a destination, redialed with
-// backoff after failures. Frames queued while the destination is down
-// stay in the bounded out channel; overflow drops (lossy link).
+// link is one outbound connection toward a destination: redialed at once
+// when it breaks, with backoff after a failed dial. Frames queued while the
+// destination is down stay in the bounded out channel; overflow drops
+// (lossy link).
 type link struct {
 	t    *Net
 	to   ids.ID
@@ -543,6 +603,7 @@ func (l *link) writeLoop() {
 	var (
 		conn    net.Conn
 		w       *wire.Writer
+		lost    chan struct{} // closed when conn's parked read returns
 		backoff = l.t.cfg.RedialBackoff
 		nextTry time.Time
 	)
@@ -551,42 +612,57 @@ func (l *link) writeLoop() {
 			conn.Close()
 		}
 	}()
+	dial := func() bool {
+		c, err := net.DialTimeout("tcp", l.addr, l.t.cfg.DialTimeout)
+		if err != nil {
+			l.t.redials.Add(1)
+			nextTry = time.Now().Add(backoff)
+			if backoff < 16*l.t.cfg.RedialBackoff {
+				backoff *= 2
+			}
+			l.t.logf("tcp: dial %v (%s): %v", l.to, l.addr, err)
+			return false
+		}
+		// The deadline wrapper re-arms WriteTimeout before every
+		// write syscall, so the budget bounds peer stalls — not the
+		// total size of a coalesced group or split message.
+		ww, err := wire.NewWriterVersion(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout}, l.t.cfg.WireVersion)
+		if err != nil {
+			c.Close()
+			l.t.logf("tcp: writer for %v: %v", l.to, err)
+			return false
+		}
+		conn, w, lost = c, ww, make(chan struct{})
+		l.t.wg.Add(1)
+		go l.t.parkRead(c, lost)
+		backoff = l.t.cfg.RedialBackoff
+		nextTry = time.Time{}
+		return true
+	}
+	// broke handles an established connection that failed: redial at once,
+	// and only if that fails too report the peer's endpoint gone. A link
+	// that never connected never gets here, so nothing is reported while a
+	// cluster boots.
+	broke := func() {
+		conn.Close()
+		conn, w, lost = nil, nil, nil
+		if !dial() {
+			l.t.peerDown(l.to)
+		}
+	}
 	for {
 		var msg wire.Msg
 		select {
 		case <-l.done:
 			return
+		case <-lost:
+			broke()
+			continue
 		case msg = <-l.out:
 		}
-		if conn == nil {
-			if time.Now().Before(nextTry) {
-				l.t.dropped.Add(1) // destination down: omission
-				continue
-			}
-			c, err := net.DialTimeout("tcp", l.addr, l.t.cfg.DialTimeout)
-			if err != nil {
-				l.t.redials.Add(1)
-				l.t.dropped.Add(1)
-				nextTry = time.Now().Add(backoff)
-				if backoff < 16*l.t.cfg.RedialBackoff {
-					backoff *= 2
-				}
-				l.t.logf("tcp: dial %v (%s): %v", l.to, l.addr, err)
-				continue
-			}
-			// The deadline wrapper re-arms WriteTimeout before every
-			// write syscall, so the budget bounds peer stalls — not the
-			// total size of a coalesced group or split message.
-			ww, err := wire.NewWriterVersion(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout}, l.t.cfg.WireVersion)
-			if err != nil {
-				c.Close()
-				l.t.dropped.Add(1)
-				l.t.logf("tcp: writer for %v: %v", l.to, err)
-				continue
-			}
-			conn, w = c, ww
-			backoff = l.t.cfg.RedialBackoff
-			nextTry = time.Time{}
+		if conn == nil && (time.Now().Before(nextTry) || !dial()) {
+			l.t.dropped.Add(1) // destination down: omission
+			continue
 		}
 		// Coalesce every already-ready frame into this connection write:
 		// Append buffers each message, one Flush hands the group to the
@@ -610,14 +686,27 @@ func (l *link) writeLoop() {
 		}
 		if err != nil {
 			l.t.logf("tcp: write to %v: %v", l.to, err)
-			conn.Close()
-			conn, w = nil, nil
 			l.t.dropped.Add(msgs)
-			nextTry = time.Now().Add(backoff)
+			broke()
 			continue
 		}
 		l.t.connWrites.Add(1)
 		l.t.framesWritten.Add(w.Frames() - framesBefore)
+	}
+}
+
+// parkRead keeps one read parked on a connection a link dialed. The peer
+// never writes there, so the read returns when the peer's end closes or
+// resets — or when the link closes the connection itself — and lost tells
+// the link's write loop.
+func (t *Net) parkRead(c net.Conn, lost chan<- struct{}) {
+	defer t.wg.Done()
+	defer close(lost)
+	var buf [1]byte
+	for {
+		if _, err := c.Read(buf[:]); err != nil {
+			return
+		}
 	}
 }
 

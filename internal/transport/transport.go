@@ -78,6 +78,20 @@ type Transport interface {
 	Close() error
 }
 
+// PeerDownHandler is an optional interface of a Handler. A
+// connection-oriented live medium calls PeerDown, from the node's execution
+// context like Receive and Tick, when it has local evidence that a peer's
+// endpoint vanished: tcp when an established connection to the peer broke
+// and the immediate redial failed, inproc when the peer was crashed. The
+// evidence is the local kernel's (or runtime's) connection state, never a
+// message; it may be late or missing (a full inbox drops it, a silent peer
+// produces none) but is never reported for a peer that was never reached.
+// The simulator never calls it, and a Handler decorator that does not
+// forward it simply leaves the node with what Receive and Tick tell it.
+type PeerDownHandler interface {
+	PeerDown(peer ids.ID)
+}
+
 // Stopped is the closed channel Done returns for a node that is not (or
 // no longer) registered.
 var Stopped = func() <-chan struct{} {

@@ -134,7 +134,6 @@ func (m *Manager) replicaOf(k ids.ID) (Replica, bool) {
 // against the stored records and returns the unique valid coordinator.
 func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 	trusted := n.Trusted()
-	part := n.Participants()
 	maj := conf.MajoritySize()
 	var best ids.ID
 	var bestID counter.Counter
@@ -160,7 +159,6 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 			best, bestID, found = l, r.PropV.ID, true
 		}
 	})
-	_ = part
 	return best, found
 }
 

@@ -101,6 +101,7 @@ done
 FAMILIES=(
   repro_node_ticks_total=nonzero
   repro_node_tick_late_seconds=nonzero
+  repro_fd_peer_down_total
   repro_build_info=nonzero
   repro_tcp_sent_total=nonzero
   repro_tcp_delivered_total=nonzero

@@ -116,6 +116,7 @@ COORD="$(client 1 status | grep -o '"viewCoordinator": *[0-9]*' | grep -o '[0-9]
 VICTIM="$N"
 if [ "$VICTIM" = "$COORD" ]; then VICTIM=$((N - 1)); fi
 say "view coordinator is p$COORD — killing non-coordinator p$VICTIM (SIGKILL)"
+KILLED_AT="$(date +%s%N)"
 kill -9 "${PIDS[$VICTIM]}"
 
 say "waiting for survivors to reconfigure away from p$VICTIM"
@@ -123,7 +124,10 @@ for i in $(seq 1 "$N"); do
   [ "$i" = "$VICTIM" ] && continue
   client "$i" -timeout 180s -exclude "$VICTIM" wait >/dev/null
 done
-say "delicate reconfiguration complete"
+# Advisory, not a gate: it includes one client process start per survivor
+# and the wait subcommand's polling step. The survivors' kernels refuse
+# the redial at once, so detection is a round trip, not a count gap.
+say "delicate reconfiguration complete: kill → every survivor serving without p$VICTIM in $(( ($(date +%s%N) - KILLED_AT) / 1000000 )) ms"
 
 say "state survived: reading greeting on a survivor; new write via node 1"
 OUT="$(client "$COORD" get greeting)"
