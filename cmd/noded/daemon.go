@@ -464,7 +464,7 @@ func (d *Daemon) Handler() http.Handler {
 			if err != nil {
 				return
 			}
-			accepted = mem.SMR().Submit(smr.KVCmd{Op: smr.KVPut, Key: req.Key, Value: req.Value})
+			accepted = mem.Submit(smr.KVCmd{Op: smr.KVPut, Key: req.Key, Value: req.Value})
 		}) {
 			nodeDown(w)
 			return

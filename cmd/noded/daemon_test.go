@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/shard"
+	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/pkg/api"
@@ -345,6 +346,90 @@ func TestShardedDaemonServesAcrossShards(t *testing.T) {
 		got, err := c.SyncRead(ctx, name)
 		if err != nil || !got.Found || got.Value != "odd" || got.Name != name {
 			t.Fatalf("round trip of %q = %+v, %v", name, got, err)
+		}
+	}
+}
+
+// TestProposeStepsWhenItsSliceEnds: a raw command proposed at a follower is
+// fetched into its round input by the step that ends the handler's slice,
+// as a register write is — it used to sit in the queue until the node's
+// next tick — and is then applied by a round.
+func TestProposeStepsWhenItsSliceEnds(t *testing.T) {
+	tr := inproc.New(41, transport.Options{Capacity: 64, TickEvery: 20 * time.Millisecond})
+	t.Cleanup(func() { tr.Close() })
+	all := ids.Range(1, 3)
+	daemons := map[ids.ID]*Daemon{}
+	clients := map[ids.ID]*client.Client{}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, i := range all.Members() {
+		d, err := NewDaemon(tr, i, DaemonConfig{Peers: all, Members: all, Shards: 1, Batch: 1, MaxN: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(d.Handler())
+		t.Cleanup(srv.Close)
+		daemons[i], clients[i] = d, soloClient(t, srv, 1)
+	}
+	// Every node in the view of all three, and the install's own rounds over.
+	var coord ids.ID
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		full := 0
+		for _, i := range all.Members() {
+			tr.Inspect(i, func() {
+				mem, _ := daemons[i].Mem().Mem(0)
+				if v, ok := mem.VS().CurrentView(); ok && v.Set.Equal(all) {
+					full++
+					coord = v.Coordinator()
+				}
+			})
+		}
+		if full == all.Size() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no view of all three nodes")
+		}
+	}
+	time.Sleep(200 * time.Millisecond)
+	follower := all.Remove(coord).Members()[0]
+	d := daemons[follower]
+	mem, _ := d.Mem().Mem(0)
+	// A tick between the proposal and the look at the queue proves nothing
+	// either way; with the tick twenty times a round trip that is rare.
+	for attempt := 0; ; attempt++ {
+		if attempt == 20 {
+			t.Fatal("a tick fell into every one of twenty proposals")
+		}
+		key := fmt.Sprintf("audit-%d", attempt)
+		ticks := d.Node().Ticks()
+		if resp, err := clients[follower].Propose(ctx, 0, key, "1"); err != nil || !resp.Accepted {
+			t.Fatalf("propose: %+v, %v", resp, err)
+		}
+		queued := -1
+		if !tr.Inspect(follower, func() {
+			if d.Node().Ticks() == ticks {
+				queued = mem.SMR().PendingLen()
+			}
+		}) {
+			t.Fatal("Inspect failed")
+		}
+		if queued > 0 {
+			t.Fatalf("%d proposed command still queued with no tick since the proposal: it is waiting for the timer", queued)
+		}
+		// Applied before the next proposal, or that one queues behind it.
+		want := smr.KVCmd{Op: smr.KVPut, Key: key, Value: "1"}.String()
+		for applied := false; !applied; time.Sleep(time.Millisecond) {
+			log, err := clients[follower].Log(ctx, 0, 4)
+			if err != nil {
+				t.Fatalf("the proposed command was never applied: %v", err)
+			}
+			for _, e := range log {
+				applied = applied || (e.Cmd == want && e.Member == int(follower))
+			}
+		}
+		if queued == 0 {
+			return
 		}
 	}
 }

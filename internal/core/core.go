@@ -54,8 +54,9 @@ type App interface {
 // ReceiptStepper is an App that can also take its step when a delivery or
 // a submission changed what the step would read, instead of waiting for
 // the timer. On a medium that allows it (Transport.ReceiptSteps) the node
-// offers every such app a step after each Receive and on StepApps; on the
-// simulator only Tick ever steps an app.
+// offers every such app a step after each Receive and, when one of them
+// asked for it (RequestStep), once at the end of the slice that is running;
+// on the simulator only Tick ever steps an app.
 type ReceiptStepper interface {
 	App
 	// ReceiptStep runs one iteration of the app's loop if something that
@@ -156,6 +157,12 @@ type Node struct {
 	// steppers are the apps that take receipt-driven steps; nil on a
 	// medium where only the timer may trigger a step (DESIGN.md §17).
 	steppers []ReceiptStepper
+	// askStep puts one stepApps at the end of the running slice through the
+	// medium's hook (transport.Transport.AfterSlice; nil where steppers
+	// is). stepRequested is set from then until that step starts, so a
+	// burst of requests is one step.
+	askStep       func() bool
+	stepRequested bool
 
 	// ticks, receiptSteps and peerDowns are atomic: /metrics reads them
 	// live while the node runs.
@@ -223,16 +230,25 @@ func NewNode(net Transport, p Params) (*Node, error) {
 		},
 	})
 	n.batching = n.Endpoint.MaxBatch() > 1 || n.Endpoint.Window() > 1
-	// Whether a delivery may trigger a step is a property of the medium.
-	// The method is part of transport.Transport, so a decorator that
-	// embeds the interface passes the answer through; the simulator's
-	// network and other bare core.Transports lack it and stay tick-driven.
-	if m, ok := net.(interface{ ReceiptSteps() bool }); ok && m.ReceiptSteps() {
+	// Whether a delivery may trigger a step, and whether a slice has an end
+	// a step can be put at, are properties of the medium. The methods are
+	// part of transport.Transport, so a decorator that embeds the interface
+	// passes them through; the simulator's network and other bare
+	// core.Transports lack them and stay tick-driven.
+	if m, ok := net.(interface {
+		ReceiptSteps() bool
+		AfterSlice(id ids.ID, fn func()) bool
+	}); ok && m.ReceiptSteps() {
 		for _, a := range apps {
 			if st, ok := a.(ReceiptStepper); ok {
 				n.steppers = append(n.steppers, st)
 			}
 		}
+		step := func() {
+			n.stepRequested = false
+			n.stepApps()
+		}
+		n.askStep = func() bool { return m.AfterSlice(n.self, step) }
 	}
 	if err := net.AddNode(p.Self, n); err != nil {
 		return nil, err
@@ -340,7 +356,7 @@ func (n *Node) Receive(from ids.ID, payload any) {
 		return // unknown garbage (possible after fault injection)
 	}
 	n.Endpoint.HandlePacket(from, pkt)
-	n.StepApps()
+	n.stepApps()
 }
 
 // PeerDown implements transport.PeerDownHandler: the medium saw its
@@ -359,19 +375,31 @@ func (n *Node) PeerDown(peer ids.ID) {
 	}
 }
 
-// StepApps offers every app a receipt-driven step (ReceiptStepper) and, if
-// one of them changed what its peers act on, snapshots the new application
-// payloads and asks every link for a cycle. Receive calls it after each
-// delivery; an app that is handed a command between two steps (regmem's
-// Write and SyncRead, which run inside the node's execution context) calls
-// it so the command need not wait for the timer. It must never be called
-// from inside a step. It does nothing on a medium without receipt-driven
+// RequestStep asks for one receipt-driven step of the apps at the end of the
+// slice that is running — the Inspect closure, delivery or tick the caller is
+// inside of. An app that is handed a command between two steps (regmem's
+// Write, SyncRead and Submit) calls it so the command need not wait for the
+// timer;
+// however many commands, on however many shards, one slice submits, they
+// get one step, which sees all of them. It must be called from the node's
+// execution context and does nothing on a medium without receipt-driven
 // steps.
+func (n *Node) RequestStep() {
+	if n.askStep != nil && !n.stepRequested {
+		n.stepRequested = n.askStep()
+	}
+}
+
+// stepApps offers every app a receipt-driven step (ReceiptStepper) and, if
+// one of them changed what its peers act on, snapshots the new application
+// payloads and asks every link for a cycle. It runs after each delivery and
+// at the end of a slice that asked for it (RequestStep), and does nothing
+// on a medium without receipt-driven steps.
 //
 // The reconfiguration layers are not stepped and their part of the
 // snapshot is left as the last tick built it: recSA, recMA, joining and
 // the failure detector keep the timer's cadence.
-func (n *Node) StepApps() {
+func (n *Node) stepApps() {
 	changed := false
 	for _, app := range n.steppers {
 		ran, ch := app.ReceiptStep(n)

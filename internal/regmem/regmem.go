@@ -204,8 +204,8 @@ type SharedMemory struct {
 	mgr  *vs.Manager
 
 	// node is the node this stack rides on, as of its last Tick (nil
-	// before the first): Write and SyncRead offer it a step on the command
-	// they just queued, which a live medium takes at once.
+	// before the first): every accepted submission asks it for a step, which
+	// a live medium takes when the slice the submission ran in ends.
 	node *core.Node
 
 	nextSeq         uint64
@@ -244,9 +244,24 @@ func New(self ids.ID, eval vs.EvalConf) *SharedMemory {
 // VS exposes the underlying virtual-synchrony manager.
 func (s *SharedMemory) VS() *vs.Manager { return s.mgr }
 
-// SMR exposes the underlying replicated state machine (cmd/noded's
-// propose endpoint submits raw commands through it).
+// SMR exposes the underlying replicated state machine (cmd/noded's log
+// endpoint reads it).
 func (s *SharedMemory) SMR() *smr.Replica { return s.rep }
+
+// Submit queues a raw command for replication, as Write and SyncRead queue
+// theirs, and reports false when the queue is full. Like them it runs
+// inside the node's execution context; on a live medium the step that
+// fetches the command comes when that slice ends, together with everything
+// else the slice submitted, and on the simulator with the next tick.
+func (s *SharedMemory) Submit(cmd any) bool {
+	if !s.rep.Submit(cmd) {
+		return false
+	}
+	if s.node != nil {
+		s.node.RequestStep()
+	}
+	return true
+}
 
 // Write stores value into the named register. The handle completes once
 // the write has been delivered in a multicast round (and is thus visible
@@ -255,11 +270,10 @@ func (s *SharedMemory) Write(name, value string) *Handle {
 	s.nextSeq++
 	h := newHandle()
 	cmd := WriteCmd{Name: name, Value: value, Writer: s.self, Seq: s.nextSeq}
-	if !s.rep.Submit(cmd) {
+	if !s.Submit(cmd) {
 		return h // stays un-done; caller retries
 	}
 	s.writes[s.nextSeq] = h
-	s.submitted()
 	return h
 }
 
@@ -282,25 +296,12 @@ func (s *SharedMemory) Registers() int {
 func (s *SharedMemory) SyncRead(name string) *Handle {
 	s.nextSeq++
 	h := newHandle()
-	if !s.rep.Submit(MarkerCmd{Reader: s.self, Seq: s.nextSeq}) {
+	if !s.Submit(MarkerCmd{Reader: s.self, Seq: s.nextSeq}) {
 		return h
 	}
 	s.reads[s.nextSeq] = h
 	s.pendingReadName[s.nextSeq] = name
-	s.submitted()
 	return h
-}
-
-// submitted lets the node step on a command that was just queued, if it is
-// the only one: behind others it can only be fetched after them, and the
-// step that fetches them is triggered by what frees the input slot. Like
-// Write and SyncRead themselves it runs inside the node's execution
-// context, between two of its steps, so the step is a top-level one. On
-// the simulator StepApps does nothing and the command waits for the timer.
-func (s *SharedMemory) submitted() {
-	if s.node != nil && s.rep.PendingLen() == 1 {
-		s.node.StepApps()
-	}
 }
 
 // --- vs.App delegation (SharedMemory wraps the replica to observe

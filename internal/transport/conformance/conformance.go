@@ -4,10 +4,13 @@
 // Inspect serialization, Close idempotence, batched datalink payloads
 // crossing intact (for tcp: through the version-3 wire batch field, plus
 // a mixed-version pair exercising the writer downgrade), a full
-// reconfiguration-stack cluster converging on the backend, and a sharded
+// reconfiguration-stack cluster converging on the backend, a sharded
 // register cluster — two service stacks multiplexed over one transport
 // with shard-tagged envelopes — completing writes on every shard
-// concurrently.
+// concurrently, and the live write path: receipt-driven steps, the
+// end-of-slice hook and the burst that rides one round on the live
+// backends, with the simulator pinned to the tick counts it had before
+// each of them existed.
 //
 // Backends invoke Run from their own test files, so `go test ./...`
 // exercises the suite against simnet, inproc and tcp in one sweep (the
@@ -176,14 +179,33 @@ func connectAll(t *testing.T, h Harness, nodes map[ids.ID]*core.Node) {
 // eval is the coordinator's reconfiguration predicate (nil: never).
 func registerCluster(t *testing.T, h Harness, medium transport.Transport, all ids.Set, eval vs.EvalConf) (map[ids.ID]*core.Node, map[ids.ID]*regmem.SharedMemory, ids.ID) {
 	t.Helper()
-	mems := make(map[ids.ID]*regmem.SharedMemory)
+	nodes, mems, coords := shardedCluster(t, h, medium, all, eval, 1, datalink.Options{})
+	return nodes, mems[0], coords[0]
+}
+
+// shardedCluster is registerCluster for nodes that host several register
+// shards over links with the given options, every shard bundling up to
+// link.MaxBatch commands into a round input. The stacks and the
+// coordinators come back by shard.
+func shardedCluster(t *testing.T, h Harness, medium transport.Transport, all ids.Set, eval vs.EvalConf, shards int, link datalink.Options) (map[ids.ID]*core.Node, []map[ids.ID]*regmem.SharedMemory, []ids.ID) {
+	t.Helper()
+	mems := make([]map[ids.ID]*regmem.SharedMemory, shards)
+	for s := range mems {
+		mems[s] = make(map[ids.ID]*regmem.SharedMemory)
+	}
 	nodes := make(map[ids.ID]*core.Node)
 	all.Each(func(i ids.ID) {
-		mems[i] = regmem.New(i, eval)
+		apps := make([]core.App, shards)
+		for s := range apps {
+			mems[s][i] = regmem.New(i, eval)
+			mems[s][i].SetMaxBatch(link.MaxBatch)
+			apps[s] = mems[s][i]
+		}
 		node, err := core.NewNode(medium, core.Params{
 			Self: i, N: 16, Initial: recsa.ConfigOf(all),
 			EvalConf: func(ids.Set, ids.Set) bool { return false },
-			App:      mems[i],
+			Apps:     apps,
+			Link:     link,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,11 +213,13 @@ func registerCluster(t *testing.T, h Harness, medium transport.Transport, all id
 		nodes[i] = node
 	})
 	connectAll(t, h, nodes)
-	var coord ids.ID
-	if !awaitView(t, h, mems, all, all, &coord) {
-		t.Fatal("no full view on every node")
+	coords := make([]ids.ID, shards)
+	for s := range coords {
+		if !awaitView(t, h, mems[s], all, all, &coords[s]) {
+			t.Fatalf("no full view of shard %d on every node", s)
+		}
 	}
-	return nodes, mems, coord
+	return nodes, mems, coords
 }
 
 // awaitView waits until every node of at has installed the view whose
@@ -222,6 +246,7 @@ type lateStepper struct {
 	crash        func()
 	ticks, downs int
 	atCrash      int // ticks when the node was crashed; -1 before
+	afterSlice   int // end-of-slice requests that ran
 }
 
 func (s *lateStepper) Receive(ids.ID, any) {
@@ -249,9 +274,51 @@ func (m *muted) Send(from, to ids.ID, payload any) {
 	m.Transport.Send(from, to, payload)
 }
 
+// sliceSpy watches one node's end-of-slice requests from outside: how many
+// the medium accepted, and how many receipt-driven steps each of them was
+// (steps reads the node's counter). Its fields are touched only from that
+// node's execution context.
+type sliceSpy struct {
+	transport.Transport
+	watch    ids.ID
+	steps    func() uint64
+	accepted int
+	rose     []uint64
+}
+
+func (s *sliceSpy) AfterSlice(id ids.ID, fn func()) bool {
+	if id != s.watch {
+		return s.Transport.AfterSlice(id, fn)
+	}
+	ok := s.Transport.AfterSlice(id, func() {
+		before := s.steps()
+		fn()
+		s.rose = append(s.rose, s.steps()-before)
+	})
+	if ok {
+		s.accepted++
+	}
+	return ok
+}
+
+// sliceLog notes, in order, what ran in its node's execution context.
+type sliceLog struct {
+	events []string
+}
+
+func (l *sliceLog) Receive(ids.ID, any) { l.events = append(l.events, "receive") }
+
+func (l *sliceLog) Tick() { l.events = append(l.events, "tick") }
+
 // evictUntrusted is the reconfiguration predicate noded runs with: replace
 // the configuration once it has a member the detector no longer trusts.
 func evictUntrusted(cur, trusted ids.Set) bool { return cur.Diff(trusted).Size() > 0 }
+
+// simBurstTicks is how many ticks of the submitting node BurstRidesOneRound's
+// five bursts cost on the simulator, submission to last completion, at the
+// subtest's fixed seed — measured at the commit before the end-of-slice
+// step existed. The simulator has no slices, so it must never move.
+const simBurstTicks = 15
 
 // simDetectTicks is how many ticks of a survivor pass on the simulator
 // between CrashHint's crash and both survivors suspecting the victim, at the
@@ -762,16 +829,232 @@ func Run(t *testing.T, b Backend) {
 		idle("after the writes")
 	})
 
+	t.Run("EndOfSlice", func(t *testing.T) {
+		// The hook the one-step-per-burst rule stands on
+		// (Transport.AfterSlice): what a slice asks for runs when that slice
+		// ends, before the tick that fell due meanwhile and before the
+		// deliveries queued behind it; a node holds one request at a time; a
+		// request from outside wakes a parked node; a stopped or unknown node
+		// accepts none. The simulator accepts none at all.
+		opts := transport.Options{Capacity: 64, TickEvery: time.Millisecond}
+		h := b.New(t, 17, opts, universe)
+		defer h.Net.Close()
+		log := &sliceLog{}
+		if err := h.Net.AddNode(1, log); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Net.AddNode(2, &handler{}); err != nil {
+			t.Fatal(err)
+		}
+		note := func(what string) func() { return func() { log.events = append(log.events, what) } }
+		const queued = 9
+		var first, second bool
+		var start int
+		if !h.Net.Inspect(1, func() {
+			first = h.Net.AfterSlice(1, note("first"))
+			second = h.Net.AfterSlice(1, note("second"))
+			start = len(log.events)
+			for i := 0; i < queued; i++ {
+				h.Net.Send(2, 1, i)
+			}
+			h.Settle(20 * opts.TickEvery) // the deliveries are queued and a tick is overdue
+		}) {
+			t.Fatal("Inspect(1) failed")
+		}
+		received := func(events []string) (n int) {
+			for _, e := range events {
+				if e == "receive" {
+					n++
+				}
+			}
+			return n
+		}
+		if !await(h, 10*time.Second, func() bool {
+			return inspected(t, h, 1, func() int { return received(log.events[start:]) }) == queued
+		}) {
+			t.Fatal("the queued deliveries never arrived")
+		}
+		after := inspected(t, h, 1, func() []string { return append([]string(nil), log.events[start:]...) })
+		if h.Net.AfterSlice(99, func() {}) {
+			t.Error("a node nobody registered accepted an end-of-slice request")
+		}
+		if !h.Net.ReceiptSteps() {
+			if first || second || h.Net.AfterSlice(1, note("outside")) {
+				t.Error("the simulator accepted an end-of-slice request")
+			}
+			h.Settle(20 * opts.TickEvery)
+			for _, e := range inspected(t, h, 1, func() []string { return log.events }) {
+				if e != "receive" && e != "tick" {
+					t.Errorf("%q ran on the simulator", e)
+				}
+			}
+			return
+		}
+		if !first || second {
+			t.Errorf("two requests in one slice were answered %v and %v, want the first accepted and the second refused", first, second)
+		}
+		if after[0] != "first" {
+			t.Errorf("the slice was followed by %q, want what it asked for: %v", after[0], after)
+		}
+		for _, e := range after[1:] {
+			if e == "first" || e == "second" {
+				t.Errorf("%q ran after the slice's one request had run: %v", e, after)
+			}
+		}
+
+		// A parked node: its timer is an hour away and nothing is sent to it.
+		parked := b.New(t, 18, transport.Options{Capacity: 64, TickEvery: time.Hour}, universe)
+		defer parked.Net.Close()
+		if err := parked.Net.AddNode(1, &handler{}); err != nil {
+			t.Fatal(err)
+		}
+		woke := make(chan struct{})
+		if !parked.Net.AfterSlice(1, func() { close(woke) }) {
+			t.Fatal("a parked node refused an end-of-slice request")
+		}
+		select {
+		case <-woke:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a request from outside did not wake the parked node")
+		}
+		parked.Net.Crash(1)
+		if parked.Net.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a crashed node") }) {
+			t.Error("a crashed node accepted an end-of-slice request")
+		}
+	})
+
+	t.Run("BurstRidesOneRound", func(t *testing.T) {
+		// The pipeline shape: 3 nodes, 4 register shards, batch 16, window 4,
+		// and one Inspect closure at a follower that submits 16 writes to
+		// every shard. On a live medium the burst gets one step, when its
+		// slice ends, and that step sees all of it: every shard's 16 commands
+		// travel as one round input and are delivered in one round, two
+		// coordinator ticks later. (Stepping on the first command of a shard
+		// instead fetched a batch of one or two and left the rest for the
+		// round after.) The medium is seen through a decorator that knows
+		// nothing of the hook, as the benchmark's traced pass sees it. On the
+		// simulator a burst waits for the timer as it always did.
+		const shards, batch, window, bursts = 4, 16, 4, 5
+		opts := transport.Options{
+			Capacity:   64,
+			TickEvery:  10 * time.Millisecond,
+			TickJitter: 5 * time.Millisecond,
+		}
+		h := b.New(t, 19, opts, universe)
+		defer h.Net.Close()
+		live := h.Net.ReceiptSteps()
+		all := ids.Range(1, 3)
+		spy := &sliceSpy{Transport: h.Net}
+		nodes, mems, coords := shardedCluster(t, h, &muted{Transport: spy}, all, nil,
+			shards, datalink.Options{MaxBatch: batch, Window: window})
+		at := all.Remove(coords[0]).Members()[0]
+		h.Settle(100 * time.Millisecond) // the view installs have drained
+		h.Net.Inspect(at, func() { spy.watch, spy.steps = at, nodes[at].ReceiptSteps })
+
+		var cost uint64 // ticks of the submitting node, submission to last completion
+		for burst := 0; burst < bursts; burst++ {
+			before := map[ids.ID]uint64{}
+			for i, n := range nodes {
+				before[i] = n.Ticks()
+			}
+			var handles []*regmem.Handle
+			var inSlice uint64
+			if !h.Net.Inspect(at, func() {
+				spy.accepted, spy.rose = 0, nil
+				stepsBefore := nodes[at].ReceiptSteps()
+				for c := 0; c < batch; c++ {
+					for s := 0; s < shards; s++ {
+						handles = append(handles, mems[s][at].Write(fmt.Sprintf("r%d", c), fmt.Sprint(burst)))
+					}
+				}
+				inSlice = nodes[at].ReceiptSteps() - stepsBefore
+			}) {
+				t.Fatalf("Inspect(%v) failed", at)
+			}
+			for waited := time.Duration(0); ; waited += 100 * time.Microsecond {
+				done := 0
+				for _, hnd := range handles {
+					if hnd.Done() {
+						done++
+					}
+				}
+				if done == len(handles) {
+					break
+				}
+				if waited > 30*time.Second {
+					t.Fatalf("burst %d: %d of %d writes completed", burst, done, len(handles))
+				}
+				h.Settle(100 * time.Microsecond)
+			}
+			cost += nodes[at].Ticks() - before[at]
+			if !live {
+				continue
+			}
+			if inSlice != 0 {
+				t.Errorf("burst %d: %d receipt-driven steps ran inside the submitting slice, want one step at its end", burst, inSlice)
+			}
+			accepted := inspected(t, h, at, func() int { return spy.accepted })
+			rose := inspected(t, h, at, func() []uint64 { return spy.rose })
+			if accepted != 1 || len(rose) != 1 || rose[0] == 0 || rose[0] > shards {
+				t.Errorf("burst %d made %d end-of-slice requests that ran as %v app steps, want one request and at most one step per shard", burst, accepted, rose)
+			}
+			for i, n := range nodes {
+				if took := n.Ticks() - before[i]; took > 3 {
+					t.Errorf("burst %d: node %v ticked %d times before it completed, want the coordinator's two ticks (three at most)", burst, i, took)
+				}
+			}
+		}
+
+		// How the commands travelled: the rounds in which each shard
+		// delivered each burst (a write's value is its burst).
+		for s := 0; s < shards; s++ {
+			rounds := inspected(t, h, at, func() map[string]map[uint64]int {
+				out := map[string]map[uint64]int{}
+				for _, a := range mems[s][at].SMR().Log() {
+					if w, ok := a.Cmd.(regmem.WriteCmd); ok && a.Member == at {
+						if out[w.Value] == nil {
+							out[w.Value] = map[uint64]int{}
+						}
+						out[w.Value][a.Rnd]++
+					}
+				}
+				return out
+			})
+			for burst, in := range rounds {
+				if len(in) != 1 {
+					t.Errorf("shard %d delivered the %d commands of burst %s over rounds %v, want all of them in one", s, batch, burst, in)
+				}
+			}
+			if len(rounds) != bursts {
+				t.Errorf("shard %d delivered %d bursts, want %d", s, len(rounds), bursts)
+			}
+		}
+		t.Logf("%d bursts of %d writes at node %v (coordinators %v) cost it %d ticks", bursts, shards*batch, at, coords, cost)
+		if live {
+			return
+		}
+		if cost != simBurstTicks {
+			t.Errorf("the simulator moved: %d bursts cost %d ticks of node %v (were %d)", bursts, cost, at, simBurstTicks)
+		}
+		for i, n := range nodes {
+			if st := n.ReceiptSteps(); st != 0 {
+				t.Errorf("node %v took %d receipt-driven steps on the simulator", i, st)
+			}
+		}
+	})
+
 	t.Run("StoppedNodeTakesNoStep", func(t *testing.T) {
 		// A node crashed while one of its steps runs takes no further step:
 		// not the tick that fell due meanwhile, not the hint about a peer
-		// that reached its inbox meanwhile.
+		// that reached its inbox meanwhile, not what that very step asked to
+		// have run when it ends.
 		opts := quietOpts()
 		h := b.New(t, 14, opts, universe)
 		defer h.Net.Close()
 		live := h.Net.ReceiptSteps()
 		subject, peer := &lateStepper{atCrash: -1}, &handler{}
 		subject.crash = func() {
+			h.Net.AfterSlice(1, func() { subject.afterSlice++ })
 			h.Net.Crash(2)
 			if live {
 				time.Sleep(20 * opts.TickEvery) // the hint about 2 is in the inbox
@@ -808,6 +1091,12 @@ func Run(t *testing.T, b Backend) {
 		}
 		if subject.downs != 0 {
 			t.Errorf("%d PeerDown calls ran after the node was crashed", subject.downs)
+		}
+		if subject.afterSlice != 0 {
+			t.Errorf("%d end-of-slice requests ran after the node was crashed", subject.afterSlice)
+		}
+		if h.Net.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a closed medium") }) {
+			t.Error("a closed medium accepted an end-of-slice request")
 		}
 	})
 

@@ -35,6 +35,8 @@ type node struct {
 	inbox   chan inboxItem
 	done    chan struct{}
 	pacer   *transport.Pacer // owned by the node's goroutine
+	// after holds the one end-of-slice request (AfterSlice).
+	after chan func()
 	// peerDown is the handler's optional hint entry point; nil when the
 	// handler takes no hints.
 	peerDown transport.PeerDownHandler
@@ -112,6 +114,7 @@ func (l *Net) AddNode(id ids.ID, h transport.Handler) error {
 		inbox:   make(chan inboxItem, l.opts.Capacity),
 		done:    make(chan struct{}),
 		pacer:   transport.NewPacer(l.opts.TickEvery, l.opts.TickJitter, l.Rand()),
+		after:   make(chan func(), 1),
 	}
 	n.peerDown, _ = h.(transport.PeerDownHandler)
 	l.nodes[id] = n
@@ -130,11 +133,28 @@ func (l *Net) run(n *node) {
 		if n.stopped() {
 			return
 		}
-		// The timer first: a due tick does not wait behind the inbox.
-		n.pacer.Poll(tick)
+		// The slice that just ran has ended: what it asked for (AfterSlice)
+		// runs before anything else gets a turn.
+		select {
+		case fn := <-n.after:
+			if fn(); n.stopped() {
+				return
+			}
+		default:
+		}
+		// Then the timer: a due tick does not wait behind the inbox. A tick
+		// is a slice too.
+		if n.pacer.Poll(tick) {
+			continue
+		}
 		select {
 		case <-n.done:
 			return
+		case fn := <-n.after: // asked for from outside, or while parked
+			if n.stopped() {
+				return
+			}
+			fn()
 		case item := <-n.inbox:
 			if n.stopped() {
 				return
@@ -247,6 +267,23 @@ func (l *Net) Done(id ids.ID) <-chan struct{} {
 
 // ReceiptSteps implements transport.Transport: a live medium.
 func (l *Net) ReceiptSteps() bool { return true }
+
+// AfterSlice implements transport.Transport: the node's goroutine takes fn
+// when the slice it is running ends, or at once if it is parked.
+func (l *Net) AfterSlice(id ids.ID, fn func()) bool {
+	l.mu.RLock()
+	n, ok := l.nodes[id]
+	l.mu.RUnlock()
+	if !ok || n.stopped() {
+		return false
+	}
+	select {
+	case n.after <- fn:
+		return true
+	default:
+		return false
+	}
+}
 
 // Alive implements transport.Transport.
 func (l *Net) Alive() ids.Set {

@@ -107,6 +107,11 @@ func (s *Net) Done(id ids.ID) <-chan struct{} {
 // function of the seed and of nothing a live-path change can touch.
 func (s *Net) ReceiptSteps() bool { return false }
 
+// AfterSlice implements transport.Transport: a simulated event has no end
+// anything could be run at, so nothing is ever accepted and a submission
+// waits for the timer as it always did.
+func (s *Net) AfterSlice(ids.ID, func()) bool { return false }
+
 // Alive implements transport.Transport.
 func (s *Net) Alive() ids.Set { return s.net.Alive() }
 

@@ -139,6 +139,8 @@ type node struct {
 	done     chan struct{}
 	listener net.Listener
 	pacer    *transport.Pacer // owned by the node's goroutine
+	// after holds the one end-of-slice request (AfterSlice).
+	after chan func()
 	// peerDown is the handler's optional hint entry point; nil when the
 	// handler takes no hints.
 	peerDown transport.PeerDownHandler
@@ -246,6 +248,7 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 		done:     make(chan struct{}),
 		listener: ln,
 		pacer:    transport.NewPacer(t.cfg.Opts.TickEvery, t.cfg.Opts.TickJitter, t.Rand()),
+		after:    make(chan func(), 1),
 	}
 	n.peerDown, _ = h.(transport.PeerDownHandler)
 	t.local[id] = n
@@ -255,7 +258,8 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 	return nil
 }
 
-// runNode owns the node's handler: ticks, deliveries, Inspect closures.
+// runNode owns the node's handler: ticks, deliveries, Inspect closures and
+// end-of-slice requests.
 func (t *Net) runNode(n *node) {
 	defer t.wg.Done()
 	defer n.pacer.Stop()
@@ -266,11 +270,28 @@ func (t *Net) runNode(n *node) {
 		if n.stopped() {
 			return
 		}
-		// The timer first: a due tick does not wait behind the inbox.
-		n.pacer.Poll(tick)
+		// The slice that just ran has ended: what it asked for (AfterSlice)
+		// runs before anything else gets a turn.
+		select {
+		case fn := <-n.after:
+			if fn(); n.stopped() {
+				return
+			}
+		default:
+		}
+		// Then the timer: a due tick does not wait behind the inbox. A tick
+		// is a slice too.
+		if n.pacer.Poll(tick) {
+			continue
+		}
 		select {
 		case <-n.done:
 			return
+		case fn := <-n.after: // asked for from outside, or while parked
+			if n.stopped() {
+				return
+			}
+			fn()
 		case item := <-n.inbox:
 			if n.stopped() {
 				return
@@ -474,6 +495,23 @@ func (t *Net) Done(id ids.ID) <-chan struct{} {
 
 // ReceiptSteps implements transport.Transport: a live medium.
 func (t *Net) ReceiptSteps() bool { return true }
+
+// AfterSlice implements transport.Transport: the node's goroutine takes fn
+// when the slice it is running ends, or at once if it is parked.
+func (t *Net) AfterSlice(id ids.ID, fn func()) bool {
+	t.mu.RLock()
+	n, ok := t.local[id]
+	t.mu.RUnlock()
+	if !ok || n.stopped() {
+		return false
+	}
+	select {
+	case n.after <- fn:
+		return true
+	default:
+		return false
+	}
+}
 
 // Alive implements transport.Transport (local nodes only; remote
 // liveness is the failure detector's business).

@@ -73,6 +73,20 @@ type Transport interface {
 	// decorator that embeds Transport inherits the answer of what it
 	// wraps.
 	ReceiptSteps() bool
+	// AfterSlice asks for fn to run in the node's execution context at the
+	// end of the slice that is running there now: right after the Inspect
+	// closure, Receive, Tick or PeerDown in progress returns, before the
+	// node's timer is looked at and before its next inbox item. Asked from
+	// anywhere else, or while the node is parked, fn simply runs next. A
+	// node holds one request at a time: AfterSlice reports false, and fn
+	// never runs, while an earlier one has not started yet — and for an
+	// unknown or stopped node. It never blocks and may be called from any
+	// goroutine. Like ReceiptSteps it is a fact about the medium: a live
+	// run loop has slices with an end; the simulator's events have none,
+	// so it always reports false there. core.Node uses it to take one
+	// application step per burst of submissions (DESIGN.md §17). A
+	// decorator that embeds Transport inherits it.
+	AfterSlice(id ids.ID, fn func()) bool
 	// Close stops every node and releases backend resources (sockets,
 	// goroutines). It is idempotent.
 	Close() error

@@ -9,7 +9,13 @@
 # batching (-batch 16, DESIGN.md §11) and asserts the batched run's
 # total throughput is at least the unbatched run's — the warmup keeps
 # connection-setup and first-request link-cleaning costs out of both
-# measurements, so no re-measure retry is needed. CI runs this as the
+# measurements, so no re-measure retry is needed. Beside each pass's
+# throughput it prints the operations a multicast round carried on
+# average (the growth of repro_shard_ops_total over the growth of
+# repro_vs_rounds_applied_total, read from every node's /metrics around
+# the load) — advisory: if the batched pass stops putting more commands
+# into a round than the unbatched one, the submission path lost its
+# batching (DESIGN.md §17 "One step per slice"). CI runs this as the
 # nodeload smoke job.
 set -euo pipefail
 
@@ -69,13 +75,29 @@ boot_cluster() {
   done
 }
 
+# counters — "OPS ROUNDS": the register operations the cluster's nodes
+# routed and the multicast rounds one node applied (every node applies
+# every round, so the cluster's sum is divided by N), so far.
+counters() {
+  for i in $(seq 1 "$N"); do
+    curl -fsS "http://127.0.0.1:$((BASE_HTTP + i))/metrics"
+  done | awk -v n="$N" '
+    /^repro_shard_ops_total[{ ]/ { ops += $NF }
+    /^repro_vs_rounds_applied_total[{ ]/ { rounds += $NF }
+    END { printf "%d %d\n", ops, rounds / n }'
+}
+
 # run_load OUTDIR — drive the mixed workload and sanity-check the report.
 run_load() {
   local out="$1"
   say "running $DURATION mixed workload after $WARMUP warmup ($SHARDS shards, ${N}-endpoint failover client)"
+  local before after
+  before="$(counters)"
   "$TMP/nodeload" -addrs "$ADDRS" -clients 8 -duration "$DURATION" -warmup "$WARMUP" \
     -ratio 0.5 -shards "$SHARDS" -wait 120s -format csv -out "$out"
+  after="$(counters)"
   test -s "$out/cells.csv" && test -s "$out/summary.csv"
+  OPS_PER_ROUND="$(echo "$before $after" | awk '{ r = $4 - $2; printf "%.2f", (r > 0 ? ($3 - $1) / r : 0) }')"
   echo
   awk -F, '{ printf "%-32s %-28s %-6s %s\n", $2, $7, $3, $6 }' "$out/summary.csv"
   echo
@@ -118,16 +140,19 @@ check_report() {
 boot_cluster 1
 run_load "$TMP/load-b1"
 check_report "$TMP/load-b1"
+R1="$OPS_PER_ROUND"
 cleanup_nodes
 sleep 1
 
 boot_cluster "$BATCH"
 run_load "$TMP/load-b$BATCH"
 check_report "$TMP/load-b$BATCH"
+RB="$OPS_PER_ROUND"
 
 T1="$(mean "$TMP/load-b1" total.throughput_ops_s)"
 TB="$(mean "$TMP/load-b$BATCH" total.throughput_ops_s)"
 say "total throughput: batch=1 $T1 ops/s, batch=$BATCH $TB ops/s"
+say "operations per round (advisory): batch=1 $R1, batch=$BATCH $RB"
 # Both runs measure only their post-warmup window, so connection setup
 # and first-request link cleaning never skew the comparison.
 awk -v a="$T1" -v b="$TB" 'BEGIN { exit !(b + 0 >= a + 0) }' || {
