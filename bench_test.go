@@ -1,10 +1,10 @@
-// Package repro's root benchmarks regenerate the experiment suite E1–E12
-// (DESIGN.md §6) through the engine registry: one testing.B benchmark per
-// experiment, each a thin call into the registered cell functions at the
-// headline size. Each iteration runs every series of the experiment and
-// reports its mean through b.ReportMetric (virtual ticks or event counts
-// — the simulator's deterministic clock, not wall time, is the measured
-// value). The full parallel sweep with per-N tables is produced by
+// Package repro's root benchmarks regenerate experiments E1–E12 of the
+// suite E1–E14 (DESIGN.md §6; E13 and E14 have no wrapper here) through the
+// engine registry: one testing.B benchmark per experiment, each a thin call
+// into the registered cell functions at the headline size. Each iteration
+// runs every series of the experiment and reports its mean through
+// b.ReportMetric (virtual ticks or event counts — the simulator's
+// deterministic clock, not wall time, is the measured value). The full parallel sweep with per-N tables is produced by
 // cmd/benchtab; the engine's own speedup benchmark lives in
 // internal/experiments/engine.
 package repro
@@ -12,7 +12,7 @@ package repro
 import (
 	"testing"
 
-	_ "repro/internal/experiments" // registers E1–E12
+	_ "repro/internal/experiments" // registers E1–E14
 	"repro/internal/experiments/engine"
 	"repro/internal/obs"
 )

@@ -1,4 +1,4 @@
-// Command benchtab regenerates the experiment tables (E1–E12, DESIGN.md
+// Command benchtab regenerates the experiment tables (E1–E14, DESIGN.md
 // §6) through the parallel engine and emits them in the format recorded
 // in EXPERIMENTS.md, as CSV, or as JSON.
 //
@@ -6,13 +6,19 @@
 //
 //	benchtab [-seed N] [-sizes 4,8,16,24] [-only E2,E8]
 //	         [-repeats R] [-parallel W] [-format table|csv|json] [-out DIR]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The (experiment × size × repeat) grid is fanned out over W workers
 // (default: all CPUs); every cell derives its own seed from -seed and its
 // grid coordinates, so the output is byte-identical for any -parallel
 // value. With -out DIR the results are written to files in DIR
 // (cells.csv + summary.csv, results.json, or results.txt depending on
-// -format) instead of stdout.
+// -format) instead of stdout. -cpuprofile and -memprofile write pprof
+// profiles of the grid run (the allocation profile counts every object,
+// not a sample), so a cell can be profiled without a scratch main:
+//
+//	benchtab -only E13 -sizes 4 -repeats 8 -parallel 1 -cpuprofile cpu.pb.gz
+//	go tool pprof -top cpu.pb.gz
 package main
 
 import (
@@ -22,10 +28,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
-	_ "repro/internal/experiments" // registers E1–E12
+	_ "repro/internal/experiments" // registers E1–E14
 	"repro/internal/experiments/engine"
 )
 
@@ -37,6 +44,8 @@ func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker pool size (results do not depend on it)")
 	format := flag.String("format", "table", "output format: table, csv or json")
 	outDir := flag.String("out", "", "write results to files in DIR instead of stdout")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the grid run to FILE")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the grid run (every object counted) to FILE")
 	flag.Parse()
 
 	sizes, err := parseSizes(*sizesFlag)
@@ -48,12 +57,16 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown format %q", *format))
 	}
-	rep, err := engine.Run(engine.Config{
-		Seed:    *seed,
-		Sizes:   sizes,
-		Repeats: *repeats,
-		Workers: *parallel,
-		Only:    parseOnly(*only),
+	var rep *engine.Report
+	err = profiled(*cpuProfile, *memProfile, func() error {
+		rep, err = engine.Run(engine.Config{
+			Seed:    *seed,
+			Sizes:   sizes,
+			Repeats: *repeats,
+			Workers: *parallel,
+			Only:    parseOnly(*only),
+		})
+		return err
 	})
 	if err != nil {
 		fatal(err)
@@ -61,6 +74,46 @@ func main() {
 	if err := emit(rep, *format, *outDir); err != nil {
 		fatal(err)
 	}
+}
+
+// profiled runs fn under the requested pprof profiles: a CPU profile of
+// fn alone, and the allocations made up to its return with every object
+// counted (the default 512 KiB sampling hides the small objects a
+// protocol step is made of). Empty paths request nothing.
+func profiled(cpuPath, memPath string, fn func() error) error {
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if memPath == "" {
+		return nil
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // flush the allocations since the last cycle into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

@@ -148,11 +148,11 @@ func (c *Cluster) Nodes() map[ids.ID]*Node { return c.nodes }
 
 // IDs returns the identifiers of all registered nodes.
 func (c *Cluster) IDs() ids.Set {
-	out := ids.Set{}
+	members := make([]ids.ID, 0, len(c.nodes))
 	for id := range c.nodes {
-		out = out.Add(id)
+		members = append(members, id)
 	}
-	return out
+	return ids.NewSet(members...)
 }
 
 // Alive returns non-crashed node identifiers.

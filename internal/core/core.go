@@ -129,8 +129,11 @@ type Node struct {
 	// apps are the per-shard service stacks riding on the singleton
 	// reconfiguration layers (index = shard identifier). An unsharded
 	// node has exactly one entry; a node without an application has none.
-	apps  []App
-	maMsg recma.Message
+	apps []App
+	// maMsg is the recMA message of the last tick: one value per step,
+	// carried by every peer's envelope and never written after the step
+	// that allocated it.
+	maMsg *recma.Message
 	// joinTargets are the processors the joiner polls this tick.
 	joinTargets ids.Set
 	// pendingJoinResp holds one response per requesting joiner. Every
@@ -315,7 +318,8 @@ func (n *Node) NumShards() int { return len(n.apps) }
 func (n *Node) Tick() {
 	n.ticks.Add(1)
 	n.SA.Step()
-	n.maMsg = n.MA.Step(n.SA.PeerPart)
+	maMsg := n.MA.Step(n.SA.PeerPart)
+	n.maMsg = &maMsg
 	n.joinTargets = n.Joiner.Step(n.Trusted())
 	for _, app := range n.apps {
 		app.Tick(n)
@@ -431,8 +435,7 @@ func (n *Node) buildEnvelope(to ids.ID) Envelope {
 	env := Envelope{}
 	if m, ok := n.SA.OutgoingMessage(to); ok {
 		env.RecSA = &m
-		mm := n.maMsg
-		env.RecMA = &mm
+		env.RecMA = n.maMsg
 	}
 	if n.joinTargets.Contains(to) {
 		env.JoinReq = true

@@ -16,6 +16,7 @@
 package counter
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ids"
@@ -74,12 +75,39 @@ type Store struct {
 	self      ids.ID
 	labels    *label.Store
 	exhaustAt uint64
-	seqns     map[string]seqEntry // label key → highest (seqn, wid)
+	seqns     map[epochKey]seqEntry // epoch label → highest (seqn, wid)
 }
 
 type seqEntry struct {
 	seqn uint64
 	wid  ids.ID
+}
+
+// epochKey identifies an epoch label in the seqns map: the creator as it
+// is, so pruning by membership parses nothing, and the sting followed by
+// the antistings as varints (self-delimiting, so distinct labels get
+// distinct keys).
+type epochKey struct {
+	creator ids.ID
+	rest    string
+}
+
+// appendEpoch appends the rest part of l's key to dst. Callers build it in
+// a stack buffer and convert inside the map index expression, which the
+// compiler does without allocating for a lookup (a store keeps the string).
+func appendEpoch(dst []byte, l label.Label) []byte {
+	dst = binary.AppendVarint(dst, int64(l.Sting))
+	for _, a := range l.Antistings {
+		dst = binary.AppendVarint(dst, int64(a))
+	}
+	return dst
+}
+
+// seqnOf returns the highest (seqn, wid) recorded for the epoch label.
+func (s *Store) seqnOf(l label.Label) (seqEntry, bool) {
+	var buf [64]byte
+	e, ok := s.seqns[epochKey{creator: l.Creator, rest: string(appendEpoch(buf[:0], l))}]
+	return e, ok
 }
 
 // NewStore builds the counter store for a configuration. exhaustAt is the
@@ -93,7 +121,7 @@ func NewStore(self ids.ID, members ids.Set, opts label.StoreOptions, exhaustAt u
 		self:      self,
 		labels:    label.NewStore(self, members, opts),
 		exhaustAt: exhaustAt,
-		seqns:     make(map[string]seqEntry),
+		seqns:     make(map[epochKey]seqEntry),
 	}
 }
 
@@ -109,8 +137,9 @@ func (s *Store) Rebuild(members ids.Set) {
 
 // prune drops seqn entries for labels by non-members and bounds the map.
 func (s *Store) prune() {
+	members := s.labels.Members()
 	for k := range s.seqns {
-		if !s.labelKnownMember(k) {
+		if !members.Contains(k.creator) {
 			delete(s.seqns, k)
 		}
 	}
@@ -122,20 +151,6 @@ func (s *Store) prune() {
 	}
 }
 
-func (s *Store) labelKnownMember(key string) bool {
-	// Key embeds the creator prefix "⟨pN;..."; cheap containment check by
-	// re-deriving keys of member maxima is costlier than useful — keep
-	// entries whose creator appears in the member set.
-	ok := false
-	s.labels.Members().Each(func(m ids.ID) {
-		prefix := fmt.Sprintf("⟨%v;", m)
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			ok = true
-		}
-	})
-	return ok
-}
-
 // Exhausted reports whether a counter's sequence number reached the bound
 // (the paper's exhausted(ctp)).
 func (s *Store) Exhausted(c Counter) bool { return c.Seqn >= s.exhaustAt }
@@ -144,9 +159,10 @@ func (s *Store) Exhausted(c Counter) bool { return c.Seqn >= s.exhaustAt }
 // machinery and its sequence number updates the epoch's high-water mark.
 // Exhausted counters cancel their epoch label.
 func (s *Store) Observe(from ids.ID, c Counter) {
-	key := c.Lbl.String()
-	if e, ok := s.seqns[key]; !ok || e.seqn < c.Seqn || (e.seqn == c.Seqn && e.wid < c.WID) {
-		s.seqns[key] = seqEntry{seqn: c.Seqn, wid: c.WID}
+	var buf [64]byte
+	rest := appendEpoch(buf[:0], c.Lbl)
+	if e, ok := s.seqns[epochKey{creator: c.Lbl.Creator, rest: string(rest)}]; !ok || e.seqn < c.Seqn || (e.seqn == c.Seqn && e.wid < c.WID) {
+		s.seqns[epochKey{creator: c.Lbl.Creator, rest: string(rest)}] = seqEntry{seqn: c.Seqn, wid: c.WID}
 	}
 	if p, ok := s.labels.CleanPair(label.Pair{ML: c.Lbl}); ok {
 		s.labels.Receive(p, true, label.Pair{}, false, from)
@@ -187,7 +203,7 @@ func (s *Store) MaxCounter() (Counter, bool) {
 			continue
 		}
 		c := Counter{Lbl: p.ML}
-		if e, ok := s.seqns[p.ML.String()]; ok {
+		if e, ok := s.seqnOf(p.ML); ok {
 			c.Seqn, c.WID = e.seqn, e.wid
 		}
 		if s.Exhausted(c) {

@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -305,5 +306,46 @@ func TestMembersConvergeOnGossip(t *testing.T) {
 		if got.Less(want) {
 			t.Fatalf("member %v max %v below written %v", id, got, want)
 		}
+	}
+}
+
+func TestGossipPayloadIsWhatTheStoreAnswers(t *testing.T) {
+	// The gossip payload is built once per step and kept until something
+	// reaches the store: whenever a manager still holds it, it is the
+	// store's maximal pair as of now — through increments, the gossip and
+	// RPCs they cause, and epoch turns (exhaustAt is small).
+	c, ms := counterCluster(t, 4, 29, 6)
+	held := 0
+	check := func() {
+		for id, m := range ms {
+			if !m.gossipOK || m.store == nil {
+				continue
+			}
+			held++
+			var want any
+			if p, ok := m.store.MaxPair(); ok {
+				want = Message{Gossip: p, HasGossip: true}
+			}
+			if !reflect.DeepEqual(m.gossip, want) {
+				t.Fatalf("%v holds gossip %v, its store answers %v", id, m.gossip, want)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		who := ids.ID(i%4 + 1)
+		op := ms[who].Increment(c.Node(who))
+		for steps := 0; !op.Done(); steps++ {
+			if steps > 200_000 || c.Sched.RunSteps(1) == 0 {
+				t.Fatal("operation never completed")
+			}
+			check()
+		}
+	}
+	turns := uint64(0)
+	for _, m := range ms {
+		turns += m.Metrics().EpochTurns
+	}
+	if held == 0 || turns == 0 {
+		t.Fatalf("the run exercised too little: payload held at %d checks, %d epoch turns", held, turns)
 	}
 }

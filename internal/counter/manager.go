@@ -2,7 +2,7 @@ package counter
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -110,9 +110,16 @@ type Manager struct {
 	nextSeq uint64
 	ops     map[uint64]*Op
 	outbox  map[ids.ID][]RPC // pending responses per peer (bounded)
-	lastLbl label.Label
-	haveLbl bool
-	metrics Metrics
+	// gossip is the store's maximal pair as a ready payload, built by the
+	// first Outgoing of a step that gossips and shared, read-only, by every
+	// envelope of that step that carries no RPC; gossipOK says it is still
+	// what the store would answer. Tick, Increment and HandleApp — every
+	// way into the store — clear it.
+	gossip   any
+	gossipOK bool
+	lastLbl  label.Label
+	haveLbl  bool
+	metrics  Metrics
 }
 
 var _ core.App = (*Manager)(nil)
@@ -142,6 +149,7 @@ func (m *Manager) labelOpts(v int) label.StoreOptions {
 // Increment starts a two-phase counter increment against the current
 // configuration. The returned Op completes (or fails) as the node ticks.
 func (m *Manager) Increment(n *core.Node) *Op {
+	m.gossipOK = false
 	m.nextSeq++
 	op := &Op{
 		seq:    m.nextSeq,
@@ -185,6 +193,7 @@ func (m *Manager) selfServe(op *Op) {
 // Tick implements core.App: maintain member structures, watch for epoch
 // turns, progress client operations.
 func (m *Manager) Tick(n *core.Node) {
+	m.gossipOK = false
 	q, ok := n.Quorum()
 	steady := ok && n.NoReco()
 
@@ -225,7 +234,7 @@ func (m *Manager) opOrder() []uint64 {
 	for seq := range m.ops {
 		order = append(order, seq)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	return order
 }
 
@@ -294,7 +303,7 @@ func (m *Manager) deriveMax(op *Op) (Counter, bool) {
 	for from := range op.reads {
 		readOrder = append(readOrder, from)
 	}
-	sort.Slice(readOrder, func(i, j int) bool { return readOrder[i] < readOrder[j] })
+	slices.Sort(readOrder)
 	if m.store != nil {
 		for _, from := range readOrder {
 			m.store.ObservePair(from, op.reads[from])
@@ -320,12 +329,22 @@ func (m *Manager) deriveMax(op *Op) (Counter, bool) {
 // Outgoing implements core.App: member gossip plus client requests and
 // queued server responses for the peer.
 func (m *Manager) Outgoing(to ids.ID, n *core.Node) any {
-	msg := Message{}
+	var gossip any
 	if m.store != nil && m.confValid && m.conf.Contains(to) && n.NoReco() {
-		if p, ok := m.store.MaxPair(); ok {
-			msg.Gossip = p
-			msg.HasGossip = true
+		if !m.gossipOK {
+			m.gossip, m.gossipOK = nil, true
+			if p, ok := m.store.MaxPair(); ok {
+				m.gossip = Message{Gossip: p, HasGossip: true}
+			}
 		}
+		gossip = m.gossip
+	}
+	if len(m.ops) == 0 && len(m.outbox[to]) == 0 {
+		return gossip // the same for every such peer; nil when there is none
+	}
+	msg := Message{}
+	if gossip != nil {
+		msg = gossip.(Message)
 	}
 	for _, seq := range m.opOrder() {
 		op := m.ops[seq]
@@ -363,6 +382,7 @@ func (m *Manager) HandleApp(from ids.ID, payload any, n *core.Node) {
 	if !ok {
 		return
 	}
+	m.gossipOK = false
 	if msg.HasGossip && m.store != nil && m.confValid && m.conf.Contains(from) {
 		m.store.ObservePair(from, msg.Gossip)
 	}

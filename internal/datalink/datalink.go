@@ -79,7 +79,6 @@ package datalink
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -271,6 +270,9 @@ type Endpoint struct {
 
 	mu    sync.Mutex // guards peers and all per-peer protocol state
 	peers map[ids.ID]*peer
+	// known is the key set of peers, kept beside it by addPeer and
+	// Disconnect: Tick walks it and the owner asks for it every step.
+	known ids.Set
 	// queued tracks the total outbound-queue depth across links for the
 	// queue-depth gauge, maintained alongside every queue mutation.
 	queued atomic.Int64
@@ -483,12 +485,17 @@ func (e *Endpoint) QueueLen(to ids.ID) int {
 func (e *Endpoint) Peers() ids.Set {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := ids.Set{}
-	//repolint:allow determinism -- set insertion is commutative; the resulting ids.Set is identical for every iteration order
-	for id := range e.peers {
-		out = out.Add(id)
-	}
-	return out
+	return e.known
+}
+
+// addPeer starts the link toward a valid identifier not yet known, from
+// the cleaning phase.
+func (e *Endpoint) addPeer(id ids.ID) *peer {
+	p := &peer{}
+	e.peers[id] = p
+	e.known = e.known.Add(id)
+	e.startClean(p)
+	return p
 }
 
 // Connect establishes (or re-establishes) the data link toward a peer,
@@ -503,9 +510,7 @@ func (e *Endpoint) Connect(to ids.ID) {
 	if _, ok := e.peers[to]; ok {
 		return
 	}
-	p := &peer{}
-	e.peers[to] = p
-	e.startClean(p)
+	e.addPeer(to)
 }
 
 // Disconnect forgets a peer entirely (used when the failure detector has
@@ -517,6 +522,7 @@ func (e *Endpoint) Disconnect(to ids.ID) {
 		e.queued.Add(-int64(len(p.queue)))
 		e.dropInflight(p)
 		delete(e.peers, to)
+		e.known = e.known.Remove(to)
 	}
 }
 
@@ -560,14 +566,7 @@ func (e *Endpoint) Tick() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ticks++
-	order := make([]ids.ID, 0, len(e.peers))
-	for to := range e.peers {
-		order = append(order, to)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, to := range order {
-		e.tickPeer(to, e.peers[to])
-	}
+	e.known.Each(func(to ids.ID) { e.tickPeer(to, e.peers[to]) })
 }
 
 func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
@@ -744,9 +743,7 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 	defer e.mu.Unlock()
 	p, ok := e.peers[from]
 	if !ok {
-		p = &peer{}
-		e.peers[from] = p
-		e.startClean(p)
+		p = e.addPeer(from)
 	}
 	switch pkt.Kind {
 	case KindClean:
@@ -954,12 +951,7 @@ func (e *Endpoint) deliverData(from ids.ID, pkt Packet) {
 // transient-fault hook used by the stabilization tests; the protocol must
 // recover via cleaning.
 func (e *Endpoint) CorruptState(rng *rand.Rand) {
-	order := make([]ids.ID, 0, len(e.peers))
-	for to := range e.peers {
-		order = append(order, to)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, to := range order {
+	e.known.Each(func(to ids.ID) {
 		p := e.peers[to]
 		p.state = senderState(rng.Intn(4)) // includes invalid values
 		p.session = uint64(rng.Int63())
@@ -974,5 +966,5 @@ func (e *Endpoint) CorruptState(rng *rand.Rand) {
 		if e.windowed() && rng.Intn(2) == 0 {
 			e.dropInflight(p)
 		}
-	}
+	})
 }

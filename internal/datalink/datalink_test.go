@@ -2,6 +2,7 @@ package datalink
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -266,6 +267,44 @@ func TestManyPeers(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		if len(h.delivered[ids.ID(i)]) < 12 {
 			t.Fatalf("node %d received only %d messages", i, len(h.delivered[ids.ID(i)]))
+		}
+	}
+}
+
+func TestPeersFollowsConnectDisconnectAndFirstPacket(t *testing.T) {
+	// Peers() is kept beside the peer table by the three calls that change
+	// its keys; after any interleaving it is exactly those keys, and Tick
+	// walks them in ascending order.
+	rng := newTestRng(5)
+	var ticked []ids.ID
+	ep := NewEndpoint(Config{
+		Self: 1,
+		Rand: newTestRng(6),
+		Send: func(to ids.ID, pkt Packet) { ticked = append(ticked, to) },
+	})
+	want := ids.Set{}
+	for step := 0; step < 300; step++ {
+		id := ids.ID(rng.Intn(9)) // 0 (invalid) and 1 (self) are refused by all three
+		switch rng.Intn(3) {
+		case 0:
+			ep.Connect(id)
+		case 1:
+			ep.HandlePacket(id, Packet{Kind: KindAck})
+		default:
+			ep.Disconnect(id)
+			want = want.Remove(id)
+			id = ids.None
+		}
+		if id.Valid() && id != 1 {
+			want = want.Add(id)
+		}
+		if got := ep.Peers(); !got.Equal(want) {
+			t.Fatalf("step %d: Peers() = %v, want %v", step, got, want)
+		}
+		ticked = ticked[:0]
+		ep.Tick()
+		if len(ticked) != want.Size() || !ids.NewSet(ticked...).Equal(want) || !slices.IsSorted(ticked) {
+			t.Fatalf("step %d: Tick sent toward %v, want each of %v once, ascending", step, ticked, want)
 		}
 	}
 }

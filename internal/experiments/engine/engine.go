@@ -1,7 +1,7 @@
 // Package engine is the registry-driven, parallel experiment engine
 // behind cmd/benchtab and the root benchmark suite (DESIGN.md §6).
 //
-// Each paper experiment (E1–E11, EXPERIMENTS.md) registers a Descriptor:
+// Each paper experiment (E1–E14, EXPERIMENTS.md) registers a Descriptor:
 // an identifier, the measured metric, the default size sweep, and one or
 // more series whose Run function executes a single (size, seed) cell and
 // returns one measurement row. The runner expands the requested

@@ -16,7 +16,8 @@
 package fd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -142,7 +143,7 @@ func (d *Detector) CorruptCounts(next func(ids.ID) uint64) {
 	for id := range d.counts {
 		order = append(order, id)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, id := range order {
 		d.counts[id] = next(id) % d.opts.MaxCount
 	}
@@ -160,11 +161,11 @@ func (d *Detector) ranked() []rankedEntry {
 	for id, c := range d.counts {
 		out = append(out, rankedEntry{id, c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count < out[j].count
+	slices.SortFunc(out, func(a, b rankedEntry) int {
+		if c := cmp.Compare(a.count, b.count); c != 0 {
+			return c
 		}
-		return out[i].id < out[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	return out
 }
@@ -176,11 +177,14 @@ func (d *Detector) Trusted() ids.Set {
 	if d.trustedValid {
 		return d.trusted
 	}
-	trusted := ids.NewSet(d.self)
 	ranked := d.ranked()
+	trusted := make([]ids.ID, 0, len(ranked)+1)
+	if d.self.Valid() {
+		trusted = append(trusted, d.self)
+	}
 	prev := d.opts.GapFloor
 	for _, e := range ranked {
-		if trusted.Size() >= d.opts.N {
+		if len(trusted) >= d.opts.N {
 			break
 		}
 		bound := prev
@@ -190,11 +194,11 @@ func (d *Detector) Trusted() ids.Set {
 		if e.count > bound*uint64(d.opts.GapFactor) {
 			break // the significant gap: everything from here is suspected
 		}
-		trusted = trusted.Add(e.id)
+		trusted = append(trusted, e.id)
 		prev = e.count
 	}
-	d.trusted, d.trustedValid = trusted, true
-	return trusted
+	d.trusted, d.trustedValid = ids.NewSet(trusted...), true
+	return d.trusted
 }
 
 // Estimate returns ni, the detector's estimate of the number of active

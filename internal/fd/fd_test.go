@@ -306,3 +306,47 @@ func TestQuickSuspectIsWhereOtherPeersTokensLead(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestQuickTrustedIsWhatScratchComputes(t *testing.T) {
+	// Property: after any sequence of the calls that write a count —
+	// Bootstrap, Heartbeat, Suspect, Forget and the fault hook CorruptCounts
+	// — the memoized Trusted() is what a detector with the same counts and
+	// no memo computes.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		opts := DefaultOptions(4 + rng.Intn(8))
+		opts.MaxCount = 200
+		d := New(1, opts)
+		anyID := func() ids.ID { return ids.ID(rng.Intn(10)) }
+		for step := 0; step < 300; step++ {
+			var did string
+			switch op := rng.Intn(12); {
+			case op < 7:
+				did = "Heartbeat"
+				d.Heartbeat(anyID())
+			case op == 7:
+				did = "Suspect"
+				d.Suspect(anyID())
+			case op == 8:
+				did = "Forget"
+				d.Forget(anyID())
+			case op == 9:
+				did = "CorruptCounts"
+				d.CorruptCounts(func(ids.ID) uint64 { return uint64(rng.Intn(400)) })
+			default:
+				did = "Bootstrap"
+				d.Bootstrap(ids.NewSet(anyID(), anyID()))
+			}
+			scratch := *d // shares the counts, which Trusted only reads
+			scratch.trustedValid = false
+			if got, want := d.Trusted(), scratch.Trusted(); !got.Equal(want) {
+				t.Logf("after %s: Trusted() %v, scratch says %v", did, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,7 +11,7 @@
 package ids
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,7 +55,7 @@ func NewSet(members ...ID) Set {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	dedup := out[:0]
 	var prev ID
 	for _, id := range out {
@@ -90,8 +90,8 @@ func (s Set) Empty() bool { return len(s.members) == 0 }
 
 // Contains reports membership of id.
 func (s Set) Contains(id ID) bool {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	return i < len(s.members) && s.members[i] == id
+	_, found := slices.BinarySearch(s.members, id)
+	return found
 }
 
 // Members returns a fresh copy of the ordered member slice.
@@ -110,27 +110,29 @@ func (s Set) Each(fn func(ID)) {
 
 // Add returns s ∪ {id}.
 func (s Set) Add(id ID) Set {
-	if !id.Valid() || s.Contains(id) {
+	if !id.Valid() {
 		return s
 	}
-	out := make([]ID, 0, len(s.members)+1)
-	out = append(out, s.members...)
-	out = append(out, id)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	i, found := slices.BinarySearch(s.members, id)
+	if found {
+		return s
+	}
+	out := make([]ID, len(s.members)+1)
+	copy(out, s.members[:i])
+	out[i] = id
+	copy(out[i+1:], s.members[i:])
 	return Set{members: out}
 }
 
 // Remove returns s \ {id}.
 func (s Set) Remove(id ID) Set {
-	if !s.Contains(id) {
+	i, found := slices.BinarySearch(s.members, id)
+	if !found {
 		return s
 	}
-	out := make([]ID, 0, len(s.members)-1)
-	for _, m := range s.members {
-		if m != id {
-			out = append(out, m)
-		}
-	}
+	out := make([]ID, len(s.members)-1)
+	copy(out, s.members[:i])
+	copy(out[i:], s.members[i+1:])
 	return Set{members: out}
 }
 
@@ -157,9 +159,18 @@ func (s Set) Union(t Set) Set {
 	return Set{members: out}
 }
 
-// Intersect returns s ∩ t.
+// Intersect returns s ∩ t. When one set contains the other — the usual
+// case between views of one stable membership — the result is that set
+// itself and nothing is allocated.
 func (s Set) Intersect(t Set) Set {
-	out := make([]ID, 0, min(len(s.members), len(t.members)))
+	n := s.overlap(t)
+	switch n {
+	case len(s.members):
+		return s
+	case len(t.members):
+		return t
+	}
+	out := make([]ID, 0, n)
 	i, j := 0, 0
 	for i < len(s.members) && j < len(t.members) {
 		switch {
@@ -176,11 +187,42 @@ func (s Set) Intersect(t Set) Set {
 	return Set{members: out}
 }
 
-// Diff returns s \ t.
+// overlap returns |s ∩ t|.
+func (s Set) overlap(t Set) int {
+	n := 0
+	i, j := 0, 0
+	for i < len(s.members) && j < len(t.members) {
+		switch {
+		case s.members[i] < t.members[j]:
+			i++
+		case s.members[i] > t.members[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// Diff returns s \ t. Like Intersect it allocates nothing when the result is
+// s itself or empty.
 func (s Set) Diff(t Set) Set {
-	out := make([]ID, 0, len(s.members))
+	n := s.overlap(t)
+	switch n {
+	case 0:
+		return s
+	case len(s.members):
+		return Set{}
+	}
+	out := make([]ID, 0, len(s.members)-n)
+	j := 0
 	for _, m := range s.members {
-		if !t.Contains(m) {
+		for j < len(t.members) && t.members[j] < m {
+			j++
+		}
+		if j == len(t.members) || t.members[j] != m {
 			out = append(out, m)
 		}
 	}
@@ -203,6 +245,12 @@ func (s Set) Equal(t Set) bool {
 	if len(s.members) != len(t.members) {
 		return false
 	}
+	if len(s.members) == 0 || &s.members[0] == &t.members[0] {
+		// One value handed from layer to layer (sets are immutable, so
+		// the detector's trusted set or a message's participant set
+		// usually is): nothing to compare.
+		return true
+	}
 	for i, m := range s.members {
 		if t.members[i] != m {
 			return false
@@ -213,8 +261,15 @@ func (s Set) Equal(t Set) bool {
 
 // Subset reports whether every member of s is in t.
 func (s Set) Subset(t Set) bool {
+	if len(s.members) > len(t.members) {
+		return false
+	}
+	j := 0
 	for _, m := range s.members {
-		if !t.Contains(m) {
+		for j < len(t.members) && t.members[j] < m {
+			j++
+		}
+		if j == len(t.members) || t.members[j] != m {
 			return false
 		}
 	}
@@ -265,11 +320,4 @@ func (s Set) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -218,3 +218,83 @@ func TestQuickMajorityIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestQuickOperationsAgreeWithMembership(t *testing.T) {
+	// Every operation, element by element, against the definition: the
+	// merges, insertions and fast paths compute what membership says.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := randomSet(rng), randomSet(rng)
+		if rng.Intn(4) == 0 {
+			b = a // one value twice: the identity fast paths
+		}
+		x := ID(rng.Intn(24))
+		in := func(s Set, id ID) bool {
+			for _, m := range s.Members() {
+				if m == id {
+					return true
+				}
+			}
+			return false
+		}
+		subset, equal := true, a.Size() == b.Size()
+		for id := ID(0); id < 24; id++ {
+			inA, inB := in(a, id), in(b, id)
+			switch {
+			case a.Contains(id) != inA,
+				in(a.Intersect(b), id) != (inA && inB),
+				in(a.Diff(b), id) != (inA && !inB),
+				in(a.Union(b), id) != (inA || inB),
+				in(a.Add(x), id) != (inA || (id == x && x.Valid())),
+				in(a.Remove(x), id) != (inA && id != x):
+				return false
+			}
+			subset = subset && (!inA || inB)
+			equal = equal && inA == inB
+		}
+		for _, s := range []Set{a.Intersect(b), a.Diff(b), a.Union(b), a.Add(x), a.Remove(x)} {
+			m := s.Members()
+			for i := 1; i < len(m); i++ {
+				if m[i-1] >= m[i] {
+					return false // not strictly ascending
+				}
+			}
+		}
+		return a.Subset(b) == subset && a.Equal(b) == equal
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAllocationCeilings(t *testing.T) {
+	// What a protocol step pays per set operation (DESIGN.md §3, "What a
+	// step may cache"): nothing to ask, one slice for a result that is a new
+	// set, nothing for a result that is one of the operands.
+	s, sub, other := Range(1, 8), NewSet(2, 3, 5), NewSet(2, 9)
+	var sink Set
+	var found bool
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		op      func()
+	}{
+		{"Contains", 0, func() { found = s.Contains(5) }},
+		{"Equal", 0, func() { found = s.Equal(sub) }},
+		{"Subset", 0, func() { found = sub.Subset(s) }},
+		{"Add (present)", 0, func() { sink = s.Add(5) }},
+		{"Add (new)", 1, func() { sink = s.Add(12) }},
+		{"Remove", 1, func() { sink = s.Remove(5) }},
+		{"Filter", 1, func() { sink = s.Filter(func(id ID) bool { return id > 3 }) }},
+		{"Intersect (nested)", 0, func() { sink = s.Intersect(sub) }},
+		{"Intersect (overlapping)", 1, func() { sink = s.Intersect(other) }},
+		{"Diff (nothing left)", 0, func() { sink = sub.Diff(s) }},
+		{"Diff (something left)", 1, func() { sink = s.Diff(sub) }},
+		{"Union", 1, func() { sink = s.Union(other) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.op); got > c.ceiling {
+			t.Errorf("%s allocates %.0f objects per call, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+	_, _ = sink, found
+}

@@ -1,7 +1,7 @@
 package label
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -49,6 +49,15 @@ type Store struct {
 	max     map[ids.ID]Pair // max[j]: last pair received from member j; max[self] is the local maximum
 	maxSet  map[ids.ID]bool
 	queues  map[ids.ID][]Pair // storedLabels[creator], front = most recent
+	// maxOrd and queueOrd cache maxOrder() and queueOrder(): pure functions
+	// of which max entries are set and which queues exist. setMax, setQueue
+	// and the two places that replace a map whole are the only writers of
+	// those key sets, and each clears the flag it may have outdated
+	// (DESIGN.md §3, "What a step may cache").
+	maxOrd, queueOrd     []ids.ID
+	maxOrdOK, queueOrdOK bool
+	// legit is Receive's scratch list of the legit max[] labels.
+	legit   []Label
 	metrics Metrics
 }
 
@@ -75,6 +84,7 @@ func (s *Store) Members() ids.Set { return s.members }
 func (s *Store) Rebuild(members ids.Set) {
 	s.members = members
 	s.queues = make(map[ids.ID][]Pair, members.Size())
+	s.queueOrdOK = false
 	newMax := make(map[ids.ID]Pair, members.Size())
 	newSet := make(map[ids.ID]bool, members.Size())
 	for j, p := range s.max {
@@ -88,6 +98,7 @@ func (s *Store) Rebuild(members ids.Set) {
 		newSet[j] = true
 	}
 	s.max, s.maxSet = newMax, newSet
+	s.maxOrdOK = false
 	// Re-derive the local maximum from what survived (line 14).
 	s.Receive(Pair{}, false, Pair{}, false, s.self)
 }
@@ -116,6 +127,23 @@ func (s *Store) MaxOf(j ids.ID) (Pair, bool) {
 	return p, ok && s.maxSet[j]
 }
 
+// setMax records p as max[j].
+func (s *Store) setMax(j ids.ID, p Pair) {
+	if !s.maxSet[j] {
+		s.maxOrdOK = false
+	}
+	s.max[j] = p
+	s.maxSet[j] = true
+}
+
+// setQueue replaces storedLabels[owner].
+func (s *Store) setQueue(owner ids.ID, q []Pair) {
+	if _, ok := s.queues[owner]; !ok {
+		s.queueOrdOK = false
+	}
+	s.queues[owner] = q
+}
+
 // queueOf returns the stored queue for a creator.
 func (s *Store) queueOf(creator ids.ID) []Pair { return s.queues[creator] }
 
@@ -141,7 +169,7 @@ func (s *Store) addFront(creator ids.ID, p Pair) {
 	if len(out) > limit {
 		out = out[:limit]
 	}
-	s.queues[creator] = out
+	s.setQueue(creator, out)
 }
 
 // staleInfo reports structurally impossible storage: a queue entry whose
@@ -166,13 +194,11 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 	// Lines 18–19: record the sender's maximum; adopt a cancellation of
 	// our own current maximum.
 	if haveSent && s.members.Contains(from) {
-		s.max[from] = sentMax
-		s.maxSet[from] = true
+		s.setMax(from, sentMax)
 	}
 	if haveLast && !lastSent.Legit() {
 		if own, ok := s.LocalMax(); ok && own.ML.Equal(lastSent.ML) {
-			s.max[s.self] = lastSent
-			s.maxSet[s.self] = true
+			s.setMax(s.self, lastSent)
 			s.metrics.Cancellations++
 		}
 	}
@@ -183,6 +209,7 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 	if s.staleInfo() {
 		s.metrics.QueueFlushes++
 		s.queues = make(map[ids.ID][]Pair, s.members.Size())
+		s.queueOrdOK = false
 	}
 	for owner, q := range s.queues {
 		limit := s.opts.QueueCap
@@ -256,39 +283,54 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 
 	// Lines 26–27: adopt the globally maximal legit label, or fall back
 	// to (possibly creating) an own label.
-	var legit []Label
+	legit := s.legit[:0]
 	for _, j := range s.maxOrder() {
 		if p := s.max[j]; p.Legit() {
 			legit = append(legit, p.ML)
 		}
 	}
+	s.legit = legit
 	if m, ok := MaxLegit(legit); ok {
-		s.max[s.self] = Pair{ML: m}
-		s.maxSet[s.self] = true
+		s.setMax(s.self, Pair{ML: m})
 		return
 	}
 	s.useOwnLabel()
 }
 
-// maxOrder returns the identifiers with known max entries, ascending.
+// maxOrder returns the identifiers with known max entries, ascending. The
+// result is shared between calls: callers only read it.
 func (s *Store) maxOrder() []ids.ID {
+	if !s.maxOrdOK {
+		s.maxOrd, s.maxOrdOK = s.computeMaxOrder(), true
+	}
+	return s.maxOrd
+}
+
+func (s *Store) computeMaxOrder() []ids.ID {
 	order := make([]ids.ID, 0, len(s.max))
 	for j := range s.max {
 		if s.maxSet[j] {
 			order = append(order, j)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	return order
 }
 
-// queueOrder returns the queue owners, ascending.
+// queueOrder returns the queue owners, ascending; shared like maxOrder's.
 func (s *Store) queueOrder() []ids.ID {
+	if !s.queueOrdOK {
+		s.queueOrd, s.queueOrdOK = s.computeQueueOrder(), true
+	}
+	return s.queueOrd
+}
+
+func (s *Store) computeQueueOrder() []ids.ID {
 	order := make([]ids.ID, 0, len(s.queues))
 	for j := range s.queues {
 		order = append(order, j)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	return order
 }
 
@@ -307,8 +349,7 @@ func (s *Store) recorded(p Pair) bool {
 func (s *Store) useOwnLabel() {
 	for _, lp := range s.queueOf(s.self) {
 		if lp.Legit() {
-			s.max[s.self] = lp
-			s.maxSet[s.self] = true
+			s.setMax(s.self, lp)
 			return
 		}
 	}
@@ -322,19 +363,17 @@ func (s *Store) useOwnLabel() {
 	s.metrics.Creations++
 	fresh := Pair{ML: NextLabel(s.self, dominate, s.opts.Domain)}
 	s.addFront(s.self, fresh)
-	s.max[s.self] = fresh
-	s.maxSet[s.self] = true
+	s.setMax(s.self, fresh)
 }
 
 // InjectPair force-feeds an arbitrary pair into a queue — the
 // transient-fault hook for the labeling experiments (corrupt labels
 // appearing anywhere in the state).
 func (s *Store) InjectPair(owner ids.ID, p Pair) {
-	s.queues[owner] = append([]Pair{p}, s.queues[owner]...)
+	s.setQueue(owner, append([]Pair{p}, s.queues[owner]...))
 }
 
 // InjectMax force-feeds an arbitrary max[] entry.
 func (s *Store) InjectMax(j ids.ID, p Pair) {
-	s.max[j] = p
-	s.maxSet[j] = true
+	s.setMax(j, p)
 }

@@ -97,6 +97,10 @@ type Network struct {
 	nodes map[ids.ID]*nodeState
 	links map[linkKey]*linkState
 	stats Stats
+	// alive caches Alive() between AddNode/Crash calls, the only two that
+	// change it: run-until predicates ask after every scheduler step.
+	alive      ids.Set
+	aliveValid bool
 }
 
 // New creates a network driven by sched.
@@ -140,6 +144,7 @@ func (n *Network) AddNode(id ids.ID, h Handler) error {
 		}
 	})
 	n.nodes[id] = ns
+	n.aliveValid = false
 	return nil
 }
 
@@ -152,6 +157,7 @@ func (n *Network) Crash(id ids.ID) {
 		return
 	}
 	ns.crashed = true
+	n.aliveValid = false
 	ns.stop()
 }
 
@@ -163,14 +169,18 @@ func (n *Network) Crashed(id ids.ID) bool {
 
 // Alive returns the identifiers of non-crashed registered nodes.
 func (n *Network) Alive() ids.Set {
-	out := ids.Set{}
-	//repolint:allow determinism -- set insertion is commutative; the resulting ids.Set is identical for every iteration order
+	if n.aliveValid {
+		return n.alive
+	}
+	members := make([]ids.ID, 0, len(n.nodes))
+	//repolint:allow determinism -- ids.NewSet sorts; the resulting set is identical for every iteration order
 	for id, ns := range n.nodes {
 		if !ns.crashed {
-			out = out.Add(id)
+			members = append(members, id)
 		}
 	}
-	return out
+	n.alive, n.aliveValid = ids.NewSet(members...), true
+	return n.alive
 }
 
 // SetCut severs (or restores) both directions between a and b. Packets in a

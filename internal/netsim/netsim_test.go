@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/ids"
@@ -211,5 +212,30 @@ func TestStatsAccounting(t *testing.T) {
 	st := net.Stats()
 	if st.Sent != 5 || st.Delivered != 5 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestAliveFollowsAddNodeAndCrash(t *testing.T) {
+	// Alive() is cached between the two calls that change it; after any
+	// interleaving of them it is the set of registered, non-crashed nodes.
+	rng := rand.New(rand.NewSource(7))
+	net := New(sim.NewScheduler(1), reliable())
+	want := ids.Set{}
+	if !net.Alive().Empty() {
+		t.Fatalf("empty network has alive nodes %v", net.Alive())
+	}
+	for step := 0; step < 200; step++ {
+		id := ids.ID(1 + rng.Intn(12))
+		if rng.Intn(3) > 0 {
+			if err := net.AddNode(id, &recorder{}); err == nil {
+				want = want.Add(id)
+			} // a duplicate registration changes nothing, a crashed node stays crashed
+		} else {
+			net.Crash(id)
+			want = want.Remove(id)
+		}
+		if got := net.Alive(); !got.Equal(want) {
+			t.Fatalf("step %d: Alive() = %v, want %v", step, got, want)
+		}
 	}
 }

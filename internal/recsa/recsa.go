@@ -2,7 +2,7 @@ package recsa
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -65,8 +65,31 @@ type RecSA struct {
 	// the cycle can re-run to a joint completion.
 	stuckSteps int
 
+	// memo caches what the layers above ask for many times between two
+	// changes of this processor's state (DESIGN.md §3, "What a step may
+	// cache").
+	memo derived
+
 	metrics Metrics
 }
+
+// derived holds the values of participants, NoReco and chsConfig for one
+// trusted set and the config, prp and stored views as they are now: pure
+// functions of exactly that. The trusted set is the failure detector's, so
+// it is compared on every read; every method that writes config, prp or a
+// view — Step, HandleMessage, Estab, Participate, CorruptState — calls
+// invalidate.
+type derived struct {
+	ok   bool    // part belongs to fd and the present state
+	fd   ids.Set // FD[i] ∪ {self} the values were computed for
+	part ids.Set
+
+	noRecoOK, noReco bool
+	chsOK            bool
+	chs              Config
+}
+
+func (r *RecSA) invalidate() { r.memo = derived{} }
 
 // New constructs the layer for processor self. initial is the starting
 // config value: ConfigOf(...) for a coherent start, Bottom() to bootstrap
@@ -127,6 +150,13 @@ func (r *RecSA) trustedSet() ids.Set {
 // received-evidence requirement a silent joiner would be mistaken for a
 // participant after a brute-force install, deadlocking noReco().
 func (r *RecSA) participants(fdSet ids.Set) ids.Set {
+	if !r.memo.ok || !r.memo.fd.Equal(fdSet) {
+		r.memo = derived{ok: true, fd: fdSet, part: r.computeParticipants(fdSet)}
+	}
+	return r.memo.part
+}
+
+func (r *RecSA) computeParticipants(fdSet ids.Set) ids.Set {
 	return fdSet.Filter(func(j ids.ID) bool {
 		if j == r.self {
 			return r.config.IsParticipant()
@@ -202,25 +232,26 @@ func (r *RecSA) maxNtf(part ids.Set) (Notification, bool) {
 	return best, found
 }
 
-// distinctProperConfigs collects the distinct proper (non-], non-⊥)
-// configuration sets among the trusted processors, and reports whether any
-// trusted processor holds ⊥.
-func (r *RecSA) distinctProperConfigs(fdSet ids.Set) (distinct []ids.Set, anyBottom bool) {
+// properConfigs surveys the proper (non-], non-⊥) configuration sets held
+// by the trusted processors: the first one met in identifier order, whether
+// there are none, one or several distinct ones (n is 0, 1 or 2 — no caller
+// distinguishes two from more), and whether any trusted processor holds ⊥.
+func (r *RecSA) properConfigs(fdSet ids.Set) (first ids.Set, n int, anyBottom bool) {
 	fdSet.Each(func(k ids.ID) {
 		c := r.configOf(k)
 		switch c.Kind {
 		case KindBottom:
 			anyBottom = true
 		case KindSet:
-			for _, d := range distinct {
-				if d.Equal(c.Set) {
-					return
-				}
+			switch {
+			case n == 0:
+				first, n = c.Set, 1
+			case !first.Equal(c.Set):
+				n = 2
 			}
-			distinct = append(distinct, c.Set)
 		}
 	})
-	return distinct, anyBottom
+	return first, n, anyBottom
 }
 
 // configSet is the paper's configSet(val) macro: overwrite every local
@@ -299,7 +330,11 @@ func (r *RecSA) allSeenFull(part ids.Set) bool {
 func (r *RecSA) Step() {
 	fdSet := r.trustedSet()
 	part := r.participants(fdSet)
+	r.step(fdSet, part)
+	r.invalidate()
+}
 
+func (r *RecSA) step(fdSet, part ids.Set) {
 	r.cleanNonParticipants(part)
 	r.cleanType1(part)
 	if r.detectStale(fdSet, part) {
@@ -307,7 +342,7 @@ func (r *RecSA) Step() {
 		// A reset empties the notification state; fall through to the
 		// brute-force branch below with recomputed participants (every
 		// trusted entry now holds ⊥, hence everyone is a participant).
-		part = r.participants(fdSet)
+		part = r.computeParticipants(fdSet)
 	}
 
 	if _, hasNtf := r.maxNtf(part); !hasNtf || r.config.Kind == KindBottom {
@@ -494,8 +529,7 @@ func (r *RecSA) detectStale(fdSet, part ids.Set) bool {
 // bruteForce is the no-notification branch (lines 25–26): nullify on
 // conflict, and complete a reset once the membership view is uniform.
 func (r *RecSA) bruteForce(fdSet, part ids.Set) {
-	distinct, _ := r.distinctProperConfigs(fdSet)
-	if len(distinct) > 1 {
+	if _, n, _ := r.properConfigs(fdSet); n > 1 {
 		r.reset()
 		return
 	}
@@ -633,16 +667,21 @@ func (r *RecSA) delicate(part ids.Set) {
 // (excluding ]), or Bottom when there is none (the complete-collapse case,
 // which starts a reset when adopted).
 func (r *RecSA) chsConfig() Config {
-	distinct, anyBottom := r.distinctProperConfigs(r.trustedSet())
+	fdSet := r.trustedSet()
+	r.participants(fdSet) // the memo now belongs to fdSet
+	if !r.memo.chsOK {
+		r.memo.chs, r.memo.chsOK = r.computeChsConfig(fdSet), true
+	}
+	return r.memo.chs
+}
+
+func (r *RecSA) computeChsConfig(fdSet ids.Set) Config {
+	first, n, anyBottom := r.properConfigs(fdSet)
 	switch {
-	case len(distinct) == 1 && !anyBottom:
-		return ConfigOf(distinct[0])
-	case anyBottom:
+	case anyBottom || n == 0:
 		return Bottom()
-	case len(distinct) > 0:
-		return ConfigOf(distinct[0])
 	default:
-		return Bottom()
+		return ConfigOf(first)
 	}
 }
 
@@ -654,15 +693,21 @@ func (r *RecSA) chsConfig() Config {
 func (r *RecSA) NoReco() bool {
 	fdSet := r.trustedSet()
 	part := r.participants(fdSet)
+	if !r.memo.noRecoOK {
+		r.memo.noReco, r.memo.noRecoOK = r.computeNoReco(fdSet, part), true
+	}
+	return r.memo.noReco
+}
 
+func (r *RecSA) computeNoReco(fdSet, part ids.Set) bool {
 	if !r.prp.IsDefault() {
 		return false
 	}
-	distinct, anyBottom := r.distinctProperConfigs(fdSet)
-	if anyBottom || len(distinct) != 1 {
+	only, n, anyBottom := r.properConfigs(fdSet)
+	if anyBottom || n != 1 {
 		return false
 	}
-	if distinct[0].Intersect(part).Empty() {
+	if only.Intersect(part).Empty() {
 		// The quorum configuration must contain at least one active
 		// participant (otherwise either the configuration collapsed —
 		// type-4 — or this processor simply has not heard from the
@@ -731,6 +776,7 @@ func (r *RecSA) Estab(set ids.Set) bool {
 	r.prp = Notification{Phase: 1, HasSet: true, Set: set}
 	r.all = false
 	r.allSeen = make(map[ids.ID]bool)
+	r.invalidate()
 	return true
 }
 
@@ -743,6 +789,7 @@ func (r *RecSA) Participate() bool {
 	}
 	r.metrics.ParticipateOK++
 	r.config = r.chsConfig()
+	r.invalidate()
 	return true
 }
 
@@ -775,6 +822,7 @@ func (r *RecSA) HandleMessage(from ids.ID, m Message) {
 	if from == r.self || !from.Valid() {
 		return
 	}
+	r.invalidate()
 	v := r.view(from)
 	v.FD = m.FD
 	v.FDKnown = true
@@ -789,6 +837,7 @@ func (r *RecSA) HandleMessage(from ids.ID, m Message) {
 // injection hook for the stabilization experiments. universe bounds the
 // identifiers that corrupted sets may mention.
 func (r *RecSA) CorruptState(rng *rand.Rand, universe ids.Set) {
+	r.invalidate()
 	randomSet := func() ids.Set {
 		out := ids.Set{}
 		universe.Each(func(id ids.ID) {
@@ -833,7 +882,7 @@ func (r *RecSA) CorruptState(rng *rand.Rand, universe ids.Set) {
 	for k := range r.views {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, k := range order {
 		v := r.views[k]
 		v.Config = randomConfig()

@@ -13,7 +13,7 @@
 package regmem
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -330,7 +330,7 @@ func (s *SharedMemory) Deliver(r vs.Round) {
 	for m := range r.Inputs {
 		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	for _, m := range members {
 		s.deliverInput(r.Inputs[m])
 	}

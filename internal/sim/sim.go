@@ -11,10 +11,7 @@
 // reproducible from its seed.
 package sim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Time is a virtual timestamp. The unit is arbitrary ("ticks"); only the
 // relative order of events matters to the protocols.
@@ -26,27 +23,58 @@ type event struct {
 	seq uint64 // insertion order, breaks timestamp ties deterministically
 	fn  func()
 	// canceled events stay in the heap but are skipped when popped.
-	canceled *bool
+	canceled bool
 }
 
+// before orders events by timestamp, then insertion: a total order, so the
+// sequence of pops does not depend on how the heap happens to be laid out.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap on before. Every packet in flight is an
+// event, and every scheduler step is a pop, so the sifts are written out
+// rather than reached through container/heap's interface.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(e *event) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
 }
 
 // Scheduler is a deterministic virtual-time event loop. The zero value is
@@ -78,16 +106,23 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Cancel revokes a scheduled event. It is returned by At/After.
 type Cancel func()
 
-// At schedules fn to run at absolute time t (clamped to now).
+// At schedules fn to run at absolute time t (clamped to now). It and After
+// are small enough to inline, so a caller that drops the Cancel — every
+// packet delivery does — never builds it.
 func (s *Scheduler) At(t Time, fn func()) Cancel {
+	return s.schedule(t, fn).cancel
+}
+
+func (e *event) cancel() { e.canceled = true }
+
+func (s *Scheduler) schedule(t Time, fn func()) *event {
 	if t < s.now {
 		t = s.now
 	}
-	canceled := false
-	e := &event{at: t, seq: s.seq, fn: fn, canceled: &canceled}
+	e := &event{at: t, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, e)
-	return func() { canceled = true }
+	s.queue.push(e)
+	return e
 }
 
 // After schedules fn to run d ticks from now.
@@ -101,25 +136,24 @@ func (s *Scheduler) After(d Time, fn func()) Cancel {
 // nodes from running in lock-step). Returns a Cancel that stops the series.
 func (s *Scheduler) Every(first, interval, jitter Time, fn func()) Cancel {
 	stopped := false
-	var arm func(at Time)
-	arm = func(at Time) {
-		s.At(at, func() {
-			if stopped {
-				return
-			}
-			fn()
-			next := s.now + interval
-			if jitter > 0 {
-				next += Time(s.rng.Int63n(int64(jitter) + 1))
-			}
-			arm(next)
-		})
+	// One closure for the whole series: a firing costs its event only.
+	var fire func()
+	fire = func() {
+		if stopped {
+			return
+		}
+		fn()
+		next := s.now + interval
+		if jitter > 0 {
+			next += Time(s.rng.Int63n(int64(jitter) + 1))
+		}
+		s.schedule(next, fire)
 	}
 	first += s.now
 	if jitter > 0 {
 		first += Time(s.rng.Int63n(int64(jitter) + 1))
 	}
-	arm(first)
+	s.schedule(first, fire)
 	return func() { stopped = true }
 }
 
@@ -130,8 +164,8 @@ func (s *Scheduler) Halt() { s.halted = true }
 // exhausted.
 func (s *Scheduler) step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		if *e.canceled {
+		e := s.queue.pop()
+		if e.canceled {
 			continue
 		}
 		s.now = e.at

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -186,4 +189,61 @@ func TestPastEventClamped(t *testing.T) {
 		})
 	})
 	s.RunUntil(100)
+}
+
+func TestScheduleAllocationCeilings(t *testing.T) {
+	// Every packet in flight is one After whose Cancel is dropped: the event
+	// is the only object it may cost (the flag it is canceled by lives in
+	// the event, and the dropped Cancel is never built). A kept Cancel is
+	// one more.
+	s := NewScheduler(1)
+	fn := func() {}
+	drain := func() { s.RunUntil(s.Now() + 10) }
+	for i := 0; i < 256; i++ {
+		s.After(5, fn) // grow the queue once, outside the measurement
+	}
+	drain()
+	if got := testing.AllocsPerRun(200, func() { s.After(5, fn) }); got > 1 {
+		t.Errorf("After with its Cancel dropped allocates %.0f objects, ceiling 1", got)
+	}
+	drain()
+	var keep Cancel
+	if got := testing.AllocsPerRun(200, func() { keep = s.At(s.Now()+5, fn) }); got > 2 {
+		t.Errorf("At with its Cancel kept allocates %.0f objects, ceiling 2", got)
+	}
+	keep()
+	drain()
+	if s.Pending() != 0 {
+		t.Fatalf("%d events left after the drain", s.Pending())
+	}
+}
+
+func TestQuickPopOrderIsTimeThenInsertion(t *testing.T) {
+	// The queue is a hand-written heap: whatever is scheduled, in whatever
+	// order, with whatever canceled, runs by timestamp and, within one
+	// timestamp, in insertion order.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(1)
+		type stamp struct {
+			at  Time
+			seq int
+		}
+		var ran, want []stamp
+		for i := 0; i < 200; i++ {
+			st := stamp{at: Time(rng.Intn(20)), seq: i}
+			cancel := s.At(st.at, func() { ran = append(ran, st) })
+			if rng.Intn(5) == 0 {
+				cancel()
+			} else {
+				want = append(want, st)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b stamp) int { return int(a.at - b.at) })
+		s.RunUntil(100)
+		return slices.Equal(ran, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }

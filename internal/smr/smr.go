@@ -8,7 +8,7 @@ package smr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/vs"
@@ -121,7 +121,7 @@ func (r *Replica) Apply(state any, round vs.Round) any {
 	for m := range round.Inputs {
 		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	for _, m := range members {
 		for _, cmd := range Commands(round.Inputs[m]) {
 			state = r.sm.Apply(state, cmd)
@@ -176,7 +176,7 @@ func (r *Replica) Deliver(round vs.Round) {
 	for m := range round.Inputs {
 		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	for _, m := range members {
 		for _, cmd := range Commands(round.Inputs[m]) {
 			r.log = append(r.log, Applied{

@@ -1356,4 +1356,62 @@ func Run(t *testing.T, b Backend) {
 			t.Fatal("cross-shard writes not visible on every node")
 		}
 	})
+
+	t.Run("SharedSnapshot", func(t *testing.T) {
+		// One step publishes one replica record, one recMA message and one
+		// gossip payload, and every peer's envelope carries those same
+		// objects (DESIGN.md §3, "What a step may cache"). simnet and inproc
+		// hand a payload over by reference, so the sender's outbox and two
+		// receivers — each on its own goroutine on inproc — then hold one
+		// record, and each receiver stores it without a copy. Writes at
+		// every node at once keep every round loaded, so all that reads a
+		// stored record runs (follow, adopt, the rounds handed to the
+		// application); nothing may write through it. Under -race the
+		// detector is the check on inproc; on every backend the registers
+		// must come out the same everywhere.
+		const n, rounds = 3, 25
+		opts := transport.Options{
+			Capacity:   32,
+			MaxDelay:   time.Millisecond,
+			TickEvery:  time.Millisecond,
+			TickJitter: time.Millisecond,
+		}
+		h := b.New(t, 17, opts, universe)
+		defer h.Net.Close()
+		all := ids.Range(1, n)
+		_, mems, _ := registerCluster(t, h, h.Net, all, nil)
+		for r := 0; r < rounds; r++ {
+			handles := make(map[ids.ID]*regmem.Handle)
+			all.Each(func(i ids.ID) {
+				if !h.Net.Inspect(i, func() {
+					handles[i] = mems[i].Write(fmt.Sprintf("r%v", i), fmt.Sprintf("%v-%d", i, r))
+				}) {
+					t.Fatalf("Inspect(%v) failed", i)
+				}
+			})
+			if !await(h, 60*time.Second, func() bool {
+				for _, hnd := range handles {
+					if !hnd.Done() {
+						return false
+					}
+				}
+				return true
+			}) {
+				t.Fatalf("round %d of concurrent writes never completed", r)
+			}
+		}
+		if !await(h, 60*time.Second, func() bool {
+			for _, at := range all.Members() {
+				for _, of := range all.Members() {
+					v := inspected(t, h, at, func() string { v, _ := mems[at].Read(fmt.Sprintf("r%v", of)); return v })
+					if v != fmt.Sprintf("%v-%d", of, rounds-1) {
+						return false
+					}
+				}
+			}
+			return true
+		}) {
+			t.Fatal("the last writes are not visible on every node")
+		}
+	})
 }

@@ -43,6 +43,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/counter"
@@ -251,7 +252,7 @@ func appendIDAnyMap(dst []byte, m map[ids.ID]any) (out []byte, err error) {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
 	for _, k := range keys {
 		dst = appendZigzag(dst, int64(k))

@@ -15,6 +15,9 @@ type EvalConf func(cur ids.Set, trusted ids.Set) bool
 
 // Payload is the VS application's envelope payload: the replica state
 // exchange of Algorithm 4.7 plus the piggybacked counter-service payload.
+// The record behind Replica is published once per iteration and shared by
+// every payload of that iteration (Manager.published): nobody writes
+// through the pointer, or into the record's Inputs map, after it was sent.
 type Payload struct {
 	Replica *Replica
 	Counter any
@@ -44,6 +47,14 @@ type Manager struct {
 	// dirty: a record the next iteration reads changed, in a field it
 	// gates on, since the last iteration ran (receipt-driven steps).
 	dirty bool
+	// published is rep as the last iteration left it, in the form peers
+	// get it: cloned by the first Outgoing after that iteration and
+	// immutable from then on. Every envelope of the step carries this one
+	// record, the node's outbox holds it until the next step, and on a
+	// medium that passes payloads by reference each receiver stores it as
+	// it is (HandleApp). Tick and Restore, the only writers of rep, reset
+	// it to nil.
+	published *Replica
 
 	metrics metricsCounters
 }
@@ -80,7 +91,10 @@ func (m *Manager) Replica() Replica { return m.rep.clone() }
 // ticking, then installs it here so the recovering replica rejoins with
 // its last durable state instead of InitState — no full state transfer
 // from a peer required.
-func (m *Manager) Restore(state any) { m.rep.State = state }
+func (m *Manager) Restore(state any) {
+	m.rep.State = state
+	m.published = nil
+}
 
 // notifyAdopted fires the optional StateAdopter hook after the replica
 // state was replaced by a remote record's state.
@@ -166,6 +180,7 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 // loop for a participant.
 func (m *Manager) Tick(n *core.Node) {
 	m.dirty = false
+	m.published = nil
 	m.ctr.Tick(n)
 	if !n.IsParticipant() {
 		return
@@ -609,17 +624,20 @@ func (m *Manager) deliverOnce(round Round) {
 func (m *Manager) Outgoing(to ids.ID, n *core.Node) any {
 	p := Payload{Counter: m.ctr.Outgoing(to, n)}
 	if n.IsParticipant() {
-		rep := m.rep.clone()
-		// A follower's multicast-phase state is never consumed by any
-		// peer: the coordinator gates rounds on Status/Rnd echoes only,
-		// and synchState draws from propose-phase records (which carry
-		// state). Omitting it cuts the steady-state gossip from
-		// O(registers) to O(1) per follower per tick — the monolithic
-		// full-state transfer survives only where it is actually needed.
-		if rep.Status == StatusMulticast && rep.Crd != m.self {
-			rep.State = nil
+		if m.published == nil {
+			rep := m.rep.clone()
+			// A follower's multicast-phase state is never consumed by any
+			// peer: the coordinator gates rounds on Status/Rnd echoes only,
+			// and synchState draws from propose-phase records (which carry
+			// state). Omitting it cuts the steady-state gossip from
+			// O(registers) to O(1) per follower per tick — the monolithic
+			// full-state transfer survives only where it is actually needed.
+			if rep.Status == StatusMulticast && rep.Crd != m.self {
+				rep.State = nil
+			}
+			m.published = &rep
 		}
-		p.Replica = &rep
+		p.Replica = m.published
 	}
 	if p.Replica == nil && p.Counter == nil {
 		return nil
@@ -640,6 +658,9 @@ func (m *Manager) HandleApp(from ids.ID, payload any, n *core.Node) {
 		if old, ok := m.views[from]; !ok || !old.sameGate(*p.Replica) {
 			m.dirty = true
 		}
-		m.views[from] = p.Replica.clone()
+		// No clone: a stored record is only ever read, and copied before
+		// anything derived from it is written (adopt, synchState, the
+		// rounds handed to the application).
+		m.views[from] = *p.Replica
 	}
 }
