@@ -9,7 +9,7 @@
 //
 //	noded -id 1 -peers "1=127.0.0.1:7101,2=127.0.0.1:7102,..." \
 //	      -http 127.0.0.1:8101 [-members 1,2,3] [-join-timeout 60s] [-seed 1] [-shards 4] \
-//	      [-batch 16] [-window 4] [-adaptive-batch] [-wire-version 2] \
+//	      [-batch 16] [-window 4] [-adaptive-batch] \
 //	      [-loss 0.02] [-dup 0.01] [-tick 2ms] \
 //	      [-data-dir /var/lib/noded-1] [-fsync always|snapshot] [-snap-every 1024] \
 //	      [-log-level info] [-log-format text|json] [-pprof]
@@ -43,10 +43,9 @@
 // cycles stay in flight per link (pipelining, DESIGN.md §14), and
 // -adaptive-batch sizes each batch from an EWMA of the observed queue
 // depth instead of the static bound. All three knobs must be uniform
-// across the cluster. -wire-version writes an older wire-format version
-// during rolling upgrades (readers always accept the full range);
-// current-version streams encode hot DATA packets with the compact
-// binary fast path.
+// across the cluster. Nodes speak one wire format (transport/wire) and
+// refuse a peer running any other at connect time, so a cluster is
+// upgraded whole, not node by node.
 //
 // The HTTP surface is the versioned /v1 contract defined in
 // repro/pkg/api (typed documents, uniform JSON error envelope); the
@@ -123,7 +122,6 @@ func runDaemon(args []string) error {
 		batch    = fs.Int("batch", 1, "hot-path batch bound: payloads per datalink token and commands per round (cluster-uniform; 1 = unbatched)")
 		window   = fs.Int("window", 1, "pipelined datalink window: in-flight token cycles per link (cluster-uniform; 1 = stop-and-wait)")
 		adaptive = fs.Bool("adaptive-batch", false, "size hot-path batches from an EWMA of queue depth instead of the static -batch bound")
-		wireVer  = fs.Int("wire-version", 0, "wire-format version to write (0 = current; older accepted versions serve not-yet-upgraded peers)")
 		maxN     = fs.Int("maxn", 16, "system bound N (failure detector sizing)")
 		opTO     = fs.Duration("op-timeout", 30*time.Second, "write/sync-read completion deadline")
 		dataDir  = fs.String("data-dir", "", "durable storage directory (per-shard WAL + snapshots; empty = in-memory only)")
@@ -161,29 +159,6 @@ func runDaemon(args []string) error {
 		return err
 	}
 
-	if *wireVer < 0 || *wireVer > wire.Version {
-		return fmt.Errorf("-wire-version %d outside supported range 0..%d", *wireVer, wire.Version)
-	}
-	if *wireVer == 1 && *shards > 1 {
-		// The version-1 schema has no shard field: every shard >= 1
-		// payload would be silently dropped and those shards would
-		// never serve. Refuse the combination outright.
-		return fmt.Errorf("-wire-version 1 cannot carry -shards %d (no shard field before version 2); use -shards 1 or -wire-version >= 2", *shards)
-	}
-	if *wireVer != 0 && *wireVer < 5 && (*batch > 1 || *window > 1) {
-		// The binary fast path only exists on version-5 streams; batched
-		// and pipelined hot paths still work over gob framing, just
-		// without the codec savings — worth a note, not a refusal.
-		logger.Warn("wire version predates the binary fast path; hot-path packets fall back to gob",
-			"batch", *batch, "window", *window, "wire_version", *wireVer)
-	}
-	if *wireVer != 0 && *wireVer < 3 && *batch > 1 {
-		// Batches collapse to their freshest payload on a <= 2 stream;
-		// commands still flow (they ride inside the freshest envelope),
-		// so this degrades throughput rather than correctness — warn.
-		logger.Warn("outbound batches collapse to their freshest payload; prefer -batch 1 during mixed-version operation",
-			"batch", *batch, "wire_version", *wireVer)
-	}
 	cfg := tcp.Config{
 		Addrs: book,
 		// Decorrelate per-process randomness while keeping runs
@@ -196,7 +171,6 @@ func runDaemon(args []string) error {
 			TickEvery:  *tick,
 			TickJitter: *jitter,
 		},
-		WireVersion: byte(*wireVer),
 	}
 	// Transport diagnostics flow through the structured logger: always
 	// at debug (visible with -log-level debug), promoted to info by -v.
@@ -263,10 +237,6 @@ func runDaemon(args []string) error {
 		logger.Error("client API listen failed", "id", int(self), "addr", *httpAddr, "err", err)
 		return fmt.Errorf("client API listen: %w", err)
 	}
-	effWire := *wireVer
-	if effWire == 0 {
-		effWire = wire.Version
-	}
 	logger.Info("noded started",
 		"id", int(self),
 		"transport", book[self],
@@ -276,7 +246,6 @@ func runDaemon(args []string) error {
 		"batch", *batch,
 		"window", *window,
 		"adaptive_batch", *adaptive,
-		"wire_version", effWire,
 		"data_dir", *dataDir,
 		"fsync", fsync.String(),
 		"snap_every", *snapEv,

@@ -4,9 +4,8 @@
 // the repository-specific analyzers that mechanize invariants earlier
 // PRs could only pin with one-off tests:
 //
-//   - explicitpresence — wire message structs carry HasX presence
-//     booleans instead of pointers, and the binary codec never encodes
-//     a raw map length (the PR 8 empty→nil Inputs regression).
+//   - explicitpresence — the binary wire codec never encodes a raw map
+//     length (the PR 8 empty→nil Inputs regression).
 //   - determinism — no wall clock, global math/rand, environment reads,
 //     or unordered map iteration feeding output in the packages whose
 //     seed-42 outputs must stay byte-identical.

@@ -3,31 +3,21 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
-// ExplicitPresence mechanizes the wire-schema presence contract
-// (DESIGN.md §8, §14) in packages named "wire":
-//
-//  1. Exported message structs never carry pointer fields — gob omits
-//     zero values, so a pointer to a zero value decodes as nil and
-//     silently changes protocol semantics. Every struct-, slice- or
-//     map-typed exported field X must instead have a paired
-//     "HasX bool" presence field ("any" slots are exempt: a nil
-//     interface round-trips unambiguously).
-//  2. The hand-rolled binary codec never encodes a raw map length as
-//     its on-wire discriminant, and never branches on len() of a map:
-//     both collapse the nil/empty distinction the vs layer keys
-//     behavior off — the exact PR 8 Inputs regression, where an
-//     assembled-but-empty round arrived as a nil map and downgraded
-//     every incremental adoption to a wholesale one. Encode presence
-//     explicitly (0 = nil, n+1 = n entries) and branch on == nil.
+// ExplicitPresence mechanizes the wire codec's map presence contract
+// (DESIGN.md §8) in packages named "wire": the hand-rolled binary codec
+// never encodes a raw map length as its on-wire discriminant, and never
+// branches on len() of a map. Both collapse the nil/empty distinction
+// the vs layer keys behavior off — the exact PR 8 Inputs regression,
+// where an assembled-but-empty round arrived as a nil map and downgraded
+// every incremental adoption to a wholesale one. Encode presence
+// explicitly (0 = nil, n+1 = n entries) and branch on == nil.
 var ExplicitPresence = &Analyzer{
 	Name: "explicitpresence",
-	Doc: "wire message structs pair nilable fields with HasX presence booleans; " +
-		"the binary codec keeps the map nil/empty distinction explicit",
-	Run: runExplicitPresence,
+	Doc:  "the binary wire codec keeps the map nil/empty distinction explicit",
+	Run:  runExplicitPresence,
 }
 
 // encodeCallNames marks callees whose arguments end up on the wire; a
@@ -47,78 +37,13 @@ func runExplicitPresence(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		checkPresencePairs(pass, f)
 		checkMapLenEncoding(pass, f)
 	}
 	return nil
 }
 
-// checkPresencePairs enforces rule 1 on every exported struct type.
-func checkPresencePairs(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || !ts.Name.IsExported() {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		names := map[string]bool{}
-		for _, fld := range st.Fields.List {
-			for _, name := range fld.Names {
-				names[name.Name] = true
-			}
-		}
-		for _, fld := range st.Fields.List {
-			for _, name := range fld.Names {
-				if !name.IsExported() {
-					continue
-				}
-				t := pass.TypesInfo.TypeOf(fld.Type)
-				if t == nil {
-					continue
-				}
-				switch t.Underlying().(type) {
-				case *types.Pointer:
-					pass.Reportf(name.Pos(),
-						"wire message field %s.%s is a pointer: gob elides zero values, so &zero decodes as nil; use a value field with a Has%s bool",
-						ts.Name.Name, name.Name, name.Name)
-				case *types.Struct, *types.Slice, *types.Map:
-					if strings.HasPrefix(name.Name, "Has") || names["Has"+name.Name] {
-						continue
-					}
-					if isScalarish(t) {
-						continue
-					}
-					pass.Reportf(name.Pos(),
-						"wire message field %s.%s has no Has%s bool presence field: absent and zero-valued are indistinguishable after gob",
-						ts.Name.Name, name.Name, name.Name)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isScalarish exempts named types that are really value scalars on the
-// wire (ids.Set is a map but ships through its own validating
-// MarshalBinary, so presence pairing does not apply to it).
-func isScalarish(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == "MarshalBinary" {
-			return true
-		}
-	}
-	return false
-}
-
-// checkMapLenEncoding enforces rule 2: no raw map len() as an encode
-// argument, no branching on len() of a map.
+// checkMapLenEncoding reports a raw map len() as an encode argument and
+// branching on len() of a map.
 func checkMapLenEncoding(pass *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {

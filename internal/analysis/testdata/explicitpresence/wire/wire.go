@@ -1,46 +1,9 @@
-// Package wire is an explicitpresence fixture: the bad declarations and
-// encoders reproduce the PR 8 Inputs regression shape; the good ones
-// mirror the real codec's presence discipline.
+// Package wire is an explicitpresence fixture: the bad encoder
+// reproduces the PR 8 Inputs regression shape; the good one mirrors the
+// real codec's presence discipline.
 package wire
 
 import "sort"
-
-// Env stands in for a nested payload struct.
-type Env struct {
-	X int
-	Y string
-}
-
-// Good pairs every nilable field with a presence boolean; interface
-// slots round-trip unambiguously and are exempt.
-type Good struct {
-	HasEnv   bool
-	Env      Env
-	Raw      any
-	HasItems bool
-	Items    []int
-}
-
-// Set is a map on the wire but ships through its own validating
-// marshaler, so it counts as a scalar and needs no presence pair.
-type Set map[string]bool
-
-// MarshalBinary makes Set self-describing on the wire.
-func (s Set) MarshalBinary() ([]byte, error) { return nil, nil }
-
-// WithSet holds a self-marshaling scalar; no presence pair required.
-type WithSet struct {
-	Members Set
-}
-
-// Bad drops the presence booleans and leans on pointers — both lose the
-// absent/zero distinction under gob.
-type Bad struct {
-	Env    Env            // want "has no HasEnv bool presence field"
-	Items  []int          // want "has no HasItems bool presence field"
-	Inputs map[string]int // want "has no HasInputs bool presence field"
-	Ptr    *Env           // want "is a pointer"
-}
 
 func appendUvarint(dst []byte, v uint64) []byte { return append(dst, byte(v)) }
 
@@ -71,9 +34,6 @@ func encodeBad(dst []byte, m map[string]int) []byte {
 }
 
 var (
-	_ = Good{}
-	_ = Bad{}
-	_ = WithSet{}
 	_ = encodeGood
 	_ = encodeBad
 )

@@ -545,36 +545,28 @@ func e13Cell(adaptive bool) func(seed int64, n int) workload.Row {
 }
 
 // e13CodecCell is E13's codec lever, measured without a simulation: the
-// steady-state encoded bytes per payload of one hot DATA packet carrying
-// an N-payload batch of representative envelopes, under the binary fast
-// path and under gob framing (wire.CodecSizes). The numbers are pure
-// functions of the codec — deterministic across runs and machines — and
-// chart how the binary encoding's fixed savings compound as batches
-// amortize the packet header.
-func e13CodecCell(binary bool) func(seed int64, n int) workload.Row {
-	return func(seed int64, n int) workload.Row {
-		batch := make([]any, n)
-		for i := range batch {
-			batch[i] = core.Envelope{
-				App:       fmt.Sprintf("cmd-%03d", i),
-				ShardApps: []core.ShardApp{{Shard: 1, App: fmt.Sprintf("s-%03d", i)}},
-			}
+// encoded bytes per payload of one hot DATA packet carrying an N-payload
+// batch of representative envelopes (wire.EncodedSize). The numbers are
+// pure functions of the codec — deterministic across runs and machines —
+// and chart how batches amortize the packet header.
+func e13CodecCell(seed int64, n int) workload.Row {
+	batch := make([]any, n)
+	for i := range batch {
+		batch[i] = core.Envelope{
+			App:       fmt.Sprintf("cmd-%03d", i),
+			ShardApps: []core.ShardApp{{Shard: 1, App: fmt.Sprintf("s-%03d", i)}},
 		}
-		pkt := datalink.Packet{Kind: datalink.KindData, Session: 7, Seq: 1, Batch: batch}
-		binSize, gobSize, binOK := wire.CodecSizes(wire.NewMsg(1, 2, pkt))
-		size, valid := gobSize, gobSize > 0
-		if binary {
-			size, valid = binSize, binOK
-		}
-		if !valid {
-			return workload.Row{X: n, Note: "encoding failed"}
-		}
-		return workload.Row{
-			X:     n,
-			Y:     float64(size) / float64(n),
-			Valid: true,
-			Note:  fmt.Sprintf("%d bytes for %d payloads", size, n),
-		}
+	}
+	pkt := datalink.Packet{Kind: datalink.KindData, Session: 7, Seq: 1, Batch: batch}
+	size, err := wire.EncodedSize(wire.NewMsg(1, 2, pkt))
+	if err != nil {
+		return workload.Row{X: n, Note: "encoding failed: " + err.Error()}
+	}
+	return workload.Row{
+		X:     n,
+		Y:     float64(size) / float64(n),
+		Valid: true,
+		Note:  fmt.Sprintf("%d bytes for %d payloads", size, n),
 	}
 }
 

@@ -126,16 +126,15 @@ func init() {
 		// E13 sweeps the WINDOW (the cluster stays 3 nodes, one shard,
 		// batch 16): the grid size is the in-flight token cycles per
 		// datalink (DESIGN.md §14). The write/adaptive arms measure
-		// throughput in the simulator; the *bytes arms are the codec
+		// throughput in the simulator; the binbytes arm is the codec
 		// lever — deterministic encoded bytes per payload of an N-payload
-		// hot DATA batch under the binary fast path vs gob.
+		// hot DATA batch.
 		ID: "E13", Title: "pipelining frontier (N = window, 3 nodes, batch 16)", Metric: "ops/kilotick",
 		DefaultSizes: []int{1, 2, 4, 8}, MinSize: 1,
 		Series: []engine.SeriesSpec{
 			{Key: "write", Name: "E13 write throughput, static batch (ops/kilotick)", Run: e13Cell(false)},
 			{Key: "adaptive", Name: "E13 write throughput, adaptive batch (ops/kilotick)", Run: e13Cell(true)},
-			{Key: "binbytes", Name: "E13 binary codec (bytes/payload)", Run: e13CodecCell(true)},
-			{Key: "gobbytes", Name: "E13 gob codec (bytes/payload)", Run: e13CodecCell(false)},
+			{Key: "binbytes", Name: "E13 binary codec (bytes/payload)", Run: e13CodecCell},
 		},
 	})
 	engine.MustRegister(engine.Descriptor{
@@ -271,13 +270,12 @@ func E12BatchScaling(seed int64, batches []int) []workload.Series {
 // levers (see e13Cell and e13CodecCell; sizes are datalink windows, and
 // the codec series' batch sizes): write throughput with a static and an
 // adaptive batch as the window widens, plus the deterministic
-// bytes-per-payload of the binary fast path against gob.
+// bytes-per-payload of the wire codec.
 func E13PipeliningFrontier(seed int64, windows []int) []workload.Series {
 	return []workload.Series{
 		runSeries("E13", "write", seed, windows),
 		runSeries("E13", "adaptive", seed, windows),
 		runSeries("E13", "binbytes", seed, windows),
-		runSeries("E13", "gobbytes", seed, windows),
 	}
 }
 

@@ -89,8 +89,9 @@ func TestE14(t *testing.T) {
 // the 3-node cluster must reach at least 1.5× the stop-and-wait E12
 // batch-16 baseline — in the deterministic simulator's virtual time, so
 // the assertion is exact and reproducible. The codec series must also
-// show the binary fast path strictly under gob's bytes per payload at
-// every swept batch size.
+// show bytes per payload strictly falling as the batch grows over
+// 1/2/4/8, at exactly the values the DATA-packet layout has had since the
+// binary codec's first version.
 func TestE13PipeliningSpeedup(t *testing.T) {
 	base := E12BatchScaling(42, []int{16})[0]
 	if len(base.Rows) != 1 || !base.Rows[0].Valid {
@@ -107,14 +108,15 @@ func TestE13PipeliningSpeedup(t *testing.T) {
 	}
 	t.Logf("write throughput: window 1 (E12) %.3f, window 4 %.3f ops/kilotick (%.2fx)",
 		b.Y, w.Y, w.Y/b.Y)
-	bin, gob := series[2], series[3]
-	for i := range bin.Rows {
-		if !bin.Rows[i].Valid || !gob.Rows[i].Valid {
-			t.Fatalf("invalid codec rows: bin %+v, gob %+v", bin.Rows[i], gob.Rows[i])
+	codec := runSeries("E13", "binbytes", 42, []int{1, 2, 4, 8})
+	want := []float64{34, 27, 23.5, 21.75}
+	for i, row := range codec.Rows {
+		if !row.Valid || row.Y != want[i] {
+			t.Errorf("batch %d: %.2f bytes/payload (valid %v), want %.2f", row.X, row.Y, row.Valid, want[i])
 		}
-		if bin.Rows[i].Y >= gob.Rows[i].Y {
-			t.Errorf("batch %d: binary %.1f bytes/payload not under gob %.1f",
-				bin.Rows[i].X, bin.Rows[i].Y, gob.Rows[i].Y)
+		if i > 0 && row.Y >= codec.Rows[i-1].Y {
+			t.Errorf("batch %d: %.2f bytes/payload does not fall below batch %d's %.2f",
+				row.X, row.Y, codec.Rows[i-1].X, codec.Rows[i-1].Y)
 		}
 	}
 }

@@ -2,8 +2,7 @@
 // transport backend must pass: registration and tick semantics, lossless
 // and fully-lossy delivery, duplication injection, crash stop-failure,
 // Inspect serialization, Close idempotence, batched datalink payloads
-// crossing intact (for tcp: through the version-3 wire batch field, plus
-// a mixed-version pair exercising the writer downgrade), a full
+// crossing intact (for tcp: through the wire codec's batch field), a full
 // reconfiguration-stack cluster converging on the backend, a sharded
 // register cluster — two service stacks multiplexed over one transport
 // with shard-tagged envelopes — completing writes on every shard
@@ -52,22 +51,6 @@ type Backend struct {
 	// New builds a fresh transport able to host any of the given node
 	// identifiers. The suite closes it.
 	New func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) Harness
-	// MixedPair, when non-nil, builds two interconnected transports
-	// writing different wire-format versions over one address universe:
-	// a writes version 2 (the newest version without the batch field),
-	// b writes the current version; both read the full accepted range.
-	// Backends without a serialized wire format (simnet, inproc) leave
-	// it nil and the mixed-version subtest is skipped. The suite closes
-	// both.
-	MixedPair func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) (a, b Harness)
-	// VersionPair, when non-nil, builds two interconnected transports
-	// pinned to the two given wire-format versions (0 = current). It
-	// powers version-specific pairings beyond MixedPair's fixed v2
-	// shape — e.g. the v4↔v5 arm asserting the binary fast path and
-	// plain gob framing interoperate losslessly. Backends without a
-	// serialized wire format leave it nil and those subtests are
-	// skipped.
-	VersionPair func(t *testing.T, seed int64, opts transport.Options, universe ids.Set, va, vb byte) (a, b Harness)
 }
 
 // Harness couples a transport with the way model time advances on it:
@@ -472,8 +455,8 @@ func Run(t *testing.T, b Backend) {
 		// backend as one unit: every batch arrives exactly once with its
 		// payloads in order — no loss, duplication or reordering across
 		// batch boundaries. For tcp this exercises the wire codec's
-		// version-3 batch field end to end, envelopes (with shard tags)
-		// and raw payloads mixed.
+		// batch field end to end, envelopes (with shard tags) and raw
+		// payloads mixed.
 		opts := quietOpts()
 		h := b.New(t, 9, opts, universe)
 		defer h.Net.Close()
@@ -501,10 +484,10 @@ func Run(t *testing.T, b Backend) {
 			sent[pkt.Session] = pkt
 			h.Net.Send(1, 2, pkt)
 		}
-		// A legacy single-payload packet shares the stream unharmed.
-		legacy := datalink.Packet{Kind: datalink.KindData, Session: k + 1, Seq: 0, Payload: "single"}
-		sent[legacy.Session] = legacy
-		h.Net.Send(1, 2, legacy)
+		// A single-payload packet shares the stream unharmed.
+		single := datalink.Packet{Kind: datalink.KindData, Session: k + 1, Seq: 0, Payload: "single"}
+		sent[single.Session] = single
+		h.Net.Send(1, 2, single)
 
 		if !await(h, 10*time.Second, func() bool {
 			return inspected(t, h, 2, func() int { return len(dst.pkts) }) == len(sent)
@@ -534,140 +517,6 @@ func Run(t *testing.T, b Backend) {
 				t.Fatalf("batch %d mutated in transit:\n in=%#v\nout=%#v", got.Session, want, got)
 			}
 		}
-	})
-
-	t.Run("MixedVersionPair", func(t *testing.T) {
-		// A version-2-writing process and a current-version process
-		// interoperate: current→old batches arrive intact (old readers
-		// of this codebase accept newer preambles up to wire.Version;
-		// here "old" means old *writer*), while old-writer→current
-		// batched packets collapse to their freshest payload — the
-		// documented lossy downgrade — and unbatched traffic crosses
-		// unharmed both ways.
-		if b.MixedPair == nil {
-			t.Skip("backend has no serialized wire format")
-		}
-		ha, hb := b.MixedPair(t, 10, quietOpts(), universe)
-		defer ha.Net.Close()
-		defer hb.Net.Close()
-		oldRx, newRx := &packetRecorder{}, &packetRecorder{}
-		if err := ha.Net.AddNode(1, oldRx); err != nil {
-			t.Fatal(err)
-		}
-		if err := hb.Net.AddNode(2, newRx); err != nil {
-			t.Fatal(err)
-		}
-		batch := []any{"stale-1", "stale-2", "fresh"}
-		// current writer → old-writer process: batch intact.
-		hb.Net.Send(2, 1, datalink.Packet{Kind: datalink.KindData, Session: 1, Batch: batch})
-		// old (v2) writer → current process: batch collapses to "fresh".
-		ha.Net.Send(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 2, Batch: batch})
-		// Unbatched traffic both ways.
-		hb.Net.Send(2, 1, datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: "plain"})
-		ha.Net.Send(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 4, Payload: "plain"})
-
-		if !await(ha, 10*time.Second, func() bool {
-			atOld := inspected(t, ha, 1, func() int { return len(oldRx.pkts) })
-			atNew := inspected(t, hb, 2, func() int { return len(newRx.pkts) })
-			return atOld == 2 && atNew == 2
-		}) {
-			t.Fatalf("mixed pair delivered %d+%d packets, want 2+2",
-				inspected(t, ha, 1, func() int { return len(oldRx.pkts) }),
-				inspected(t, hb, 2, func() int { return len(newRx.pkts) }))
-		}
-		atOld := inspected(t, ha, 1, func() []datalink.Packet {
-			return append([]datalink.Packet(nil), oldRx.pkts...)
-		})
-		for _, pkt := range atOld {
-			switch pkt.Session {
-			case 1:
-				if !reflect.DeepEqual(pkt.Batch, batch) {
-					t.Fatalf("current→old batch mutated: %#v", pkt.Batch)
-				}
-			case 3:
-				if pkt.Payload != "plain" || pkt.Batch != nil {
-					t.Fatalf("current→old single payload mutated: %#v", pkt)
-				}
-			default:
-				t.Fatalf("old side got unexpected session %d", pkt.Session)
-			}
-		}
-		atNew := inspected(t, hb, 2, func() []datalink.Packet {
-			return append([]datalink.Packet(nil), newRx.pkts...)
-		})
-		for _, pkt := range atNew {
-			switch pkt.Session {
-			case 2:
-				if pkt.Batch != nil || pkt.Payload != "fresh" {
-					t.Fatalf("v2 downgrade kept %#v, want freshest payload only", pkt)
-				}
-			case 4:
-				if pkt.Payload != "plain" {
-					t.Fatalf("old→current single payload mutated: %#v", pkt)
-				}
-			default:
-				t.Fatalf("new side got unexpected session %d", pkt.Session)
-			}
-		}
-	})
-
-	t.Run("MixedVersionPairV4V5", func(t *testing.T) {
-		// A version-4 (plain gob framing) process and a version-5
-		// (binary fast path) process interoperate losslessly in both
-		// directions: version 5 is a framing-only change, so batched and
-		// single-payload DATA traffic must cross unharmed — the v5
-		// writer emits binary frames only on v5 streams, and the v4
-		// writer's gob frames decode identically on a v5 reader.
-		if b.VersionPair == nil {
-			t.Skip("backend has no serialized wire format")
-		}
-		hv4, hv5 := b.VersionPair(t, 11, quietOpts(), universe, 4, 5)
-		defer hv4.Net.Close()
-		defer hv5.Net.Close()
-		rx4, rx5 := &packetRecorder{}, &packetRecorder{}
-		if err := hv4.Net.AddNode(1, rx4); err != nil {
-			t.Fatal(err)
-		}
-		if err := hv5.Net.AddNode(2, rx5); err != nil {
-			t.Fatal(err)
-		}
-		batch := []any{"p1", "p2", "p3"}
-		hv5.Net.Send(2, 1, datalink.Packet{Kind: datalink.KindData, Session: 1, Batch: batch})
-		hv4.Net.Send(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 2, Batch: batch})
-		hv5.Net.Send(2, 1, datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: "plain"})
-		hv4.Net.Send(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 4, Payload: "plain"})
-
-		if !await(hv4, 10*time.Second, func() bool {
-			at4 := inspected(t, hv4, 1, func() int { return len(rx4.pkts) })
-			at5 := inspected(t, hv5, 2, func() int { return len(rx5.pkts) })
-			return at4 == 2 && at5 == 2
-		}) {
-			t.Fatalf("v4↔v5 pair delivered %d+%d packets, want 2+2",
-				inspected(t, hv4, 1, func() int { return len(rx4.pkts) }),
-				inspected(t, hv5, 2, func() int { return len(rx5.pkts) }))
-		}
-		check := func(name string, pkts []datalink.Packet, batchSession, plainSession uint64) {
-			for _, pkt := range pkts {
-				switch pkt.Session {
-				case batchSession:
-					if !reflect.DeepEqual(pkt.Batch, batch) {
-						t.Fatalf("%s batch mutated: %#v", name, pkt.Batch)
-					}
-				case plainSession:
-					if pkt.Payload != "plain" || pkt.Batch != nil {
-						t.Fatalf("%s single payload mutated: %#v", name, pkt)
-					}
-				default:
-					t.Fatalf("%s got unexpected session %d", name, pkt.Session)
-				}
-			}
-		}
-		check("v5→v4", inspected(t, hv4, 1, func() []datalink.Packet {
-			return append([]datalink.Packet(nil), rx4.pkts...)
-		}), 1, 3)
-		check("v4→v5", inspected(t, hv5, 2, func() []datalink.Packet {
-			return append([]datalink.Packet(nil), rx5.pkts...)
-		}), 2, 4)
 	})
 
 	t.Run("FullStackConvergence", func(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package tcp is the multi-process backend of the transport subsystem:
 // nodes run in separate OS processes and exchange the stack's messages
-// over TCP using the versioned length-prefixed codec of transport/wire.
+// over TCP using the length-prefixed binary codec of transport/wire.
 // cmd/noded builds on it.
 //
 // Topology: every node listens on its address from the cluster address
@@ -31,13 +31,13 @@
 //
 // Hot-path batching: each outbound link's write loop coalesces every
 // frame already waiting in its queue into a single connection write
-// (wire.Writer.Append + one Flush, bounded by maxCoalesce), and
-// Config.WireVersion lets the process write an older wire-format
-// version for peers that have not been upgraded yet (DESIGN.md §11).
+// (wire.Writer.Append + one Flush, bounded by maxCoalesce).
 package tcp
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -74,13 +74,6 @@ type Config struct {
 	// transfer of a large (multi-frame) message or coalesced group
 	// gets a fresh budget per write.
 	WriteTimeout time.Duration
-	// WireVersion is the wire-format version this process writes
-	// (0 = wire.Version). Setting it to an older accepted version makes
-	// every outbound stream decodable by peers that only speak that
-	// version — the rolling-upgrade knob; the writer downgrades message
-	// schemas accordingly (see wire.NewWriterVersion). Reading always
-	// accepts the full [wire.MinVersion, wire.Version] range.
-	WireVersion byte
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -104,9 +97,6 @@ func (c *Config) fill() {
 	if c.Opts.MaxDelay < c.Opts.MinDelay {
 		c.Opts.MaxDelay = c.Opts.MinDelay
 	}
-	if c.WireVersion == 0 {
-		c.WireVersion = wire.Version
-	}
 }
 
 // Stats aggregates transport-level counters.
@@ -116,6 +106,8 @@ type Stats struct {
 	Dropped    uint64 // loss, full queues, unreachable destinations
 	Duplicated uint64
 	Redials    uint64
+	// DecodeErrs counts inbound streams torn down by the codec: a refused
+	// preamble or a frame that does not decode (not a connection closing).
 	DecodeErrs uint64
 	// ConnWrites counts connection flushes, FramesWritten the wire
 	// frames they carried (a message larger than wire.MaxFrame spans
@@ -329,8 +321,8 @@ func (t *Net) acceptLoop(n *node) {
 }
 
 // readLoop decodes one inbound connection and routes messages to local
-// nodes. A decode error tears the connection down; the remote side
-// redials.
+// nodes. A decode error tears the connection down and is counted; the
+// remote side redials.
 func (t *Net) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -348,6 +340,10 @@ func (t *Net) readLoop(conn net.Conn) {
 	for {
 		msg, err := r.ReadMsg()
 		if err != nil {
+			if !connGone(err) {
+				t.decodeErrs.Add(1)
+				t.logf("tcp: %s: %v", conn.RemoteAddr(), err)
+			}
 			return
 		}
 		t.mu.RLock()
@@ -664,7 +660,7 @@ func (l *link) writeLoop() {
 		// The deadline wrapper re-arms WriteTimeout before every
 		// write syscall, so the budget bounds peer stalls — not the
 		// total size of a coalesced group or split message.
-		ww, err := wire.NewWriterVersion(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout}, l.t.cfg.WireVersion)
+		ww, err := wire.NewWriter(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout})
 		if err != nil {
 			c.Close()
 			l.t.logf("tcp: writer for %v: %v", l.to, err)
@@ -688,6 +684,22 @@ func (l *link) writeLoop() {
 			l.t.peerDown(l.to)
 		}
 	}
+	// put buffers one message on w and counts it in held, the messages
+	// a connection failure takes with it. A message the codec refuses is
+	// dropped alone and counted: the codec wrote nothing and frames carry
+	// no state between messages, so the stream and the rest of the group
+	// are intact. Any other error is the connection's.
+	var held uint64
+	put := func(m wire.Msg) error {
+		err := w.Append(m)
+		if errors.Is(err, wire.ErrUnsupported) || errors.Is(err, wire.ErrMessageTooLarge) {
+			l.t.logf("tcp: message to %v dropped: %v", l.to, err)
+			l.t.dropped.Add(1)
+			return nil
+		}
+		held++
+		return err
+	}
 	for {
 		var msg wire.Msg
 		select {
@@ -707,14 +719,14 @@ func (l *link) writeLoop() {
 		// kernel — one syscall (and one wakeup on the receiver) instead
 		// of one per frame when the queue runs hot.
 		framesBefore := w.Frames()
-		err := w.Append(msg)
-		msgs := uint64(1)
+		held = 0
+		taken, err := 1, put(msg)
 	drain:
-		for err == nil && msgs < maxCoalesce {
+		for err == nil && taken < maxCoalesce {
 			select {
 			case more := <-l.out:
-				err = w.Append(more)
-				msgs++
+				err = put(more)
+				taken++
 			default:
 				break drain
 			}
@@ -724,13 +736,24 @@ func (l *link) writeLoop() {
 		}
 		if err != nil {
 			l.t.logf("tcp: write to %v: %v", l.to, err)
-			l.t.dropped.Add(msgs)
+			l.t.dropped.Add(held)
 			broke()
 			continue
 		}
-		l.t.connWrites.Add(1)
-		l.t.framesWritten.Add(w.Frames() - framesBefore)
+		if held > 0 {
+			l.t.connWrites.Add(1)
+			l.t.framesWritten.Add(w.Frames() - framesBefore)
+		}
 	}
+}
+
+// connGone reports whether a read error is the connection ending — a
+// clean or abrupt close by either side, a reset — rather than a stream
+// the codec refused.
+func connGone(err error) bool {
+	var op *net.OpError
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.As(err, &op)
 }
 
 // parkRead keeps one read parked on a connection a link dialed. The peer

@@ -1,6 +1,8 @@
 package tcp_test
 
 import (
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/conformance"
 	"repro/internal/transport/tcp"
+	"repro/internal/transport/wire"
 )
 
 func TestConformance(t *testing.T) {
@@ -20,31 +23,6 @@ func TestConformance(t *testing.T) {
 			}
 			n := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts})
 			return conformance.Harness{Net: n, Settle: time.Sleep}
-		},
-		// Two processes over one address book, the first negotiated down
-		// to wire version 2 — the rolling-upgrade shape the writer
-		// downgrade exists for.
-		MixedPair: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) (conformance.Harness, conformance.Harness) {
-			addrs, err := tcp.FreeAddrs(universe.Members()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts, WireVersion: 2})
-			cur := tcp.New(tcp.Config{Addrs: addrs, Seed: seed + 1, Opts: opts})
-			return conformance.Harness{Net: old, Settle: time.Sleep},
-				conformance.Harness{Net: cur, Settle: time.Sleep}
-		},
-		// Arbitrary version pinning (the v4↔v5 arm exercises the binary
-		// fast path against plain gob framing).
-		VersionPair: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set, va, vb byte) (conformance.Harness, conformance.Harness) {
-			addrs, err := tcp.FreeAddrs(universe.Members()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts, WireVersion: va})
-			b := tcp.New(tcp.Config{Addrs: addrs, Seed: seed + 1, Opts: opts, WireVersion: vb})
-			return conformance.Harness{Net: a, Settle: time.Sleep},
-				conformance.Harness{Net: b, Settle: time.Sleep}
 		},
 	})
 }
@@ -133,3 +111,93 @@ type countHandler struct{ n int }
 
 func (h *countHandler) Receive(ids.ID, any) { h.n++ }
 func (h *countHandler) Tick()               {}
+
+// TestRefusedMessageKeepsConnection: a message the codec refuses — here
+// one over wire.MaxMessage, queued between two small ones — is dropped
+// alone. Both small messages arrive on the one connection the link
+// dialed, and the listener never sees a second accept.
+func TestRefusedMessageKeepsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a := tcp.New(tcp.Config{
+		Addrs: map[ids.ID]string{1: "127.0.0.1:0", 2: ln.Addr().String()},
+		Opts:  transport.Options{Capacity: 64, TickEvery: time.Millisecond},
+	})
+	defer a.Close()
+	if err := a.AddNode(1, nopHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	a.Send(1, 2, "first")
+	a.Send(1, 2, strings.Repeat("x", wire.MaxMessage+1))
+	a.Send(1, 2, "second")
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r, err := wire.NewReader(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second"} {
+		m, err := r.ReadMsg()
+		if err != nil {
+			t.Fatalf("reading %q: %v", want, err)
+		}
+		if got := m.Payload(); got != want {
+			t.Fatalf("got %#v, want %q", got, want)
+		}
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(200 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("the refused message cost the connection: the link redialed")
+	}
+	if got := a.Stats().Dropped; got != 1 {
+		t.Fatalf("Dropped = %d, want 1 (the refused message)", got)
+	}
+}
+
+// TestCorruptFrameCountsDecodeError: a stream whose preamble is valid but
+// whose first frame does not decode is a decode error, counted like a bad
+// preamble.
+func TestCorruptFrameCountsDecodeError(t *testing.T) {
+	addrs, err := tcp.FreeAddrs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tcp.New(tcp.Config{Addrs: addrs, Opts: transport.Options{Capacity: 64, TickEvery: time.Millisecond}})
+	defer b.Close()
+	if err := b.AddNode(1, nopHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", b.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w, err := wire.NewWriter(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A 3-byte frame: from 1, to 2, then a packet kind with nothing after.
+	if _, err := conn.Write([]byte{0, 0, 0, 3, 2, 4, 3}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Stats().DecodeErrs == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // nothing more may be counted
+	if got := b.Stats().DecodeErrs; got != 1 {
+		t.Fatalf("DecodeErrs = %d, want 1", got)
+	}
+}

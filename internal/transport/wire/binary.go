@@ -1,52 +1,48 @@
-// Binary fast path (version 5): a hand-rolled length-delimited encoding
-// for the hot DATA/batch packet shape, eliminating per-message gob
-// reflection on the path that carries essentially all steady-state
-// bytes. A writer negotiated to version 5 encodes every DATA packet
-// whose payload types it knows (the closed set of types the stack sends
-// — envelopes, recSA/recMA broadcasts, vs replica exchanges, counter
-// gossip, regmem/smr commands and states) into a single frame flagged
-// with binFlag; everything else — control packets, unknown payload
-// types, encodings larger than MaxFrame — falls back to the continuous
-// gob stream, frame by frame, exactly as before. Binary frames are
-// self-contained (they never touch the gob stream state), so the two
-// codecs interleave freely on one connection.
+// The codec: a hand-rolled length-delimited binary encoding of the closed
+// set of messages the stack sends — datalink packets (DATA, ACK, CLEAN,
+// CLEAN-ACK) whose payloads are envelopes, recSA/recMA broadcasts, vs
+// replica exchanges, counter gossip and regmem/smr commands and states —
+// plus bare values of the same set (tests, fault-injection garbage).
+// Anything outside the set is refused with ErrUnsupported.
 //
 // Layout (big-endian fixed ints, unsigned LEB128 "uvarint" lengths and
 // counts, zigzag varints for signed ints):
 //
-//	msg    := from(zigzag) to(zigzag) kind(u8) session(8B) seq(u8) shape(u8) body
+//	msg    := from(zigzag) to(zigzag) kind(u8) rest
+//	rest   := anyVal                                   kind 0: not a packet
+//	        | session(8B) seq(u8) shape(u8) body       kind 1–255: datalink.Packet
 //	shape  := 1 envelope | 2 raw anyVal | 3 batch
 //	batch  := count(uvarint) { itemTag(u8=1 env, 2 raw) body }*
 //	env    := flags(u8) [SA] [MA] [JoinResp] app(anyVal) [shards]
 //	anyVal := typeTag(u8) body
 //	map    := pres(uvarint: 0 = nil, n+1 = n entries) { key value }*
 //
-// Maps carry an explicit nil/empty distinction (the pres uvarint)
-// because gob preserves it and the vs layer keys behavior off it: a
-// coordinator's record with an assembled-but-empty round (Inputs
-// non-nil, zero entries) must not arrive as a nil map — a follower
-// treats nil Inputs as "no round to apply" and downgrades every
-// incremental adoption to a wholesale one. Slices intentionally do NOT
-// get the same treatment: gob itself collapses empty slices to nil, so
-// collapsing here keeps the two codecs observably identical.
+// Presence is explicit wherever the stack can tell absent from empty: the
+// envelope's flags come from its pointers (a pointer to a zero value —
+// the join denial &join.Response{} — arrives as one), a batch and an
+// envelope's ShardApps are present when non-nil, and maps carry the
+// nil/empty distinction in their pres uvarint because the vs layer keys
+// behavior off it: a coordinator's record with an assembled-but-empty
+// round (Inputs non-nil, zero entries) must not arrive as a nil map — a
+// follower treats nil Inputs as "no round to apply" and downgrades every
+// incremental adoption to a wholesale one. Slices inside payloads collapse
+// empty to nil; nothing the stack sends tells them apart.
 //
 // Every decoder length and count is validated against the remaining
 // buffer before any allocation, and anyVal recursion is depth-bounded,
 // so a corrupted or hostile frame cannot make the reader allocate or
-// recurse without bound (the fuzz corpus covers truncations, corrupt
-// headers and over-bound counts for this path too).
+// recurse without bound (FuzzReadMsg and its corpus cover truncations,
+// corrupt headers and over-bound counts).
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
+	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/datalink"
 	"repro/internal/ids"
 	"repro/internal/join"
 	"repro/internal/label"
@@ -57,21 +53,12 @@ import (
 	"repro/internal/vs"
 )
 
-// binFlag marks a frame header as a self-contained binary fast-path
-// message (version 5). It shares the header's high bits with chunkFlag;
-// a version ≤ 4 reader treats either bit as an absurd frame length and
-// rejects the stream, which is why binary frames are only emitted to
-// peers that negotiated version 5.
-const binFlag = 1 << 30
-
-// errUnsupported aborts a binary encode attempt: the message carries a
-// payload type outside the closed hot-path set, so the writer falls
-// back to gob. Decoders never return it.
-var errUnsupported = errors.New("wire: payload type outside binary fast path")
-
 // maxAnyDepth bounds anyVal nesting on decode (a Batch of Batches of …
 // from a hostile frame must not recurse without bound).
 const maxAnyDepth = 24
+
+// kindNone is the kind byte of a message that is not a datalink packet.
+const kindNone = 0
 
 // anyVal type tags.
 const (
@@ -100,6 +87,12 @@ const (
 	shapeBatch = 3
 )
 
+// Batch item tags.
+const (
+	itemEnv = 1
+	itemRaw = 2
+)
+
 // Envelope presence flags.
 const (
 	envHasSA       = 1 << 0
@@ -111,45 +104,45 @@ const (
 
 // --- encoder ---
 
-// appendBinaryMsg appends the binary fast-path encoding of m to dst.
-// ok is false when m carries a payload outside the closed type set (the
-// caller falls back to gob; dst's extension is then garbage and must be
-// discarded via the returned slice's original length).
-func appendBinaryMsg(dst []byte, m Msg) (out []byte, ok bool) {
-	var err error
+// appendMsg appends the encoding of m to dst, or fails with
+// ErrUnsupported when m carries something outside the closed set (dst's
+// extension is then garbage).
+func appendMsg(dst []byte, m Msg) ([]byte, error) {
 	dst = appendZigzag(dst, int64(m.From))
 	dst = appendZigzag(dst, int64(m.To))
-	dst = append(dst, byte(m.Pkt.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, m.Pkt.Session)
-	dst = append(dst, m.Pkt.Seq)
-	switch {
-	case m.Pkt.HasBatch:
-		dst = append(dst, shapeBatch)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Pkt.Batch)))
-		for _, item := range m.Pkt.Batch {
-			if item.HasEnv {
-				dst = append(dst, 1)
-				dst, err = appendEnvelope(dst, item.Env)
-			} else {
-				dst = append(dst, 2)
-				dst, err = appendAny(dst, item.Raw)
-			}
-			if err != nil {
-				return dst, false
-			}
+	pkt, ok := m.payload.(datalink.Packet)
+	if !ok {
+		return appendAny(append(dst, kindNone), m.payload)
+	}
+	if pkt.Kind <= kindNone || pkt.Kind > 255 {
+		return dst, fmt.Errorf("%w: packet kind %d", ErrUnsupported, pkt.Kind)
+	}
+	dst = append(dst, byte(pkt.Kind))
+	dst = binary.BigEndian.AppendUint64(dst, pkt.Session)
+	dst = append(dst, pkt.Seq)
+	if pkt.Batch == nil {
+		if env, ok := pkt.Payload.(core.Envelope); ok {
+			return appendEnvelope(append(dst, shapeEnv), env)
 		}
-	case m.Pkt.HasEnv:
-		dst = append(dst, shapeEnv)
-		if dst, err = appendEnvelope(dst, m.Pkt.Env); err != nil {
-			return dst, false
+		return appendAny(append(dst, shapeRaw), pkt.Payload)
+	}
+	// Payload and Batch are mutually exclusive per the datalink.Packet
+	// contract; a receiving endpoint ignores Payload when Batch is set, so
+	// it is not carried either.
+	dst = append(dst, shapeBatch)
+	dst = binary.AppendUvarint(dst, uint64(len(pkt.Batch)))
+	var err error
+	for _, p := range pkt.Batch {
+		if env, ok := p.(core.Envelope); ok {
+			dst, err = appendEnvelope(append(dst, itemEnv), env)
+		} else {
+			dst, err = appendAny(append(dst, itemRaw), p)
 		}
-	default:
-		dst = append(dst, shapeRaw)
-		if dst, err = appendAny(dst, m.Pkt.Raw); err != nil {
-			return dst, false
+		if err != nil {
+			return dst, err
 		}
 	}
-	return dst, true
+	return dst, nil
 }
 
 func appendZigzag(dst []byte, v int64) []byte {
@@ -282,25 +275,26 @@ func appendReplica(dst []byte, r vs.Replica) (out []byte, err error) {
 	return appendZigzag(dst, int64(r.Crd)), nil
 }
 
-func appendRegState(dst []byte, s regmem.State) []byte {
-	if s.Base == nil {
-		dst = binary.AppendUvarint(dst, 0)
-		return appendRegDeltas(dst, s)
+// appendStringMap encodes a string-keyed map in key order, with its
+// presence explicit (0 = nil, n+1 = n entries).
+func appendStringMap[V any](dst []byte, m map[string]V, appendValue func([]byte, V) []byte) []byte {
+	if m == nil {
+		return binary.AppendUvarint(dst, 0)
 	}
-	keys := make([]string, 0, len(s.Base))
-	for k := range s.Base {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
 	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = appendString(dst, s.Base[k])
+		dst = appendValue(appendString(dst, k), m[k])
 	}
-	return appendRegDeltas(dst, s)
+	return dst
 }
 
-func appendRegDeltas(dst []byte, s regmem.State) []byte {
+func appendRegState(dst []byte, s regmem.State) []byte {
+	dst = appendStringMap(dst, s.Base, appendString)
 	n := 0
 	for d := s.Delta; d != nil; d = d.Prev {
 		n++
@@ -313,9 +307,8 @@ func appendRegDeltas(dst []byte, s regmem.State) []byte {
 	return appendZigzag(dst, int64(s.Depth))
 }
 
-// appendAny encodes one payload from the closed hot-path type set,
-// failing with errUnsupported for anything else (the caller falls back
-// to gob for the whole message).
+// appendAny encodes one payload from the closed type set, failing with
+// ErrUnsupported for anything else.
 func appendAny(dst []byte, v any) (out []byte, err error) {
 	switch x := v.(type) {
 	case nil:
@@ -371,72 +364,44 @@ func appendAny(dst []byte, v any) (out []byte, err error) {
 		}
 		return dst, nil
 	case map[string]string:
-		dst = append(dst, tagMapSS)
-		if x == nil {
-			return binary.AppendUvarint(dst, 0), nil
-		}
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
-		for _, k := range keys {
-			dst = appendString(dst, k)
-			dst = appendString(dst, x[k])
-		}
-		return dst, nil
+		return appendStringMap(append(dst, tagMapSS), x, appendString), nil
 	case map[string]int64:
-		dst = append(dst, tagMapSI64)
-		if x == nil {
-			return binary.AppendUvarint(dst, 0), nil
-		}
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys))+1)
-		for _, k := range keys {
-			dst = appendString(dst, k)
-			dst = appendZigzag(dst, x[k])
-		}
-		return dst, nil
+		return appendStringMap(append(dst, tagMapSI64), x, appendZigzag), nil
 	case map[ids.ID]any:
 		return appendIDAnyMap(append(dst, tagMapIDAny), x)
 	case ids.Set:
 		return appendSet(append(dst, tagIDSet), x), nil
 	default:
-		return dst, errUnsupported
+		return dst, fmt.Errorf("%w: %T", ErrUnsupported, v)
 	}
 }
 
-func appendEnvelope(dst []byte, e Envelope) (out []byte, err error) {
+func appendEnvelope(dst []byte, e core.Envelope) (out []byte, err error) {
 	var flags byte
-	if e.HasSA {
+	if e.RecSA != nil {
 		flags |= envHasSA
 	}
-	if e.HasMA {
+	if e.RecMA != nil {
 		flags |= envHasMA
 	}
 	if e.JoinReq {
 		flags |= envJoinReq
 	}
-	if e.HasJoinResp {
+	if e.JoinResp != nil {
 		flags |= envHasJoinResp
 	}
-	if e.HasShards {
+	if e.ShardApps != nil {
 		flags |= envHasShards
 	}
 	dst = append(dst, flags)
-	if e.HasSA {
-		dst = appendSA(dst, e.SA)
+	if e.RecSA != nil {
+		dst = appendSA(dst, *e.RecSA)
 	}
-	if e.HasMA {
-		dst = appendBool(dst, e.MA.NoMaj)
-		dst = appendBool(dst, e.MA.NeedReconf)
+	if e.RecMA != nil {
+		dst = appendBool(dst, e.RecMA.NoMaj)
+		dst = appendBool(dst, e.RecMA.NeedReconf)
 	}
-	if e.HasJoinResp {
+	if e.JoinResp != nil {
 		dst = appendBool(dst, e.JoinResp.Pass)
 		if dst, err = appendAny(dst, e.JoinResp.State); err != nil {
 			return dst, err
@@ -445,9 +410,9 @@ func appendEnvelope(dst []byte, e Envelope) (out []byte, err error) {
 	if dst, err = appendAny(dst, e.App); err != nil {
 		return dst, err
 	}
-	if e.HasShards {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Shards)))
-		for _, sa := range e.Shards {
+	if e.ShardApps != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(e.ShardApps)))
+		for _, sa := range e.ShardApps {
 			dst = appendZigzag(dst, int64(sa.Shard))
 			if dst, err = appendAny(dst, sa.App); err != nil {
 				return dst, err
@@ -459,7 +424,7 @@ func appendEnvelope(dst []byte, e Envelope) (out []byte, err error) {
 
 // --- decoder ---
 
-// bdec is a bounds-checked cursor over one binary frame. Every length
+// bdec is a bounds-checked cursor over one message encoding. Every length
 // and count is validated against the remaining bytes before any
 // allocation; the first violation latches err and every subsequent read
 // returns zero values, so decode paths stay linear.
@@ -471,7 +436,7 @@ type bdec struct {
 
 func (d *bdec) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wire: binary decode: "+format, args...)
+		d.err = fmt.Errorf("wire: decode: "+format, args...)
 	}
 }
 
@@ -658,15 +623,22 @@ func (d *bdec) replica(depth int) vs.Replica {
 	return r
 }
 
-func (d *bdec) regState() regmem.State {
-	var s regmem.State
-	if n, present := d.pcount(2); present {
-		s.Base = make(map[string]string, n)
-		for i := 0; i < n; i++ {
-			k := d.str()
-			s.Base[k] = d.str()
-		}
+// stringMap decodes what appendStringMap encoded.
+func stringMap[V any](d *bdec, value func(*bdec) V) map[string]V {
+	n, present := d.pcount(2)
+	if !present {
+		return nil
 	}
+	m := make(map[string]V, n)
+	for i := 0; i < n; i++ {
+		k := d.str()
+		m[k] = value(d)
+	}
+	return m
+}
+
+func (d *bdec) regState() regmem.State {
+	s := regmem.State{Base: stringMap(d, (*bdec).str)}
 	n := d.count(2)
 	if n > 0 {
 		// Entries travel newest-first; rebuild the chain oldest-up so
@@ -741,33 +713,9 @@ func (d *bdec) anyVal(depth int) any {
 		}
 		return b
 	case tagMapSS:
-		n, present := d.pcount(2)
-		if d.err != nil || !present {
-			if d.err != nil {
-				return nil
-			}
-			return map[string]string(nil)
-		}
-		m := make(map[string]string, n)
-		for i := 0; i < n; i++ {
-			k := d.str()
-			m[k] = d.str()
-		}
-		return m
+		return stringMap(d, (*bdec).str)
 	case tagMapSI64:
-		n, present := d.pcount(2)
-		if d.err != nil || !present {
-			if d.err != nil {
-				return nil
-			}
-			return map[string]int64(nil)
-		}
-		m := make(map[string]int64, n)
-		for i := 0; i < n; i++ {
-			k := d.str()
-			m[k] = d.zigzag()
-		}
-		return m
+		return stringMap(d, (*bdec).zigzag)
 	case tagMapIDAny:
 		return d.idAnyMap(depth)
 	case tagIDSet:
@@ -778,105 +726,83 @@ func (d *bdec) anyVal(depth int) any {
 	}
 }
 
-func (d *bdec) envelope(depth int) Envelope {
-	var e Envelope
+func (d *bdec) envelope(depth int) core.Envelope {
+	var e core.Envelope
 	flags := d.u8()
 	if flags&envHasSA != 0 {
-		e.HasSA, e.SA = true, d.saMsg()
+		sa := d.saMsg()
+		e.RecSA = &sa
 	}
 	if flags&envHasMA != 0 {
-		e.HasMA = true
-		e.MA = recma.Message{NoMaj: d.bool(), NeedReconf: d.bool()}
+		e.RecMA = &recma.Message{NoMaj: d.bool(), NeedReconf: d.bool()}
 	}
 	e.JoinReq = flags&envJoinReq != 0
 	if flags&envHasJoinResp != 0 {
-		e.HasJoinResp = true
-		e.JoinResp = join.Response{Pass: d.bool(), State: d.anyVal(depth)}
+		e.JoinResp = &join.Response{Pass: d.bool(), State: d.anyVal(depth)}
 	}
 	e.App = d.anyVal(depth)
 	if flags&envHasShards != 0 {
-		e.HasShards = true
-		if n := d.count(2); n > 0 {
-			e.Shards = make([]ShardApp, 0, n)
-			for i := 0; i < n; i++ {
-				e.Shards = append(e.Shards, ShardApp{Shard: int(d.zigzag()), App: d.anyVal(depth)})
-			}
+		n := d.count(2)
+		e.ShardApps = make([]core.ShardApp, 0, n)
+		for i := 0; i < n; i++ {
+			e.ShardApps = append(e.ShardApps, core.ShardApp{Shard: int(d.zigzag()), App: d.anyVal(depth)})
 		}
 	}
 	return e
 }
 
-// decodeBinaryMsg decodes one binary fast-path frame payload.
-func decodeBinaryMsg(b []byte) (Msg, error) {
-	d := &bdec{b: b}
-	m := Msg{
-		From:   ids.ID(d.zigzag()),
-		To:     ids.ID(d.zigzag()),
-		HasPkt: true,
-	}
-	m.Pkt.Kind = int(d.u8())
-	m.Pkt.Session = d.u64()
-	m.Pkt.Seq = d.u8()
+// packet decodes the rest of a datalink packet whose kind byte was read.
+func (d *bdec) packet(kind datalink.Kind) datalink.Packet {
+	pkt := datalink.Packet{Kind: kind, Session: d.u64(), Seq: d.u8()}
 	switch shape := d.u8(); shape {
 	case shapeEnv:
-		m.Pkt.HasEnv = true
-		m.Pkt.Env = d.envelope(0)
+		pkt.Payload = d.envelope(0)
 	case shapeRaw:
-		m.Pkt.Raw = d.anyVal(0)
+		pkt.Payload = d.anyVal(0)
 	case shapeBatch:
-		m.Pkt.HasBatch = true
 		n := d.count(1)
-		if d.err == nil && n > MaxWireBatch {
+		if n > MaxWireBatch {
 			d.fail("batch of %d payloads exceeds MaxWireBatch %d", n, MaxWireBatch)
+			return pkt
 		}
-		if n > 0 && d.err == nil {
-			m.Pkt.Batch = make([]BatchItem, 0, n)
-			for i := 0; i < n; i++ {
-				switch itemTag := d.u8(); itemTag {
-				case 1:
-					m.Pkt.Batch = append(m.Pkt.Batch, BatchItem{HasEnv: true, Env: d.envelope(0)})
-				case 2:
-					m.Pkt.Batch = append(m.Pkt.Batch, BatchItem{Raw: d.anyVal(0)})
-				default:
-					d.fail("unknown batch item tag %d", itemTag)
-				}
-				if d.err != nil {
-					break
-				}
+		pkt.Batch = make([]any, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			switch tag := d.u8(); tag {
+			case itemEnv:
+				pkt.Batch = append(pkt.Batch, d.envelope(0))
+			case itemRaw:
+				pkt.Batch = append(pkt.Batch, d.anyVal(0))
+			default:
+				d.fail("unknown batch item tag %d", tag)
 			}
 		}
 	default:
 		d.fail("unknown packet shape %d", shape)
 	}
+	return pkt
+}
+
+// decodeMsg decodes one message encoding.
+func decodeMsg(b []byte) (Msg, error) {
+	d := bdec{b: b}
+	m := Msg{From: ids.ID(d.zigzag()), To: ids.ID(d.zigzag())}
+	if kind := d.u8(); kind == kindNone {
+		m.payload = d.anyVal(0)
+	} else {
+		m.payload = d.packet(datalink.Kind(kind))
+	}
 	if d.err != nil {
 		return Msg{}, d.err
 	}
 	if d.off != len(d.b) {
-		return Msg{}, fmt.Errorf("wire: binary decode: %d trailing bytes", len(d.b)-d.off)
+		return Msg{}, fmt.Errorf("wire: decode: %d trailing bytes", len(d.b)-d.off)
 	}
 	return m, nil
 }
 
-// CodecSizes reports the steady-state encoded sizes of m under the two
-// codecs a version-5 stream can carry: the binary fast path and gob
-// framing (the codec lever of experiment E13). The gob size is measured
-// on the second encoding of the message through one encoder, so the
-// one-time type descriptors a long-lived stream amortizes away are
-// excluded. binOK is false when m falls outside the binary codec's
-// closed hot set (the writer would fall back to gob), leaving binSize 0.
-func CodecSizes(m Msg) (binSize, gobSize int, binOK bool) {
-	b, ok := appendBinaryMsg(nil, m)
-	if ok {
-		binSize = len(b)
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(m); err != nil {
-		return binSize, 0, ok
-	}
-	first := buf.Len()
-	if err := enc.Encode(m); err != nil {
-		return binSize, 0, ok
-	}
-	return binSize, buf.Len() - first, ok
+// EncodedSize reports the size of m's encoding without its frame header
+// (the codec lever of experiment E13), or the codec's refusal.
+func EncodedSize(m Msg) (int, error) {
+	b, err := appendMsg(nil, m)
+	return len(b), err
 }

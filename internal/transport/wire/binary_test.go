@@ -2,8 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,70 +20,10 @@ import (
 	"repro/internal/vs"
 )
 
-// outsideType is gob-registered but outside the binary fast path's
-// closed type set, forcing the per-message gob fallback.
-type outsideType struct{ X int }
-
-func init() { gob.Register(outsideType{}) }
-
-// encodeOne writes one message at the given version and returns the
-// stream minus the preamble.
-func encodeOne(t *testing.T, version byte, m Msg) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteMsg(m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()[preambleLen:]
-}
-
-// firstHeader returns the first frame header of a preamble-stripped
-// stream.
-func firstHeader(t *testing.T, b []byte) uint32 {
-	t.Helper()
-	if len(b) < 4 {
-		t.Fatalf("stream of %d bytes has no frame header", len(b))
-	}
-	return binary.BigEndian.Uint32(b[:4])
-}
-
-// decodeOne reads one message back from a full version-5 stream.
-func decodeOne(t *testing.T, stream []byte) Msg {
-	t.Helper()
-	r, err := NewReader(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// fullStream prepends a version-5 preamble-carrying writer encoding of
-// one message.
-func fullStream(t *testing.T, m Msg) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteMsg(m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// hotShapes enumerates representative DATA/batch payload shapes of
-// every type the binary fast path encodes — the shapes the stack
-// actually sends plus edge cases (nil payload, empty batch, zero-value
-// structs, multi-key maps).
+// hotShapes enumerates representative packet shapes of every type the
+// codec encodes — the shapes the stack actually sends plus edge cases
+// (nil payload, empty batch, zero-value structs, multi-key maps, control
+// packets).
 func hotShapes() map[string]datalink.Packet {
 	conf := ids.NewSet(1, 2, 3)
 	ctr := counter.Counter{
@@ -172,31 +111,24 @@ func hotShapes() map[string]datalink.Packet {
 			core.Envelope{App: map[string]string{}},
 			core.Envelope{App: map[string]int64{}},
 		}},
+		"ack":       {Kind: datalink.KindAck, Session: 3, Seq: 2},
+		"clean":     {Kind: datalink.KindClean, Session: 3},
+		"clean-ack": {Kind: datalink.KindCleanAck, Session: 3},
 	}
 }
 
-// TestBinaryGobEquivalence: every hot DATA/batch shape decodes to the
-// same message through the version-5 binary fast path as through the
-// version-4 gob framing, and the binary path is actually taken.
-func TestBinaryGobEquivalence(t *testing.T) {
+// TestShapesRoundTrip: every packet shape, and a bare non-packet value,
+// comes back from NewMsg → ReadMsg → Payload deeply equal to what was
+// sent.
+func TestShapesRoundTrip(t *testing.T) {
+	cases := map[string]any{"raw-msg": "not a packet at all"}
 	for name, pkt := range hotShapes() {
+		cases[name] = pkt
+	}
+	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			in := NewMsg(1, 2, pkt)
-			v5 := encodeOne(t, 5, in)
-			if hdr := firstHeader(t, v5); hdr&binFlag == 0 {
-				t.Fatalf("DATA packet missed the binary fast path (header %#x)", hdr)
-			}
-
-			var pre [preambleLen]byte
-			copy(pre[:], magic[:])
-			pre[len(magic)] = 4
-			binOut := decodeOne(t, fullStream(t, in))
-			gobOut := decodeOne(t, append(pre[:], encodeOne(t, 4, in)...))
-			if !reflect.DeepEqual(binOut, gobOut) {
-				t.Fatalf("binary and gob decode diverge:\nbin=%#v\ngob=%#v", binOut, gobOut)
-			}
-			if got := binOut.Payload(); !reflect.DeepEqual(got, any(pkt)) {
-				t.Fatalf("binary round trip mismatch:\n in=%#v\nout=%#v", pkt, got)
+			if got := roundTrip(t, payload)[0]; !reflect.DeepEqual(got, payload) {
+				t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", payload, got)
 			}
 		})
 	}
@@ -204,9 +136,9 @@ func TestBinaryGobEquivalence(t *testing.T) {
 
 // TestBinaryPreservesEmptyInputs: an assembled-but-empty round ships
 // as Replica.Inputs = map[ids.ID]any{}, and followers treat a nil
-// Inputs as "no round to apply" (vs.Manager.follow). The binary path
-// must therefore hand back an empty non-nil map, and leave genuinely
-// nil maps nil.
+// Inputs as "no round to apply" (vs.Manager.follow). The codec must
+// therefore hand back an empty non-nil map, and leave genuinely nil
+// maps nil.
 func TestBinaryPreservesEmptyInputs(t *testing.T) {
 	empty := &vs.Replica{Rnd: 2, State: regmem.State{Base: map[string]string{}}, Inputs: map[ids.ID]any{}}
 	null := &vs.Replica{Rnd: 3}
@@ -214,11 +146,7 @@ func TestBinaryPreservesEmptyInputs(t *testing.T) {
 		core.Envelope{App: vs.Payload{Replica: empty}},
 		core.Envelope{App: vs.Payload{Replica: null}},
 	}}
-	in := NewMsg(1, 2, pkt)
-	if hdr := firstHeader(t, encodeOne(t, 5, in)); hdr&binFlag == 0 {
-		t.Fatalf("packet missed the binary fast path (header %#x)", hdr)
-	}
-	batch := decodeOne(t, fullStream(t, in)).Payload().(datalink.Packet).Batch
+	batch := roundTrip(t, pkt)[0].(datalink.Packet).Batch
 	got := batch[0].(core.Envelope).App.(vs.Payload).Replica
 	if got.Inputs == nil || len(got.Inputs) != 0 {
 		t.Fatalf("empty Inputs round-tripped as %#v, want empty non-nil map", got.Inputs)
@@ -232,54 +160,66 @@ func TestBinaryPreservesEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestBinaryDeterministicBytes: the binary encoding of a message with
+// TestBinaryDeterministicBytes: the encoding of a message with
 // multi-key maps is byte-identical across encodes (maps are sorted), so
 // bytes-per-op columns in experiments are reproducible.
 func TestBinaryDeterministicBytes(t *testing.T) {
-	pkt := hotShapes()["full-env"]
-	in := NewMsg(1, 2, pkt)
-	first := encodeOne(t, 5, in)
+	in := NewMsg(1, 2, hotShapes()["full-env"])
+	first, err := appendMsg(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
-		if again := encodeOne(t, 5, in); !bytes.Equal(first, again) {
+		if again, _ := appendMsg(nil, in); !bytes.Equal(first, again) {
 			t.Fatalf("encode %d diverged from first encode", i)
 		}
 	}
 }
 
-// TestBinaryFallbackToGob: payload types outside the closed hot-path
-// set, and non-DATA packets, fall back to the gob stream on a
-// version-5 connection and still round-trip.
-func TestBinaryFallbackToGob(t *testing.T) {
-	cases := map[string]any{
-		"outside-type":   datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: outsideType{X: 7}},
-		"outside-in-env": datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: core.Envelope{App: outsideType{X: 8}}},
-		"outside-batch":  datalink.Packet{Kind: datalink.KindData, Session: 3, Batch: []any{core.Envelope{}, outsideType{X: 9}}},
-		"clean":          datalink.Packet{Kind: datalink.KindClean, Session: 3},
-		"clean-ack":      datalink.Packet{Kind: datalink.KindCleanAck, Session: 3},
-		"ack":            datalink.Packet{Kind: datalink.KindAck, Session: 3, Seq: 2},
-		"raw-msg":        "not a packet at all",
+// TestDataBodyGoldens pins the DATA-packet body layout byte for byte:
+// the benchmark's single and batch-16 packets (bench/micro.go's fallback
+// envelope) and the full envelope, as the version-5 binary fast path
+// encoded them. A layout drift fails here rather than moving
+// wire.bytes_* in a benchmark.
+func TestDataBodyGoldens(t *testing.T) {
+	env := core.Envelope{App: "cmd-000", ShardApps: []core.ShardApp{{Shard: 1, App: "s-000"}}}
+	batch := make([]any, 16)
+	for i := range batch {
+		batch[i] = env
 	}
-	for name, payload := range cases {
-		t.Run(name, func(t *testing.T) {
-			in := NewMsg(1, 2, payload)
-			stream := encodeOne(t, 5, in)
-			if hdr := firstHeader(t, stream); hdr&binFlag != 0 {
-				t.Fatalf("%s took the binary path (header %#x)", name, hdr)
-			}
-			got := decodeOne(t, fullStream(t, in)).Payload()
-			if !reflect.DeepEqual(got, payload) {
-				t.Fatalf("gob fallback round trip mismatch:\n in=%#v\nout=%#v", payload, got)
-			}
-		})
+	const item = "01100107636d642d30303001020105732d303030" // one batched envelope
+	for _, c := range []struct {
+		name string
+		pkt  datalink.Packet
+		want string
+	}{
+		{"single", datalink.Packet{Kind: datalink.KindData, Session: 7, Seq: 1, Payload: env},
+			"02040300000000000000070101100107636d642d30303001020105732d303030"},
+		{"batch16", datalink.Packet{Kind: datalink.KindData, Session: 7, Seq: 1, Batch: batch},
+			// from, to, kind, session, seq, shape, count, 16 items
+			"0204" + "03" + "0000000000000007" + "01" + "03" + "10" + strings.Repeat(item, 16)},
+		{"full-env", hotShapes()["full-env"],
+			"020403000000000000006301011f04020406080302040606030204060201020204010103020406000000000101010d" +
+				"03046163637417016208040106040300020a0906030204060404080401610130016d01370178013102017801320179" +
+				"013304040206017801320207040b0207040306017a0139040406000902016b01760200000102020204010006050106" +
+				"040300020a09060102000001020202010000000000000000080206040300020a090600010102020b010a016101620a" +
+				"040e0308010173120254"},
+	} {
+		b, err := appendMsg(nil, NewMsg(1, 2, c.pkt))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(b); got != c.want {
+			t.Errorf("%s body drifted:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }
 
-// TestBinaryGobInterleave: binary DATA frames, gob control frames, and
-// a chunked oversize state transfer share one connection; the reader
-// switches codecs at every message boundary without losing gob stream
-// state.
+// TestBinaryGobInterleave: the kinds that once rode gob (CLEAN, ACK, an
+// oversize DATA transfer) interleave with ordinary and batched DATA
+// frames on one binary stream, and every message decodes in order.
 func TestBinaryGobInterleave(t *testing.T) {
-	big := strings.Repeat("s", MaxFrame+MaxFrame/2) // forces chunked gob transfer
+	big := strings.Repeat("s", MaxFrame+MaxFrame/2) // forces a chunked transfer
 	payloads := []any{
 		datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Payload: core.Envelope{App: "warm"}},
 		datalink.Packet{Kind: datalink.KindClean, Session: 2},
@@ -296,61 +236,57 @@ func TestBinaryGobInterleave(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectedBelowV5: a binary frame appearing on a stream whose
-// preamble negotiated a version below 5 is rejected — old readers never
-// see fast-path frames from a correct writer, so one arriving means the
-// stream is corrupt.
+// TestBinaryRejectedBelowV5: a valid binary stream whose preamble is
+// rewritten to any gob-era version (1–5) is refused by NewReader, before
+// a single frame is read.
 func TestBinaryRejectedBelowV5(t *testing.T) {
-	in := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 7})
-	stream := fullStream(t, in)
-	if hdr := firstHeader(t, stream[preambleLen:]); hdr&binFlag == 0 {
-		t.Fatalf("expected a binary frame (header %#x)", hdr)
+	stream := streamOf(t, datalink.Packet{Kind: datalink.KindData, Session: 7})
+	if _, err := NewReader(bytes.NewReader(stream)); err != nil {
+		t.Fatalf("valid stream refused: %v", err)
 	}
-	stream[len(magic)] = 4 // rewrite the preamble version
-	r, err := NewReader(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadMsg(); err == nil || !strings.Contains(err.Error(), "binary frame") {
-		t.Fatalf("binary frame on v4 stream not rejected: %v", err)
+	for v := byte(1); v <= 5; v++ {
+		stream[len(magic)] = v // rewrite the preamble version
+		if _, err := NewReader(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("binary stream stamped version %d not refused: %v", v, err)
+		}
 	}
 }
 
 // TestBinaryOversizeFallsBack: a DATA message whose binary encoding
-// exceeds MaxFrame leaves the fast path and travels as a (possibly
-// chunked) gob transfer.
+// exceeds MaxFrame falls back to chunk frames carrying that same
+// encoding, and decodes back intact.
 func TestBinaryOversizeFallsBack(t *testing.T) {
 	big := strings.Repeat("b", MaxFrame+1)
-	in := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: core.Envelope{App: big}})
-	stream := encodeOne(t, 5, in)
-	if hdr := firstHeader(t, stream); hdr&binFlag != 0 {
-		t.Fatalf("oversize message took the binary path (header %#x)", hdr)
+	in := datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: core.Envelope{App: big}}
+	stream := streamOf(t, in)
+	body := stream[preambleLen:]
+	if hdr := uint32(body[0])<<24 | uint32(body[1])<<16 | uint32(body[2])<<8 | uint32(body[3]); hdr&chunkFlag == 0 {
+		t.Fatalf("oversize message not chunked (header %#x)", hdr)
 	}
-	got := decodeOne(t, fullStream(t, in)).Payload().(datalink.Packet)
-	env := got.Payload.(core.Envelope)
-	if env.App != big {
-		t.Fatalf("oversize fallback lost the payload (%d bytes back)", len(env.App.(string)))
+	got := roundTrip(t, in)[0].(datalink.Packet)
+	if env := got.Payload.(core.Envelope); env.App != big {
+		t.Fatalf("oversize transfer lost the payload (%d bytes back)", len(env.App.(string)))
 	}
 }
 
 // TestBinaryTruncationAndCorruptionRejected: every prefix of a valid
-// binary frame payload fails to decode cleanly (no silent partial
-// messages), and absurd counts are rejected before allocation.
+// message encoding fails to decode cleanly (no silent partial messages),
+// and absurd counts are rejected before allocation.
 func TestBinaryTruncationAndCorruptionRejected(t *testing.T) {
 	pkt := hotShapes()["full-env"]
-	b, ok := appendBinaryMsg(nil, NewMsg(1, 2, pkt))
-	if !ok {
-		t.Fatal("full-env should be binary-encodable")
+	b, err := appendMsg(nil, NewMsg(1, 2, pkt))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeBinaryMsg(b); err != nil {
+	if _, err := decodeMsg(b); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	for n := 0; n < len(b); n++ {
-		if _, err := decodeBinaryMsg(b[:n]); err == nil {
+		if _, err := decodeMsg(b[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded cleanly", n, len(b))
 		}
 	}
-	if _, err := decodeBinaryMsg(append(append([]byte(nil), b...), 0)); err == nil {
+	if _, err := decodeMsg(append(append([]byte(nil), b...), 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
 	}
 
@@ -364,7 +300,7 @@ func TestBinaryTruncationAndCorruptionRejected(t *testing.T) {
 		shapeBatch,                   // batch shape
 		0xff, 0xff, 0xff, 0xff, 0x7f, // uvarint count ≈ 34 G
 	}
-	if _, err := decodeBinaryMsg(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := decodeMsg(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("absurd batch count not rejected: %v", err)
 	}
 }

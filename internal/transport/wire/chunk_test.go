@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datalink"
 )
 
-// chunkPreamble returns a version-4 stream preamble.
+// chunkPreamble returns a stream preamble.
 func chunkPreamble() []byte {
 	var pre [preambleLen]byte
 	copy(pre[:], magic[:])
@@ -27,74 +31,45 @@ func chunkFrame(total uint64, index, count uint32, data []byte) []byte {
 	return append(hdr[:], data...)
 }
 
+// TestChunkedTransferRoundTrip: messages larger than MaxFrame — a bare
+// string and a DATA packet's envelope — cross as chunked transfers
+// between ordinary frames, and every message on the stream decodes
+// intact.
 func TestChunkedTransferRoundTrip(t *testing.T) {
-	payload := strings.Repeat("s", MaxFrame+MaxFrame/2)
+	big := strings.Repeat("s", MaxFrame+MaxFrame/2)
+	payloads := []any{
+		datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Payload: core.Envelope{App: "warm"}},
+		big,
+		datalink.Packet{Kind: datalink.KindClean, Session: 2},
+		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 3, Payload: core.Envelope{App: big}},
+		datalink.Packet{Kind: datalink.KindAck, Session: 2, Seq: 3},
+		"after",
+	}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteMsg(NewMsg(1, 2, payload)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Frames() < 2 {
-		t.Fatalf("oversize transfer used %d frames", w.Frames())
-	}
-	// A plain message after the chunked one proves the gob stream and
-	// the frame layer stay in sync across the transfer.
-	if err := w.WriteMsg(NewMsg(1, 2, "after")); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatalf("chunked message did not decode: %v", err)
-	}
-	if got, _ := m.Payload().(string); got != payload {
-		t.Fatalf("chunked message corrupted (len %d want %d)", len(got), len(payload))
-	}
-	m, err = r.ReadMsg()
-	if err != nil {
-		t.Fatalf("message after chunked transfer: %v", err)
-	}
-	if got, _ := m.Payload().(string); got != "after" {
-		t.Fatalf("follow-up message = %q", got)
-	}
-}
-
-func TestLegacyWriterSpansWithoutChunkFrames(t *testing.T) {
-	payload := strings.Repeat("s", MaxFrame+1)
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteMsg(NewMsg(1, 2, payload)); err != nil {
-		t.Fatal(err)
-	}
-	// No frame header carries the chunk flag.
-	b := buf.Bytes()[preambleLen:]
-	for len(b) >= 4 {
-		n := binary.BigEndian.Uint32(b[:4])
-		if n&chunkFlag != 0 {
-			t.Fatal("legacy writer emitted a chunk frame")
+	for i, p := range payloads {
+		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
-		b = b[4+int(n):]
+	}
+	if want := uint64(len(payloads) + 2); w.Frames() != want {
+		t.Fatalf("stream used %d frames, want %d (two chunks per oversize message)", w.Frames(), want)
 	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := m.Payload().(string); got != payload {
-		t.Fatal("legacy spanned message corrupted")
+	for i, want := range payloads {
+		m, err := r.ReadMsg()
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if got := m.Payload(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("message %d corrupted (%T)", i, got)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -10,29 +11,33 @@ import (
 	"repro/internal/recma"
 )
 
-// fuzzSeedStream builds a well-formed stream at the given written
-// version carrying representative traffic: a batched DATA packet (with
-// envelopes and raw payloads), a legacy single-payload envelope packet,
-// control packets, and a raw value.
-func fuzzSeedStream(tb testing.TB, version byte) []byte {
+// fuzzSeedStream builds a well-formed stream carrying representative
+// traffic: a batched DATA packet (with envelopes and raw payloads), a
+// single-payload envelope packet, control packets, and a raw value.
+func fuzzSeedStream(tb testing.TB) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	env := core.Envelope{
 		RecMA:     &recma.Message{NoMaj: true},
 		App:       "app",
 		ShardApps: []core.ShardApp{{Shard: 1, App: "s1"}},
 	}
-	payloads := []any{
+	return streamOf(tb,
 		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 3,
 			Batch: []any{env, "raw", env}},
 		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 4, Payload: env},
 		datalink.Packet{Kind: datalink.KindClean, Session: 10},
 		datalink.Packet{Kind: datalink.KindAck, Session: 9, Seq: 4},
 		"garbage",
+	)
+}
+
+// streamOf writes payloads on a fresh stream.
+func streamOf(tb testing.TB, payloads ...any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	for _, p := range payloads {
 		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
@@ -42,60 +47,75 @@ func fuzzSeedStream(tb testing.TB, version byte) []byte {
 	return buf.Bytes()
 }
 
+// frameOf frames one message body as a plain frame.
+func frameOf(b []byte) []byte {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
+	return append(hdr[:], b...)
+}
+
 // FuzzReadMsg is the decoder-hardening fuzz target: for arbitrary input
 // bytes the reader must return errors — never panic, hang, or allocate
-// past its declared bounds (MaxFrame per frame, MaxWireBatch per batch;
-// gob's own message sanity limits cover the rest). The seed corpus
-// (f.Add plus the checked-in testdata corpus, which plain `go test`
-// executes as a regression suite) covers well-formed v1..v5 streams
-// (version 5 mixes binary fast-path and gob frames), truncations at
-// every structural boundary, corrupted preambles, oversize frame
-// headers, absurd batch counts, and corrupt binary-frame internals
-// (bad shapes, unknown type tags, over-bound counts, both flag bits
-// set).
+// past its declared bounds (MaxFrame per frame, MaxMessage per chunked
+// transfer, MaxWireBatch per batch). The seed corpus (f.Add plus the
+// checked-in testdata corpus, which plain `go test` executes as a
+// regression suite) covers a well-formed stream and a one-message stream
+// of every packet shape, truncations at every structural boundary,
+// corrupted preambles and the preambles of versions 1–5, oversize frame
+// headers, chunked transfers valid and broken, corrupt message internals
+// (bad shapes, unknown type tags, over-bound counts) and absurd batch
+// counts.
 func FuzzReadMsg(f *testing.F) {
-	for _, version := range []byte{1, 2, 3, 4, 5} {
-		stream := fuzzSeedStream(f, version)
-		f.Add(stream)
-		// Truncations: inside the preamble, inside a frame header,
-		// inside a frame payload, inside the gob stream.
-		for _, cut := range []int{3, preambleLen, preambleLen + 2, preambleLen + 6, len(stream) / 2, len(stream) - 1} {
-			if cut < len(stream) {
-				f.Add(append([]byte(nil), stream[:cut]...))
-			}
-		}
-		// Corrupted version and magic bytes.
-		bad := append([]byte(nil), stream...)
-		bad[len(magic)] = 99
-		f.Add(bad)
-		bad2 := append([]byte(nil), stream...)
-		bad2[0] = 'X'
-		f.Add(bad2)
+	stream := fuzzSeedStream(f)
+	pre := stream[:preambleLen]
+	f.Add(stream)
+	// Truncations: inside the preamble, inside a frame header, inside a
+	// frame payload, inside a later message.
+	for _, cut := range []int{3, preambleLen, preambleLen + 2, preambleLen + 6, len(stream) / 2, len(stream) - 1} {
+		f.Add(append([]byte(nil), stream[:cut]...))
 	}
-	// Oversize frame header right after a valid preamble.
-	huge := fuzzSeedStream(f, Version)[:preambleLen]
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff)
-	f.Add(huge)
-	// Zero-length frames followed by garbage.
-	zero := fuzzSeedStream(f, Version)[:preambleLen]
-	zero = append(zero, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3)
-	f.Add(zero)
-	// A frame whose header claims more than the stream holds.
-	short := fuzzSeedStream(f, Version)[:preambleLen]
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1024)
-	short = append(short, hdr[:]...)
-	short = append(short, 'x', 'y')
-	f.Add(short)
-	// Chunk frames (version 4). Writer-built chunked transfers start at
-	// MaxFrame — too big for a seed — so these are hand-framed small
-	// transfers exercising the same reader path: a valid two-chunk
-	// transfer, a declared-oversize one, a CRC mismatch, a sequence
+	// Corrupted magic, and every version but the current one.
+	bad := append([]byte(nil), stream...)
+	bad[0] = 'X'
+	f.Add(bad)
+	for _, v := range []byte{1, 2, 3, 4, 5, Version + 1, 99} {
+		old := append([]byte(nil), stream...)
+		old[len(magic)] = v
+		f.Add(old)
+	}
+	// One message of every packet shape and a bare value, whole and cut
+	// in half.
+	shapes := map[string]any{"raw-msg": "not a packet at all"}
+	for name, pkt := range hotShapes() {
+		shapes[name] = pkt
+	}
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		one := streamOf(f, shapes[name])
+		f.Add(one)
+		f.Add(append([]byte(nil), one[:preambleLen+(len(one)-preambleLen)/2]...))
+	}
+	// Frame headers: oversize, zero-length followed by garbage, claiming
+	// more than the stream holds, and a version-5 binary-frame header
+	// (bit 30), which this format reads as an oversize length.
+	f.Add(append(append([]byte(nil), pre...), 0x7f, 0xff, 0xff, 0xff))
+	f.Add(append(append([]byte(nil), pre...), 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3))
+	f.Add(append(append([]byte(nil), pre...), 0, 0, 4, 0, 'x', 'y'))
+	f.Add(append(append([]byte(nil), pre...), 0x40, 0, 0, 3, 2, 4, 0))
+	// Chunk frames. Writer-built chunked transfers start at MaxFrame —
+	// too big for a seed — so these are hand-framed small transfers
+	// exercising the same reader path: a valid two-chunk transfer of a
+	// real message, a declared-oversize one, a CRC mismatch, a sequence
 	// break, and a truncated chunk header.
 	{
-		pre := fuzzSeedStream(f, Version)[:preambleLen]
-		valid := append(append([]byte(nil), pre...), chunkFrame(8, 0, 2, []byte("abcd"))...)
-		valid = append(valid, chunkFrame(8, 1, 2, []byte("efgh"))...)
+		body := stream[preambleLen+4 : preambleLen+4+int(binary.BigEndian.Uint32(stream[preambleLen:]))]
+		half := len(body) / 2
+		valid := append(append([]byte(nil), pre...), chunkFrame(uint64(len(body)), 0, 2, body[:half])...)
+		valid = append(valid, chunkFrame(uint64(len(body)), 1, 2, body[half:])...)
 		f.Add(valid)
 
 		var oversize [4 + chunkHeaderLen]byte
@@ -111,43 +131,29 @@ func FuzzReadMsg(f *testing.F) {
 		f.Add(append(append([]byte(nil), pre...), chunkFrame(8, 1, 2, []byte("efgh"))...))
 		f.Add(append(append([]byte(nil), pre...), chunkFrame(8, 0, 2, []byte("abcd"))[:9]...))
 	}
-	// Binary fast-path frames (version 5). A valid frame with interior
-	// corruption at several offsets, an empty and an oversize binFlag
-	// header, both flag bits set, a binary frame under a v4 preamble,
-	// and an over-bound batch count inside the frame.
+	// Message internals: a valid batch with corruption at several
+	// offsets, a bare value with an unknown type tag, and an over-bound
+	// batch count.
 	{
-		pre := fuzzSeedStream(f, Version)[:preambleLen]
 		pkt := datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 3,
 			Batch: []any{core.Envelope{App: "app"}, "raw"}}
-		body, ok := appendBinaryMsg(nil, NewMsg(1, 2, pkt))
-		if !ok {
-			f.Fatal("seed packet should be binary-encodable")
+		body, err := appendMsg(nil, NewMsg(1, 2, pkt))
+		if err != nil {
+			f.Fatal(err)
 		}
-		frame := func(b []byte) []byte {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], binFlag|uint32(len(b)))
-			return append(hdr[:], b...)
-		}
-		valid := append(append([]byte(nil), pre...), frame(body)...)
-		f.Add(valid)
+		valid := append(append([]byte(nil), pre...), frameOf(body)...)
 		for _, off := range []int{0, len(body) / 4, len(body) / 2, len(body) - 1} {
 			bad := append([]byte(nil), valid...)
 			bad[preambleLen+4+off] ^= 0xff
 			f.Add(bad)
 		}
-		f.Add(append(append([]byte(nil), pre...), 0x40, 0, 0, 0))             // empty binFlag frame
-		f.Add(append(append([]byte(nil), pre...), 0x7f, 0xff, 0xff, 0xff))    // binFlag, size > MaxFrame
-		f.Add(append(append([]byte(nil), pre...), 0xc0, 0, 0, 8, 1, 2, 3, 4)) // chunkFlag|binFlag
-		v4pre := append([]byte(nil), pre...)
-		v4pre[len(magic)] = 4
-		f.Add(append(v4pre, frame(body)...))
-		overBatch := append(append([]byte(nil), pre...), frame([]byte{
+		f.Add(append(append([]byte(nil), pre...), frameOf([]byte{2, 4, kindNone, 99})...))
+		f.Add(append(append([]byte(nil), pre...), frameOf([]byte{
 			2, 4, byte(datalink.KindData),
 			0, 0, 0, 0, 0, 0, 0, 1, 1,
-			3,                            // shapeBatch
+			shapeBatch,
 			0xff, 0xff, 0xff, 0xff, 0x7f, // absurd count
-		})...)
-		f.Add(overBatch)
+		})...))
 	}
 	// An over-MaxWireBatch batch in an otherwise valid stream.
 	{
@@ -155,15 +161,7 @@ func FuzzReadMsg(f *testing.F) {
 		for i := range batch {
 			batch[i] = 0
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := w.WriteMsg(NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Batch: batch})); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(streamOf(f, datalink.Packet{Kind: datalink.KindData, Batch: batch}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -178,10 +176,9 @@ func FuzzReadMsg(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.HasPkt && len(m.Pkt.Batch) > MaxWireBatch {
-				t.Fatalf("reader passed a %d-payload batch through", len(m.Pkt.Batch))
+			if pkt, ok := m.Payload().(datalink.Packet); ok && len(pkt.Batch) > MaxWireBatch {
+				t.Fatalf("reader passed a %d-payload batch through", len(pkt.Batch))
 			}
-			m.Payload() // reconstruction must not panic either
 		}
 	})
 }

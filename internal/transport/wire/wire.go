@@ -1,118 +1,60 @@
-// Package wire is the versioned codec of the TCP transport backend: the
-// message schema for everything the reconfiguration stack sends between
-// processes — recSA/recMA state broadcasts, joining requests/responses,
-// label/counter gossip and RPCs, and vs replica exchanges — framed as
-// length-prefixed gob over a persistent per-connection stream.
+// Package wire is the codec of the TCP transport backend: one binary
+// format (binary.go) over the closed set of messages the reconfiguration
+// stack sends between processes — datalink packets carrying recSA/recMA
+// state broadcasts, joining requests/responses, label/counter gossip and
+// RPCs, and vs replica exchanges — framed over a persistent
+// per-connection stream.
 //
 // Stream layout:
 //
 //	preamble: 6-byte magic "recfg\x00", 1-byte version, 1-byte reserved
 //	frames:   4-byte big-endian header, then payload bytes
 //
-// The header's low 30 bits are the payload length; bit 31 (version 4+)
-// marks a chunk frame of a chunked state transfer, and bit 30 (version
-// 5+) marks a self-contained binary fast-path frame (see binary.go).
-// The remaining (gob) frame payloads of one connection form a single
-// continuous gob stream (type definitions are transmitted once, on
-// first use), decoded into Msg values; binary frames may interleave
-// freely because they never touch the gob stream state.
+// Every message is self-contained: no frame depends on an earlier one,
+// so a message the writer refuses costs that message and nothing else.
+// A message whose encoding fits MaxFrame is one plain frame (the header
+// is its length). A larger one is chunked: header bit 31 marks a chunk
+// frame, whose fixed header — the declared total size of the whole
+// message, the chunk's index, the chunk count, and a CRC-32 of the chunk
+// data — precedes a slice of the encoding. Chunking is what lets a
+// multi-megabyte state transfer cross without the reader buffering blind:
+// it checks the declared total against MaxMessage and the sequencing from
+// each chunk's fixed header before reading that chunk's data, and keeps
+// the data only once its CRC verifies.
 //
-// A message larger than MaxFrame is chunked (version 4): each chunk
-// frame carries a fixed header — the declared total size of the whole
-// transfer, the chunk's index, the chunk count, and a CRC-32 of the
-// chunk data — followed by a slice of the message's stream encoding.
-// The reader validates the declared total against MaxMessage and the
-// sequencing *before* buffering any chunk data, verifies each chunk's
-// CRC, and splices the verified bytes back into the continuous gob
-// stream. Writers negotiated below version 4 fall back to the legacy
-// behavior of spanning the message over several plain frames.
-//
-// A reader rejects mismatched magic, versions outside
-// [MinVersion, Version], over-long frames before buffering them,
-// chunked transfers whose declared total exceeds MaxMessage before
-// buffering any chunk, messages spanning more than MaxMessage bytes,
-// and absurd batch counts, so a corrupted or hostile peer cannot keep
-// the reader buffering without bound. A writer can be negotiated down to
-// any accepted version (NewWriterVersion): it stamps that version in the
-// preamble and downgrades every message's schema and framing to match,
-// which is how new binaries keep serving old readers during a rolling
-// upgrade.
-//
-// Schema notes. Msg/Packet/Envelope mirror datalink.Packet and
-// core.Envelope with explicit presence booleans instead of pointers: gob
-// omits zero-valued fields, so a pointer to a zero value (e.g. the
-// explicit join-denial &join.Response{}) would silently decode as nil
-// and change protocol semantics. Version bumps are required whenever the
-// schema of any transmitted type changes shape.
+// A reader refuses a mismatched magic and every version but Version — a
+// peer running another format fails at connect time, not mid-stream —
+// frames over MaxFrame before buffering them, chunked messages declaring
+// more than MaxMessage, and batch counts over MaxWireBatch, so a
+// corrupted or hostile peer cannot keep it buffering without bound.
 package wire
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
-	"repro/internal/core"
-	"repro/internal/counter"
-	"repro/internal/datalink"
 	"repro/internal/ids"
-	"repro/internal/join"
-	"repro/internal/recma"
-	"repro/internal/recsa"
-	"repro/internal/regmem"
-	"repro/internal/smr"
-	"repro/internal/vs"
 )
 
-// Version is the wire-format version written by this build. Version 2
-// added the shard-tagged application payloads (Envelope.HasShards /
-// Shards); Version 3 added the batched datalink payloads
-// (Packet.HasBatch / Batch, DESIGN.md §11); Version 4 added chunked
-// state transfer (oversize messages travel as flagged chunk frames with
-// a declared total, sequencing, and per-chunk CRC, DESIGN.md §12) — a
-// framing change only, the message schema is untouched; Version 5 added
-// the binary fast path (DESIGN.md §14): hot DATA/batch packets whose
-// payload types all belong to the stack's closed type set travel as
-// self-contained binFlag frames in a hand-rolled binary encoding
-// instead of the gob stream — again framing only, the message schema
-// and the gob fallback are untouched, and a v5 writer emits plain gob
-// for everything a binary frame cannot carry. The schema
-// additions are gob-compatible — an older frame simply decodes with the
-// presence boolean false — so readers accept [MinVersion, Version], and
-// unbatched single-shard frames carry no format break: shard 0's
-// payload still travels in the legacy App slot and a single payload in
-// the legacy Payload slot.
-//
-// Writing is negotiable too: NewWriterVersion emits any version in the
-// accepted range and downgrades the schema of every message to it
-// (dropping what the older schema cannot express — see downgrade), so a
-// new binary can serve old readers during a rolling upgrade. App-level
-// state representations that changed alongside a bump must migrate on
-// adoption themselves; regmem does (a legacy map[string]string replica
-// state is adopted as the base of a delta-chain State rather than
-// discarded).
-const Version = 5
+// Version is the wire-format version: the one a writer stamps and the
+// only one a reader accepts (1–5 are retired formats).
+const Version = 6
 
-// MinVersion is the oldest preamble version a Reader accepts (and the
-// oldest a Writer can be asked to emit).
-const MinVersion = 1
-
-// MaxFrame bounds a single frame's payload size. Messages whose
-// encoding exceeds it are split across several frames (the frame layer
-// chunks one continuous gob stream, so readers of every version
-// reassemble them transparently).
+// MaxFrame bounds a single frame's payload size. A message whose
+// encoding exceeds it travels as a chunked transfer.
 const MaxFrame = 4 << 20
 
-// MaxMessage bounds the total bytes one decoded message may span
-// across frames: generous for multi-frame state snapshots, but a
-// reader stops feeding the gob decoder past it, so a hostile stream
-// cannot have a single message buffered without bound. (gob itself
-// additionally refuses messages above its ~1 GiB internal sanity cap
-// before this budget is consumed.)
+// MaxMessage bounds the encoded size of one message: generous for
+// multi-frame state snapshots, but a writer refuses anything larger and
+// a reader rejects a chunked transfer declaring more before buffering
+// it, so a hostile stream cannot have a single message buffered without
+// bound.
 const MaxMessage = 64 << 20
 
 // MaxWireBatch bounds the per-packet batch length a Reader accepts —
@@ -124,7 +66,7 @@ var magic = [6]byte{'r', 'e', 'c', 'f', 'g', 0}
 
 const preambleLen = len(magic) + 2 // + version + reserved
 
-// chunkFlag marks a frame header as a chunk frame (version 4).
+// chunkFlag marks a frame header as a chunk frame.
 const chunkFlag = 1 << 31
 
 // chunkHeaderLen is the fixed chunk-frame header: 8-byte declared total
@@ -132,272 +74,48 @@ const chunkFlag = 1 << 31
 // CRC-32 of the chunk data.
 const chunkHeaderLen = 8 + 4 + 4 + 4
 
-func init() {
-	// Concrete types that travel inside `any` slots. Named explicitly so
-	// renaming a Go type does not silently change the wire format.
-	gob.RegisterName("repro/vs.Payload", vs.Payload{})
-	gob.RegisterName("repro/counter.Message", counter.Message{})
-	gob.RegisterName("repro/regmem.WriteCmd", regmem.WriteCmd{})
-	gob.RegisterName("repro/regmem.MarkerCmd", regmem.MarkerCmd{})
-	gob.RegisterName("repro/regmem.State", regmem.State{})
-	gob.RegisterName("repro/smr.KVCmd", smr.KVCmd{})
-	gob.RegisterName("repro/smr.BankCmd", smr.BankCmd{})
-	gob.RegisterName("repro/smr.Batch", smr.Batch{})
-	gob.RegisterName("repro/map.ss", map[string]string{})
-	gob.RegisterName("repro/map.si64", map[string]int64{})
-	gob.RegisterName("repro/map.idany", map[ids.ID]any{})
-	gob.RegisterName("repro/ids.Set", ids.Set{})
-	// Primitive payloads (tests and fault-injection garbage).
-	gob.Register("")
-	gob.Register(0)
-	gob.Register(false)
-}
-
-// Msg is one transport send: From/To routing plus the payload in wire
-// form.
+// Msg is one transport send: From/To routing plus the payload.
 type Msg struct {
 	From, To ids.ID
-	// HasPkt/Pkt carry a datalink.Packet — the only payload the stack
-	// itself produces.
-	HasPkt bool
-	Pkt    Packet
-	// Raw carries any other payload (fault-injection garbage, tests).
-	Raw any
+	payload  any
 }
 
-// Packet mirrors datalink.Packet. HasBatch/Batch is the version-3
-// batched-payload field: one entry per payload of a multi-payload DATA
-// cycle, in delivery order, with explicit presence (an empty batch is
-// distinguishable from an unbatched packet).
-type Packet struct {
-	Kind     int
-	Session  uint64
-	Seq      uint8
-	HasEnv   bool
-	Env      Envelope
-	Raw      any // non-Envelope datalink payload
-	HasBatch bool
-	Batch    []BatchItem
-}
-
-// BatchItem is one payload of a batched DATA packet, in the same
-// Envelope-or-Raw shape as the packet's single-payload slots.
-type BatchItem struct {
-	HasEnv bool
-	Env    Envelope
-	Raw    any
-}
-
-// Envelope mirrors core.Envelope with presence flags for the pointer
-// fields. App carries shard 0's application payload (the only payload
-// before sharding, so unsharded frames keep their exact shape);
-// HasShards/Shards is the version-2 shard-mux field carrying the tagged
-// payloads of shards ≥ 1 with explicit presence — a shard tag of 0 in an
-// entry is preserved even though gob elides zero struct fields, because
-// presence is signalled by HasShards and the entry itself, never by the
-// tag's value.
-type Envelope struct {
-	HasSA       bool
-	SA          recsa.Message
-	HasMA       bool
-	MA          recma.Message
-	JoinReq     bool
-	HasJoinResp bool
-	JoinResp    join.Response
-	App         any
-	HasShards   bool
-	Shards      []ShardApp
-}
-
-// ShardApp mirrors core.ShardApp: one shard-tagged application payload.
-type ShardApp struct {
-	Shard int
-	App   any
-}
-
-// NewMsg converts a transport payload into its wire form.
+// NewMsg wraps a transport payload for the wire.
 func NewMsg(from, to ids.ID, payload any) Msg {
-	m := Msg{From: from, To: to}
-	pkt, ok := payload.(datalink.Packet)
-	if !ok {
-		m.Raw = payload
-		return m
-	}
-	m.HasPkt = true
-	m.Pkt = Packet{Kind: int(pkt.Kind), Session: pkt.Session, Seq: pkt.Seq}
-	if pkt.Batch != nil {
-		// Payload and Batch are mutually exclusive per the
-		// datalink.Packet contract; a receiving endpoint ignores
-		// Payload when Batch is set, so it is not carried either.
-		m.Pkt.HasBatch = true
-		m.Pkt.Batch = make([]BatchItem, 0, len(pkt.Batch))
-		for _, p := range pkt.Batch {
-			var item BatchItem
-			if env, ok := p.(core.Envelope); ok {
-				item.HasEnv, item.Env = true, toWireEnvelope(env)
-			} else {
-				item.Raw = p
-			}
-			m.Pkt.Batch = append(m.Pkt.Batch, item)
-		}
-		return m
-	}
-	env, ok := pkt.Payload.(core.Envelope)
-	if !ok {
-		m.Pkt.Raw = pkt.Payload
-		return m
-	}
-	m.Pkt.HasEnv = true
-	m.Pkt.Env = toWireEnvelope(env)
-	return m
+	return Msg{From: from, To: to, payload: payload}
 }
 
-// toWireEnvelope converts a core.Envelope to its explicit-presence wire
-// form.
-func toWireEnvelope(env core.Envelope) Envelope {
-	var w Envelope
-	if env.RecSA != nil {
-		w.HasSA, w.SA = true, *env.RecSA
-	}
-	if env.RecMA != nil {
-		w.HasMA, w.MA = true, *env.RecMA
-	}
-	w.JoinReq = env.JoinReq
-	if env.JoinResp != nil {
-		w.HasJoinResp, w.JoinResp = true, *env.JoinResp
-	}
-	w.App = env.App
-	if env.ShardApps != nil {
-		w.HasShards = true
-		w.Shards = make([]ShardApp, 0, len(env.ShardApps))
-		for _, sa := range env.ShardApps {
-			w.Shards = append(w.Shards, ShardApp{Shard: sa.Shard, App: sa.App})
-		}
-	}
-	return w
-}
+// Payload returns the transport payload.
+func (m Msg) Payload() any { return m.payload }
 
-// fromWireEnvelope reconstructs the core.Envelope.
-func fromWireEnvelope(w Envelope) core.Envelope {
-	env := core.Envelope{JoinReq: w.JoinReq, App: w.App}
-	if w.HasSA {
-		sa := w.SA
-		env.RecSA = &sa
-	}
-	if w.HasMA {
-		ma := w.MA
-		env.RecMA = &ma
-	}
-	if w.HasJoinResp {
-		jr := w.JoinResp
-		env.JoinResp = &jr
-	}
-	if w.HasShards {
-		env.ShardApps = make([]core.ShardApp, 0, len(w.Shards))
-		for _, sa := range w.Shards {
-			env.ShardApps = append(env.ShardApps, core.ShardApp{Shard: sa.Shard, App: sa.App})
-		}
-	}
-	return env
-}
+// ErrMessageTooLarge reports a message whose encoding exceeds
+// MaxMessage: every reader would refuse it, so the writer refuses it
+// symmetrically before any frame reaches the stream (callers should
+// drop the message — an omission — rather than retry it).
+var ErrMessageTooLarge = errors.New("wire: message encoding exceeds MaxMessage")
 
-// Payload reconstructs the transport payload.
-func (m Msg) Payload() any {
-	if !m.HasPkt {
-		return m.Raw
-	}
-	pkt := datalink.Packet{
-		Kind:    datalink.Kind(m.Pkt.Kind),
-		Session: m.Pkt.Session,
-		Seq:     m.Pkt.Seq,
-	}
-	if m.Pkt.HasBatch {
-		pkt.Batch = make([]any, 0, len(m.Pkt.Batch))
-		for _, item := range m.Pkt.Batch {
-			if item.HasEnv {
-				pkt.Batch = append(pkt.Batch, fromWireEnvelope(item.Env))
-			} else {
-				pkt.Batch = append(pkt.Batch, item.Raw)
-			}
-		}
-		return pkt
-	}
-	if !m.Pkt.HasEnv {
-		pkt.Payload = m.Pkt.Raw
-		return pkt
-	}
-	pkt.Payload = fromWireEnvelope(m.Pkt.Env)
-	return pkt
-}
+// ErrUnsupported reports a payload outside the closed message set the
+// codec encodes (binary.go); the writer refuses it before any frame
+// reaches the stream.
+var ErrUnsupported = errors.New("wire: payload outside the closed message set")
 
-// Writer frames a gob stream onto w. Not safe for concurrent use.
+// Writer frames encoded messages onto w. Not safe for concurrent use.
 type Writer struct {
-	w       *bufio.Writer
-	buf     bytes.Buffer
-	enc     *gob.Encoder
-	bin     []byte // binary fast-path scratch (version 5)
-	version byte
-	frames  uint64
+	w      *bufio.Writer
+	buf    []byte // encoding scratch
+	frames uint64
 }
 
-// NewWriter writes the current-version preamble and returns a frame
-// writer.
-func NewWriter(w io.Writer) (*Writer, error) { return NewWriterVersion(w, Version) }
-
-// NewWriterVersion writes a preamble for any supported version and
-// returns a writer that emits that version's schema: messages are
-// downgraded (see downgrade) before encoding, so a reader that only
-// speaks the negotiated version never sees fields it cannot decode.
-func NewWriterVersion(w io.Writer, version byte) (*Writer, error) {
-	if version < MinVersion || version > Version {
-		return nil, fmt.Errorf("wire: cannot write version %d, support %d..%d", version, MinVersion, Version)
-	}
+// NewWriter writes the preamble and returns a frame writer.
+func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriter(w)
 	var pre [preambleLen]byte
 	copy(pre[:], magic[:])
-	pre[len(magic)] = version
+	pre[len(magic)] = Version
 	if _, err := bw.Write(pre[:]); err != nil {
 		return nil, err
 	}
-	out := &Writer{w: bw, version: version}
-	out.enc = gob.NewEncoder(&out.buf)
-	return out, nil
-}
-
-// Version returns the version this writer was negotiated down to.
-func (w *Writer) Version() byte { return w.version }
-
-// downgrade rewrites a message into the schema of an older format
-// version, dropping what that schema cannot express:
-//
-//   - below version 3, a batched DATA packet collapses to its last
-//     (freshest) payload in the legacy single-payload slot. The dropped
-//     earlier payloads are an omission the bounded-link model already
-//     allows and the stack's latest-state gossip absorbs; run batch 1
-//     during mixed-version operation to avoid it entirely.
-//   - below version 2, shard-tagged payloads (shards >= 1) are dropped;
-//     shard 0 traffic is unaffected.
-//
-// Versions 4 and 5 are framing-only changes (chunked transfer, binary
-// fast path), so no schema rewrite exists for them: a writer negotiated
-// to 4 merely stops emitting binary frames, one negotiated to 3 also
-// spans oversize messages across plain frames.
-func downgrade(m Msg, version byte) Msg {
-	if version >= Version || !m.HasPkt {
-		return m
-	}
-	if version < 3 && m.Pkt.HasBatch {
-		var last BatchItem
-		if n := len(m.Pkt.Batch); n > 0 {
-			last = m.Pkt.Batch[n-1]
-		}
-		m.Pkt.HasBatch, m.Pkt.Batch = false, nil
-		m.Pkt.HasEnv, m.Pkt.Env, m.Pkt.Raw = last.HasEnv, last.Env, last.Raw
-	}
-	if version < 2 && m.Pkt.HasEnv {
-		m.Pkt.Env.HasShards, m.Pkt.Env.Shards = false, nil
-	}
-	return m
+	return &Writer{w: bw}, nil
 }
 
 // WriteMsg appends one message to the stream and flushes it.
@@ -408,74 +126,36 @@ func (w *Writer) WriteMsg(m Msg) error {
 	return w.Flush()
 }
 
-// ErrMessageTooLarge reports a message whose encoding exceeds
-// MaxMessage: every reader would refuse it, so the writer refuses it
-// symmetrically before any frame reaches the stream (callers should
-// drop the message — an omission — rather than retry it).
-var ErrMessageTooLarge = errors.New("wire: message encoding exceeds MaxMessage")
-
 // Append encodes one message into the stream without flushing, so
 // callers can coalesce several messages into one underlying write (the
-// tcp backend's hot path). A message whose encoding exceeds MaxFrame
-// becomes a chunked transfer (version 4): explicit chunk frames carrying
-// the declared total, sequence numbers, and per-chunk CRCs, so the
-// reader validates the transfer before buffering it. Writers negotiated
-// below version 4 span the oversize encoding across consecutive plain
-// frames instead (the frame layer chunks one continuous gob stream, so
-// legacy readers reassemble it transparently). Encodings beyond
-// MaxMessage fail with ErrMessageTooLarge (readers enforce the same
-// bound; writing such a message would dead-loop the link on rejection).
-// Any Append error leaves the gob stream state undefined — discard the
-// writer and start a fresh stream (the tcp backend redials).
-//
-// A version-5 writer first tries the binary fast path for DATA packets
-// (binary.go): payloads entirely within the closed hot-path type set
-// whose encoding fits one frame travel as a self-contained binFlag
-// frame, skipping gob reflection; anything else falls through to the
-// gob stream below, bit-identical to version 4.
+// tcp backend's hot path). A message the codec refuses — a payload
+// outside the closed set (ErrUnsupported) or an encoding beyond
+// MaxMessage (ErrMessageTooLarge) — fails before a byte reaches the
+// stream, which stays usable: the caller drops that message alone. Any
+// other error is the underlying writer's.
 func (w *Writer) Append(m Msg) error {
-	m = downgrade(m, w.version)
-	if w.version >= 5 && m.HasPkt && m.Pkt.Kind == int(datalink.KindData) {
-		if b, ok := appendBinaryMsg(w.bin[:0], m); ok && len(b) <= MaxFrame {
-			w.bin = b
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], binFlag|uint32(len(b)))
-			if _, err := w.w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := w.w.Write(b); err != nil {
-				return err
-			}
-			w.frames++
-			return nil
-		}
+	b, err := appendMsg(w.buf[:0], m)
+	if cap(b) <= MaxFrame {
+		w.buf = b // keep the scratch, but not a state transfer's worth
 	}
-	w.buf.Reset()
-	if err := w.enc.Encode(m); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+	if err != nil {
+		return err
 	}
-	if w.buf.Len() > MaxMessage {
-		return fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, w.buf.Len())
+	if len(b) > MaxMessage {
+		return fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, len(b))
 	}
-	if w.version >= 4 && w.buf.Len() > MaxFrame {
-		return w.appendChunked(w.buf.Bytes())
+	if len(b) > MaxFrame {
+		return w.appendChunked(b)
 	}
-	for b := w.buf.Bytes(); len(b) > 0; {
-		n := len(b)
-		if n > MaxFrame {
-			n = MaxFrame
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(n))
-		if _, err := w.w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.w.Write(b[:n]); err != nil {
-			return err
-		}
-		w.frames++
-		b = b[n:]
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
+	if _, err := w.w.Write(hdr[:]); err != nil {
+		return err
 	}
+	if _, err := w.w.Write(b); err != nil {
+		return err
+	}
+	w.frames++
 	return nil
 }
 
@@ -509,7 +189,7 @@ func (w *Writer) appendChunked(b []byte) error {
 }
 
 // Frames returns the cumulative count of wire frames emitted — one per
-// message plus one per MaxFrame-sized split chunk beyond the first.
+// message plus one per chunk beyond the first of a chunked transfer.
 func (w *Writer) Frames() uint64 { return w.frames }
 
 // Flush pushes every appended frame to the underlying writer.
@@ -517,8 +197,8 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader validates the preamble and decodes framed messages.
 type Reader struct {
-	fr  *frameReader
-	dec *gob.Decoder
+	r   *bufio.Reader
+	buf []byte // plain-frame scratch; decoded values never alias it
 }
 
 // NewReader consumes and validates the preamble from r.
@@ -531,213 +211,120 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if !bytes.Equal(pre[:len(magic)], magic[:]) {
 		return nil, fmt.Errorf("wire: bad magic %q", pre[:len(magic)])
 	}
-	if v := pre[len(magic)]; v < MinVersion || v > Version {
-		return nil, fmt.Errorf("wire: version %d, want %d..%d", v, MinVersion, Version)
+	if v := pre[len(magic)]; v != Version {
+		return nil, fmt.Errorf("wire: version %d, want %d", v, Version)
 	}
-	fr := &frameReader{r: br, version: pre[len(magic)]}
-	return &Reader{fr: fr, dec: gob.NewDecoder(fr)}, nil
+	return &Reader{r: br}, nil
 }
 
-// ReadMsg decodes the next message, blocking until a frame arrives. At
-// a message boundary the next frame header is peeked: a binary
-// fast-path frame (version 5) is decoded by binary.go without touching
-// the gob stream; any other header is stashed and the gob decoder
-// proceeds exactly as before.
+// ReadMsg decodes the next message, blocking until its last frame
+// arrives.
 func (r *Reader) ReadMsg() (Msg, error) {
-	r.fr.budget = MaxMessage
-	if b, err := r.fr.nextBinary(); err != nil {
-		return Msg{}, err
-	} else if b != nil {
-		return decodeBinaryMsg(b)
-	}
-	var m Msg
-	if err := r.dec.Decode(&m); err != nil {
+	b, err := r.next()
+	if err != nil {
 		return Msg{}, err
 	}
-	if m.HasPkt && len(m.Pkt.Batch) > MaxWireBatch {
-		return Msg{}, fmt.Errorf("wire: batch of %d payloads exceeds MaxWireBatch %d", len(m.Pkt.Batch), MaxWireBatch)
-	}
-	return m, nil
+	return decodeMsg(b)
 }
 
-// frameReader unwraps length-prefixed frames into the continuous byte
-// stream the gob decoder expects, enforcing MaxFrame per frame before
-// buffering and the per-message MaxMessage budget (re-armed by ReadMsg)
-// across frames. Chunk frames (version 4) are validated — declared
-// total against MaxMessage before any chunk data is buffered, index
-// sequencing, per-chunk CRC — and their verified data is spliced back
-// into the continuous stream.
-type frameReader struct {
-	r       *bufio.Reader
-	version byte
-	remain  int
-	budget  int
-
-	// Frame header peeked by nextBinary but belonging to the gob stream.
-	pending    uint32
-	hasPending bool
-
-	// Verified chunk data not yet consumed by the decoder.
-	chunk    []byte
-	chunkOff int
-	// In-progress chunked-transfer assembly state.
-	assembling bool
-	asmTotal   uint64
-	asmCount   uint32
-	asmNext    uint32
-	asmGot     uint64
-}
-
-// nextBinary peeks the next frame header at a message boundary. A
-// binary fast-path frame is read whole and returned; any other header
-// is stashed for Read (the gob path) and nil is returned. When the
-// reader is mid-stream — undrained frame bytes, chunk data, or an
-// in-progress chunked assembly — there is no boundary to peek at and
-// the gob path continues untouched.
-func (f *frameReader) nextBinary() ([]byte, error) {
-	if f.hasPending || f.remain > 0 || f.chunkOff < len(f.chunk) || f.assembling {
-		return nil, nil
-	}
+// header reads one frame header.
+func (r *Reader) header() (uint32, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n&chunkFlag != 0 || n&binFlag == 0 {
-		f.pending, f.hasPending = n, true
-		return nil, nil
-	}
-	if f.version < 5 {
-		return nil, fmt.Errorf("wire: binary frame on version-%d stream", f.version)
-	}
-	size := n &^ uint32(binFlag)
-	if size == 0 || size > MaxFrame {
-		return nil, fmt.Errorf("wire: binary frame of %d bytes outside (0, MaxFrame]", size)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(f.r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return binary.BigEndian.Uint32(hdr[:]), nil
 }
 
-func (f *frameReader) Read(p []byte) (int, error) {
-	for f.remain == 0 && f.chunkOff == len(f.chunk) {
-		var n uint32
-		if f.hasPending {
-			n, f.hasPending = f.pending, false
-		} else {
-			var hdr [4]byte
-			if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-				return 0, err
-			}
-			n = binary.BigEndian.Uint32(hdr[:])
-		}
-		if n&chunkFlag == 0 && n&binFlag != 0 {
-			// A binary frame can only begin at a message boundary, where
-			// nextBinary consumes it; reaching one here means the gob
-			// decoder wanted more bytes mid-message.
-			return 0, errors.New("wire: binary frame interrupts gob message")
-		}
-		if n&chunkFlag != 0 {
-			if err := f.readChunk(n &^ chunkFlag); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if f.assembling {
-			return 0, fmt.Errorf("wire: plain frame interrupts chunked transfer at chunk %d/%d", f.asmNext, f.asmCount)
-		}
-		if n > MaxFrame {
-			return 0, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", n)
-		}
-		f.remain = int(n)
+// next returns the encoding of the next message: one plain frame, or
+// the verified data of a chunked transfer.
+func (r *Reader) next() ([]byte, error) {
+	n, err := r.header()
+	if err != nil {
+		return nil, err
 	}
-	if f.budget <= 0 {
-		return 0, fmt.Errorf("wire: message exceeds MaxMessage %d bytes", MaxMessage)
+	if n&chunkFlag != 0 {
+		return r.readChunked(n &^ chunkFlag)
 	}
-	if f.chunkOff < len(f.chunk) {
-		avail := f.chunk[f.chunkOff:]
-		if len(p) > len(avail) {
-			p = p[:len(avail)]
-		}
-		if len(p) > f.budget {
-			p = p[:f.budget]
-		}
-		n := copy(p, avail)
-		f.chunkOff += n
-		f.budget -= n
-		return n, nil
+	if n == 0 || n > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes outside (0, MaxFrame]", n)
 	}
-	if len(p) > f.remain {
-		p = p[:f.remain]
+	if cap(r.buf) < int(n) {
+		r.buf = make([]byte, n)
 	}
-	if len(p) > f.budget {
-		p = p[:f.budget]
+	b := r.buf[:n]
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		return nil, err
 	}
-	n, err := f.r.Read(p)
-	f.remain -= n
-	f.budget -= n
-	return n, err
+	return b, nil
 }
 
-// readChunk consumes one chunk frame whose header declared n payload
-// bytes. Validation order matters: the declared total is checked
-// against MaxMessage (and all sequencing against the in-progress
-// assembly) from the fixed header alone, before the chunk data is read
-// into memory — an oversize or inconsistent transfer is rejected at the
-// cost of chunkHeaderLen bytes, never a buffer.
-func (f *frameReader) readChunk(n uint32) error {
-	if n < chunkHeaderLen || n > MaxFrame {
-		return fmt.Errorf("wire: chunk frame of %d bytes outside [%d, MaxFrame]", n, chunkHeaderLen)
-	}
-	var hdr [chunkHeaderLen]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-		return err
-	}
-	total := binary.BigEndian.Uint64(hdr[0:8])
-	index := binary.BigEndian.Uint32(hdr[8:12])
-	count := binary.BigEndian.Uint32(hdr[12:16])
-	crc := binary.BigEndian.Uint32(hdr[16:20])
-	if total == 0 || total > MaxMessage {
-		return fmt.Errorf("wire: chunked transfer declares %d bytes, exceeds MaxMessage %d", total, MaxMessage)
-	}
-	if count == 0 || uint64(count) > total {
-		return fmt.Errorf("wire: chunked transfer declares %d chunks for %d bytes", count, total)
-	}
-	if index >= count {
-		return fmt.Errorf("wire: chunk index %d out of range (count %d)", index, count)
-	}
-	if !f.assembling {
-		if index != 0 {
-			return fmt.Errorf("wire: chunked transfer starts at index %d", index)
+// readChunked assembles a chunked transfer whose first frame header
+// declared n payload bytes. Validation order matters: every chunk's
+// declared total is checked against MaxMessage, and its sequencing
+// against the transfer so far, from the fixed header alone, before its
+// data is read into memory — an oversize or inconsistent transfer is
+// rejected at the cost of chunkHeaderLen bytes, never a buffer. A
+// chunk's data is kept only once its CRC verifies.
+func (r *Reader) readChunked(n uint32) ([]byte, error) {
+	var (
+		msg   []byte
+		total uint64
+		count uint32
+	)
+	for next := uint32(0); ; next++ {
+		if next > 0 {
+			h, err := r.header()
+			if err != nil {
+				return nil, err
+			}
+			if h&chunkFlag == 0 {
+				return nil, fmt.Errorf("wire: plain frame interrupts chunked transfer at chunk %d/%d", next, count)
+			}
+			n = h &^ chunkFlag
 		}
-		f.assembling = true
-		f.asmTotal, f.asmCount, f.asmNext, f.asmGot = total, count, 0, 0
-	}
-	if index != f.asmNext || total != f.asmTotal || count != f.asmCount {
-		return fmt.Errorf("wire: chunk %d (total %d, count %d) does not continue transfer at %d (total %d, count %d)",
-			index, total, count, f.asmNext, f.asmTotal, f.asmCount)
-	}
-	dataLen := int(n) - chunkHeaderLen
-	if dataLen == 0 || f.asmGot+uint64(dataLen) > f.asmTotal {
-		return fmt.Errorf("wire: chunk %d of %d bytes overflows declared total %d", index, dataLen, f.asmTotal)
-	}
-	data := make([]byte, dataLen)
-	if _, err := io.ReadFull(f.r, data); err != nil {
-		return err
-	}
-	if crc32.ChecksumIEEE(data) != crc {
-		return fmt.Errorf("wire: chunk %d CRC mismatch", index)
-	}
-	f.asmGot += uint64(dataLen)
-	f.asmNext++
-	if f.asmNext == f.asmCount {
-		if f.asmGot != f.asmTotal {
-			return fmt.Errorf("wire: chunked transfer ended with %d of %d declared bytes", f.asmGot, f.asmTotal)
+		if n < chunkHeaderLen || n > MaxFrame {
+			return nil, fmt.Errorf("wire: chunk frame of %d bytes outside [%d, MaxFrame]", n, chunkHeaderLen)
 		}
-		f.assembling = false
+		var hdr [chunkHeaderLen]byte
+		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+			return nil, err
+		}
+		t := binary.BigEndian.Uint64(hdr[0:8])
+		index := binary.BigEndian.Uint32(hdr[8:12])
+		c := binary.BigEndian.Uint32(hdr[12:16])
+		crc := binary.BigEndian.Uint32(hdr[16:20])
+		if t == 0 || t > MaxMessage {
+			return nil, fmt.Errorf("wire: chunked transfer declares %d bytes, exceeds MaxMessage %d", t, MaxMessage)
+		}
+		if c == 0 || uint64(c) > t {
+			return nil, fmt.Errorf("wire: chunked transfer declares %d chunks for %d bytes", c, t)
+		}
+		if next == 0 {
+			total, count = t, c
+		}
+		if index != next || t != total || c != count {
+			return nil, fmt.Errorf("wire: chunk %d (total %d, count %d) does not continue transfer at %d (total %d, count %d)",
+				index, t, c, next, total, count)
+		}
+		dataLen := int(n) - chunkHeaderLen
+		if dataLen == 0 || uint64(len(msg)+dataLen) > total {
+			return nil, fmt.Errorf("wire: chunk %d of %d bytes overflows declared total %d", index, dataLen, total)
+		}
+		msg = slices.Grow(msg, dataLen)
+		data := msg[len(msg) : len(msg)+dataLen]
+		if _, err := io.ReadFull(r.r, data); err != nil {
+			return nil, err
+		}
+		if crc32.ChecksumIEEE(data) != crc {
+			return nil, fmt.Errorf("wire: chunk %d CRC mismatch", index)
+		}
+		msg = msg[:len(msg)+dataLen]
+		if next+1 == count {
+			if uint64(len(msg)) != total {
+				return nil, fmt.Errorf("wire: chunked transfer ended with %d of %d declared bytes", len(msg), total)
+			}
+			return msg, nil
+		}
 	}
-	f.chunk, f.chunkOff = data, 0
-	return nil
 }

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -22,19 +20,10 @@ import (
 	"repro/internal/vs"
 )
 
+// roundTrip sends payloads through NewMsg → Writer → Reader → Payload.
 func roundTrip(t *testing.T, payloads ...any) []any {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(streamOf(t, payloads...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +93,10 @@ func TestFullEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestZeroValueFieldsSurvive guards the gob nil-vs-zero hazard: pointers
-// to zero values (an explicit join denial, an all-clear recMA message)
-// must arrive as non-nil pointers to zero values, not as nil.
+// TestZeroValueFieldsSurvive: pointers to zero values (an explicit join
+// denial, an all-clear recMA message) must arrive as non-nil pointers to
+// zero values, not as nil — presence comes from the pointer, never from
+// the value.
 func TestZeroValueFieldsSurvive(t *testing.T) {
 	env := core.Envelope{
 		RecMA:    &recma.Message{}, // all-clear flags
@@ -132,10 +122,9 @@ func TestZeroValueFieldsSurvive(t *testing.T) {
 	}
 }
 
-// TestShardTaggedEnvelopeRoundTrip exercises the version-2 shard-mux
-// field: payloads of shards ≥ 1 travel tagged, and — the gob hazard the
-// explicit-presence schema guards — an entry tagged shard 0 survives
-// even though gob elides zero-valued struct fields.
+// TestShardTaggedEnvelopeRoundTrip exercises the shard-mux field:
+// payloads of shards ≥ 1 travel tagged, and an entry tagged shard 0
+// survives with its tag.
 func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	st := regmem.State{Base: map[string]string{"a": "1"}, Delta: &regmem.Delta{Name: "b", Value: "2"}, Depth: 1}
 	app0 := vs.Payload{Replica: &vs.Replica{Status: vs.StatusMulticast, Rnd: 1, State: st}}
@@ -143,7 +132,7 @@ func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	env := core.Envelope{
 		App: app0,
 		ShardApps: []core.ShardApp{
-			{Shard: 0, App: app0}, // tag 0 must survive gob's zero elision
+			{Shard: 0, App: app0}, // a zero tag is still a tag
 			{Shard: 1, App: app1},
 		},
 	}
@@ -167,9 +156,8 @@ func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnshardedEnvelopeHasNoShardField: a single-shard envelope encodes
-// exactly as before sharding — no shard field materializes on decode, so
-// shard-0-only deployments see no format break.
+// TestUnshardedEnvelopeHasNoShardField: a single-shard envelope carries
+// no shard field, and none materializes on decode.
 func TestUnshardedEnvelopeHasNoShardField(t *testing.T) {
 	env := core.Envelope{App: vs.Payload{Replica: &vs.Replica{Status: vs.StatusMulticast}}}
 	in := datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: env}
@@ -180,42 +168,6 @@ func TestUnshardedEnvelopeHasNoShardField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, env) {
 		t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", env, out)
-	}
-}
-
-// TestReaderAcceptsMinVersionStream: a stream stamped with the
-// pre-sharding preamble version still decodes (the shard field is a
-// gob-compatible addition; old frames just carry HasShards=false).
-func TestReaderAcceptsMinVersionStream(t *testing.T) {
-	var buf bytes.Buffer
-	// Version 4 emits the current message schema with plain gob framing
-	// (the version-5 binary fast path is a framing change, and binary
-	// frames are rightly rejected under a downgraded preamble).
-	w, err := NewWriterVersion(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := core.Envelope{RecMA: &recma.Message{NoMaj: true}}
-	if err := w.WriteMsg(NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: env})); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[6] = MinVersion // rewrite the preamble's version byte
-	r, err := NewReader(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("MinVersion preamble rejected: %v", err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := m.Payload().(datalink.Packet)
-	out := pkt.Payload.(core.Envelope)
-	if out.RecMA == nil || !out.RecMA.NoMaj {
-		t.Fatalf("v1 frame lost content: %+v", out)
-	}
-	if out.ShardApps != nil {
-		t.Fatalf("v1 frame materialized ShardApps: %+v", out.ShardApps)
 	}
 }
 
@@ -235,10 +187,9 @@ func TestControlAndRawPayloads(t *testing.T) {
 	}
 }
 
-// TestBatchedPacketRoundTrip exercises the version-3 batch field: a
-// DATA packet carrying several payloads — envelopes (with shard tags)
-// and raw values mixed — survives the trip with order and presence
-// intact.
+// TestBatchedPacketRoundTrip exercises the batch field: a DATA packet
+// carrying several payloads — envelopes (with shard tags) and raw values
+// mixed — survives the trip with order and presence intact.
 func TestBatchedPacketRoundTrip(t *testing.T) {
 	env0 := core.Envelope{RecMA: &recma.Message{NoMaj: true}, App: "a0"}
 	env1 := core.Envelope{
@@ -259,7 +210,7 @@ func TestBatchedPacketRoundTrip(t *testing.T) {
 }
 
 // TestEmptyBatchDistinctFromUnbatched: explicit presence means a
-// zero-length batch is not confused with a legacy single-payload packet.
+// zero-length batch is not confused with a single-payload packet.
 func TestEmptyBatchDistinctFromUnbatched(t *testing.T) {
 	in := datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Batch: []any{}}
 	got := roundTrip(t, in)[0].(datalink.Packet)
@@ -268,90 +219,6 @@ func TestEmptyBatchDistinctFromUnbatched(t *testing.T) {
 	}
 	if len(got.Batch) != 0 || got.Payload != nil {
 		t.Fatalf("empty batch mutated: %#v", got)
-	}
-}
-
-// roundTripVersion writes payloads through a writer negotiated down to
-// the given version and decodes them back.
-func roundTripVersion(t *testing.T, version byte, payloads ...any) []any {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if got := buf.Bytes()[6]; got != version {
-		t.Fatalf("preamble stamps version %d, want %d", got, version)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]any, 0, len(payloads))
-	for i := range payloads {
-		m, err := r.ReadMsg()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		out = append(out, m.Payload())
-	}
-	return out
-}
-
-// TestWriterDowngradesBatchesToVersion2: a writer negotiated to version
-// 2 collapses a batched packet to its freshest payload in the legacy
-// slot — old readers see a well-formed version-2 stream, the dropped
-// payloads count as link omissions.
-func TestWriterDowngradesBatchesToVersion2(t *testing.T) {
-	envOld := core.Envelope{App: "stale"}
-	envNew := core.Envelope{
-		App:       "fresh",
-		ShardApps: []core.ShardApp{{Shard: 1, App: "s1"}},
-	}
-	in := datalink.Packet{Kind: datalink.KindData, Session: 4, Seq: 2, Batch: []any{envOld, envNew}}
-	got := roundTripVersion(t, 2, in)[0].(datalink.Packet)
-	if got.Batch != nil {
-		t.Fatalf("version-2 stream carried a batch: %#v", got)
-	}
-	env, ok := got.Payload.(core.Envelope)
-	if !ok || env.App != "fresh" {
-		t.Fatalf("downgrade kept %#v, want the freshest payload", got.Payload)
-	}
-	if len(env.ShardApps) != 1 || env.ShardApps[0].Shard != 1 {
-		t.Fatalf("version 2 must keep shard tags: %#v", env.ShardApps)
-	}
-}
-
-// TestWriterDowngradesShardsToVersion1: version 1 additionally drops the
-// shard-mux field (shards >= 1), keeping shard 0 traffic intact.
-func TestWriterDowngradesShardsToVersion1(t *testing.T) {
-	env := core.Envelope{
-		App:       "zero",
-		ShardApps: []core.ShardApp{{Shard: 1, App: "one"}},
-	}
-	in := datalink.Packet{Kind: datalink.KindData, Session: 4, Seq: 0, Payload: env}
-	got := roundTripVersion(t, 1, in)[0].(datalink.Packet)
-	out := got.Payload.(core.Envelope)
-	if out.App != "zero" {
-		t.Fatalf("shard 0 payload lost: %#v", out)
-	}
-	if out.ShardApps != nil {
-		t.Fatalf("version-1 stream carried shard tags: %#v", out.ShardApps)
-	}
-}
-
-func TestWriterRejectsUnsupportedVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriterVersion(&buf, 0); err == nil {
-		t.Fatal("version 0 accepted")
-	}
-	if _, err := NewWriterVersion(&buf, Version+1); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
 
@@ -426,9 +293,10 @@ func TestOversizeMessageSplitsAcrossFrames(t *testing.T) {
 
 // TestMessageSizeBoundsSymmetry: the writer refuses encodings beyond
 // MaxMessage (every reader would reject them — writing one would
-// dead-loop the link on retransmission), and a reader fed a
-// hand-framed over-budget message cuts it off at the per-message
-// budget instead of buffering it in full.
+// dead-loop the link on retransmission) without writing a byte, so the
+// stream carries on; and a reader fed the same encoding hand-framed as a
+// chunked transfer refuses it from the first chunk header instead of
+// buffering it.
 func TestMessageSizeBoundsSymmetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates several ×MaxMessage")
@@ -449,35 +317,82 @@ func TestMessageSizeBoundsSymmetry(t *testing.T) {
 	if got := frameSizes(t, buf.Bytes()); len(got) != 0 {
 		t.Fatalf("refused message still emitted %d frames", len(got))
 	}
+	if got := roundTripStream(t, w, &buf, "after"); got != "after" {
+		t.Fatalf("stream after a refusal carried %#v", got)
+	}
 
-	// Hand-frame the same gob encoding (bypassing the writer's bound,
-	// as a hostile peer would) and confirm the reader stops feeding the
-	// decoder at MaxMessage.
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(big); err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	stream.Write(magic[:])
-	stream.WriteByte(Version)
-	stream.WriteByte(0)
-	for b := gobBuf.Bytes(); len(b) > 0; {
-		n := len(b)
-		if n > MaxFrame {
-			n = MaxFrame
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(n))
-		stream.Write(hdr[:])
-		stream.Write(b[:n])
-		b = b[n:]
-	}
-	r, err := NewReader(&stream)
+	// Hand-frame the same encoding (bypassing the writer's bound, as a
+	// hostile peer would).
+	enc, err := appendMsg(nil, big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadMsg(); err == nil {
-		t.Fatal("message beyond MaxMessage accepted by reader")
+	const maxData = MaxFrame - chunkHeaderLen
+	count := uint32((len(enc) + maxData - 1) / maxData)
+	stream := append(chunkPreamble(), chunkFrame(uint64(len(enc)), 0, count, enc[:maxData])...)
+	r, err := NewReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadMsg(); err == nil || !strings.Contains(err.Error(), "MaxMessage") {
+		t.Fatalf("message beyond MaxMessage not refused up front: %v", err)
+	}
+}
+
+// roundTripStream writes one payload on w, whose stream buf holds, and
+// reads it back.
+func roundTripStream(t *testing.T, w *Writer, buf *bytes.Buffer, payload any) any {
+	t.Helper()
+	if err := w.WriteMsg(NewMsg(1, 2, payload)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Payload()
+}
+
+// outsideType is a payload outside the closed message set.
+type outsideType struct{ X int }
+
+// TestWriterRefusesUnsupportedPayload: a payload outside the closed set,
+// anywhere in the message, or a packet kind the format cannot carry is
+// refused with ErrUnsupported before a byte is written, and the stream
+// carries on.
+func TestWriterRefusesUnsupportedPayload(t *testing.T) {
+	cases := map[string]any{
+		"outside-type":   datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: outsideType{X: 7}},
+		"outside-in-env": datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: core.Envelope{App: outsideType{X: 8}}},
+		"outside-batch":  datalink.Packet{Kind: datalink.KindData, Session: 3, Batch: []any{core.Envelope{}, outsideType{X: 9}}},
+		"outside-raw":    outsideType{X: 10},
+		"kind-zero":      datalink.Packet{Session: 3},
+		"kind-too-big":   datalink.Packet{Kind: 256, Session: 3},
+	}
+	for name, payload := range cases {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteMsg(NewMsg(1, 2, payload)); !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("err = %v, want ErrUnsupported", err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != preambleLen || w.Frames() != 0 {
+				t.Fatalf("refused message wrote %d bytes in %d frames", buf.Len()-preambleLen, w.Frames())
+			}
+			if got := roundTripStream(t, w, &buf, "after"); got != "after" {
+				t.Fatalf("stream after a refusal carried %#v", got)
+			}
+		})
 	}
 }
 
@@ -509,9 +424,13 @@ func TestReaderRejectsBadPreamble(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("notrecfg"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bad := append([]byte("recfg\x00"), 99, 0)
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
-		t.Fatal("future version accepted")
+	// Every other version, the gob-era 1–5 included: a peer running
+	// another format fails at connect time, not mid-stream.
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, Version + 1, 99} {
+		bad := append([]byte("recfg\x00"), v, 0)
+		if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 	if _, err := NewReader(bytes.NewReader([]byte("rec"))); err == nil {
 		t.Fatal("truncated preamble accepted")
@@ -527,38 +446,14 @@ func TestReaderRejectsOversizeFrame(t *testing.T) {
 	if err := w.WriteMsg(NewMsg(1, 2, "x")); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the first frame header to claim an enormous payload.
+	// Corrupt the first frame header to claim an enormous plain frame.
 	b := buf.Bytes()
-	b[8], b[9], b[10], b[11] = 0xff, 0xff, 0xff, 0xff
+	b[8], b[9], b[10], b[11] = 0x7f, 0xff, 0xff, 0xff
 	r, err := NewReader(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadMsg(); err == nil || err == io.EOF {
 		t.Fatalf("oversize frame not rejected: %v", err)
-	}
-}
-
-func TestStreamReusesTypeDefinitions(t *testing.T) {
-	env := core.Envelope{RecMA: &recma.Message{NoMaj: true}}
-	pkt := datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: env}
-
-	size := func(n int) int {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := w.WriteMsg(NewMsg(1, 2, pkt)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Len()
-	}
-	one, ten := size(1), size(10)
-	perMsg := (ten - one) / 9
-	if perMsg >= one {
-		t.Fatalf("per-message cost %dB not below first-message cost %dB — type definitions resent?", perMsg, one)
 	}
 }

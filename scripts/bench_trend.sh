@@ -3,7 +3,7 @@
 # cmd/benchtab and fold it into one JSON artifact (default
 # BENCH_pr10.json): E12 batch scaling (1/4/16/64 payloads per token
 # cycle), E13 pipelining frontier (window 1/2/4/8 at batch 16, static
-# vs adaptive sizing, binary vs gob codec bytes) and E14 churn recovery
+# vs adaptive sizing, wire codec bytes per payload) and E14 churn recovery
 # (kill/restart and joiner adoption, batch 1/16, window 1/4). All
 # experiments run in the deterministic simulator with a fixed seed, so
 # the artifact is byte-stable for a given tree — CI archives it per run
