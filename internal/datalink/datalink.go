@@ -530,6 +530,16 @@ func (e *Endpoint) startClean(p *peer) {
 	p.state = senderCleaning
 	p.session = e.nonce()
 	p.cleanAcks = 0
+	e.dropCycles(p)
+	p.stale = 0
+	e.stats.cleanings.Add(1)
+}
+
+// dropCycles abandons the sender's in-flight cycles and the per-session
+// cycle state, when cleaning starts and again when it completes: a
+// transient fault may leave a cleaning sender holding cycles, and none of
+// them may cross into the session the cleaning opens.
+func (e *Endpoint) dropCycles(p *peer) {
 	p.cur, p.curBatch = nil, nil
 	if p.curValid {
 		e.inflightN.Add(-1)
@@ -539,8 +549,6 @@ func (e *Endpoint) startClean(p *peer) {
 	p.sessionAcked = false
 	p.kicked = false
 	p.acks = 0
-	p.stale = 0
-	e.stats.cleanings.Add(1)
 }
 
 // dropInflight abandons every outstanding pipelined cycle (cleaning,
@@ -799,8 +807,7 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 		if p.cleanAcks > e.opts.Capacity {
 			p.state = senderSteady
 			p.seq = 0
-			p.curValid = false
-			p.acks = 0
+			e.dropCycles(p)
 			e.heartbeat(from)
 		}
 	case KindData:

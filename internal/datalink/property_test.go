@@ -334,6 +334,53 @@ func TestWindowedLinkRecoversFromCorruption(t *testing.T) {
 	}
 }
 
+// TestCleaningDropsOldCycles: a transient fault that leaves a pipelined
+// sender cleaning under a new session, its window still full, must not
+// carry those cycles into the session the cleaning opens. The receiver
+// anchors its sequence history on the first DATA of a new session, so an
+// old cycle re-sent there would be delivered a second time, and the new
+// session's own cycles would then be ignored until a staleness re-clean.
+// Once cleaning completes, the suffix is legal: in order, nothing twice,
+// no timeout.
+func TestCleaningDropsOldCycles(t *testing.T) {
+	netOpts := netsim.Options{Capacity: 8, MinDelay: 1, MaxDelay: 1, TickEvery: 10}
+	opts := Options{Capacity: 8, MaxBatch: 1, Window: 4}
+	h := newHarness(t, 2, netOpts, opts)
+	h.connectAll()
+	next := 0
+	feed := func(until sim.Time) {
+		for h.sched.Now() < until {
+			for h.eps[1].QueueLen(2) < opts.Window {
+				next++
+				h.eps[1].Enqueue(2, next)
+			}
+			h.sched.RunUntil(h.sched.Now() + 5)
+		}
+	}
+	feed(400)
+	p := h.eps[1].peers[2]
+	for len(p.inflight) == 0 && h.sched.Now() < 500 {
+		h.sched.RunUntil(h.sched.Now() + 1)
+	}
+	if len(p.inflight) == 0 {
+		t.Fatal("setup: no cycle in flight at the fault")
+	}
+	p.state, p.session, p.cleanAcks = senderCleaning, p.session+2, 0
+	feed(1200)
+	got := h.delivered[2]
+	for i := 1; i < len(got); i++ {
+		if got[i].(int) <= got[i-1].(int) {
+			t.Fatalf("delivery %d is %v after %v: an old cycle crossed the cleaning", i, got[i], got[i-1])
+		}
+	}
+	if st := h.eps[1].Stats(); st.TimeoutsReset != 0 {
+		t.Fatalf("%d timeout re-cleans after the fault, want 0", st.TimeoutsReset)
+	}
+	if got[len(got)-1].(int) < next-2*opts.Window {
+		t.Fatalf("link stalled after cleaning: last delivery %v of %d enqueued", got[len(got)-1], next)
+	}
+}
+
 // TestEnqueueEvictsOldest: an unpaced producer overflowing the bounded
 // queue displaces the oldest entry (latest-state-wins, the omission the
 // bounded-link model allows) and the eviction is counted.
