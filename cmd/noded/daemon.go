@@ -68,13 +68,9 @@ type DaemonConfig struct {
 	// <= 1 disables batching; the bound must be cluster-uniform).
 	Batch int
 	// Window bounds the in-flight datalink token cycles per link
-	// (DESIGN.md §14; <= 1 keeps the legacy stop-and-wait cycle;
-	// cluster-uniform like Batch).
+	// (DESIGN.md §14; <= 1 is the stop-and-wait cycle; cluster-uniform
+	// like Batch).
 	Window int
-	// Adaptive switches hot-path batch sizing to the queue-depth EWMA
-	// (datalink drains and smr round inputs); false keeps the static
-	// Batch bound bit-identical.
-	Adaptive bool
 	// MaxN is the system bound N (failure detector sizing).
 	MaxN int
 	// OpTimeout is the write/sync-read completion deadline
@@ -127,7 +123,6 @@ func NewDaemon(tr transport.Transport, self ids.ID, cfg DaemonConfig) (*Daemon, 
 		cfg.Window = 1
 	}
 	mem.SetMaxBatch(cfg.Batch)
-	mem.SetAdaptiveBatch(cfg.Adaptive)
 
 	d := &Daemon{self: self, tr: tr, mem: mem, opTimeout: cfg.OpTimeout}
 	// Attach durability before the node exists: recovery seeds each
@@ -164,11 +159,7 @@ func NewDaemon(tr transport.Transport, self ids.ID, cfg DaemonConfig) (*Daemon, 
 		Initial:  initial,
 		EvalConf: func(ids.Set, ids.Set) bool { return false },
 		Apps:     mem.Apps(),
-		Link: datalink.Options{
-			MaxBatch:      cfg.Batch,
-			Window:        cfg.Window,
-			AdaptiveBatch: cfg.Adaptive,
-		},
+		Link:     datalink.Options{MaxBatch: cfg.Batch, Window: cfg.Window},
 	})
 	if err != nil {
 		return nil, err

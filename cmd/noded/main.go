@@ -9,7 +9,7 @@
 //
 //	noded -id 1 -peers "1=127.0.0.1:7101,2=127.0.0.1:7102,..." \
 //	      -http 127.0.0.1:8101 [-members 1,2,3] [-join-timeout 60s] [-seed 1] [-shards 4] \
-//	      [-batch 16] [-window 4] [-adaptive-batch] \
+//	      [-batch 16] [-window 4] \
 //	      [-loss 0.02] [-dup 0.01] [-tick 2ms] \
 //	      [-data-dir /var/lib/noded-1] [-fsync always|snapshot] [-snap-every 1024] \
 //	      [-log-level info] [-log-format text|json] [-pprof]
@@ -40,10 +40,8 @@
 // With -batch B the hot path batches: up to B application payloads ride
 // one datalink token cycle and up to B submitted commands ride one
 // multicast round input (DESIGN.md §11). With -window W up to W token
-// cycles stay in flight per link (pipelining, DESIGN.md §14), and
-// -adaptive-batch sizes each batch from an EWMA of the observed queue
-// depth instead of the static bound. All three knobs must be uniform
-// across the cluster. Nodes speak one wire format (transport/wire) and
+// cycles stay in flight per link (pipelining, DESIGN.md §14). Both knobs
+// must be uniform across the cluster. Nodes speak one wire format (transport/wire) and
 // refuse a peer running any other at connect time, so a cluster is
 // upgraded whole, not node by node.
 //
@@ -121,7 +119,6 @@ func runDaemon(args []string) error {
 		shards   = fs.Int("shards", 1, "register namespace shards (independent service stacks)")
 		batch    = fs.Int("batch", 1, "hot-path batch bound: payloads per datalink token and commands per round (cluster-uniform; 1 = unbatched)")
 		window   = fs.Int("window", 1, "pipelined datalink window: in-flight token cycles per link (cluster-uniform; 1 = stop-and-wait)")
-		adaptive = fs.Bool("adaptive-batch", false, "size hot-path batches from an EWMA of queue depth instead of the static -batch bound")
 		maxN     = fs.Int("maxn", 16, "system bound N (failure detector sizing)")
 		opTO     = fs.Duration("op-timeout", 30*time.Second, "write/sync-read completion deadline")
 		dataDir  = fs.String("data-dir", "", "durable storage directory (per-shard WAL + snapshots; empty = in-memory only)")
@@ -210,7 +207,6 @@ func runDaemon(args []string) error {
 		Shards:    *shards,
 		Batch:     *batch,
 		Window:    *window,
-		Adaptive:  *adaptive,
 		MaxN:      *maxN,
 		OpTimeout: *opTO,
 		DataDir:   *dataDir,
@@ -245,7 +241,6 @@ func runDaemon(args []string) error {
 		"shards", *shards,
 		"batch", *batch,
 		"window", *window,
-		"adaptive_batch", *adaptive,
 		"data_dir", *dataDir,
 		"fsync", fsync.String(),
 		"snap_every", *snapEv,

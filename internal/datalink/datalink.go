@@ -23,58 +23,46 @@
 //
 // # Batching
 //
-// A stop-and-wait token cycle normally carries exactly one application
-// payload, which caps throughput at one payload per round trip. With
-// Options.MaxBatch > 1 each link keeps a bounded outbound queue
-// (Enqueue); a DATA packet then carries up to MaxBatch queued payloads
-// in its Batch slot, delivered in order as a unit on the receiving side.
-// The token contract is unchanged — one DATA/ACK exchange per cycle, the
-// returned token is still the heartbeat, cleaning works identically —
-// only the payload multiplicity grows.
-//
-// Batched links additionally upgrade the packet label from the legacy
-// alternating bit to a cumulative mod-256 sequence with strict in-order
-// acceptance on the receiver, which makes delivery exactly-once and
-// in-order even when a duplicated stale packet overtakes its successor.
-// The legacy discipline (at-least-once under duplication+reordering,
-// fine for the stack's idempotent latest-state gossip) is preserved
-// bit-for-bit at MaxBatch <= 1 so that deterministic simulations keep
-// their exact event sequences. Like the rest of the link options,
-// MaxBatch must be configured uniformly across a cluster: the receiver
-// picks its acceptance discipline from its own options.
+// A token cycle carries one application payload by default, which caps
+// throughput at one payload per round trip. With Options.MaxBatch > 1
+// each link keeps a bounded outbound queue (Enqueue); a DATA packet then
+// carries up to MaxBatch queued payloads in its Batch slot, delivered in
+// order as a unit on the receiving side. The token contract is unchanged
+// — one DATA/ACK exchange per cycle, the returned token is still the
+// heartbeat, cleaning works identically — only the payload multiplicity
+// grows.
 //
 // # Pipelining
 //
-// With Options.Window > 1 the sender additionally retires the two
-// stop-and-wait taxes (DESIGN.md §14). First, the token cycle restarts
-// on the acknowledgment itself instead of waiting for the next tick:
-// when an ACK completes a cycle the sender immediately assembles and
-// transmits the next DATA packet, so the cycle time drops from
-// RTT-rounded-up-to-a-tick to the bare RTT. Second, up to Window cycles
-// may be in flight at once, each with its own cumulative sequence
-// number; the receiver keeps the strict in-order acceptance of the
-// batching discipline (it only ever accepts rxSeq+1), and an ACK is
-// cumulative — acknowledging sequence s completes every outstanding
-// cycle up to and including s. Unacknowledged cycles are re-sent on
-// every tick (the selective re-send) and the existing staleness timeout
-// and session machinery are untouched, so the self-stabilization
-// argument of the single-cycle link carries over: a window is just
-// Window consecutive single cycles whose tokens can overlap in the
-// channel, and cleaning still flushes all of them. Each session opens
-// with a one-cycle slow start — the receiver anchors its sequence
-// history on the first DATA it accepts after adopting a session, so
-// the sender lets exactly one cycle win that race before widening to
-// the full window (otherwise a lost first cycle could be overtaken by
-// its successor and skipped forever). Window <= 1 (the default) is
-// bit-identical to the legacy behavior. Like MaxBatch, Window must be
-// uniform across a cluster.
+// The sender keeps up to Options.Window cycles in flight at once, oldest
+// first; a stop-and-wait link is a window of one. Unacknowledged cycles
+// are re-sent on every tick and the staleness timeout and session
+// machinery see only the list, so the self-stabilization argument of the
+// single cycle carries over: a window is Window consecutive single cycles
+// whose tokens can overlap in the channel, and cleaning flushes all of
+// them. A window wider than one retires the two stop-and-wait taxes
+// (DESIGN.md §14): the cycle restarts on the acknowledgment instead of
+// the next tick, and cycles overlap. An ACK is cumulative — acknowledging
+// label s completes every outstanding cycle up to and including s. Each
+// session opens with a one-cycle slow start: the receiver anchors its
+// sequence history on the first DATA it accepts after adopting a session,
+// so the sender lets exactly one cycle win that race before widening to
+// the full window (otherwise a lost first cycle could be overtaken by its
+// successor and skipped forever).
 //
-// Options.AdaptiveBatch sizes the effective batch from an EWMA of the
-// queue depth observed at each drain (clamped to [1, MaxBatch]) instead
-// of always draining up to the static bound: light load keeps packets
-// small and latency low, heavy load grows batches toward MaxBatch. The
-// EWMA uses integer fixed-point arithmetic so simulations stay
-// byte-identical across platforms.
+// # Acceptance disciplines
+//
+// The packet label and the receiver's acceptance follow one of two
+// disciplines. At MaxBatch 1 and Window 1 the label is the paper's
+// alternating bit: the receiver delivers any DATA whose bit differs from
+// the last one it delivered, which is at-least-once under duplication and
+// reordering — fine for the stack's idempotent latest-state gossip.
+// Batched or pipelined links use a cumulative mod-256 sequence with strict
+// in-order acceptance (the receiver only ever accepts rxSeq+1), which
+// makes delivery exactly-once and in-order even when a duplicated stale
+// packet overtakes its successor. Like the rest of the link options,
+// MaxBatch and Window must be configured uniformly across a cluster: the
+// receiver picks its discipline from its own options.
 package datalink
 
 import (
@@ -119,7 +107,7 @@ func (k Kind) String() string {
 type Packet struct {
 	Kind    Kind
 	Session uint64 // link incarnation nonce established by cleaning
-	Seq     uint8  // packet label within a session (alternating bit, or cumulative mod 256 on batched links)
+	Seq     uint8  // packet label within a session (alternating bit, or cumulative mod 256 on batched or pipelined links)
 	Payload any    // application message (KindData only, single-payload cycles)
 	// Batch carries the payloads of a multi-payload cycle (KindData only,
 	// nil on unbatched links and single-payload cycles). The batch is
@@ -145,28 +133,20 @@ type Options struct {
 	// StaleTicks is the number of sender ticks without progress after
 	// which the link is re-cleaned.
 	StaleTicks int
-	// MaxBatch bounds both the per-link outbound queue and the number of
-	// payloads one DATA packet carries. Values <= 1 keep the legacy
-	// single-payload alternating-bit contract exactly (the queue is
-	// still usable, one payload per cycle); values > 1 enable batching
-	// and the strict cumulative-sequence discipline (see the package
-	// comment). Must be uniform across a cluster.
+	// MaxBatch bounds the number of payloads one DATA packet carries.
+	// Values <= 1 send one payload per cycle (the queue is still usable);
+	// values > 1 enable batching. Either way the link runs the strict
+	// cumulative-sequence discipline unless MaxBatch and Window are both
+	// 1 (see the package comment). Must be uniform across a cluster.
 	MaxBatch int
 	// Window bounds the number of DATA cycles a sender keeps in flight
-	// at once. Values <= 1 keep the legacy one-outstanding-cycle
-	// contract bit-identically; values > 1 enable pipelining — the
-	// cycle restarts on ack instead of the next tick and up to Window
-	// cycles overlap under the strict cumulative-sequence discipline
-	// (see the package comment). Clamped to [1, 64] so in-flight
-	// sequence numbers stay unambiguous mod 256. Must be uniform
-	// across a cluster (the receiver's acceptance discipline follows
-	// its own options). The outbound queue bound grows to
+	// at once; 1 (the default) is stop-and-wait. Values > 1 enable
+	// pipelining — the cycle restarts on ack instead of the next tick and
+	// up to Window cycles overlap (see the package comment). Clamped to
+	// [1, 64] so in-flight sequence numbers stay unambiguous mod 256.
+	// Must be uniform across a cluster. The outbound queue bound is
 	// MaxBatch×Window so a full window of full batches can be staged.
 	Window int
-	// AdaptiveBatch, when true, sizes each drain from an EWMA of the
-	// observed queue depth (clamped to [1, MaxBatch]) instead of the
-	// static MaxBatch bound. False keeps the static drain bit-identical.
-	AdaptiveBatch bool
 }
 
 // DefaultOptions matches netsim.DefaultOptions' capacity.
@@ -188,9 +168,9 @@ const (
 	senderSteady
 )
 
-// cycle is one in-flight DATA exchange of a pipelined (Window > 1)
-// link: its sequence label, payload(s), ack count and the endpoint tick
-// at which it was first sent (for the ack-RTT histogram).
+// cycle is one in-flight DATA exchange: its label, payload(s), ack count
+// and the endpoint tick at which it was first sent (for the ack-RTT
+// histogram).
 type cycle struct {
 	seq      uint8
 	payload  any
@@ -204,21 +184,17 @@ type peer struct {
 	state     senderState
 	session   uint64
 	cleanAcks int
-	seq       uint8
-	cur       any
-	curBatch  []any // multi-payload cycle (batched links only)
-	curValid  bool
-	curTick   uint64 // endpoint tick at which cur was first sent
-	acks      int
-	stale     int
+	// seq is the label of the next cycle (nextSeq advances it as each
+	// cycle starts).
+	seq   uint8
+	stale int
 	// kicked marks a Kick that found the stop-and-wait cycle still in
 	// flight: the acknowledgment that completes it starts the next cycle
 	// at once instead of leaving that to the next tick.
 	kicked bool
-	// inflight holds the outstanding cycles of a pipelined link
-	// (Window > 1), oldest first, with consecutive sequence numbers
-	// ending just below seq (the next label to assign). Empty on
-	// legacy links, which use the cur* single slot above.
+	// inflight holds the outstanding cycles, oldest first, with
+	// consecutive labels ending just before seq: at most one on a
+	// stop-and-wait link, at most Window on a pipelined one.
 	inflight []cycle
 	// sessionAcked reports that at least one cycle of the current
 	// session has completed. Until then a pipelined sender keeps its
@@ -229,9 +205,6 @@ type peer struct {
 	// skipped forever (the receiver only accepts successors) yet
 	// completed by the cumulative ack.
 	sessionAcked bool
-	// ewma16 is the adaptive-batch queue-depth estimate in 1/16 units
-	// (integer fixed point keeps simulations byte-identical).
-	ewma16 int
 	// queue is the bounded per-link outbound queue drained into DATA
 	// batches; Enqueue evicts the oldest entry when it overflows.
 	queue []any
@@ -241,7 +214,7 @@ type peer struct {
 	rxSessionValid bool
 	rxSeq          uint8
 	rxSeqValid     bool
-	// rxPending/rxPendingCnt stage a session change on batched links:
+	// rxPending/rxPendingCnt stage a session change on strict links:
 	// a new incarnation is adopted only after more than Capacity CLEAN
 	// observations, so the bounded set of stale CLEANs a channel can
 	// hold (duplicates of past sessions included) can never displace
@@ -277,8 +250,7 @@ type Endpoint struct {
 	// queue-depth gauge, maintained alongside every queue mutation.
 	queued atomic.Int64
 	// inflightN tracks the total in-flight DATA cycles across links for
-	// the pipelining window gauge (legacy links count their single
-	// outstanding cycle).
+	// the pipelining window gauge.
 	inflightN atomic.Int64
 	// ticks counts Tick invocations; cycle ack RTTs are measured in it.
 	ticks uint64
@@ -433,16 +405,21 @@ func (e *Endpoint) SetAckRTTObserver(fn func(ticks uint64)) {
 	e.ackRTT = fn
 }
 
-// batched reports whether the endpoint runs the batching discipline.
-func (e *Endpoint) batched() bool { return e.opts.MaxBatch > 1 }
-
-// windowed reports whether the endpoint runs the pipelining discipline.
+// windowed reports whether more than one cycle may be in flight.
 func (e *Endpoint) windowed() bool { return e.opts.Window > 1 }
 
-// strict reports whether the receiver applies the strict
-// cumulative-sequence acceptance (batched or pipelined links; the
-// legacy alternating-bit discipline otherwise).
-func (e *Endpoint) strict() bool { return e.batched() || e.windowed() }
+// strict reports whether the link runs the cumulative-sequence
+// discipline (batched or pipelined links; the alternating bit
+// otherwise).
+func (e *Endpoint) strict() bool { return e.opts.MaxBatch > 1 || e.windowed() }
+
+// nextSeq is the label of the cycle after one labeled s.
+func (e *Endpoint) nextSeq(s uint8) uint8 {
+	if e.strict() {
+		return s + 1 // cumulative mod-256 sequence
+	}
+	return s ^ 1 // alternating bit
+}
 
 // queueCap is the outbound queue bound: one full batch per window slot.
 func (e *Endpoint) queueCap() int { return e.opts.MaxBatch * e.opts.Window }
@@ -540,24 +517,17 @@ func (e *Endpoint) startClean(p *peer) {
 // transient fault may leave a cleaning sender holding cycles, and none of
 // them may cross into the session the cleaning opens.
 func (e *Endpoint) dropCycles(p *peer) {
-	p.cur, p.curBatch = nil, nil
-	if p.curValid {
-		e.inflightN.Add(-1)
-	}
-	p.curValid = false
 	e.dropInflight(p)
 	p.sessionAcked = false
 	p.kicked = false
-	p.acks = 0
 }
 
-// dropInflight abandons every outstanding pipelined cycle (cleaning,
-// corruption recovery, disconnect), keeping the in-flight gauge honest.
+// dropInflight abandons every outstanding cycle (cleaning, corruption
+// recovery, disconnect), keeping the in-flight gauge honest.
 func (e *Endpoint) dropInflight(p *peer) {
-	if len(p.inflight) > 0 {
-		e.inflightN.Add(-int64(len(p.inflight)))
-		p.inflight = nil
-	}
+	e.inflightN.Add(-int64(len(p.inflight)))
+	clear(p.inflight)
+	p.inflight = p.inflight[:0]
 }
 
 func (e *Endpoint) nonce() uint64 {
@@ -582,21 +552,13 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 	case senderCleaning:
 		e.send(to, Packet{Kind: KindClean, Session: p.session})
 	case senderSteady:
-		if e.windowed() {
-			// Selective re-send: every still-unacknowledged cycle,
-			// oldest first, then top the window up with new cycles.
-			for i := range p.inflight {
-				c := &p.inflight[i]
-				e.send(to, Packet{Kind: KindData, Session: p.session, Seq: c.seq, Payload: c.payload, Batch: c.batch})
-			}
-			e.fillWindow(to, p, false)
-			break
+		// Re-send every still-unacknowledged cycle, oldest first, then
+		// top the window up with new cycles.
+		for i := range p.inflight {
+			c := &p.inflight[i]
+			e.send(to, Packet{Kind: KindData, Session: p.session, Seq: c.seq, Payload: c.payload, Batch: c.batch})
 		}
-		if !p.curValid {
-			e.startCycle(to, p)
-			break
-		}
-		e.send(to, Packet{Kind: KindData, Session: p.session, Seq: p.seq, Payload: p.cur, Batch: p.curBatch})
+		e.fillWindow(to, p, true)
 	default:
 		// Arbitrary (corrupted) state: recover by cleaning.
 		e.startClean(p)
@@ -607,18 +569,6 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 		e.stats.timeoutsReset.Add(1)
 		e.startClean(p)
 	}
-}
-
-// startCycle opens the stop-and-wait link's next DATA cycle: it pulls the
-// payload (queue first, Source otherwise) and transmits it once.
-func (e *Endpoint) startCycle(to ids.ID, p *peer) {
-	p.cur, p.curBatch = e.nextPayload(to, p)
-	p.curValid = true
-	p.curTick = e.ticks
-	p.acks = 0
-	p.kicked = false
-	e.inflightN.Add(1)
-	e.send(to, Packet{Kind: KindData, Session: p.session, Seq: p.seq, Payload: p.cur, Batch: p.curBatch})
 }
 
 // Kick asks the established link toward a peer for a DATA cycle now,
@@ -636,12 +586,12 @@ func (e *Endpoint) startCycle(to ids.ID, p *peer) {
 // step, never made from inside a callback.
 //
 // A kicked link reuses a packet label within a round trip instead of a
-// tick. The strict discipline does not care. The legacy alternating bit
-// stays exact on a channel that keeps order (tcp, an undelayed inproc);
-// on one that reorders, a retransmission two cycles old may still be in
-// flight when its bit comes round again, so a payload can then be
-// delivered twice or its cycle completed by a stale ack. The stack only
-// runs the legacy link in pull mode, where every cycle carries the latest
+// tick. The strict discipline does not care. The alternating bit stays
+// exact on a channel that keeps order (tcp, an undelayed inproc); on one
+// that reorders, a retransmission two cycles old may still be in flight
+// when its bit comes round again, so a payload can then be delivered
+// twice or its cycle completed by a stale ack. The stack only runs the
+// alternating bit in pull mode, where every cycle carries the latest
 // snapshot and the next tick's cycle repairs either accident.
 func (e *Endpoint) Kick(to ids.ID) {
 	e.mu.Lock()
@@ -650,27 +600,24 @@ func (e *Endpoint) Kick(to ids.ID) {
 	if !ok || p.state != senderSteady {
 		return
 	}
-	switch {
-	case e.windowed():
-		e.stats.kickedCycles.Add(uint64(e.fillWindow(to, p, true)))
-	case p.curValid:
+	if !e.windowed() && len(p.inflight) > 0 {
 		p.kicked = true
-	default:
-		e.startCycle(to, p)
-		e.stats.kickedCycles.Add(1)
+		return
 	}
+	e.stats.kickedCycles.Add(uint64(e.fillWindow(to, p, !e.windowed())))
 }
 
-// fillWindow starts new DATA cycles until the pipelining window is full
-// or there is nothing useful to send. On a tick (onAck false) the first
-// cycle of an empty window may fall back to the pull Source, so an idle
-// link still exchanges one token per tick and heartbeats keep flowing;
-// further slots — and every ack-time refill — are filled only from the
-// outbound queue: pipelining copies of the same latest-state snapshot
-// would waste channel capacity for no information, and an idle link
-// restarting empty cycles on ack would ping-pong at the network RTT
-// instead of the tick period. It returns the number of cycles started.
-func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) int {
+// fillWindow starts new DATA cycles until the window is full or there is
+// nothing useful to send. With pull set (a tick, or a stop-and-wait link
+// asked for its next cycle) the first cycle of an empty window may fall
+// back to the pull Source, so an idle link still exchanges one token per
+// tick and heartbeats keep flowing; further slots — and every ack-time
+// refill of a wider window — are filled only from the outbound queue:
+// pipelining copies of the same latest-state snapshot would waste channel
+// capacity for no information, and an idle link restarting empty cycles
+// on ack would ping-pong at the network RTT instead of the tick period.
+// It returns the number of cycles started.
+func (e *Endpoint) fillWindow(to ids.ID, p *peer, pull bool) int {
 	started := 0
 	limit := e.opts.Window
 	if !p.sessionAcked {
@@ -680,13 +627,14 @@ func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) int {
 		limit = 1
 	}
 	for len(p.inflight) < limit {
-		if len(p.queue) == 0 && (onAck || len(p.inflight) > 0) {
+		if len(p.queue) == 0 && (!pull || len(p.inflight) > 0) {
 			break
 		}
 		payload, batch := e.nextPayload(to, p)
 		c := cycle{seq: p.seq, payload: payload, batch: batch, sentTick: e.ticks}
-		p.seq++
+		p.seq = e.nextSeq(p.seq)
 		p.inflight = append(p.inflight, c)
+		p.kicked = false
 		e.inflightN.Add(1)
 		e.send(to, Packet{Kind: KindData, Session: p.session, Seq: c.seq, Payload: c.payload, Batch: c.batch})
 		started++
@@ -694,39 +642,16 @@ func (e *Endpoint) fillWindow(to ids.ID, p *peer, onAck bool) int {
 	return started
 }
 
-// ewmaShift is the adaptive-batch smoothing factor: the estimate moves
-// 1/4 of the way toward each observation (alpha = 0.25), in 1/16
-// fixed-point units.
-const ewmaShift = 4
-
 // nextPayload assembles the payload(s) of a new token cycle: queued
-// payloads first (up to the batch bound, the freshest last), falling
-// back to the pull Source when the queue is empty. A single payload
-// travels in the legacy Payload slot so unbatched traffic keeps its
-// exact shape. The static batch bound is MaxBatch; with AdaptiveBatch
-// it is an EWMA of the queue depth observed at each drain, clamped to
-// [1, MaxBatch], so light load ships small low-latency packets and
-// heavy load grows toward the static bound.
+// payloads first (up to MaxBatch, the freshest last), falling back to the
+// pull Source when the queue is empty. A single payload travels in the
+// Payload slot, so one-payload cycles keep the packet shape of an
+// unbatched link.
 func (e *Endpoint) nextPayload(to ids.ID, p *peer) (any, []any) {
-	limit := e.opts.MaxBatch
-	if e.opts.AdaptiveBatch {
-		// ewma += (observation - ewma) / 4, in 1/16 units.
-		p.ewma16 += (len(p.queue)<<ewmaShift - p.ewma16) >> 2
-		limit = (p.ewma16 + (1 << ewmaShift) - 1) >> ewmaShift // ceil
-		if limit < 1 {
-			limit = 1
-		}
-		if limit > e.opts.MaxBatch {
-			limit = e.opts.MaxBatch
-		}
-	}
 	if len(p.queue) == 0 {
 		return e.source(to), nil
 	}
-	k := len(p.queue)
-	if k > limit {
-		k = limit
-	}
+	k := min(len(p.queue), e.opts.MaxBatch)
 	if k == 1 {
 		single := p.queue[0]
 		p.queue = p.queue[1:]
@@ -756,11 +681,11 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 	switch pkt.Kind {
 	case KindClean:
 		// Receiver half: adopt the new incarnation, drop delivery
-		// history, acknowledge. On legacy links adoption is
-		// unconditional (bit-for-bit the original behavior; safe there
-		// because delivery is at-least-once anyway — an adversarial
-		// CLEAN only forces a harmless extra cleanup). Batched links
-		// promise exactly-once, so a stale CLEAN — a duplicate of the
+		// history, acknowledge. On alternating-bit links adoption is
+		// unconditional (safe there because delivery is at-least-once
+		// anyway — an adversarial CLEAN only forces a harmless extra
+		// cleanup). Strict links promise exactly-once, so a stale
+		// CLEAN — a duplicate of the
 		// current session, or of a *past* one — must not reset the
 		// sequence history and reopen the acceptance window for
 		// overtaken DATA. A genuinely cleaning sender floods CLEANs
@@ -847,50 +772,20 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 			e.deliverData(from, pkt)
 		}
 	case KindAck:
-		if e.windowed() {
-			e.handleWindowAck(from, p, pkt)
-			return
-		}
-		if p.state != senderSteady || pkt.Session != p.session || pkt.Seq != p.seq || !p.curValid {
-			e.stats.staleIgnored.Add(1)
-			return
-		}
-		p.acks++
-		p.stale = 0
-		if p.acks >= e.opts.AckThreshold {
-			// Token returned: cycle complete.
-			e.stats.cyclesDone.Add(1)
-			if len(p.curBatch) > 0 {
-				e.stats.batches.Add(1)
-			}
-			e.observeAckRTT(e.ticks - p.curTick)
-			if e.strict() {
-				p.seq++ // cumulative mod-256 label
-			} else {
-				p.seq ^= 1 // legacy alternating bit
-			}
-			p.cur, p.curBatch = nil, nil
-			p.curValid = false
-			p.acks = 0
-			e.inflightN.Add(-1)
-			e.heartbeat(from)
-			if p.kicked {
-				e.startCycle(from, p)
-				e.stats.kickedCycles.Add(1)
-			}
-		}
+		e.handleAck(from, p, pkt)
 	default:
 		e.stats.staleIgnored.Add(1)
 	}
 }
 
-// handleWindowAck processes an acknowledgment on a pipelined link. The
-// receiver only ever accepts cycles in sequence order, so an ack for
-// sequence s is cumulative: it completes every outstanding cycle up to
-// and including s. Completion immediately tops the window back up
-// (fillWindow) — this is the pipelining lever, the next token cycle
-// starts on the ack instead of the next tick.
-func (e *Endpoint) handleWindowAck(from ids.ID, p *peer, pkt Packet) {
+// handleAck processes an acknowledgment: the token of an in-flight cycle
+// returning. The receiver only ever accepts cycles in label order, so an
+// ack for label s is cumulative: it completes every outstanding cycle up
+// to and including s. A pipelined link then tops its window back up from
+// the queue at once — the pipelining lever, the next cycle starts on the
+// ack instead of the next tick; a stop-and-wait link does so only if it
+// was kicked, and otherwise leaves its next cycle to the next tick.
+func (e *Endpoint) handleAck(from ids.ID, p *peer, pkt Packet) {
 	if p.state != senderSteady || pkt.Session != p.session {
 		e.stats.staleIgnored.Add(1)
 		return
@@ -919,11 +814,20 @@ func (e *Endpoint) handleWindowAck(from ids.ID, p *peer, pkt Packet) {
 		}
 		e.observeAckRTT(e.ticks - c.sentTick)
 	}
-	p.inflight = append(p.inflight[:0:0], p.inflight[idx+1:]...)
+	// Copy the rest down rather than re-slice, so the list keeps one
+	// backing array for the life of the session.
+	n := copy(p.inflight, p.inflight[idx+1:])
+	clear(p.inflight[n:])
+	p.inflight = p.inflight[:n]
 	e.inflightN.Add(-int64(idx + 1))
 	p.sessionAcked = true // receiver anchored; open the full window
 	e.heartbeat(from)
-	e.fillWindow(from, p, true)
+	switch {
+	case e.windowed():
+		e.fillWindow(from, p, false)
+	case p.kicked:
+		e.stats.kickedCycles.Add(uint64(e.fillWindow(from, p, true)))
+	}
 }
 
 // observeAckRTT feeds a completed cycle's tick-measured RTT to the
@@ -935,7 +839,7 @@ func (e *Endpoint) observeAckRTT(ticks uint64) {
 }
 
 // deliverData hands a DATA packet's payload(s) to the upper layer: every
-// batch element in order, or the single legacy payload.
+// batch element in order, or the single payload.
 func (e *Endpoint) deliverData(from ids.ID, pkt Packet) {
 	if pkt.Batch != nil {
 		for _, payload := range pkt.Batch {
@@ -963,13 +867,19 @@ func (e *Endpoint) CorruptState(rng *rand.Rand) {
 		p.state = senderState(rng.Intn(4)) // includes invalid values
 		p.session = uint64(rng.Int63())
 		p.cleanAcks = rng.Intn(64)
-		p.seq = uint8(rng.Intn(2))
-		p.acks = rng.Intn(64)
+		seq, acks := uint8(rng.Intn(2)), rng.Intn(64)
+		if !e.windowed() && len(p.inflight) > 0 {
+			// A stop-and-wait link's one cycle takes the drawn label
+			// and ack count.
+			p.inflight[0].seq, p.inflight[0].acks = seq, acks
+			seq = e.nextSeq(seq)
+		}
+		p.seq = seq
 		p.rxSession = uint64(rng.Int63())
 		p.rxSessionValid = rng.Intn(2) == 0
 		p.rxSeqValid = rng.Intn(2) == 0
-		// A transient fault may also lose the pipelined in-flight set;
-		// recovery must come from cleaning either way.
+		// A transient fault may also lose a pipelined link's in-flight
+		// cycles; recovery must come from cleaning either way.
 		if e.windowed() && rng.Intn(2) == 0 {
 			e.dropInflight(p)
 		}

@@ -480,67 +480,62 @@ func e12Cell(sync bool) func(seed int64, n int) workload.Row {
 	}
 }
 
-// e13Cell builds one throughput arm of E13 "pipelining frontier":
-// register write throughput on a fixed 3-node single-shard cluster with
-// the hot-path batch bound held at 16 (E12's knee) while the swept N is
-// the datalink WINDOW — the in-flight token cycles per link. Window 1
-// with a static batch is bit-identical to the E12 batch-16 cell; wider
-// windows restart the token cycle on acknowledgment instead of waiting
-// out the full legacy exchange, so throughput rises with the window
-// until the queue no longer keeps it full. The adaptive arm additionally
-// sizes every batch from the queue-depth EWMA, trading peak batch fill
-// for lower queueing delay at light load — together the two arms plus
-// the codec-bytes series below chart the latency/throughput frontier's
-// three levers (window, batch sizing, codec). The offered load doubles
-// E12's (96 ops, issued round-robin) so the pipeline has a backlog to
-// stream; throughput is still comparable since both experiments report
-// steady-state aggregate ops/kilotick.
-func e13Cell(adaptive bool) func(seed int64, n int) workload.Row {
-	return func(seed int64, n int) workload.Row {
-		const nodes = 3
-		const batch = 16
-		const opsTotal = 96
-		mems, c, err := pipelinedMemCluster(seed, nodes, batch, n, adaptive)
-		if err != nil {
-			return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
-		}
-		ok := c.Sched.RunWhile(func() bool {
-			_, has := mems[1].VS().CurrentView()
-			return !has
-		}, 6_000_000)
-		if !ok {
-			return workload.Row{X: n, Note: "no view"}
-		}
-		var handles []*regmem.Handle
-		start := c.Sched.Now()
-		for i := 0; i < opsTotal; i++ {
-			who := ids.ID(i%nodes + 1)
-			handles = append(handles, mems[who].Write(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
-		}
-		ok = c.Sched.RunWhile(func() bool {
-			for _, h := range handles {
-				if !h.Done() {
-					return true
-				}
-			}
-			return false
-		}, 8_000_000)
-		elapsed := c.Sched.Now() - start
-		done := 0
+// e13Cell is the throughput arm of E13 "pipelining frontier": register
+// write throughput on a fixed 3-node single-shard cluster with the
+// hot-path batch bound held at 16 (E12's knee) while the swept N is the
+// datalink WINDOW — the in-flight token cycles per link. Window 1 is
+// bit-identical to the E12 batch-16 cell; wider windows restart the token
+// cycle on acknowledgment instead of waiting for the next tick, so
+// throughput rises with the window until the queue no longer keeps it
+// full. Together with the codec-bytes series below it charts the
+// latency/throughput frontier's two levers (window, codec). The offered
+// load doubles E12's (96 ops, issued round-robin) so the pipeline has a
+// backlog to stream; throughput is still comparable since both
+// experiments report steady-state aggregate ops/kilotick.
+func e13Cell(seed int64, n int) workload.Row {
+	const nodes = 3
+	const batch = 16
+	const opsTotal = 96
+	mems, c, err := pipelinedMemCluster(seed, nodes, batch, n)
+	if err != nil {
+		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+	}
+	ok := c.Sched.RunWhile(func() bool {
+		_, has := mems[1].VS().CurrentView()
+		return !has
+	}, 6_000_000)
+	if !ok {
+		return workload.Row{X: n, Note: "no view"}
+	}
+	var handles []*regmem.Handle
+	start := c.Sched.Now()
+	for i := 0; i < opsTotal; i++ {
+		who := ids.ID(i%nodes + 1)
+		handles = append(handles, mems[who].Write(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
+	}
+	ok = c.Sched.RunWhile(func() bool {
 		for _, h := range handles {
-			if h.Done() {
-				done++
+			if !h.Done() {
+				return true
 			}
 		}
-		if done == 0 || elapsed <= 0 {
-			return workload.Row{X: n, Note: "no ops completed"}
+		return false
+	}, 8_000_000)
+	elapsed := c.Sched.Now() - start
+	done := 0
+	for _, h := range handles {
+		if h.Done() {
+			done++
 		}
-		return workload.Row{
-			X:     n,
-			Y:     float64(done) / float64(elapsed) * 1000,
-			Valid: ok,
-			Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
-		}
+	}
+	if done == 0 || elapsed <= 0 {
+		return workload.Row{X: n, Note: "no ops completed"}
+	}
+	return workload.Row{
+		X:     n,
+		Y:     float64(done) / float64(elapsed) * 1000,
+		Valid: ok,
+		Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
 	}
 }
 

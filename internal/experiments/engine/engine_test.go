@@ -244,7 +244,7 @@ func TestParallelDeterminismE12(t *testing.T) {
 
 // TestParallelDeterminismE13 extends the determinism regression to the
 // pipelining-frontier experiment: E13 cells run whole pipelined
-// (window > 1, adaptive-batch) cluster simulations plus the pure codec
+// (window > 1) cluster simulations plus the pure codec
 // measurements, and their emissions must be byte-identical for any
 // worker count.
 func TestParallelDeterminismE13(t *testing.T) {

@@ -3,7 +3,7 @@
 // empirical tables; E1–E10 each operationalize one of its theorems or
 // explicit asymptotic claims, E11 measures the sharded register
 // namespace's scaling (DESIGN.md §9), E12 the hot-path batching
-// (DESIGN.md §11), E13 the pipelining/adaptive-batch/codec frontier
+// (DESIGN.md §11), E13 the pipelining/codec frontier
 // (DESIGN.md §14), and E14 churn recovery — the deterministic twin of
 // the live chaos harness (DESIGN.md §16) — producing the series
 // recorded in EXPERIMENTS.md.
@@ -125,15 +125,14 @@ func init() {
 	engine.MustRegister(engine.Descriptor{
 		// E13 sweeps the WINDOW (the cluster stays 3 nodes, one shard,
 		// batch 16): the grid size is the in-flight token cycles per
-		// datalink (DESIGN.md §14). The write/adaptive arms measure
-		// throughput in the simulator; the binbytes arm is the codec
-		// lever — deterministic encoded bytes per payload of an N-payload
-		// hot DATA batch.
+		// datalink (DESIGN.md §14). The write arm measures throughput in
+		// the simulator; the binbytes arm is the codec lever —
+		// deterministic encoded bytes per payload of an N-payload hot
+		// DATA batch.
 		ID: "E13", Title: "pipelining frontier (N = window, 3 nodes, batch 16)", Metric: "ops/kilotick",
 		DefaultSizes: []int{1, 2, 4, 8}, MinSize: 1,
 		Series: []engine.SeriesSpec{
-			{Key: "write", Name: "E13 write throughput, static batch (ops/kilotick)", Run: e13Cell(false)},
-			{Key: "adaptive", Name: "E13 write throughput, adaptive batch (ops/kilotick)", Run: e13Cell(true)},
+			{Key: "write", Name: "E13 write throughput, static batch (ops/kilotick)", Run: e13Cell},
 			{Key: "binbytes", Name: "E13 binary codec (bytes/payload)", Run: e13CodecCell},
 		},
 	})
@@ -266,15 +265,13 @@ func E12BatchScaling(seed int64, batches []int) []workload.Series {
 	}
 }
 
-// E13PipeliningFrontier charts the latency/throughput frontier's three
+// E13PipeliningFrontier charts the latency/throughput frontier's two
 // levers (see e13Cell and e13CodecCell; sizes are datalink windows, and
-// the codec series' batch sizes): write throughput with a static and an
-// adaptive batch as the window widens, plus the deterministic
-// bytes-per-payload of the wire codec.
+// the codec series' batch sizes): write throughput as the window widens,
+// plus the deterministic bytes-per-payload of the wire codec.
 func E13PipeliningFrontier(seed int64, windows []int) []workload.Series {
 	return []workload.Series{
 		runSeries("E13", "write", seed, windows),
-		runSeries("E13", "adaptive", seed, windows),
 		runSeries("E13", "binbytes", seed, windows),
 	}
 }

@@ -74,26 +74,22 @@ func memCluster(seed int64, n int) (map[ids.ID]*regmem.SharedMemory, *core.Clust
 // up to `batch` payloads per datalink token and commands per round
 // input (E12; batch 1 is exactly the unbatched E9 configuration).
 func batchMemCluster(seed int64, n, batch int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
-	return pipelinedMemCluster(seed, n, batch, 1, false)
+	return pipelinedMemCluster(seed, n, batch, 1)
 }
 
 // pipelinedMemCluster builds a shared-memory cluster with the full
 // hot-path lever set: up to `batch` payloads per datalink token cycle
 // and commands per round input, up to `window` token cycles in flight
-// per link, and — with adaptive — batch sizing from the queue-depth
-// EWMA instead of the static bound (E13; window 1 with static batch is
-// exactly the E12 configuration).
-func pipelinedMemCluster(seed int64, n, batch, window int, adaptive bool) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
+// per link (E13; window 1 is exactly the E12 configuration).
+func pipelinedMemCluster(seed int64, n, batch, window int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
 	mems := map[ids.ID]*regmem.SharedMemory{}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
 	opts.Node.Link.MaxBatch = batch
 	opts.Node.Link.Window = window
-	opts.Node.Link.AdaptiveBatch = adaptive
 	opts.AppFactory = func(self ids.ID) core.App {
 		s := regmem.New(self, nil)
 		s.SetMaxBatch(batch)
-		s.SetAdaptiveBatch(adaptive)
 		mems[self] = s
 		return s
 	}

@@ -368,11 +368,6 @@ func (s *SharedMemory) deliverInput(in any) {
 // batching). Configure it before serving traffic.
 func (s *SharedMemory) SetMaxBatch(n int) { s.rep.MaxBatch = n }
 
-// SetAdaptiveBatch switches the underlying replica's bundle sizing to
-// the queue-depth EWMA (smr.Replica.AdaptiveBatch). Configure it before
-// serving traffic.
-func (s *SharedMemory) SetAdaptiveBatch(on bool) { s.rep.AdaptiveBatch = on }
-
 type readyRead struct {
 	h    *Handle
 	name string

@@ -121,14 +121,6 @@ func (m *Map) SetMaxBatch(n int) {
 	}
 }
 
-// SetAdaptiveBatch switches every shard's replica to adaptive bundle
-// sizing (regmem.SharedMemory.SetAdaptiveBatch on each stack).
-func (m *Map) SetAdaptiveBatch(on bool) {
-	for _, mem := range m.mems {
-		mem.SetAdaptiveBatch(on)
-	}
-}
-
 // Apps returns the per-shard service stacks in shard order, for
 // core.Params.Apps.
 func (m *Map) Apps() []core.App {

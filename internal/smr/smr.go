@@ -62,16 +62,8 @@ type Replica struct {
 	// MaxPending bounds the client submission queue (0 = 64).
 	MaxPending int
 	// MaxBatch bounds the commands Fetch bundles into one round input
-	// (<= 1 keeps the legacy one-command-per-round behavior exactly).
+	// (<= 1 sends one command per round).
 	MaxBatch int
-	// AdaptiveBatch, when true, bounds each bundle by an EWMA of the
-	// pending-queue depth observed at each Fetch (clamped to
-	// [1, MaxBatch]) instead of the static MaxBatch, mirroring the
-	// datalink's adaptive drain: light load ships single commands with
-	// minimal latency, heavy load grows bundles toward the knee. False
-	// keeps the static bound bit-identical.
-	AdaptiveBatch bool
-	ewma16        int // fixed-point (1/16) EWMA of observed queue depth
 
 	log []Applied
 }
@@ -134,30 +126,10 @@ func (r *Replica) Apply(state any, round vs.Round) any {
 // > 1 — up to MaxBatch of them bundled into one Batch. A single pending
 // command always travels bare, so batch-1 traffic keeps its exact shape.
 func (r *Replica) Fetch() any {
-	limit := r.MaxBatch
-	if r.AdaptiveBatch && r.MaxBatch > 1 {
-		// ewma += (observation - ewma) / 4, in 1/16 fixed point —
-		// integer arithmetic so deterministic simulations stay
-		// byte-identical across platforms.
-		r.ewma16 += (len(r.pending)<<4 - r.ewma16) >> 2
-		limit = (r.ewma16 + 15) >> 4 // ceil
-		if limit < 1 {
-			limit = 1
-		}
-		if limit > r.MaxBatch {
-			limit = r.MaxBatch
-		}
-	}
 	if len(r.pending) == 0 {
 		return nil
 	}
-	k := 1
-	if limit > 1 {
-		k = limit
-		if k > len(r.pending) {
-			k = len(r.pending)
-		}
-	}
+	k := min(max(r.MaxBatch, 1), len(r.pending))
 	if k == 1 {
 		next := r.pending[0]
 		r.pending = r.pending[1:]
