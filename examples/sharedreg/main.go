@@ -1,6 +1,6 @@
 // Sharedreg: the MWMR shared-memory emulation running on the LIVE
-// goroutine-and-channel runtime (one goroutine per processor, bounded
-// channels as lossy links, wall-clock timers) — the concurrency substrate
+// in-process backend, transport/inproc (one goroutine per processor,
+// bounded channels as lossy links, wall-clock timers) — the concurrency substrate
 // a real deployment of the paper's stack would use. Writers on different
 // processors race on a register; every replica converges to the same
 // winner.
@@ -17,7 +17,8 @@ import (
 	"repro/internal/ids"
 	"repro/internal/recsa"
 	"repro/internal/regmem"
-	"repro/internal/runtime"
+	"repro/internal/transport"
+	"repro/internal/transport/inproc"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 }
 
 func run() error {
-	live := runtime.New(99, runtime.DefaultOptions())
+	live := inproc.New(99, transport.LiveDefaults())
 	defer live.Close()
 
 	const n = 4
@@ -104,7 +105,7 @@ func run() error {
 	return nil
 }
 
-func waitLive(live *runtime.Live, timeout time.Duration, cond func() bool) bool {
+func waitLive(live *inproc.Net, timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if cond() {

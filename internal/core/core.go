@@ -24,8 +24,8 @@ import (
 )
 
 // Transport abstracts the medium a node is attached to: the deterministic
-// simulator (netsim.Network) for tests and benchmarks, or the live
-// goroutine-and-channel runtime (internal/runtime) for the examples.
+// simulator (netsim.Network) for tests and benchmarks, or a live backend
+// (transport/inproc for the examples, transport/tcp for noded).
 type Transport interface {
 	// Send transmits a payload between nodes, subject to the medium's
 	// loss/reorder/duplication behavior.

@@ -1,8 +1,7 @@
 // Package inproc is the in-process live backend of the transport
 // subsystem: one goroutine per node, bounded channels as the lossy links,
 // wall-clock tickers as the unknown-rate timers of the asynchronous
-// model. It descends from the original internal/runtime engine, now
-// implementing transport.Transport with full fault-model parity
+// model. It implements transport.Transport with full fault-model parity
 // (loss, duplication, delay reordering, tick jitter — transport.Options).
 //
 // Concurrency discipline: each node's handler is invoked only from that
