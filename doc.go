@@ -10,7 +10,6 @@
 // The implementation lives under internal/ (see README.md for the
 // quickstart and DESIGN.md for the map); runnable demonstrations are
 // under examples/, cmd/noded runs the stack as real networked processes
-// over the transport subsystem (DESIGN.md §8), and the benchmark suite
-// in bench_test.go regenerates the experiment tables recorded in
-// EXPERIMENTS.md.
+// over the transport subsystem (DESIGN.md §8), and cmd/benchtab
+// regenerates the experiment tables recorded in EXPERIMENTS.md.
 package repro

@@ -267,7 +267,7 @@ func TestOnGather(t *testing.T) {
 }
 
 // TestHotPathAllocs asserts the increment fast paths allocate nothing;
-// BenchmarkObsHotPath (repo root) guards the same property under -benchmem.
+// BenchmarkObsHotPath guards the same property under -benchmem.
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("repro_test_alloc_total", "", nil)
@@ -281,5 +281,33 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.003) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v/op", n)
+	}
+}
+
+// BenchmarkObsHotPath guards the observability overhead on the hot
+// path (DESIGN.md §13): one counter increment, one labeled-counter
+// add and one histogram observation per iteration — the per-operation
+// instrument mix on the write path — must run allocation-free. The
+// benchmark fails itself if any iteration allocated, so the CI run
+// (-benchtime 100x) is a hard 0 allocs/op gate, not just a report.
+func BenchmarkObsHotPath(b *testing.B) {
+	reg := NewRegistry()
+	ops := reg.Counter("bench_ops_total", "Ops.", nil)
+	shardOps := reg.Counter("bench_shard_ops_total", "Sharded ops.", Labels{"shard": "0"})
+	lat := reg.Histogram("bench_latency_seconds", "Latency.", nil, DefLatencyBuckets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops.Inc()
+		shardOps.Add(3)
+		lat.Observe(0.004)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, func() {
+		ops.Inc()
+		shardOps.Add(3)
+		lat.Observe(0.004)
+	}); allocs != 0 {
+		b.Fatalf("hot-path instruments allocated %.1f allocs/op, want 0", allocs)
 	}
 }
