@@ -17,49 +17,18 @@ SHARDS="${2:-2}"
 DURATION="${3:-2s}"
 BASE_TCP="${BASE_TCP:-7270}"
 BASE_HTTP="${BASE_HTTP:-8270}"
-TMP="$(mktemp -d)"
-declare -a PIDS=()
+source "$(dirname "$0")/cluster.sh"
 
-cleanup() {
-  for pid in "${PIDS[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
-  wait 2>/dev/null || true
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-say() { echo "--- $*"; }
-
-say "building noded + nodeload + metricslint"
-go build -o "$TMP/noded" ./cmd/noded
-go build -o "$TMP/nodeload" ./cmd/nodeload
-go build -o "$TMP/metricslint" ./cmd/metricslint
-
-PEERS=""
-ADDRS=""
-for i in $(seq 1 "$N"); do
-  PEERS+="${PEERS:+,}$i=127.0.0.1:$((BASE_TCP + i))"
-  ADDRS+="${ADDRS:+,}http://127.0.0.1:$((BASE_HTTP + i))"
-done
+build noded nodeload metricslint
 
 say "booting $N nodes × $SHARDS shards, disk-backed (-data-dir), JSON logs"
 for i in $(seq 1 "$N"); do
-  mkdir -p "$TMP/data$i"
-  "$TMP/noded" -id "$i" -peers "$PEERS" -http "127.0.0.1:$((BASE_HTTP + i))" \
-    -seed 23 -shards "$SHARDS" -data-dir "$TMP/data$i" -snap-every 64 \
-    -log-format json >"$TMP/node$i.log" 2>&1 &
-  PIDS+=($!)
+  start_node "$i" -seed 23 -shards "$SHARDS" -data-dir "$TMP/data$i" -snap-every 64 \
+    -log-format json
 done
 
 say "waiting for liveness (healthz) on every node"
-for i in $(seq 1 "$N"); do
-  for _ in $(seq 1 150); do
-    "$TMP/noded" client -addr "http://127.0.0.1:$((BASE_HTTP + i))" -timeout 2s healthz \
-      >/dev/null 2>&1 && break
-    sleep 0.2
-  done
-done
+wait_healthz
 
 say "every node's structured startup line made it to the log"
 for i in $(seq 1 "$N"); do

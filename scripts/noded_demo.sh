@@ -23,63 +23,29 @@ SHARDS="${2:-${SHARDS:-1}}"
 DISK="${3:-${DISK:-0}}"
 BASE_TCP="${BASE_TCP:-7140}"
 BASE_HTTP="${BASE_HTTP:-8140}"
-TMP="$(mktemp -d)"
-BIN="$TMP/noded"
-declare -a PIDS=()
+source "$(dirname "$0")/cluster.sh"
 
-cleanup() {
-  for pid in "${PIDS[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
-  wait 2>/dev/null || true
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
+build noded
 
-say() { echo "--- $*"; }
-
-say "building noded"
-go build -o "$BIN" ./cmd/noded
-
-PEERS=""
-for i in $(seq 1 "$N"); do
-  PEERS+="${PEERS:+,}$i=127.0.0.1:$((BASE_TCP + i))"
-done
-
-start_node() {
+boot_node() {
   local i="$1"
   local store=()
   if [ "$DISK" = "1" ]; then
     store=(-data-dir "$TMP/data$i" -fsync always -snap-every 8)
   fi
-  "$BIN" -id "$i" -peers "$PEERS" -http "127.0.0.1:$((BASE_HTTP + i))" \
-    -seed 7 -shards "$SHARDS" "${store[@]}" >>"$TMP/node$i.log" 2>&1 &
-  PIDS[$i]=$!
+  start_node "$i" -seed 7 -shards "$SHARDS" "${store[@]}"
 }
 
 say "booting $N nodes × $SHARDS shards (disk=$DISK, peers: $PEERS)"
 for i in $(seq 1 "$N"); do
-  start_node "$i"
+  boot_node "$i"
 done
-
-addr() { echo "http://127.0.0.1:$((BASE_HTTP + $1))"; }
-
-client() {
-  local node="$1"; shift
-  "$BIN" client -addr "$(addr "$node")" "$@"
-}
 
 # Boot-up is polled in two phases: /v1/healthz first (cheap liveness —
 # answers as soon as the HTTP server is up, no view lock taken), then
 # the full serving wait once every process responds.
 say "waiting for every node's API to answer healthz"
-for i in $(seq 1 "$N"); do
-  for _ in $(seq 1 150); do
-    client "$i" -timeout 2s healthz >/dev/null 2>&1 && break
-    sleep 0.2
-  done
-  client "$i" -timeout 2s healthz >/dev/null
-done
+wait_healthz
 
 say "waiting for every node to serve"
 for i in $(seq 1 "$N"); do
@@ -145,11 +111,8 @@ if [ "$DISK" = "1" ]; then
   client 1 storage | grep -q '"snapshots": 0' && { echo "FAIL: forced snapshot did not land"; exit 1; }
 
   say "restarting killed node p$VICTIM over its data directory"
-  start_node "$VICTIM"
-  for _ in $(seq 1 150); do
-    client "$VICTIM" -timeout 2s healthz >/dev/null 2>&1 && break
-    sleep 0.2
-  done
+  boot_node "$VICTIM"
+  wait_healthz "$VICTIM"
   client "$VICTIM" -timeout 180s wait >/dev/null
   OUT="$(client "$VICTIM" sync-get greeting)"
   echo "$OUT" | grep -q '"value": "hello"' || { echo "FAIL: restarted node lost state"; exit 1; }
@@ -161,13 +124,10 @@ if [ "$DISK" = "1" ]; then
   done
   wait 2>/dev/null || true
   for i in $(seq 1 "$N"); do
-    start_node "$i"
+    boot_node "$i"
   done
+  wait_healthz
   for i in $(seq 1 "$N"); do
-    for _ in $(seq 1 150); do
-      client "$i" -timeout 2s healthz >/dev/null 2>&1 && break
-      sleep 0.2
-    done
     client "$i" -timeout 180s wait >/dev/null
   done
 

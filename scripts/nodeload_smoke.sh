@@ -26,53 +26,16 @@ WARMUP="${WARMUP:-1s}"
 BATCH="${BATCH:-16}"
 BASE_TCP="${BASE_TCP:-7170}"
 BASE_HTTP="${BASE_HTTP:-8170}"
-TMP="$(mktemp -d)"
-declare -a PIDS=()
+source "$(dirname "$0")/cluster.sh"
 
-cleanup_nodes() {
-  for pid in "${PIDS[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
-  wait 2>/dev/null || true
-  PIDS=()
-}
-
-cleanup() {
-  cleanup_nodes
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
-
-say() { echo "--- $*"; }
-
-say "building noded + nodeload"
-go build -o "$TMP/noded" ./cmd/noded
-go build -o "$TMP/nodeload" ./cmd/nodeload
-
-PEERS=""
-ADDRS=""
-for i in $(seq 1 "$N"); do
-  PEERS+="${PEERS:+,}$i=127.0.0.1:$((BASE_TCP + i))"
-  ADDRS+="${ADDRS:+,}http://127.0.0.1:$((BASE_HTTP + i))"
-done
+build noded nodeload
 
 # boot_cluster BATCH — start N nodes with the given hot-path batch bound.
 boot_cluster() {
-  local batch="$1"
-  say "booting $N nodes × $SHARDS shards (batch=$batch)"
-  for i in $(seq 1 "$N"); do
-    "$TMP/noded" -id "$i" -peers "$PEERS" -http "127.0.0.1:$((BASE_HTTP + i))" \
-      -seed 11 -shards "$SHARDS" -batch "$batch" >"$TMP/node$i-b$batch.log" 2>&1 &
-    PIDS+=($!)
-  done
+  say "booting $N nodes × $SHARDS shards (batch=$1)"
+  start_cluster -seed 11 -shards "$SHARDS" -batch "$1"
   say "waiting for liveness (healthz) on every node"
-  for i in $(seq 1 "$N"); do
-    for _ in $(seq 1 150); do
-      "$TMP/noded" client -addr "http://127.0.0.1:$((BASE_HTTP + i))" -timeout 2s healthz \
-        >/dev/null 2>&1 && break
-      sleep 0.2
-    done
-  done
+  wait_healthz
 }
 
 # counters — "OPS ROUNDS": the register operations the cluster's nodes
@@ -141,7 +104,7 @@ boot_cluster 1
 run_load "$TMP/load-b1"
 check_report "$TMP/load-b1"
 R1="$OPS_PER_ROUND"
-cleanup_nodes
+stop_nodes
 sleep 1
 
 boot_cluster "$BATCH"
@@ -159,6 +122,6 @@ awk -v a="$T1" -v b="$TB" 'BEGIN { exit !(b + 0 >= a + 0) }' || {
   echo "FAIL: batch=$BATCH throughput $TB < unbatched $T1"
   exit 1
 }
-cleanup_nodes
+stop_nodes
 
 say "SUCCESS: live $N-node × $SHARDS-shard cluster sustained the mixed workload, and batch=$BATCH kept throughput >= batch=1 ($TB vs $T1 ops/s)"
