@@ -41,9 +41,9 @@
 // one datalink token cycle and up to B submitted commands ride one
 // multicast round input (DESIGN.md §11). With -window W up to W token
 // cycles stay in flight per link (pipelining, DESIGN.md §14). Both knobs
-// must be uniform across the cluster. Nodes speak one wire format (transport/wire) and
-// refuse a peer running any other at connect time, so a cluster is
-// upgraded whole, not node by node.
+// must be uniform across the cluster. Nodes speak one wire format
+// (transport/wire) and refuse a peer running any other at connect time,
+// so a cluster is upgraded whole, not node by node.
 //
 // The HTTP surface is the versioned /v1 contract defined in
 // repro/pkg/api (typed documents, uniform JSON error envelope); the
