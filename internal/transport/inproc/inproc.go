@@ -1,14 +1,14 @@
 // Package inproc is the in-process live backend of the transport
-// subsystem: one goroutine per node, bounded channels as the lossy links,
-// wall-clock tickers as the unknown-rate timers of the asynchronous
-// model. It implements transport.Transport with full fault-model parity
+// subsystem: bounded channels as the lossy links between nodes of one
+// process. It implements transport.Transport with full fault-model parity
 // (loss, duplication, delay reordering, tick jitter — transport.Options).
 //
-// Concurrency discipline: each node's handler is invoked only from that
-// node's own goroutine (ticks, deliveries and Inspect closures are all
-// funneled through one channel), so the step machines need no locks.
-// Cross-node sends are non-blocking — a full inbox drops the packet,
-// which is exactly the bounded-capacity link of the paper's model.
+// Each node runs on its own transport.Loop, the execution context tcp's
+// nodes run on too, so the step machines need no locks. Send draws the
+// packet's fate (transport.Options.Fate) from the network's seeded source
+// and hands each copy to the destination's Loop without blocking — a full
+// inbox drops the packet, which is exactly the bounded-capacity link of the
+// paper's model.
 package inproc
 
 import (
@@ -22,45 +22,19 @@ import (
 	"repro/internal/transport"
 )
 
-type inboxItem struct {
-	from    ids.ID
-	payload any
-	ctl     func() // control closure (Inspect, PeerDown); nil for packets
-}
-
-type node struct {
-	id      ids.ID
-	handler transport.Handler
-	inbox   chan inboxItem
-	done    chan struct{}
-	pacer   *transport.Pacer // owned by the node's goroutine
-	// after holds the one end-of-slice request (AfterSlice).
-	after chan func()
-	// peerDown is the handler's optional hint entry point; nil when the
-	// handler takes no hints.
-	peerDown transport.PeerDownHandler
-}
-
-// stopped reports whether the node was crashed or its network closed.
-func (n *node) stopped() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Net is the goroutine-per-node transport.
 type Net struct {
 	opts transport.Options
 
 	mu     sync.RWMutex
-	nodes  map[ids.ID]*node
+	nodes  map[ids.ID]*transport.Loop
 	closed bool
 
-	seed    int64
-	rngSeq  atomic.Int64
+	seed   int64
+	rngSeq atomic.Int64
+	rngMu  sync.Mutex
+	rng    *rand.Rand // fault-injection draws
+
 	wg      sync.WaitGroup
 	dropped atomic.Uint64
 	dups    atomic.Uint64
@@ -69,19 +43,15 @@ type Net struct {
 var _ transport.Transport = (*Net)(nil)
 
 // New creates an in-process network. seed derives the per-node random
-// sources so runs are loosely reproducible (scheduling is still up to the
-// Go runtime).
+// sources and the fault draws, so a single sender's faults repeat from run
+// to run (scheduling is still up to the Go runtime).
 func New(seed int64, opts transport.Options) *Net {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 256
+	return &Net{
+		opts:  opts.Defaulted(),
+		seed:  seed,
+		nodes: make(map[ids.ID]*transport.Loop),
+		rng:   rand.New(rand.NewSource(seed ^ 0x7c3f)), //nolint:gosec
 	}
-	if opts.TickEvery <= 0 {
-		opts.TickEvery = 2 * time.Millisecond
-	}
-	if opts.MaxDelay < opts.MinDelay {
-		opts.MaxDelay = opts.MinDelay
-	}
-	return &Net{opts: opts, seed: seed, nodes: make(map[ids.ID]*node)}
 }
 
 // Rand implements transport.Transport: a fresh, independently seeded
@@ -107,159 +77,77 @@ func (l *Net) AddNode(id ids.ID, h transport.Handler) error {
 	if _, ok := l.nodes[id]; ok {
 		return fmt.Errorf("inproc: node %v already registered", id)
 	}
-	n := &node{
-		id:      id,
-		handler: h,
-		inbox:   make(chan inboxItem, l.opts.Capacity),
-		done:    make(chan struct{}),
-		pacer:   transport.NewPacer(l.opts.TickEvery, l.opts.TickJitter, l.Rand()),
-		after:   make(chan func(), 1),
-	}
-	n.peerDown, _ = h.(transport.PeerDownHandler)
+	n := transport.NewLoop(h, l.opts, l.Rand())
 	l.nodes[id] = n
 	l.wg.Add(1)
-	go l.run(n)
+	go func() {
+		defer l.wg.Done()
+		n.Run()
+	}()
 	return nil
 }
 
-func (l *Net) run(n *node) {
-	defer l.wg.Done()
-	defer n.pacer.Stop()
-	tick := n.handler.Tick
-	for {
-		// A stopped node takes no step, not even the tick that fell due or
-		// the item that arrived while its last step ran.
-		if n.stopped() {
-			return
-		}
-		// The slice that just ran has ended: what it asked for (AfterSlice)
-		// runs before anything else gets a turn.
-		select {
-		case fn := <-n.after:
-			if fn(); n.stopped() {
-				return
-			}
-		default:
-		}
-		// Then the timer: a due tick does not wait behind the inbox. A tick
-		// is a slice too.
-		if n.pacer.Poll(tick) {
-			continue
-		}
-		select {
-		case <-n.done:
-			return
-		case fn := <-n.after: // asked for from outside, or while parked
-			if n.stopped() {
-				return
-			}
-			fn()
-		case item := <-n.inbox:
-			if n.stopped() {
-				return
-			}
-			if item.ctl != nil {
-				item.ctl()
-			} else {
-				n.handler.Receive(item.from, item.payload)
-			}
-		case <-n.pacer.C():
-		}
-	}
+// node returns the loop of a registered node, nil for an unknown or crashed
+// one.
+func (l *Net) node(id ids.ID) *transport.Loop {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.nodes[id]
 }
 
 // Send implements transport.Transport. It never blocks: loss, full
 // inboxes and unknown destinations silently drop, as the bounded-link
-// model allows; duplication delivers the packet a second time on an
-// independent delay (reordering the copies, like netsim).
+// model allows; a duplicate is delivered on a delay of its own
+// (reordering the copies, like netsim).
 func (l *Net) Send(from, to ids.ID, payload any) {
-	l.mu.RLock()
-	dst, ok := l.nodes[to]
-	closed := l.closed
-	l.mu.RUnlock()
-	if !ok || closed {
+	dst := l.node(to)
+	if dst == nil {
 		l.dropped.Add(1)
 		return
 	}
-	// Loss, duplication and delay come from a cheap shared source;
-	// crypto quality is irrelevant here.
-	r := rand.Int63() //nolint:gosec
-	if l.opts.LossProb > 0 && float64(r%1000)/1000 < l.opts.LossProb {
+	l.rngMu.Lock()
+	copies, delays := l.opts.Fate(l.rng)
+	l.rngMu.Unlock()
+	if copies == 0 {
 		l.dropped.Add(1)
 		return
 	}
-	l.deliverDelayed(dst, from, payload, r)
-	if l.opts.DupProb > 0 {
-		d := rand.Int63() //nolint:gosec
-		if float64(d%1000)/1000 < l.opts.DupProb {
-			l.dups.Add(1)
-			l.deliverDelayed(dst, from, payload, d)
+	if copies == 2 {
+		l.dups.Add(1)
+	}
+	for _, delay := range delays[:copies] {
+		if delay <= 0 {
+			l.deliver(dst, from, payload)
+			continue
 		}
+		time.AfterFunc(delay, func() { l.deliver(dst, from, payload) })
 	}
 }
 
-func (l *Net) deliverDelayed(dst *node, from ids.ID, payload any, r int64) {
-	deliver := func() {
-		select {
-		case dst.inbox <- inboxItem{from: from, payload: payload}:
-		case <-dst.done:
-			l.dropped.Add(1) // crashed destination
-		default:
-			l.dropped.Add(1) // bounded link: overflow is omission
-		}
+func (l *Net) deliver(dst *transport.Loop, from ids.ID, payload any) {
+	if !dst.Deliver(from, payload) {
+		l.dropped.Add(1) // bounded link or crashed destination: omission
 	}
-	span := l.opts.MaxDelay - l.opts.MinDelay
-	delay := l.opts.MinDelay
-	if span > 0 {
-		delay += time.Duration(r % int64(span))
-	}
-	if delay <= 0 {
-		deliver()
-		return
-	}
-	time.AfterFunc(delay, deliver)
 }
 
 // Inspect implements transport.Transport: run fn inside the node's
 // goroutine and wait for it.
 func (l *Net) Inspect(id ids.ID, fn func()) bool {
-	l.mu.RLock()
-	n, ok := l.nodes[id]
-	l.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	done := make(chan struct{})
-	select {
-	case n.inbox <- inboxItem{ctl: func() { fn(); close(done) }}:
-	case <-n.done:
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-n.done:
-		return false
-	}
+	n := l.node(id)
+	return n != nil && n.Inspect(fn)
 }
 
-// ObserveTickLate has fn called from the node's execution context at the
-// start of each of its ticks with how long after its due time the tick
-// started (fn must not allocate). It reports false for unknown or crashed
-// nodes.
+// ObserveTickLate is transport.Loop.ObserveTickLate for node id; it reports
+// false for unknown or crashed nodes.
 func (l *Net) ObserveTickLate(id ids.ID, fn func(time.Duration)) bool {
-	l.mu.RLock()
-	n, ok := l.nodes[id]
-	l.mu.RUnlock()
-	return ok && l.Inspect(id, func() { n.pacer.ObserveLate(fn) })
+	n := l.node(id)
+	return n != nil && n.ObserveTickLate(fn)
 }
 
 // Done implements transport.Transport.
 func (l *Net) Done(id ids.ID) <-chan struct{} {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if n, ok := l.nodes[id]; ok {
-		return n.done
+	if n := l.node(id); n != nil {
+		return n.Done()
 	}
 	return transport.Stopped
 }
@@ -270,18 +158,8 @@ func (l *Net) ReceiptSteps() bool { return true }
 // AfterSlice implements transport.Transport: the node's goroutine takes fn
 // when the slice it is running ends, or at once if it is parked.
 func (l *Net) AfterSlice(id ids.ID, fn func()) bool {
-	l.mu.RLock()
-	n, ok := l.nodes[id]
-	l.mu.RUnlock()
-	if !ok || n.stopped() {
-		return false
-	}
-	select {
-	case n.after <- fn:
-		return true
-	default:
-		return false
-	}
+	n := l.node(id)
+	return n != nil && n.AfterSlice(fn)
 }
 
 // Alive implements transport.Transport.
@@ -305,18 +183,12 @@ func (l *Net) Crash(id ids.ID) {
 	if ok {
 		delete(l.nodes, id)
 		for _, rest := range l.nodes {
-			if rest.peerDown == nil {
-				continue
-			}
-			select {
-			case rest.inbox <- inboxItem{ctl: func() { rest.peerDown.PeerDown(id) }}:
-			default:
-			}
+			rest.PeerDown(id)
 		}
 	}
 	l.mu.Unlock()
 	if ok {
-		close(n.done)
+		n.Stop()
 	}
 }
 
@@ -329,14 +201,11 @@ func (l *Net) Close() error {
 		return nil
 	}
 	l.closed = true
-	nodes := make([]*node, 0, len(l.nodes))
-	for _, n := range l.nodes {
-		nodes = append(nodes, n)
-	}
-	l.nodes = make(map[ids.ID]*node)
+	nodes := l.nodes
+	l.nodes = make(map[ids.ID]*transport.Loop)
 	l.mu.Unlock()
 	for _, n := range nodes {
-		close(n.done)
+		n.Stop()
 	}
 	l.wg.Wait()
 	return nil

@@ -1,6 +1,7 @@
 package inproc_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,60 +46,41 @@ func TestDuplicationCounter(t *testing.T) {
 	t.Fatalf("duplicated %d, want 10", n.Duplicated())
 }
 
-// TestDueTickDoesNotQueueBehindInbox floods a node whose every delivery
-// takes two tick periods: a tick is due each time a delivery returns, and
-// the run loop, which polls its timer before it looks at the inbox, must
-// run it before the next delivery however deep the inbox is.
-func TestDueTickDoesNotQueueBehindInbox(t *testing.T) {
-	const every = time.Millisecond
-	n := inproc.New(1, transport.Options{Capacity: 64, TickEvery: every})
-	defer n.Close()
-	h := &slowReceiver{cost: 2 * every}
-	if err := n.AddNode(1, h); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	flooded := make(chan struct{})
-	go func() {
-		defer close(flooded)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				n.Send(2, 1, "flood")
-			}
+// TestSeedFixesTheFaults: two networks built with the same seed lose the
+// same packets of one sender's sequence.
+func TestSeedFixesTheFaults(t *testing.T) {
+	const sends = 200
+	var got [2]map[int]bool
+	for k := range got {
+		n := inproc.New(5, transport.Options{Capacity: 256, LossProb: 0.5, TickEvery: time.Hour})
+		rx := &indexRecorder{seen: map[int]bool{}}
+		if err := n.AddNode(1, rx); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	time.Sleep(150 * every)
-	close(stop)
-	<-flooded
-	n.Close() // no step after this: the handler may be read
-	if h.received < 20 {
-		t.Fatalf("only %d deliveries in 150 periods: the flood never built up", h.received)
+		for i := 0; i < sends; i++ {
+			n.Send(2, 1, i)
+		}
+		// Undelayed copies are in the inbox when Send returns, and the
+		// inbox is first in, first out: this closure runs after all of them.
+		if !n.Inspect(1, func() {}) {
+			t.Fatal("Inspect(1) failed")
+		}
+		n.Close() // no step after this: the handler may be read
+		got[k] = rx.seen
+		if len(got[k]) == 0 || len(got[k]) == sends {
+			t.Fatalf("%d of %d packets delivered at loss 0.5", len(got[k]), sends)
+		}
 	}
-	if h.inARow > 1 {
-		t.Fatalf("%d deliveries in a row with a tick due (%d deliveries, %d ticks)", h.inARow, h.received, h.ticks)
-	}
-}
-
-// slowReceiver takes cost per delivery and keeps the longest run of
-// deliveries that no tick interrupted.
-type slowReceiver struct {
-	cost              time.Duration
-	received, ticks   int
-	sinceTick, inARow int
-}
-
-func (h *slowReceiver) Receive(ids.ID, any) {
-	time.Sleep(h.cost)
-	h.received++
-	if h.sinceTick++; h.sinceTick > h.inARow {
-		h.inARow = h.sinceTick
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("one seed, two fault patterns: %d and %d packets delivered, different ones", len(got[0]), len(got[1]))
 	}
 }
 
-func (h *slowReceiver) Tick() { h.ticks++; h.sinceTick = 0 }
+// indexRecorder keeps the indices it receives.
+type indexRecorder struct{ seen map[int]bool }
+
+func (r *indexRecorder) Receive(_ ids.ID, p any) { r.seen[p.(int)] = true }
+func (r *indexRecorder) Tick()                   {}
 
 type nopHandler struct{}
 

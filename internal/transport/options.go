@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/netsim"
@@ -61,6 +62,44 @@ func LiveDefaults() Options {
 		TickEvery:  2 * time.Millisecond,
 		TickJitter: time.Millisecond,
 	}
+}
+
+// Defaulted is o as the wall-clock backends (inproc, tcp) run it: an unset
+// Capacity is 256, an unset TickEvery 2 ms, and MaxDelay is at least
+// MinDelay.
+func (o Options) Defaulted() Options {
+	if o.Capacity <= 0 {
+		o.Capacity = 256
+	}
+	if o.TickEvery <= 0 {
+		o.TickEvery = 2 * time.Millisecond
+	}
+	if o.MaxDelay < o.MinDelay {
+		o.MaxDelay = o.MinDelay
+	}
+	return o
+}
+
+// Fate draws from rng what the adversary of the wall-clock backends does to
+// one packet: it delivers copies of it, none when it is lost and two when
+// it is duplicated, each after its own delay from [MinDelay, MaxDelay).
+// The draws come in that order — loss, duplication, then one delay per
+// copy — and a knob that is off draws nothing.
+func (o Options) Fate(rng *rand.Rand) (copies int, delays [2]time.Duration) {
+	if o.LossProb > 0 && rng.Float64() < o.LossProb {
+		return 0, delays
+	}
+	copies = 1
+	if o.DupProb > 0 && rng.Float64() < o.DupProb {
+		copies = 2
+	}
+	for i := range delays[:copies] {
+		delays[i] = o.MinDelay
+		if span := o.MaxDelay - o.MinDelay; span > 0 {
+			delays[i] += time.Duration(rng.Int63n(int64(span)))
+		}
+	}
+	return copies, delays
 }
 
 // Netsim converts the unified configuration to the simulator's

@@ -208,13 +208,9 @@ func TestPeerDownDroppedWhenInboxFull(t *testing.T) {
 
 	h1.hold.Store(true)
 	<-h1.held
-	inspected := make(chan bool)
-	go func() { inspected <- a.Inspect(1, func() {}) }() // takes the one inbox slot
-	a.mu.RLock()
-	n1 := a.local[1]
-	a.mu.RUnlock()
-	if !eventually(10*time.Second, func() bool { return len(n1.inbox) == 1 }) {
-		t.Fatal("the inbox never filled")
+	n1 := a.node(1)
+	if !n1.loop.Deliver(2, "takes the one inbox slot") || n1.loop.Deliver(2, "finds it taken") {
+		t.Fatal("the inbox does not hold exactly one item")
 	}
 
 	b.Close()
@@ -230,7 +226,7 @@ func TestPeerDownDroppedWhenInboxFull(t *testing.T) {
 	}
 
 	close(h1.gate)
-	if !<-inspected || !a.Inspect(1, func() {}) {
+	if !a.Inspect(1, func() {}) {
 		t.Fatal("the node did not resume")
 	}
 	noHint(t, h1, 0, "delivered although the inbox was full")

@@ -22,12 +22,14 @@
 //
 // Fault injection: the same transport.Options adversary as the other
 // backends (probabilistic loss and duplication, optional artificial
-// delay) is applied at send time, so a live cluster can be driven under
-// the exact fault model of the simulated experiments.
+// delay) is drawn at send time by transport.Options.Fate, so a live
+// cluster can be driven under the exact fault model of the simulated
+// experiments.
 //
-// Concurrency discipline matches transport/inproc: one goroutine per
-// local node owns its handler; deliveries, ticks and Inspect closures
-// are funneled through the node's inbox channel.
+// Each local node runs on its own transport.Loop, the execution context
+// inproc's nodes run on too: the decoded frames a connection's read loop
+// hands it, its ticks and Inspect closures are all slices of that one
+// goroutine.
 //
 // Hot-path batching: each outbound link's write loop coalesces every
 // frame already waiting in its queue into a single connection write
@@ -88,15 +90,7 @@ func (c *Config) fill() {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 2 * time.Second
 	}
-	if c.Opts.Capacity <= 0 {
-		c.Opts.Capacity = 256
-	}
-	if c.Opts.TickEvery <= 0 {
-		c.Opts.TickEvery = 2 * time.Millisecond
-	}
-	if c.Opts.MaxDelay < c.Opts.MinDelay {
-		c.Opts.MaxDelay = c.Opts.MinDelay
-	}
+	c.Opts = c.Opts.Defaulted()
 }
 
 // Stats aggregates transport-level counters.
@@ -118,34 +112,9 @@ type Stats struct {
 	FramesWritten uint64
 }
 
-type inboxItem struct {
-	from    ids.ID
-	payload any
-	ctl     func()
-}
-
 type node struct {
-	id       ids.ID
-	handler  transport.Handler
-	inbox    chan inboxItem
-	done     chan struct{}
+	loop     *transport.Loop
 	listener net.Listener
-	pacer    *transport.Pacer // owned by the node's goroutine
-	// after holds the one end-of-slice request (AfterSlice).
-	after chan func()
-	// peerDown is the handler's optional hint entry point; nil when the
-	// handler takes no hints.
-	peerDown transport.PeerDownHandler
-}
-
-// stopped reports whether the node was crashed or its transport closed.
-func (n *node) stopped() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // Net is the TCP transport.
@@ -157,6 +126,9 @@ type Net struct {
 	links  map[ids.ID]*link
 	conns  map[net.Conn]*node // accepted inbound connections, by accepting node
 	closed bool
+	// loops holds every node's loop ever added, crashed ones too: their
+	// deliveries stay counted in Stats.
+	loops []*transport.Loop
 
 	rngMu  sync.Mutex
 	rng    *rand.Rand // fault-injection draws
@@ -164,8 +136,8 @@ type Net struct {
 
 	wg sync.WaitGroup
 
-	sent, delivered, dropped, dups, redials, decodeErrs atomic.Uint64
-	connWrites, framesWritten                           atomic.Uint64
+	sent, dropped, dups, redials, decodeErrs atomic.Uint64
+	connWrites, framesWritten                atomic.Uint64
 }
 
 var _ transport.Transport = (*Net)(nil)
@@ -185,9 +157,15 @@ func New(cfg Config) *Net {
 
 // Stats returns a snapshot of the transport counters.
 func (t *Net) Stats() Stats {
+	var delivered uint64
+	t.mu.RLock()
+	for _, l := range t.loops {
+		delivered += l.Received()
+	}
+	t.mu.RUnlock()
 	return Stats{
 		Sent:          t.sent.Load(),
-		Delivered:     t.delivered.Load(),
+		Delivered:     delivered,
 		Dropped:       t.dropped.Load(),
 		Duplicated:    t.dups.Load(),
 		Redials:       t.redials.Load(),
@@ -200,12 +178,17 @@ func (t *Net) Stats() Stats {
 // Addr returns the resolved listen address of a local node ("" when the
 // node is not local or not yet listening).
 func (t *Net) Addr(id ids.ID) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if n, ok := t.local[id]; ok {
+	if n := t.node(id); n != nil {
 		return n.listener.Addr().String()
 	}
 	return ""
+}
+
+// node returns a local node, nil for an unknown or crashed one.
+func (t *Net) node(id ids.ID) *node {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.local[id]
 }
 
 // Rand implements transport.Transport: a fresh, independently seeded
@@ -233,70 +216,16 @@ func (t *Net) AddNode(id ids.ID, h transport.Handler) error {
 	if err != nil {
 		return fmt.Errorf("tcp: listen %v on %s: %w", id, addr, err)
 	}
-	n := &node{
-		id:       id,
-		handler:  h,
-		inbox:    make(chan inboxItem, t.cfg.Opts.Capacity),
-		done:     make(chan struct{}),
-		listener: ln,
-		pacer:    transport.NewPacer(t.cfg.Opts.TickEvery, t.cfg.Opts.TickJitter, t.Rand()),
-		after:    make(chan func(), 1),
-	}
-	n.peerDown, _ = h.(transport.PeerDownHandler)
+	n := &node{loop: transport.NewLoop(h, t.cfg.Opts, t.Rand()), listener: ln}
 	t.local[id] = n
+	t.loops = append(t.loops, n.loop)
 	t.wg.Add(2)
-	go t.runNode(n)
+	go func() {
+		defer t.wg.Done()
+		n.loop.Run()
+	}()
 	go t.acceptLoop(n)
 	return nil
-}
-
-// runNode owns the node's handler: ticks, deliveries, Inspect closures and
-// end-of-slice requests.
-func (t *Net) runNode(n *node) {
-	defer t.wg.Done()
-	defer n.pacer.Stop()
-	tick := n.handler.Tick
-	for {
-		// A stopped node takes no step, not even the tick that fell due or
-		// the item that arrived while its last step ran.
-		if n.stopped() {
-			return
-		}
-		// The slice that just ran has ended: what it asked for (AfterSlice)
-		// runs before anything else gets a turn.
-		select {
-		case fn := <-n.after:
-			if fn(); n.stopped() {
-				return
-			}
-		default:
-		}
-		// Then the timer: a due tick does not wait behind the inbox. A tick
-		// is a slice too.
-		if n.pacer.Poll(tick) {
-			continue
-		}
-		select {
-		case <-n.done:
-			return
-		case fn := <-n.after: // asked for from outside, or while parked
-			if n.stopped() {
-				return
-			}
-			fn()
-		case item := <-n.inbox:
-			if n.stopped() {
-				return
-			}
-			if item.ctl != nil {
-				item.ctl()
-			} else {
-				t.delivered.Add(1)
-				n.handler.Receive(item.from, item.payload)
-			}
-		case <-n.pacer.C():
-		}
-	}
 }
 
 // acceptLoop accepts inbound connections on the node's listener.
@@ -346,26 +275,15 @@ func (t *Net) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		t.mu.RLock()
-		dst, ok := t.local[msg.To]
-		t.mu.RUnlock()
-		if !ok {
-			t.dropped.Add(1)
-			continue
-		}
-		select {
-		case dst.inbox <- inboxItem{from: msg.From, payload: msg.Payload()}:
-		case <-dst.done:
-			t.dropped.Add(1)
-		default:
-			t.dropped.Add(1) // bounded inbox: overflow is omission
+		if dst := t.node(msg.To); dst == nil || !dst.loop.Deliver(msg.From, msg.Payload()) {
+			t.dropped.Add(1) // unknown destination or bounded inbox: omission
 		}
 	}
 }
 
 // Send implements transport.Transport. It never blocks; loss,
-// duplication and artificial delay are injected here so every backend
-// presents the same adversary.
+// duplication and artificial delay are drawn here (transport.Options.Fate),
+// so every backend presents the same adversary.
 func (t *Net) Send(from, to ids.ID, payload any) {
 	t.sent.Add(1)
 	t.mu.RLock()
@@ -376,23 +294,17 @@ func (t *Net) Send(from, to ids.ID, payload any) {
 		return
 	}
 	t.rngMu.Lock()
-	lost := t.cfg.Opts.LossProb > 0 && t.rng.Float64() < t.cfg.Opts.LossProb
-	dup := t.cfg.Opts.DupProb > 0 && t.rng.Float64() < t.cfg.Opts.DupProb
-	var delay time.Duration
-	if span := t.cfg.Opts.MaxDelay - t.cfg.Opts.MinDelay; t.cfg.Opts.MaxDelay > 0 && span > 0 {
-		delay = t.cfg.Opts.MinDelay + time.Duration(t.rng.Int63n(int64(span)))
-	} else if t.cfg.Opts.MaxDelay > 0 {
-		delay = t.cfg.Opts.MinDelay
-	}
+	copies, delays := t.cfg.Opts.Fate(t.rng)
 	t.rngMu.Unlock()
-	if lost {
+	if copies == 0 {
 		t.dropped.Add(1)
 		return
 	}
-	msg := wire.NewMsg(from, to, payload)
-	t.enqueue(msg, delay)
-	if dup {
+	if copies == 2 {
 		t.dups.Add(1)
+	}
+	msg := wire.NewMsg(from, to, payload)
+	for _, delay := range delays[:copies] {
 		t.enqueue(msg, delay)
 	}
 }
@@ -448,43 +360,21 @@ func (t *Net) link(to ids.ID) *link {
 
 // Inspect implements transport.Transport.
 func (t *Net) Inspect(id ids.ID, fn func()) bool {
-	t.mu.RLock()
-	n, ok := t.local[id]
-	t.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	done := make(chan struct{})
-	select {
-	case n.inbox <- inboxItem{ctl: func() { fn(); close(done) }}:
-	case <-n.done:
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-n.done:
-		return false
-	}
+	n := t.node(id)
+	return n != nil && n.loop.Inspect(fn)
 }
 
-// ObserveTickLate has fn called from the node's execution context at the
-// start of each of its ticks with how long after its due time the tick
-// started (fn must not allocate). It reports false for unknown or crashed
-// nodes.
+// ObserveTickLate is transport.Loop.ObserveTickLate for node id; it reports
+// false for unknown or crashed nodes.
 func (t *Net) ObserveTickLate(id ids.ID, fn func(time.Duration)) bool {
-	t.mu.RLock()
-	n, ok := t.local[id]
-	t.mu.RUnlock()
-	return ok && t.Inspect(id, func() { n.pacer.ObserveLate(fn) })
+	n := t.node(id)
+	return n != nil && n.loop.ObserveTickLate(fn)
 }
 
 // Done implements transport.Transport.
 func (t *Net) Done(id ids.ID) <-chan struct{} {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if n, ok := t.local[id]; ok {
-		return n.done
+	if n := t.node(id); n != nil {
+		return n.loop.Done()
 	}
 	return transport.Stopped
 }
@@ -495,18 +385,8 @@ func (t *Net) ReceiptSteps() bool { return true }
 // AfterSlice implements transport.Transport: the node's goroutine takes fn
 // when the slice it is running ends, or at once if it is parked.
 func (t *Net) AfterSlice(id ids.ID, fn func()) bool {
-	t.mu.RLock()
-	n, ok := t.local[id]
-	t.mu.RUnlock()
-	if !ok || n.stopped() {
-		return false
-	}
-	select {
-	case n.after <- fn:
-		return true
-	default:
-		return false
-	}
+	n := t.node(id)
+	return n != nil && n.loop.AfterSlice(fn)
 }
 
 // Alive implements transport.Transport (local nodes only; remote
@@ -538,7 +418,7 @@ func (t *Net) Crash(id ids.ID) {
 	}
 	t.mu.Unlock()
 	if ok {
-		close(n.done)
+		n.loop.Stop()
 		n.listener.Close()
 		for _, c := range accepted {
 			c.Close()
@@ -547,19 +427,12 @@ func (t *Net) Crash(id ids.ID) {
 }
 
 // peerDown tells every local node that takes hints that peer's endpoint is
-// gone. It never blocks: a full inbox drops the hint, and omission is always
-// safe — the failure detector's counts find the peer without it.
+// gone (transport.Loop.PeerDown). It never blocks.
 func (t *Net) peerDown(peer ids.ID) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, n := range t.local {
-		if n.peerDown == nil {
-			continue
-		}
-		select {
-		case n.inbox <- inboxItem{ctl: func() { n.peerDown.PeerDown(peer) }}:
-		default:
-		}
+		n.loop.PeerDown(peer)
 	}
 }
 
@@ -587,7 +460,7 @@ func (t *Net) Close() error {
 	t.links = make(map[ids.ID]*link)
 	t.mu.Unlock()
 	for _, n := range nodes {
-		close(n.done)
+		n.loop.Stop()
 		n.listener.Close()
 	}
 	for _, l := range links {

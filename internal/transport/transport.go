@@ -6,16 +6,18 @@
 //   - transport/simnet — adapter over the deterministic discrete-event
 //     simulator (internal/netsim). Tests, benchmarks, and the experiment
 //     suite use it; whole runs are a pure function of the seed.
-//   - transport/inproc — one goroutine per node with bounded channels as
-//     lossy links and wall-clock timers. The examples and in-process
-//     deployments use it.
+//   - transport/inproc — bounded channels as lossy links between nodes of
+//     one process. The examples and in-process deployments use it.
 //   - transport/tcp — real OS processes over TCP with length-prefixed,
 //     versioned frames (transport/wire). cmd/noded runs on it.
 //
 // All three present the same fault model (transport.Options): bounded
 // link capacity, probabilistic loss and duplication, delivery-delay
 // reordering, and jittered node timers — so an adversary configured for
-// a simulated run injects the same faults into a live one.
+// a simulated run injects the same faults into a live one. The two live
+// backends share everything but how a packet reaches a node: each node
+// runs on a Loop (its execution context and timer), and each Send draws
+// the packet's fate from Options.Fate.
 //
 // The Transport interface is a superset of core.Transport: any Transport
 // can be passed directly to core.NewNode.
@@ -113,38 +115,3 @@ var Stopped = func() <-chan struct{} {
 	close(c)
 	return c
 }()
-
-// Conn is one node's handle on a transport: the Transport/Conn pair is
-// the subsystem's client-facing surface. A Conn pins the sender identity
-// so upper layers cannot forge a peer's origin.
-type Conn struct {
-	t    Transport
-	self ids.ID
-}
-
-// Attach registers h under id and returns the node's connection.
-func Attach(t Transport, id ids.ID, h Handler) (*Conn, error) {
-	if err := t.AddNode(id, h); err != nil {
-		return nil, err
-	}
-	return &Conn{t: t, self: id}, nil
-}
-
-// Self returns the attached node's identifier.
-func (c *Conn) Self() ids.ID { return c.self }
-
-// Transport returns the underlying medium.
-func (c *Conn) Transport() Transport { return c.t }
-
-// Send transmits payload from this node.
-func (c *Conn) Send(to ids.ID, payload any) { c.t.Send(c.self, to, payload) }
-
-// Inspect runs fn inside this node's execution context.
-func (c *Conn) Inspect(fn func()) bool { return c.t.Inspect(c.self, fn) }
-
-// Close crashes the attached node (the Conn-level close is a stop-fail;
-// closing the whole medium is the Transport's Close).
-func (c *Conn) Close() error {
-	c.t.Crash(c.self)
-	return nil
-}
