@@ -24,9 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -52,10 +50,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *format {
-	case "table", "csv", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+	if err := engine.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 	var rep *engine.Report
 	err = profiled(*cpuProfile, *memProfile, func() error {
@@ -71,7 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := emit(rep, *format, *outDir); err != nil {
+	if err := engine.Emit(rep, *format, *outDir); err != nil {
 		fatal(err)
 	}
 }
@@ -119,74 +115,6 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchtab:", err)
 	os.Exit(1)
-}
-
-// emit writes the report to stdout, or to files under dir when non-empty.
-func emit(rep *engine.Report, format, dir string) error {
-	if dir == "" {
-		return emitStream(os.Stdout, rep, format)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var files []string
-	switch format {
-	case "csv":
-		files = []string{"cells.csv", "summary.csv"}
-	case "json":
-		files = []string{"results.json"}
-	case "table":
-		files = []string{"results.txt"}
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	write := func(name string, fn func(io.Writer, *engine.Report) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", filepath.Join(dir, name))
-		return nil
-	}
-	switch format {
-	case "csv":
-		if err := write(files[0], engine.WriteCellsCSV); err != nil {
-			return err
-		}
-		return write(files[1], engine.WriteSummaryCSV)
-	case "json":
-		return write(files[0], engine.WriteJSON)
-	default:
-		return write(files[0], engine.WriteTable)
-	}
-}
-
-// emitStream writes the report to one stream: for csv, the per-cell
-// table, a blank line, then the grouped summary.
-func emitStream(w io.Writer, rep *engine.Report, format string) error {
-	switch format {
-	case "csv":
-		if err := engine.WriteCellsCSV(w, rep); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		return engine.WriteSummaryCSV(w, rep)
-	case "json":
-		return engine.WriteJSON(w, rep)
-	case "table":
-		return engine.WriteTable(w, rep)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
 }
 
 // parseSizes parses a comma-separated N sweep. Sizes must be ≥1 (1 is

@@ -52,9 +52,3 @@ func TestParseOnly(t *testing.T) {
 		t.Errorf("parseOnly(\"e2, E8 ,e2\") = %v, want %v", got, want)
 	}
 }
-
-func TestEmitStreamUnknownFormat(t *testing.T) {
-	if err := emitStream(nil, nil, "xml"); err == nil {
-		t.Error("emitStream with unknown format: want error")
-	}
-}

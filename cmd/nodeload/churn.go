@@ -8,38 +8,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/shard"
 	"repro/pkg/client"
 )
 
-// Churn mode: nodeload owns the cluster. It boots -nodes noded
-// processes over the TCP transport, drives the mixed workload against
-// them, and injects the paper's fault model mid-load on a seeded,
-// reproducible schedule: SIGKILL a victim (no shutdown path runs),
-// restart it over the same -data-dir (disk recovery + rejoin), and
-// start a fresh `-members none` process that must be adopted through
-// the joining mechanism (Algorithm 3.3) over real sockets. The report
-// gains churn.* series — recovery time, joiner adoption time, the
-// largest client-observed availability gap, and the acked-write
-// survival count — so the live numbers line up against the E14 simnet
-// grid (EXPERIMENTS.md).
-//
-// Write survival is checked per key with a single writer per key and a
-// monotone per-key sequence embedded in the value ("c<seq>"): after the
-// load stops and in-flight commands settle, a sync-read of every key
-// that had at least one acknowledged write must return a sequence >= the
-// last acknowledged one. A lower sequence or a missing register means an
-// acknowledged write vanished — the failover-path loss this harness
-// exists to flush out. (An unacknowledged write may legitimately land
-// late and win; the settle window plus round-ordered application makes
-// that a non-issue in practice, and the check errs toward reporting it.)
+// The chaos harness (-noded): nodeload owns the cluster. It boots
+// -nodes noded processes over the TCP transport, and while run drives
+// the workload against them, the churn timeline injects the paper's
+// fault model on a seeded, reproducible schedule: SIGKILL a victim (no
+// shutdown path runs), restart it over the same -data-dir (disk
+// recovery + rejoin), and start a fresh `-members none` process that
+// must be adopted through the joining mechanism (Algorithm 3.3) over
+// real sockets. The report gains churn.* series — recovery time and
+// joiner adoption time — so the live numbers line up against the E14
+// simnet grid (EXPERIMENTS.md); the survival.* check runs in both modes.
 
 // churnEvent is one kill/restart cycle of the seeded schedule.
 type churnEvent struct {
@@ -107,7 +93,7 @@ func freeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// supervisor owns the noded processes of a churn run.
+// supervisor owns the noded processes of a -noded run.
 type supervisor struct {
 	cfg     config
 	book    string // full address book, joiner included
@@ -215,226 +201,51 @@ type churnMeasure struct {
 	note        string
 }
 
-// churnResult extends the workload result with survival bookkeeping.
-type churnResult struct {
-	result
-	okAt  []time.Time    // completion times of successful ops (gap series)
-	acked map[string]int // key -> highest acknowledged write sequence
-}
-
-// churnDrive is the churn-mode workload: like drive, but each key has
-// exactly one writer (keys are striped over workers) and writes carry a
-// monotone per-key sequence, which is what makes acked-write survival
-// checkable after the run.
-func churnDrive(ctx context.Context, c *client.Client, cfg config) churnResult {
-	keys := make([]string, 0, cfg.shards*cfg.keys)
-	for _, group := range shard.NamesPerShard(cfg.shards, cfg.keys) {
-		keys = append(keys, group...)
-	}
-	res := churnResult{acked: make(map[string]int)}
-	var mu sync.Mutex
-	start := time.Now()
-	measureStart := start.Add(cfg.warmup)
-	deadline := measureStart.Add(cfg.duration)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.clients; w++ {
-		var own []string
-		for i := w; i < len(keys); i += cfg.clients {
-			own = append(own, keys[i])
-		}
-		if len(own) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, own []string) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(w)*7919))
-			seqs := make(map[string]int, len(own))
-			acked := make(map[string]int, len(own))
-			var write, sread classStats
-			var okAt []time.Time
-			var lastErr error
-			for ctx.Err() == nil && time.Now().Before(deadline) {
-				key := own[rng.Intn(len(own))]
-				isWrite := rng.Float64() < cfg.ratio
-				t0 := time.Now()
-				var err error
-				if isWrite {
-					seqs[key]++
-					_, err = c.Write(ctx, key, fmt.Sprintf("c%d", seqs[key]))
-					if err == nil {
-						acked[key] = seqs[key]
-					}
-				} else {
-					_, err = c.SyncRead(ctx, key)
-				}
-				done := time.Now()
-				lat := done.Sub(t0)
-				if done.Before(measureStart) {
-					if err != nil {
-						lastErr = err
-					}
-					continue
-				}
-				st := &sread
-				if isWrite {
-					st = &write
-				}
-				if err != nil {
-					st.errs++
-					lastErr = err
-					continue
-				}
-				st.ops++
-				st.latMS = append(st.latMS, float64(lat)/float64(time.Millisecond))
-				okAt = append(okAt, done)
-			}
-			mu.Lock()
-			res.write.merge(write)
-			res.sread.merge(sread)
-			res.okAt = append(res.okAt, okAt...)
-			for k, s := range acked {
-				res.acked[k] = s // single writer per key: no conflicts
-			}
-			if lastErr != nil {
-				res.lastErr = lastErr
-			}
-			mu.Unlock()
-		}(w, own)
-	}
-	wg.Wait()
-	res.elapsed = time.Since(measureStart)
-	if d := deadline.Sub(measureStart); res.elapsed > d && ctx.Err() == nil {
-		res.elapsed = d
-	}
-	return res
-}
-
-// maxGap returns the largest client-observed availability gap: the
-// longest stretch of the measured window [from, to] with no successful
-// operation completion.
-func maxGap(okAt []time.Time, from, to time.Time) time.Duration {
-	sort.Slice(okAt, func(i, j int) bool { return okAt[i].Before(okAt[j]) })
-	var max time.Duration
-	prev := from
-	for _, t := range okAt {
-		if t.After(to) {
-			break
-		}
-		if g := t.Sub(prev); g > max {
-			max = g
-		}
-		prev = t
-	}
-	if g := to.Sub(prev); g > max {
-		max = g
-	}
-	return max
-}
-
-// verifySurvival sync-reads every key that had an acknowledged write
-// and counts the ones whose final value regressed below the last
-// acknowledged sequence (or vanished outright).
-func verifySurvival(ctx context.Context, c *client.Client, acked map[string]int) (lost int, detail string) {
-	keys := make([]string, 0, len(acked))
-	for k := range acked {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		want := acked[key]
-		var got string
-		var found bool
-		// A node mid-recovery can fail a first read; retry briefly
-		// before declaring the write lost.
-		for attempt := 0; attempt < 5; attempt++ {
-			r, err := c.SyncRead(ctx, key)
-			if err == nil {
-				got, found = r.Value, r.Found
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-		seq := -1
-		if found {
-			if n, err := strconv.Atoi(strings.TrimPrefix(got, "c")); err == nil {
-				seq = n
-			}
-		}
-		if seq < want {
-			lost++
-			if detail == "" {
-				detail = fmt.Sprintf("first loss: %s acked c%d, read %q", key, want, got)
-			}
-		}
-	}
-	return lost, detail
-}
-
-// runChurn is the churn-mode main: boot cluster, drive load, inject the
-// seeded kill/restart + join schedule, verify survival, emit one report.
-func runChurn(ctx context.Context, cfg config) error {
-	dataRoot := cfg.dataRoot
+// bootCluster starts the initial members under -data-root (a temp dir
+// when none is given). The returned stop kills every process and
+// removes the temp dir; call it even when bootCluster fails.
+func bootCluster(cfg config) (*supervisor, func(), error) {
+	dataRoot, cleanup := cfg.dataRoot, func() {}
 	if dataRoot == "" {
 		dir, err := os.MkdirTemp("", "nodeload-churn-")
 		if err != nil {
-			return err
+			return nil, cleanup, err
 		}
-		defer os.RemoveAll(dir)
-		dataRoot = dir
+		dataRoot, cleanup = dir, func() { os.RemoveAll(dir) }
 	}
 	sup, err := newSupervisor(cfg, dataRoot)
 	if err != nil {
-		return err
+		return nil, cleanup, err
 	}
-	defer sup.killAll()
+	stop := func() {
+		sup.killAll()
+		cleanup()
+	}
 	for _, n := range sup.nodes {
 		if err := sup.start(n, ""); err != nil {
-			return err
+			return nil, stop, err
 		}
 	}
-	for _, n := range sup.nodes {
-		cfg.addrs = append(cfg.addrs, "http://"+n.httpAddr)
-	}
+	return sup, stop, nil
+}
+
+// churn runs the seeded kill/restart + join timeline against the live
+// cluster, its offsets counted from measureStart, and returns what it
+// measured. Sequential by design: each recovery is measured without the
+// next fault overlapping it.
+func (s *supervisor) churn(ctx context.Context, measureStart time.Time) *churnMeasure {
+	cfg := s.cfg
 	plan := planChurn(cfg)
-	fmt.Fprintf(os.Stderr, "nodeload: churn plan (seed %d): ", cfg.seed)
+	fmt.Fprintf(os.Stderr, "nodeload: churn plan (seed %d, %d nodes): ", cfg.seed, cfg.nodes)
 	for _, e := range plan.events {
-		fmt.Fprintf(os.Stderr, "[kill node %d at +%v, restart +%v] ", sup.nodes[e.victim].id, e.at.Round(time.Millisecond), e.restartDelay.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[kill node %d at +%v, restart +%v] ", s.nodes[e.victim].id, e.at.Round(time.Millisecond), e.restartDelay.Round(time.Millisecond))
 	}
 	if plan.joinAt >= 0 {
-		fmt.Fprintf(os.Stderr, "[join node %d at +%v]", sup.joiner.id, plan.joinAt.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[join node %d at +%v]", s.joiner.id, plan.joinAt.Round(time.Millisecond))
 	}
 	fmt.Fprintln(os.Stderr)
 
-	c, err := client.New(cfg.addrs,
-		client.WithShards(cfg.shards), client.WithTimeout(cfg.timeout),
-		client.WithBackoffSeed(cfg.seed))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if cfg.wait > 0 {
-		wctx, cancel := context.WithTimeout(ctx, cfg.wait)
-		err := waitCluster(wctx, cfg)
-		cancel()
-		if err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "nodeload: churn: %d nodes × %d shard(s), %d clients × %v (+%v warmup), %d kill(s), join=%v\n",
-		cfg.nodes, cfg.shards, cfg.clients, cfg.duration, cfg.warmup, cfg.churnKills, cfg.churnJoin)
-
-	measureStart := time.Now().Add(cfg.warmup)
-	resCh := make(chan churnResult, 1)
-	go func() { resCh <- churnDrive(ctx, c, cfg) }()
-
-	// Fault-injection timeline. Sequential by design: each recovery is
-	// measured without the next fault overlapping it.
-	var m churnMeasure
+	m := &churnMeasure{}
 	sleepUntil := func(at time.Duration) bool {
 		d := time.Until(measureStart.Add(at))
 		if d <= 0 {
@@ -451,7 +262,7 @@ func runChurn(ctx context.Context, cfg config) error {
 		if !sleepUntil(e.at) {
 			break
 		}
-		victim := sup.nodes[e.victim]
+		victim := s.nodes[e.victim]
 		killed := time.Now()
 		fmt.Fprintf(os.Stderr, "nodeload: churn: SIGKILL node %d\n", victim.id)
 		victim.kill()
@@ -463,7 +274,7 @@ func runChurn(ctx context.Context, cfg config) error {
 		if ctx.Err() != nil {
 			break
 		}
-		if err := sup.start(victim, ""); err != nil {
+		if err := s.start(victim, ""); err != nil {
 			m.note = err.Error()
 			break
 		}
@@ -480,82 +291,24 @@ func runChurn(ctx context.Context, cfg config) error {
 		}
 		fmt.Fprintf(os.Stderr, "nodeload: churn: node %d serving again %v after SIGKILL\n", victim.id, rec.Round(time.Millisecond))
 	}
-	if plan.joinAt >= 0 && ctx.Err() == nil && m.note == "" {
-		sleepUntil(plan.joinAt)
-		if ctx.Err() == nil {
-			started := time.Now()
-			fmt.Fprintf(os.Stderr, "nodeload: churn: starting joiner node %d (-members none)\n", sup.joiner.id)
-			if err := sup.start(sup.joiner, "none"); err != nil {
-				m.note = err.Error()
-			} else {
-				wctx, cancel := context.WithTimeout(ctx, cfg.wait)
-				err := waitOne(wctx, sup.joiner, cfg.shards)
-				cancel()
-				if err != nil {
-					m.note = fmt.Sprintf("joiner never served: %v", err)
-				} else {
-					m.joined = true
-					m.joinAdopt = time.Since(started)
-					fmt.Fprintf(os.Stderr, "nodeload: churn: joiner adopted and serving after %v\n", m.joinAdopt.Round(time.Millisecond))
-				}
-			}
-		}
+	if plan.joinAt < 0 || m.note != "" || !sleepUntil(plan.joinAt) {
+		return m
 	}
-
-	res := <-resCh
-	truncated := ctx.Err() != nil
-
-	// Settle: let commands still queued inside the cluster drain
-	// through their rounds before the survival reads.
-	lost, detail := 0, ""
-	if !truncated {
-		time.Sleep(1500 * time.Millisecond)
-		vctx, cancel := context.WithTimeout(context.Background(), cfg.wait)
-		lost, detail = verifySurvival(vctx, c, res.acked)
-		cancel()
+	started := time.Now()
+	fmt.Fprintf(os.Stderr, "nodeload: churn: starting joiner node %d (-members none)\n", s.joiner.id)
+	if err := s.start(s.joiner, "none"); err != nil {
+		m.note = err.Error()
+		return m
 	}
-
-	// The joiner's endpoint joins the scrape set so its repro_join_*
-	// families land in the report.
-	if m.joined {
-		cfg.addrs = append(cfg.addrs, "http://"+sup.joiner.httpAddr)
+	wctx, cancel := context.WithTimeout(ctx, cfg.wait)
+	err := waitOne(wctx, s.joiner, cfg.shards)
+	cancel()
+	if err != nil {
+		m.note = fmt.Sprintf("joiner never served: %v", err)
+		return m
 	}
-	srv := scrapeCluster(cfg)
-	rep := buildReport(cfg, res.result, srv)
-	gapTo := measureStart.Add(cfg.duration)
-	if truncated {
-		gapTo = time.Now()
-	}
-	note := fmt.Sprintf("%d nodes, %d kill(s), join=%v, seed %d", cfg.nodes, m.kills, cfg.churnJoin, cfg.seed)
-	if m.note != "" {
-		note += "; " + m.note
-	}
-	addRow(rep, cfg, "churn.kills", "count", float64(m.kills), m.kills == cfg.churnKills && m.note == "", note)
-	addRow(rep, cfg, "churn.recovery_time_ms", "ms", float64(m.recoveryMax)/float64(time.Millisecond), m.kills > 0 && m.note == "", "max over kill/restart cycles: SIGKILL -> serving again")
-	addRow(rep, cfg, "churn.join_adopt_ms", "ms", float64(m.joinAdopt)/float64(time.Millisecond), m.joined || !cfg.churnJoin, "joiner exec -> adopted + serving")
-	addRow(rep, cfg, "churn.availability_gap_max_ms", "ms", float64(maxGap(res.okAt, measureStart, gapTo))/float64(time.Millisecond), len(res.okAt) > 0, "longest stretch with no successful op")
-	addRow(rep, cfg, "churn.acked_keys", "count", float64(len(res.acked)), len(res.acked) > 0, "")
-	addRow(rep, cfg, "churn.lost_acked_writes", "count", float64(lost), !truncated && lost == 0, detail)
-	addRow(rep, cfg, "run.truncated", "bool", b2f(truncated), !truncated, "")
-	if err := emit(rep, cfg.format, cfg.out); err != nil {
-		return err
-	}
-	switch {
-	case truncated:
-		return fmt.Errorf("interrupted: partial report emitted (truncated=true)")
-	case m.note != "":
-		return fmt.Errorf("churn schedule incomplete: %s", m.note)
-	case lost > 0:
-		return fmt.Errorf("%d acked write(s) lost (%s)", lost, detail)
-	case !m.joined && cfg.churnJoin:
-		return fmt.Errorf("joiner was never adopted")
-	}
-	return nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	m.joined = true
+	m.joinAdopt = time.Since(started)
+	fmt.Fprintf(os.Stderr, "nodeload: churn: joiner adopted and serving after %v\n", m.joinAdopt.Round(time.Millisecond))
+	return m
 }

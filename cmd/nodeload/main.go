@@ -1,35 +1,41 @@
 // Command nodeload is the client-side load generator for a noded
 // cluster (ROADMAP: compare simnet-predicted E9/E11 latency with live
-// TCP numbers). It drives many concurrent clients through the public
+// TCP numbers). It drives concurrent clients through the public
 // repro/pkg/client — multi-endpoint failover, client-side shard
-// routing — against the cluster's /v1 API and reports throughput plus
-// p50/p95/p99 latency per operation class (write, sync-read), emitted
-// through the experiment engine's table/CSV/JSON writers so live
-// numbers land in the same formats as the simnet experiment tables.
+// routing — against the cluster's /v1 API, checks afterwards that every
+// acknowledged write survived, and reports throughput plus p50/p95/p99
+// latency per operation class (write, sync-read), emitted through the
+// experiment engine's table/CSV/JSON writers so live numbers land in
+// the same formats as the simnet experiment tables.
 //
 // Usage:
 //
 //	nodeload -addrs http://127.0.0.1:8141,http://127.0.0.1:8142,... \
-//	         [-clients 8] [-duration 5s] [-warmup 0s] [-ratio 0.5] \
+//	         [-clients 4] [-duration 5s] [-warmup 0s] [-ratio 0.5] \
 //	         [-shards 1] [-keys 4] [-timeout 10s] [-wait 60s] [-seed 1] \
 //	         [-format table|csv|json] [-out DIR]
 //
-// Churn mode (the chaos harness, DESIGN.md §16):
-//
-//	nodeload -churn -noded ./bin/noded [-nodes 3] [-churn-kills 1] \
+//	nodeload -noded ./bin/noded [-nodes 3] [-churn-kills 1] \
 //	         [-churn-join] [-join-timeout 60s] [-data-root DIR] \
 //	         [-batch 1] [-window 1] ...workload flags as above
 //
-// With -churn, nodeload supervises its own cluster instead of taking
-// -addrs: it boots -nodes noded processes (TCP transport, per-node
-// -data-dir under -data-root, fsync always), runs the workload, and on
-// a schedule derived only from -seed SIGKILLs victims mid-load,
-// restarts them over the same data directory, and boots one fresh
-// `-members none` joiner that must be adopted through the joining
-// mechanism over real sockets. The report gains churn.* series
-// (recovery time, join adoption time, max availability gap, lost acked
-// writes) and the run exits nonzero if any acknowledged write is lost,
-// the joiner is never adopted, or the schedule cannot complete.
+// With -addrs, nodeload loads an external cluster. With -noded it is
+// the chaos harness (DESIGN.md §16): it supervises its own cluster
+// instead, booting -nodes noded processes (TCP transport, per-node
+// -data-dir under -data-root, fsync always), and on a schedule derived
+// only from -seed SIGKILLs victims mid-load, restarts them over the
+// same data directory, and boots one fresh `-members none` joiner that
+// must be adopted through the joining mechanism over real sockets. The
+// report then gains churn.* series (recovery time, join adoption time),
+// and the run exits nonzero if the joiner is never adopted or the
+// schedule cannot complete.
+//
+// Both modes run one workload: every key has exactly one writer (keys
+// are striped over the -clients workers, so there must be at least one
+// key per worker), and each write carries that key's rising sequence.
+// After the load the cluster settles, every key with an acknowledged
+// write is sync-read back, and the survival.* series count the keys and
+// the acknowledged writes that vanished; any loss exits nonzero.
 //
 // A SIGINT/SIGTERM mid-run does not discard the measurements: the
 // workload stops, a partial report is still emitted with the
@@ -62,8 +68,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -85,17 +91,40 @@ func main() {
 	// its report: the context unwinds the workers, and the partial
 	// report goes out with run.truncated=1 before the nonzero exit.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if cfg.churn {
-		if err := runChurn(ctx, cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	c, err := client.New(cfg.addrs,
-		client.WithShards(cfg.shards), client.WithTimeout(cfg.timeout))
+	err = run(ctx, cfg)
+	stop()
 	if err != nil {
 		fatal(err)
+	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "nodeload:", err)
+	os.Exit(1)
+}
+
+// run is nodeload's one run path: boot the supervised cluster (with
+// -noded only), drive the load — with the churn timeline beside it when
+// nodeload owns the cluster — check acked-write survival, then emit the
+// report and turn what it found into the exit status.
+func run(ctx context.Context, cfg config) error {
+	var sup *supervisor
+	if cfg.noded != "" {
+		s, stopCluster, err := bootCluster(cfg)
+		defer stopCluster()
+		if err != nil {
+			return err
+		}
+		sup = s
+		for _, n := range sup.nodes {
+			cfg.addrs = append(cfg.addrs, "http://"+n.httpAddr)
+		}
+	}
+	c, err := client.New(cfg.addrs,
+		client.WithShards(cfg.shards), client.WithTimeout(cfg.timeout),
+		client.WithBackoffSeed(cfg.seed))
+	if err != nil {
+		return err
 	}
 	defer c.Close()
 	if cfg.wait > 0 {
@@ -103,31 +132,56 @@ func main() {
 		err := waitCluster(wctx, cfg)
 		cancel()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "nodeload: %d clients × %v (+%v warmup) against %d endpoint(s), write ratio %.2f, %d shard(s), %d key(s)\n",
 		cfg.clients, cfg.duration, cfg.warmup, len(cfg.addrs), cfg.ratio, cfg.shards, cfg.keys*cfg.shards)
-	res := drive(ctx, c, cfg)
-	truncated := ctx.Err() != nil
-	srv := scrapeCluster(cfg)
-	rep := buildReport(cfg, res, srv)
-	addRow(rep, cfg, "run.truncated", "bool", b2f(truncated), !truncated, "")
-	if err := emit(rep, cfg.format, cfg.out); err != nil {
-		fatal(err)
-	}
-	if truncated {
-		fatal(fmt.Errorf("interrupted: partial report emitted (truncated=true)"))
-	}
-	if res.write.ops+res.sread.ops == 0 {
-		fatal(fmt.Errorf("no operation completed (write errs %d, sync-read errs %d, last: %v)",
-			res.write.errs, res.sread.errs, res.lastErr))
-	}
-}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nodeload:", err)
-	os.Exit(1)
+	measureStart := time.Now().Add(cfg.warmup)
+	driven := make(chan result, 1)
+	go func() { driven <- drive(ctx, c, cfg) }()
+	var m *churnMeasure
+	if sup != nil {
+		m = sup.churn(ctx, measureStart)
+	}
+	res := <-driven
+	res.truncated = ctx.Err() != nil
+
+	if !res.truncated {
+		// Settle: let commands still queued inside the cluster drain
+		// through their rounds before the survival reads.
+		time.Sleep(1500 * time.Millisecond)
+		// -wait may be 0 (no serve-wait); one operation deadline on top
+		// keeps the bound positive.
+		vctx, cancel := context.WithTimeout(context.Background(), cfg.wait+cfg.timeout)
+		res.lost, res.lostNote = verifySurvival(vctx, c, res.acked)
+		cancel()
+	}
+
+	// An adopted joiner joins the scrape set so its repro_join_*
+	// families land in the report.
+	if m != nil && m.joined {
+		cfg.addrs = append(cfg.addrs, "http://"+sup.joiner.httpAddr)
+	}
+	rep := buildReport(cfg, res, scrapeCluster(cfg), m)
+	if err := engine.Emit(rep, cfg.format, cfg.out); err != nil {
+		return err
+	}
+	switch {
+	case res.truncated:
+		return fmt.Errorf("interrupted: partial report emitted (truncated=true)")
+	case m != nil && m.note != "":
+		return fmt.Errorf("churn schedule incomplete: %s", m.note)
+	case res.lost > 0:
+		return fmt.Errorf("%d acked write(s) lost (%s)", res.lost, res.lostNote)
+	case m != nil && cfg.churnJoin && !m.joined:
+		return fmt.Errorf("joiner was never adopted")
+	case res.write.ops+res.sread.ops == 0:
+		return fmt.Errorf("no operation completed (write errs %d, sync-read errs %d, last: %v)",
+			res.write.errs, res.sread.errs, res.lastErr)
+	}
+	return nil
 }
 
 type config struct {
@@ -144,8 +198,7 @@ type config struct {
 	format   string
 	out      string
 
-	// churn mode (chaos harness: nodeload supervises the cluster)
-	churn       bool
+	// supervised cluster (-noded: the chaos harness)
 	noded       string
 	nodes       int
 	churnKills  int
@@ -159,8 +212,8 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("nodeload", flag.ContinueOnError)
 	var (
-		addrs    = fs.String("addrs", "", "comma-separated daemon API base URLs (required; all cluster nodes for failover + shard routing)")
-		clients  = fs.Int("clients", 8, "concurrent client workers")
+		addrs    = fs.String("addrs", "", "comma-separated daemon API base URLs of an external cluster (all nodes, for failover + shard routing); or give -noded")
+		clients  = fs.Int("clients", 4, "concurrent client workers, each the only writer of its keys (at most -keys × -shards)")
 		duration = fs.Duration("duration", 5*time.Second, "workload duration (measured window; warmup runs before it)")
 		warmup   = fs.Duration("warmup", 0, "unmeasured lead-in: ops completing in this window are excluded from the report")
 		ratio    = fs.Float64("ratio", 0.5, "write fraction of the mix (rest are sync-reads), 0..1")
@@ -172,15 +225,14 @@ func parseFlags(args []string) (config, error) {
 		format   = fs.String("format", "table", "output format: table, csv or json")
 		out      = fs.String("out", "", "write results to files in DIR instead of stdout")
 
-		churn    = fs.Bool("churn", false, "chaos mode: supervise a noded cluster and inject kill/restart + join churn mid-load (replaces -addrs)")
-		noded    = fs.String("noded", "", "churn mode: path to the noded binary (required with -churn)")
-		nodes    = fs.Int("nodes", 3, "churn mode: initial cluster size")
-		kills    = fs.Int("churn-kills", 1, "churn mode: SIGKILL/restart cycles on the seeded schedule")
-		join     = fs.Bool("churn-join", true, "churn mode: also start one fresh -members none joiner mid-run")
-		joinTO   = fs.Duration("join-timeout", 60*time.Second, "churn mode: joiner's -join-timeout (it must be adopted within this)")
-		dataRoot = fs.String("data-root", "", "churn mode: parent directory for per-node -data-dir (default: a temp dir, removed afterwards)")
-		batch    = fs.Int("batch", 1, "churn mode: noded -batch (hot-path batch bound)")
-		window   = fs.Int("window", 1, "churn mode: noded -window (pipelined datalink window)")
+		noded    = fs.String("noded", "", "path to the noded binary: supervise its own cluster and inject kill/restart + join churn mid-load (instead of -addrs)")
+		nodes    = fs.Int("nodes", 3, "with -noded: initial cluster size")
+		kills    = fs.Int("churn-kills", 1, "with -noded: SIGKILL/restart cycles on the seeded schedule")
+		join     = fs.Bool("churn-join", true, "with -noded: also start one fresh -members none joiner mid-run")
+		joinTO   = fs.Duration("join-timeout", 60*time.Second, "with -noded: joiner's -join-timeout (it must be adopted within this)")
+		dataRoot = fs.String("data-root", "", "with -noded: parent directory for per-node -data-dir (default: a temp dir, removed afterwards)")
+		batch    = fs.Int("batch", 1, "with -noded: noded -batch (hot-path batch bound)")
+		window   = fs.Int("window", 1, "with -noded: noded -window (pipelined datalink window)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -189,7 +241,7 @@ func parseFlags(args []string) (config, error) {
 		clients: *clients, duration: *duration, warmup: *warmup, ratio: *ratio,
 		shards: *shards, keys: *keys, timeout: *timeout, wait: *wait,
 		seed: *seed, format: *format, out: *out,
-		churn: *churn, noded: *noded, nodes: *nodes, churnKills: *kills,
+		noded: *noded, nodes: *nodes, churnKills: *kills,
 		churnJoin: *join, joinTimeout: *joinTO, dataRoot: *dataRoot,
 		batch: *batch, window: *window,
 	}
@@ -198,12 +250,9 @@ func parseFlags(args []string) (config, error) {
 			cfg.addrs = append(cfg.addrs, a)
 		}
 	}
-	if cfg.churn {
+	if cfg.noded != "" {
 		if len(cfg.addrs) > 0 {
-			return config{}, fmt.Errorf("-churn supervises its own cluster; -addrs must not be set")
-		}
-		if cfg.noded == "" {
-			return config{}, fmt.Errorf("-churn requires -noded (path to the noded binary)")
+			return config{}, fmt.Errorf("-addrs and -noded are mutually exclusive (-noded supervises its own cluster)")
 		}
 		if cfg.nodes < 2 {
 			return config{}, fmt.Errorf("-nodes must be >= 2 (churn needs survivors)")
@@ -215,7 +264,7 @@ func parseFlags(args []string) (config, error) {
 			return config{}, fmt.Errorf("-batch and -window must be >= 1")
 		}
 	} else if len(cfg.addrs) == 0 {
-		return config{}, fmt.Errorf("-addrs is required")
+		return config{}, fmt.Errorf("-addrs or -noded is required")
 	}
 	if cfg.clients < 1 {
 		return config{}, fmt.Errorf("-clients must be >= 1")
@@ -235,10 +284,12 @@ func parseFlags(args []string) (config, error) {
 	if cfg.keys < 1 {
 		return config{}, fmt.Errorf("-keys must be >= 1")
 	}
-	switch cfg.format {
-	case "table", "csv", "json":
-	default:
-		return config{}, fmt.Errorf("unknown format %q", cfg.format)
+	if cfg.clients > cfg.keys*cfg.shards {
+		return config{}, fmt.Errorf("-clients %d exceeds the %d keys (-keys × -shards): every worker needs a key of its own",
+			cfg.clients, cfg.keys*cfg.shards)
+	}
+	if err := engine.CheckFormat(cfg.format); err != nil {
+		return config{}, err
 	}
 	return cfg, nil
 }
@@ -277,42 +328,61 @@ type result struct {
 	write, sread classStats
 	elapsed      time.Duration
 	lastErr      error
+	acked        map[string]int // key -> highest acknowledged write sequence
+
+	// Filled in after the load: whether it was interrupted, and how
+	// many acknowledged writes the survival check found lost (lostNote
+	// names the first).
+	truncated bool
+	lost      int
+	lostNote  string
 }
 
 // drive runs the mixed workload: cfg.clients workers sharing one
-// cluster client, each picking a key (spread over every shard) and an
+// cluster client, each the only writer of its keys (striped over the
+// workers, spread over every shard), picking one of its keys and an
 // operation (write with probability cfg.ratio, else sync-read) per
-// iteration until the duration elapses. Operations completing inside
-// the warmup window run but are excluded from the stats (connection
-// setup, first-request link cleaning), and elapsed time — hence
-// throughput — counts from the end of warmup only.
+// iteration until the duration elapses. A write's value carries the
+// key's rising sequence ("c<seq>"), which is what makes acked-write
+// survival checkable after the run. Operations completing inside the
+// warmup window run but are excluded from the stats (connection setup,
+// first-request link cleaning), and elapsed time — hence throughput —
+// counts from the end of warmup only.
 func drive(ctx context.Context, c *client.Client, cfg config) result {
 	keys := make([]string, 0, cfg.shards*cfg.keys)
 	for _, group := range shard.NamesPerShard(cfg.shards, cfg.keys) {
 		keys = append(keys, group...)
 	}
-	var (
-		mu  sync.Mutex
-		res result
-	)
+	res := result{acked: make(map[string]int)}
+	var mu sync.Mutex
 	start := time.Now()
 	measureStart := start.Add(cfg.warmup)
 	deadline := measureStart.Add(cfg.duration)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.clients; w++ {
+		var own []string
+		for i := w; i < len(keys); i += cfg.clients {
+			own = append(own, keys[i])
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, own []string) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.seed + int64(w)*7919))
+			seqs := make(map[string]int, len(own))
+			acked := make(map[string]int, len(own))
 			var write, sread classStats
 			var lastErr error
-			for seq := 0; ctx.Err() == nil && time.Now().Before(deadline); seq++ {
-				key := keys[rng.Intn(len(keys))]
+			for ctx.Err() == nil && time.Now().Before(deadline) {
+				key := own[rng.Intn(len(own))]
 				isWrite := rng.Float64() < cfg.ratio
 				t0 := time.Now()
 				var err error
 				if isWrite {
-					_, err = c.Write(ctx, key, fmt.Sprintf("w%d-%d", w, seq))
+					seqs[key]++
+					_, err = c.Write(ctx, key, fmt.Sprintf("c%d", seqs[key]))
+					if err == nil {
+						acked[key] = seqs[key]
+					}
 				} else {
 					_, err = c.SyncRead(ctx, key)
 				}
@@ -342,15 +412,68 @@ func drive(ctx context.Context, c *client.Client, cfg config) result {
 			mu.Lock()
 			res.write.merge(write)
 			res.sread.merge(sread)
+			for k, s := range acked {
+				res.acked[k] = s // single writer per key: no conflicts
+			}
 			if lastErr != nil {
 				res.lastErr = lastErr
 			}
 			mu.Unlock()
-		}(w)
+		}(w, own)
 	}
 	wg.Wait()
 	res.elapsed = time.Since(measureStart)
+	if d := deadline.Sub(measureStart); res.elapsed > d && ctx.Err() == nil {
+		res.elapsed = d
+	}
 	return res
+}
+
+// verifySurvival sync-reads every key that had an acknowledged write
+// and counts the ones whose final value regressed below the last
+// acknowledged sequence (or vanished outright). A lower sequence or a
+// missing register means an acknowledged write vanished — the
+// failover-path loss the chaos harness exists to flush out. (An
+// unacknowledged write may legitimately land late and win; the settle
+// window plus round-ordered application makes that a non-issue in
+// practice, and the check errs toward reporting it.)
+func verifySurvival(ctx context.Context, c *client.Client, acked map[string]int) (lost int, detail string) {
+	keys := make([]string, 0, len(acked))
+	for k := range acked {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		want := acked[key]
+		var got string
+		var found bool
+		// A node mid-recovery can fail a first read; retry briefly
+		// before declaring the write lost.
+		for attempt := 0; attempt < 5; attempt++ {
+			r, err := c.SyncRead(ctx, key)
+			if err == nil {
+				got, found = r.Value, r.Found
+				break
+			}
+			if ctx.Err() != nil {
+				break
+			}
+			time.Sleep(200 * time.Millisecond)
+		}
+		seq := -1
+		if found {
+			if n, err := strconv.Atoi(strings.TrimPrefix(got, "c")); err == nil {
+				seq = n
+			}
+		}
+		if seq < want {
+			lost++
+			if detail == "" {
+				detail = fmt.Sprintf("first loss: %s acked c%d, read %q", key, want, got)
+			}
+		}
+	}
+	return lost, detail
 }
 
 // percentile returns the p-th percentile (nearest-rank) of a sorted
@@ -370,9 +493,11 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // buildReport folds the measurements into an engine.Report so the
-// existing emitters (table for humans, CSV/JSON for tooling and CI)
-// render it; N is the client count, the report's natural x-axis.
-func buildReport(cfg config, res result, srv *serverCounters) *engine.Report {
+// engine's emitters (table for humans, CSV/JSON for tooling and CI)
+// render it; N is the client count, the report's natural x-axis. m is
+// the churn timeline's record, nil when nodeload did not supervise the
+// cluster.
+func buildReport(cfg config, res result, srv *serverCounters, m *churnMeasure) *engine.Report {
 	secs := res.elapsed.Seconds()
 	if secs <= 0 {
 		secs = 1e-9
@@ -380,8 +505,17 @@ func buildReport(cfg config, res result, srv *serverCounters) *engine.Report {
 	note := fmt.Sprintf("%d clients, %v, ratio %.2f, %d shards, %d endpoints",
 		cfg.clients, res.elapsed.Round(time.Millisecond), cfg.ratio, cfg.shards, len(cfg.addrs))
 	rep := &engine.Report{Seed: cfg.seed, Repeats: 1}
+	// add appends one single-value series: a cell plus its summary line.
 	add := func(series, metric string, value float64, valid bool, rowNote string) {
-		addRow(rep, cfg, series, metric, value, valid, rowNote)
+		rep.Cells = append(rep.Cells, engine.Result{
+			Cell:  engine.Cell{Experiment: "nodeload", Series: series, N: cfg.clients, Seed: cfg.seed},
+			Value: value, Valid: valid, Note: rowNote,
+		})
+		rep.Summary = append(rep.Summary, engine.Summary{
+			Experiment: "nodeload", Series: series, Metric: metric,
+			N: cfg.clients, Repeats: 1, Valid: b2i(valid),
+			Mean: value, Min: value, Max: value,
+		})
 	}
 	class := func(name string, st classStats) {
 		sort.Float64s(st.latMS)
@@ -402,27 +536,25 @@ func buildReport(cfg config, res result, srv *serverCounters) *engine.Report {
 	// latency with what the cluster internally did during the run.
 	if srv != nil {
 		srvNote := fmt.Sprintf("summed over %d/%d scraped endpoint(s)", srv.scraped, len(cfg.addrs))
-		for _, m := range serverMetrics {
-			add("server."+m.series, m.metric, srv.totals[m.family], srv.scraped > 0, srvNote)
+		for _, sm := range serverMetrics {
+			add("server."+sm.series, sm.metric, srv.totals[sm.family], srv.scraped > 0, srvNote)
 			srvNote = ""
 		}
 	}
+	if m != nil {
+		ok := m.note == ""
+		churnNote := fmt.Sprintf("%d nodes, %d kill(s), join=%v, seed %d", cfg.nodes, m.kills, cfg.churnJoin, cfg.seed)
+		if !ok {
+			churnNote += "; " + m.note
+		}
+		add("churn.kills", "count", float64(m.kills), m.kills == cfg.churnKills && ok, churnNote)
+		add("churn.recovery_time_ms", "ms", float64(m.recoveryMax)/float64(time.Millisecond), m.kills > 0 && ok, "max over kill/restart cycles: SIGKILL -> serving again")
+		add("churn.join_adopt_ms", "ms", float64(m.joinAdopt)/float64(time.Millisecond), m.joined || !cfg.churnJoin, "joiner exec -> adopted + serving")
+	}
+	add("survival.acked_keys", "count", float64(len(res.acked)), len(res.acked) > 0, "")
+	add("survival.lost_acked_writes", "count", float64(res.lost), !res.truncated && res.lost == 0, res.lostNote)
+	add("run.truncated", "bool", b2f(res.truncated), !res.truncated, "")
 	return rep
-}
-
-// addRow appends one single-value series (a cell plus its summary line)
-// to the report; churn mode and the truncation marker use it to extend
-// the base workload report.
-func addRow(rep *engine.Report, cfg config, series, metric string, value float64, valid bool, note string) {
-	rep.Cells = append(rep.Cells, engine.Result{
-		Cell:  engine.Cell{Experiment: "nodeload", Series: series, N: cfg.clients, Seed: cfg.seed},
-		Value: value, Valid: valid, Note: note,
-	})
-	rep.Summary = append(rep.Summary, engine.Summary{
-		Experiment: "nodeload", Series: series, Metric: metric,
-		N: cfg.clients, Repeats: 1, Valid: b2i(valid),
-		Mean: value, Min: value, Max: value,
-	})
 }
 
 // serverMetrics are the /metrics families folded into the report.
@@ -494,50 +626,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// emit mirrors benchtab's output contract: stdout by default, files
-// under -out DIR (cells.csv + summary.csv, results.json, results.txt).
-func emit(rep *engine.Report, format, dir string) error {
-	if dir == "" {
-		switch format {
-		case "csv":
-			if err := engine.WriteCellsCSV(os.Stdout, rep); err != nil {
-				return err
-			}
-			fmt.Println()
-			return engine.WriteSummaryCSV(os.Stdout, rep)
-		case "json":
-			return engine.WriteJSON(os.Stdout, rep)
-		default:
-			return engine.WriteTable(os.Stdout, rep)
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, fn func(io.Writer, *engine.Report) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", filepath.Join(dir, name))
-		return nil
-	}
-	switch format {
-	case "csv":
-		if err := write("cells.csv", engine.WriteCellsCSV); err != nil {
-			return err
-		}
-		return write("summary.csv", engine.WriteSummaryCSV)
-	case "json":
-		return write("results.json", engine.WriteJSON)
-	default:
-		return write("results.txt", engine.WriteTable)
-	}
+func b2f(b bool) float64 {
+	return float64(b2i(b))
 }

@@ -26,14 +26,23 @@ func TestParseFlags(t *testing.T) {
 		t.Fatalf("parsed %+v", cfg)
 	}
 	bad := [][]string{
-		{},                                   // missing -addrs
+		{},                                   // neither -addrs nor -noded
+		{"-addrs", "h:1", "-noded", "noded"}, // both modes at once
+		{"-noded", "noded", "-nodes", "1"},   // no survivors
 		{"-addrs", "h:1", "-clients", "0"},   // no workers
-		{"-addrs", "h:1", "-ratio", "1.5"},   // ratio out of range
-		{"-addrs", "h:1", "-ratio", "-0.1"},  // ratio out of range
-		{"-addrs", "h:1", "-duration", "0s"}, // no duration
-		{"-addrs", "h:1", "-shards", "0"},    // bad shard count
-		{"-addrs", "h:1", "-keys", "0"},      // no keys
-		{"-addrs", "h:1", "-format", "xml"},  // unknown format
+		{"-addrs", "h:1", "-clients", "5"},   // a worker without a key (4 keys)
+		{"-addrs", "h:1", "-clients", "9", "-shards", "2"}, // 8 keys
+		{"-addrs", "h:1", "-ratio", "1.5"},                 // ratio out of range
+		{"-addrs", "h:1", "-ratio", "-0.1"},                // ratio out of range
+		{"-addrs", "h:1", "-duration", "0s"},               // no duration
+		{"-addrs", "h:1", "-shards", "0"},                  // bad shard count
+		{"-addrs", "h:1", "-keys", "0"},                    // no keys
+		{"-addrs", "h:1", "-format", "xml"},                // unknown format
+	}
+	for _, args := range [][]string{{"-addrs", "h:1"}, {"-noded", "noded"}} {
+		if _, err := parseFlags(args); err != nil {
+			t.Errorf("parseFlags(%v) with default workload flags: %v", args, err)
+		}
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {
@@ -62,11 +71,13 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// TestDriveMixedWorkload: the workload loop spreads a write/sync-read
-// mix across every shard and both endpoints (fake cluster from
-// internal/apitest), and the report carries nonzero throughput and
-// parseable percentiles for both classes.
-func TestDriveMixedWorkload(t *testing.T) {
+// TestDriveChecksAckedWrites: the one workload loop spreads a
+// write/sync-read mix across every shard and both endpoints of a fake
+// cluster (internal/apitest), and the survival check catches an
+// acknowledged write that vanished behind the client's back: deleting
+// one acked key from the shared store must read as exactly one lost
+// write, carried by the report's survival.* rows.
+func TestDriveChecksAckedWrites(t *testing.T) {
 	const shards = 2
 	nodes := apitest.Cluster(2, shards)
 	var addrs []string
@@ -86,7 +97,8 @@ func TestDriveMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := drive(context.Background(), c, cfg)
+	ctx := context.Background()
+	res := drive(ctx, c, cfg)
 	if res.write.ops == 0 || res.sread.ops == 0 {
 		t.Fatalf("mixed workload ran no ops: %+v / %+v (last err %v)", res.write, res.sread, res.lastErr)
 	}
@@ -98,8 +110,25 @@ func TestDriveMixedWorkload(t *testing.T) {
 			t.Fatal("an endpoint saw no traffic: shard routing never spread the load")
 		}
 	}
+	if len(res.acked) == 0 {
+		t.Fatal("no write was acknowledged")
+	}
+	if lost, detail := verifySurvival(ctx, c, res.acked); lost != 0 {
+		t.Fatalf("healthy fake lost %d acked write(s): %s", lost, detail)
+	}
 
-	rep := buildReport(cfg, res, nil)
+	var victim string
+	for k := range res.acked {
+		victim = k
+		break
+	}
+	nodes[0].Store.Delete(victim)
+	res.lost, res.lostNote = verifySurvival(ctx, c, res.acked)
+	if res.lost != 1 || !strings.Contains(res.lostNote, victim) {
+		t.Fatalf("deleted %s: lost = %d (%s), want exactly that key", victim, res.lost, res.lostNote)
+	}
+
+	rep := buildReport(cfg, res, nil, nil)
 	series := map[string]float64{}
 	valid := map[string]bool{}
 	for _, s := range rep.Summary {
@@ -122,10 +151,17 @@ func TestDriveMixedWorkload(t *testing.T) {
 	if series["write.errors"] != 0 || series["sync-read.errors"] != 0 {
 		t.Errorf("error series nonzero: %g / %g", series["write.errors"], series["sync-read.errors"])
 	}
-	// Percentiles are ordered.
-	if series["write.p50_ms"] > series["write.p95_ms"] || series["write.p95_ms"] > series["write.p99_ms"] {
-		t.Errorf("write percentiles unordered: %g / %g / %g",
-			series["write.p50_ms"], series["write.p95_ms"], series["write.p99_ms"])
+	for _, cls := range []string{"write", "sync-read"} {
+		if p50, p95, p99 := series[cls+".p50_ms"], series[cls+".p95_ms"], series[cls+".p99_ms"]; p50 > p95 || p95 > p99 {
+			t.Errorf("%s percentiles unordered: %g / %g / %g", cls, p50, p95, p99)
+		}
+	}
+	if got := series["survival.acked_keys"]; got != float64(len(res.acked)) || !valid["survival.acked_keys"] {
+		t.Errorf("survival.acked_keys = %g (valid=%v), want %d", got, valid["survival.acked_keys"], len(res.acked))
+	}
+	if got, ok := series["survival.lost_acked_writes"]; !ok || got != 1 || valid["survival.lost_acked_writes"] {
+		t.Errorf("survival.lost_acked_writes = %g (present=%v, valid=%v), want 1 and invalid",
+			got, ok, valid["survival.lost_acked_writes"])
 	}
 }
 
@@ -166,7 +202,7 @@ func TestScrapeClusterFoldIn(t *testing.T) {
 		t.Errorf("http requests total = %g, want 14", got)
 	}
 
-	rep := buildReport(cfg, result{elapsed: time.Second, write: classStats{ops: 1, latMS: []float64{1}}}, srv)
+	rep := buildReport(cfg, result{elapsed: time.Second, write: classStats{ops: 1, latMS: []float64{1}}}, srv, nil)
 	series := map[string]float64{}
 	for _, s := range rep.Summary {
 		series[s.Series] = s.Mean
@@ -185,7 +221,7 @@ func TestScrapeClusterFoldIn(t *testing.T) {
 // as valid measurements.
 func TestBuildReportEmptyRun(t *testing.T) {
 	cfg := config{clients: 2, seed: 1, ratio: 1, shards: 1, addrs: []string{"x"}}
-	rep := buildReport(cfg, result{elapsed: time.Second, write: classStats{errs: 5}}, nil)
+	rep := buildReport(cfg, result{elapsed: time.Second, write: classStats{errs: 5}}, nil, nil)
 	for _, s := range rep.Summary {
 		switch {
 		case strings.HasSuffix(s.Series, ".errors"):

@@ -5,8 +5,75 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 )
+
+// emitParts maps each output format to the files Emit writes for it,
+// in order; on stdout the parts are separated by a blank line.
+var emitParts = map[string][]struct {
+	file  string
+	write func(io.Writer, *Report) error
+}{
+	"table": {{"results.txt", WriteTable}},
+	"csv":   {{"cells.csv", WriteCellsCSV}, {"summary.csv", WriteSummaryCSV}},
+	"json":  {{"results.json", WriteJSON}},
+}
+
+// CheckFormat rejects a format Emit does not know, so a tool can refuse
+// a bad -format before it does any work.
+func CheckFormat(format string) error {
+	if _, ok := emitParts[format]; !ok {
+		return fmt.Errorf("unknown format %q", format)
+	}
+	return nil
+}
+
+// Emit writes the report in format "table", "csv" or "json": to stdout
+// when dir is empty, otherwise to files under dir (results.txt,
+// cells.csv + summary.csv, or results.json), printing "wrote <path>"
+// for each file. On stdout, csv is the per-cell table, a blank line,
+// then the grouped summary. benchtab and nodeload both emit through it,
+// so CI and the scripts parse one output contract.
+func Emit(rep *Report, format, dir string) error {
+	if err := CheckFormat(format); err != nil {
+		return err
+	}
+	parts := emitParts[format]
+	if dir == "" {
+		for i, p := range parts {
+			if i > 0 {
+				if _, err := fmt.Fprintln(os.Stdout); err != nil {
+					return err
+				}
+			}
+			if err := p.write(os.Stdout, rep); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, p := range parts {
+		path := filepath.Join(dir, p.file)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := p.write(f, rep); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Println("wrote", path)
+	}
+	return nil
+}
 
 // fnum formats a float with the shortest round-trip representation, so
 // emissions are deterministic and diff-friendly.

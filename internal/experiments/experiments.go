@@ -142,7 +142,7 @@ func init() {
 		// a fresh Algorithm 3.3 joiner) and a hot-path batch bound, and
 		// measures the virtual recovery/adoption time (see
 		// e14KillCell/e14JoinCell). The grid is the deterministic twin of
-		// cmd/nodeload's live -churn harness: the simnet numbers predict
+		// cmd/nodeload's live -noded harness: the simnet numbers predict
 		// how the live recovery times should move with the levers.
 		ID: "E14", Title: "churn recovery (N = window; kill/join × batch)", Metric: "vticks",
 		DefaultSizes: []int{1, 4}, MinSize: 1,
@@ -279,7 +279,7 @@ func E13PipeliningFrontier(seed int64, windows []int) []workload.Series {
 // E14ChurnRecovery measures recovery from live churn in the simulator:
 // crash-of-a-member recovery time and fresh-joiner adoption time, each
 // at batch 1 and 16, swept over the datalink window (see e14KillCell
-// and e14JoinCell). The deterministic baseline for cmd/nodeload -churn.
+// and e14JoinCell). The deterministic baseline for cmd/nodeload -noded.
 func E14ChurnRecovery(seed int64, windows []int) []workload.Series {
 	return []workload.Series{
 		runSeries("E14", "kill_b1", seed, windows),

@@ -53,8 +53,8 @@ type MarkerCmd struct {
 // chains stay short between compactions and sharding keeps each
 // partition's base small (see BenchmarkReadAfterWrites for the measured
 // cost). The fields are exported only because replica states travel
-// between processes inside vs rounds (transport/wire encodes them with
-// gob).
+// between processes inside vs rounds (transport/wire encodes them in its
+// binary codec).
 type State struct {
 	Base  map[string]string // shared among snapshots; never mutated
 	Delta *Delta            // writes since Base, newest first
@@ -70,19 +70,11 @@ type Delta struct {
 // minCompact keeps tiny states from compacting on every write.
 const minCompact = 16
 
-// asState coerces a replica state value to a State snapshot. Legacy
-// peers (wire MinVersion) replicate the pre-refactor representation, a
-// bare map[string]string; adopting it as the base of an empty chain
-// migrates the register file instead of silently discarding it.
+// asState reads a replica state value as a State snapshot; a missing
+// state reads as the empty register file.
 func asState(state any) State {
-	switch v := state.(type) {
-	case State:
-		return v
-	case map[string]string:
-		return State{Base: v}
-	default:
-		return State{}
-	}
+	s, _ := state.(State)
+	return s
 }
 
 // Get returns the current value of the named register.

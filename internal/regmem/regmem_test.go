@@ -184,25 +184,6 @@ func TestUnknownCommandsLeaveStateUntouched(t *testing.T) {
 	}
 }
 
-// TestLegacyMapStateMigrates: a replica state in the pre-refactor
-// representation (bare map[string]string, as a wire-MinVersion peer
-// replicates it) is adopted as the base of a delta chain instead of
-// being discarded.
-func TestLegacyMapStateMigrates(t *testing.T) {
-	m := regMachine{}
-	legacy := map[string]string{"old": "kept"}
-	st := m.Apply(any(legacy), WriteCmd{Name: "new", Value: "1", Writer: 1, Seq: 1}).(State)
-	if v, ok := st.Get("old"); !ok || v != "kept" {
-		t.Fatalf("legacy register lost in migration: %q %v", v, ok)
-	}
-	if v, ok := st.Get("new"); !ok || v != "1" {
-		t.Fatalf("write onto migrated state lost: %q %v", v, ok)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", st.Len())
-	}
-}
-
 // TestStateLenCountsOverlayWithoutDoubleCounting: Len must count
 // overlay-only names once and not re-count base names overwritten in
 // the chain.

@@ -8,7 +8,7 @@
 #   2. check   — CSV validation: every E14 cell must be valid (acked
 #                writes survived, post-recovery writes resumed, joiner
 #                adopted the state) or the pipeline fails here.
-#   3. live    — the chaos harness: nodeload -churn supervises a real
+#   3. live    — the chaos harness: nodeload -noded supervises a real
 #                3-node × 2-shard TCP cluster per profile (batch=1/
 #                window=1 and batch=16/window=4), SIGKILLs a victim
 #                mid-load, restarts it over its -data-dir, drives one
@@ -57,21 +57,29 @@ if [ -n "$bad" ]; then
 fi
 say "all $total E14 cells valid"
 
+# live PROFILE SERIES — one summary mean of a live profile's report.
+# live summary.csv: nodeload,<series>,<metric>,n,repeats,valid,mean,...
+live() { awk -F, -v s="$2" '$2 == s { print $7 }' "$OUT/$1/summary.csv"; }
+
 # live_profile NAME BATCH WINDOW — one supervised chaos run.
 live_profile() {
-  local name="$1" batch="$2" window="$3"
+  local name="$1" batch="$2" window="$3" lost
   say "3/4 live: $name (batch=$batch window=$window, $NODES nodes × $SHARDS shards, $DURATION)"
-  "$TMP/nodeload" -churn -noded "$TMP/noded" \
+  "$TMP/nodeload" -noded "$TMP/noded" \
     -nodes "$NODES" -shards "$SHARDS" -batch "$batch" -window "$window" \
     -clients 4 -duration "$DURATION" -warmup "$WARMUP" -seed "$SEED" \
     -format csv -out "$OUT/$name"
-  # -churn already exits nonzero on lost acked writes, a missed join or
-  # an incomplete schedule; assert the series landed in the report too.
+  # nodeload already exits nonzero on lost acked writes, a missed join
+  # or an incomplete schedule; assert the series landed in the report
+  # too, and that the survival check counted zero losses.
   for series in churn.recovery_time_ms churn.join_adopt_ms \
-    churn.availability_gap_max_ms churn.lost_acked_writes; do
+    survival.lost_acked_writes; do
     grep -q ",$series," "$OUT/$name/summary.csv" \
       || { echo "FAIL: $series missing from $name report" >&2; exit 1; }
   done
+  lost="$(live "$name" survival.lost_acked_writes)"
+  [ "$lost" = 0 ] \
+    || { echo "FAIL: $name lost $lost acked write(s)" >&2; exit 1; }
 }
 
 live_profile live-b1 1 1
@@ -79,9 +87,7 @@ live_profile live-b16 16 4
 
 say "4/4 summary: simnet predicted vs live measured"
 # e14 summary.csv: experiment,series,metric,n,repeats,valid,mean,...
-# live summary.csv: nodeload,<series>,<metric>,n,repeats,valid,mean,...
 sim() { awk -F, -v s="$1" -v n="$2" '$2 == s && $4 == n { print $7 }' "$OUT/e14/summary.csv"; }
-live() { awk -F, -v s="$2" '$2 == s { print $7 }' "$OUT/$1/summary.csv"; }
 {
   echo "churn trend report (seed $SEED, live: $NODES nodes × $SHARDS shards, $DURATION + $WARMUP warmup)"
   echo
@@ -93,8 +99,8 @@ live() { awk -F, -v s="$2" '$2 == s { print $7 }' "$OUT/$1/summary.csv"; }
   echo
   printf '%-22s %-14s %14s %14s\n' "live series" "profile" "b1/w1 (ms)" "b16/w4 (ms)"
   for series in churn.recovery_time_ms churn.join_adopt_ms \
-    churn.availability_gap_max_ms churn.lost_acked_writes; do
-    printf '%-22s %-14s %14s %14s\n' "${series#churn.}" "$NODES nodes" \
+    survival.lost_acked_writes; do
+    printf '%-22s %-14s %14s %14s\n' "${series#*.}" "$NODES nodes" \
       "$(live live-b1 "$series")" "$(live live-b16 "$series")"
   done
 } | tee "$OUT/summary.txt"

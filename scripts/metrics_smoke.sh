@@ -7,8 +7,9 @@
 # clean and the key subsystem families — tcp, datalink, vs/smr,
 # shard router, storage, http — must be present with nonzero samples
 # after the write load. Also asserts nodeload's own end-of-run scrape
-# folded nonzero server.* counters into its report, and that /metrics
-# stays parseable while being scraped concurrently. CI runs this as
+# folded nonzero server.* counters into its report and lost no
+# acknowledged write, and that /metrics stays parseable while being
+# scraped concurrently. CI runs this as
 # the metrics smoke job.
 set -euo pipefail
 
@@ -59,6 +60,11 @@ for series in server.shard_ops server.vs_rounds server.datalink_cycles \
   }
   echo "ok: $series = $m"
 done
+
+say "every acknowledged write survived the load"
+lost="$(mean survival.lost_acked_writes)"
+[ "$lost" = 0 ] || { echo "FAIL: survival.lost_acked_writes = '$lost', want 0"; exit 1; }
+echo "ok: survival.lost_acked_writes = 0"
 
 # The cluster ran real traffic over TCP with disk-backed shards, so on
 # every node each subsystem family must exist AND have moved. Shard

@@ -4,7 +4,8 @@
 # run a mixed write/sync-read nodeload workload (default 2s, after a
 # WARMUP lead-in excluded from accounting) through the shard-aware
 # failover client, and assert the report is sane: nonzero write and
-# sync-read throughput, parseable p50/p95/p99 percentiles, zero errors.
+# sync-read throughput, parseable p50/p95/p99 percentiles, zero errors,
+# zero lost acknowledged writes.
 # The whole pass then repeats against a cluster running with hot-path
 # batching (-batch 16, DESIGN.md §11) and asserts the batched run's
 # total throughput is at least the unbatched run's — the warmup keeps
@@ -86,7 +87,8 @@ check() {
 }
 
 # check_report OUTDIR — both op classes moved, percentiles parse as
-# positive numbers, nothing errored.
+# positive numbers, nothing errored, and every acknowledged write was
+# read back after the load.
 check_report() {
   local out="$1"
   check "$out" "write.throughput_ops_s" pos
@@ -98,6 +100,8 @@ check_report() {
     done
     check "$out" "$cls.errors" zero
   done
+  check "$out" "survival.acked_keys" pos
+  check "$out" "survival.lost_acked_writes" zero
 }
 
 boot_cluster 1
