@@ -43,26 +43,45 @@ func TestSeed42TablesAreByteIdentical(t *testing.T) {
 	if bytes.Equal(got.Bytes(), want) {
 		return
 	}
+	// Report every differing line with the columns that moved, so a
+	// re-baseline can list them.
 	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
 	var header []string
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if strings.HasPrefix(wantLines[i], "experiment,") {
-			header = strings.Split(wantLines[i], ",") // of the cell table, then of the summary
+	differ := 0
+	for i := range max(len(gotLines), len(wantLines)) {
+		g, w := lineAt(gotLines, i), lineAt(wantLines, i)
+		if strings.HasPrefix(w, "experiment,") {
+			header = strings.Split(w, ",") // of the cell table, then of the summary
 		}
-		if gotLines[i] == wantLines[i] {
+		if g == w {
 			continue
 		}
-		g, w := strings.Split(gotLines[i], ","), strings.Split(wantLines[i], ",")
-		for c := 0; c < len(g) && c < len(w); c++ {
-			if g[c] != w[c] {
-				col := fmt.Sprintf("column %d", c+1)
-				if c < len(header) {
-					col = header[c]
-				}
-				t.Fatalf("line %d, %s: got %q, checked in %q\n got  %s\n want %s", i+1, col, g[c], w[c], gotLines[i], wantLines[i])
-			}
-		}
-		t.Fatalf("line %d differs in length:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+		differ++
+		t.Errorf("line %d, %s:\n got  %s\n want %s", i+1, movedColumns(header, g, w), g, w)
 	}
-	t.Fatalf("%d lines, checked in %d", len(gotLines), len(wantLines))
+	t.Errorf("%d lines differ (%d lines, checked in %d)", differ, len(gotLines), len(wantLines))
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
+}
+
+// movedColumns names the CSV columns in which two lines differ.
+func movedColumns(header []string, got, want string) string {
+	g, w := strings.Split(got, ","), strings.Split(want, ",")
+	var moved []string
+	for c := range max(len(g), len(w)) {
+		if lineAt(g, c) == lineAt(w, c) {
+			continue
+		}
+		col := fmt.Sprintf("column %d", c+1)
+		if c < len(header) {
+			col = header[c]
+		}
+		moved = append(moved, col)
+	}
+	return strings.Join(moved, ", ")
 }
