@@ -71,12 +71,50 @@ func TestPartitionHeal(t *testing.T) {
 	}
 }
 
+// TestSequentialDelicateReplacements runs three delicate replacements in a
+// row on a 6-node cluster, each from a reset-free boot, over seeds 60–139.
+// The closure theorem says a delicate replacement from a legal state needs
+// no brute-force reset, yet some seeds take one during a replacement; the
+// cause is not established (ROADMAP.md, item 2). The test logs those seeds
+// and fails if more of them reset than when it was written, so a change
+// that makes closure worse shows up here instead of hiding behind one
+// quiet seed.
 func TestSequentialDelicateReplacements(t *testing.T) {
-	c, err := BootstrapCluster(6, DefaultClusterOptions(83))
+	if testing.Short() {
+		t.Skip("80-seed sweep")
+	}
+	const resetSeedsMeasured = 11
+	resetSeeds := 0
+	for seed := int64(60); seed < 140; seed++ {
+		if resets := delicateReplacements(t, seed); resets > 0 {
+			resetSeeds++
+			t.Logf("seed %d: %d brute-force resets during the replacements", seed, resets)
+		}
+	}
+	t.Logf("%d of 80 seeds reset", resetSeeds)
+	if resetSeeds > resetSeedsMeasured {
+		t.Errorf("%d of 80 seeds took a brute-force reset during a delicate replacement, measured %d", resetSeeds, resetSeedsMeasured)
+	}
+}
+
+// delicateReplacements boots a 6-node cluster on seed, requires the boot to
+// be reset-free, replaces its configuration three times and returns the
+// brute-force resets all nodes took meanwhile.
+func delicateReplacements(t *testing.T, seed int64) uint64 {
+	t.Helper()
+	c, err := BootstrapCluster(6, DefaultClusterOptions(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(800)
+	resets := func() uint64 {
+		var sum uint64
+		c.EachAlive(func(n *Node) { sum += n.SA.Metrics().Resets })
+		return sum
+	}
+	if r := resets(); r > 0 {
+		t.Fatalf("seed %d: %d brute-force resets during boot, before any replacement", seed, r)
+	}
 	targets := []ids.Set{
 		ids.NewSet(1, 2, 3, 4, 5),
 		ids.NewSet(1, 2, 3, 4),
@@ -84,14 +122,14 @@ func TestSequentialDelicateReplacements(t *testing.T) {
 	}
 	for i, target := range targets {
 		if !c.Node(1).Estab(target) {
-			t.Fatalf("estab %d rejected", i)
+			t.Fatalf("seed %d: estab %d rejected", seed, i)
 		}
 		ok := c.Sched.RunWhile(func() bool {
 			cfg, conv := c.ConvergedConfig()
 			return !(conv && cfg.Equal(target))
 		}, 10_000_000)
 		if !ok {
-			t.Fatalf("replacement %d to %v never completed; %s", i, target, describe(c))
+			t.Fatalf("seed %d: replacement %d to %v never completed; %s", seed, i, target, describe(c))
 		}
 		// Let the channels drain the previous replacement's tail before
 		// proposing again — the closure theorem's hypothesis is a state
@@ -99,13 +137,11 @@ func TestSequentialDelicateReplacements(t *testing.T) {
 		c.RunFor(2000)
 	}
 	c.EachAlive(func(n *Node) {
-		if m := n.SA.Metrics(); m.Resets > 0 {
-			t.Errorf("%v used %d brute-force resets across delicate replacements", n.Self(), m.Resets)
-		}
 		if got := n.SA.Metrics().DelicateInstalls + n.SA.Metrics().Adoptions; got == 0 {
-			t.Errorf("%v never took part in a replacement", n.Self())
+			t.Errorf("seed %d: %v never took part in a replacement", seed, n.Self())
 		}
 	})
+	return resets()
 }
 
 func TestRepeatedTransientFaults(t *testing.T) {

@@ -153,8 +153,8 @@ type Node struct {
 	// per-peer outbound queue, so one token cycle carries the envelopes
 	// of several atomic steps instead of only the latest snapshot
 	// (DESIGN.md §11), and a pipelined link has queued material to
-	// restart cycles on ack (§14). At MaxBatch 1 and Window 1 the
-	// legacy pull-only path is preserved bit-for-bit.
+	// restart cycles on ack (§14). At MaxBatch 1 and Window 1 nothing is
+	// queued: every cycle pulls the latest snapshot.
 	batching bool
 
 	// steppers are the apps that take receipt-driven steps; nil on a

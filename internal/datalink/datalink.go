@@ -50,19 +50,29 @@
 // the full window (otherwise a lost first cycle could be overtaken by its
 // successor and skipped forever).
 //
-// # Acceptance disciplines
+// # Acceptance
 //
-// The packet label and the receiver's acceptance follow one of two
-// disciplines. At MaxBatch 1 and Window 1 the label is the paper's
-// alternating bit: the receiver delivers any DATA whose bit differs from
-// the last one it delivered, which is at-least-once under duplication and
-// reordering — fine for the stack's idempotent latest-state gossip.
-// Batched or pipelined links use a cumulative mod-256 sequence with strict
-// in-order acceptance (the receiver only ever accepts rxSeq+1), which
-// makes delivery exactly-once and in-order even when a duplicated stale
-// packet overtakes its successor. Like the rest of the link options,
-// MaxBatch and Window must be configured uniformly across a cluster: the
-// receiver picks its discipline from its own options.
+// Every link labels its cycles with a cumulative mod-256 sequence. The
+// receiver accepts only the successor of the last cycle it delivered (or
+// the first DATA after it adopts a session), re-acknowledges that last
+// cycle, and ignores everything else, so delivery is exactly-once and in
+// order even when a duplicated stale packet overtakes its successor. A
+// stop-and-wait link runs the same receiver at batch 1 and window 1.
+//
+// Sessions change by one rule. A CLEAN of the live session is only
+// re-acknowledged. A CLEAN of any other session is counted, and that
+// session is adopted once the count exceeds the stale CLEANs the link must
+// outlast. Where the link queues payloads (MaxBatch×Window > 1) that is
+// Capacity: a channel holds at most Capacity stale packets, so no replay
+// of a past session can displace the live one and reopen acceptance for an
+// overtaken batch. Where it does not, the threshold is zero and a new
+// session is adopted at once: every cycle of such a link carries the
+// owner's latest snapshot, so a stale CLEAN may cost a repeated snapshot,
+// never a lost one, and the link does not stage every session it opens —
+// which would tax every stabilization (DESIGN.md §14). Like the rest of
+// the link options, MaxBatch and Window must be configured uniformly
+// across a cluster: the receiver derives its threshold from its own
+// options.
 package datalink
 
 import (
@@ -107,7 +117,7 @@ func (k Kind) String() string {
 type Packet struct {
 	Kind    Kind
 	Session uint64 // link incarnation nonce established by cleaning
-	Seq     uint8  // packet label within a session (alternating bit, or cumulative mod 256 on batched or pipelined links)
+	Seq     uint8  // packet label within a session: a cumulative sequence mod 256
 	Payload any    // application message (KindData only, single-payload cycles)
 	// Batch carries the payloads of a multi-payload cycle (KindData only,
 	// nil on unbatched links and single-payload cycles). The batch is
@@ -135,9 +145,9 @@ type Options struct {
 	StaleTicks int
 	// MaxBatch bounds the number of payloads one DATA packet carries.
 	// Values <= 1 send one payload per cycle (the queue is still usable);
-	// values > 1 enable batching. Either way the link runs the strict
-	// cumulative-sequence discipline unless MaxBatch and Window are both
-	// 1 (see the package comment). Must be uniform across a cluster.
+	// values > 1 enable batching. With Window it sets whether the
+	// receiver stages a session change (see the package comment), so it
+	// must be uniform across a cluster.
 	MaxBatch int
 	// Window bounds the number of DATA cycles a sender keeps in flight
 	// at once; 1 (the default) is stop-and-wait. Values > 1 enable
@@ -214,11 +224,11 @@ type peer struct {
 	rxSessionValid bool
 	rxSeq          uint8
 	rxSeqValid     bool
-	// rxPending/rxPendingCnt stage a session change on strict links:
-	// a new incarnation is adopted only after more than Capacity CLEAN
-	// observations, so the bounded set of stale CLEANs a channel can
-	// hold (duplicates of past sessions included) can never displace
-	// the live session's sequence history.
+	// rxPending/rxPendingCnt count the CLEANs of a session other than
+	// the live one; it is adopted once the count exceeds stageCleans
+	// (Capacity on a link that queues payloads, so the bounded set of
+	// stale CLEANs a channel can hold can never displace the live
+	// session's sequence history; zero otherwise).
 	rxPending    uint64
 	rxPendingCnt int
 }
@@ -408,21 +418,18 @@ func (e *Endpoint) SetAckRTTObserver(fn func(ticks uint64)) {
 // windowed reports whether more than one cycle may be in flight.
 func (e *Endpoint) windowed() bool { return e.opts.Window > 1 }
 
-// strict reports whether the link runs the cumulative-sequence
-// discipline (batched or pipelined links; the alternating bit
-// otherwise).
-func (e *Endpoint) strict() bool { return e.opts.MaxBatch > 1 || e.windowed() }
-
-// nextSeq is the label of the cycle after one labeled s.
-func (e *Endpoint) nextSeq(s uint8) uint8 {
-	if e.strict() {
-		return s + 1 // cumulative mod-256 sequence
-	}
-	return s ^ 1 // alternating bit
-}
-
 // queueCap is the outbound queue bound: one full batch per window slot.
 func (e *Endpoint) queueCap() int { return e.opts.MaxBatch * e.opts.Window }
+
+// stageCleans is how many CLEANs of a new session the receiver outlasts
+// before adopting it: Capacity where the link queues payloads, none where
+// every cycle carries the latest snapshot (see the package comment).
+func (e *Endpoint) stageCleans() int {
+	if e.queueCap() > 1 {
+		return e.opts.Capacity
+	}
+	return 0
+}
 
 // Enqueue appends a payload to the link's outbound queue; the next token
 // cycle drains up to MaxBatch queued payloads into one DATA packet.
@@ -584,15 +591,6 @@ func (e *Endpoint) tickPeer(to ids.ID, p *peer) {
 // one-token-per-tick heartbeat of an idle link into a ping-pong at the
 // network round trip. Like every Endpoint call it must be a top-level
 // step, never made from inside a callback.
-//
-// A kicked link reuses a packet label within a round trip instead of a
-// tick. The strict discipline does not care. The alternating bit stays
-// exact on a channel that keeps order (tcp, an undelayed inproc); on one
-// that reorders, a retransmission two cycles old may still be in flight
-// when its bit comes round again, so a payload can then be delivered
-// twice or its cycle completed by a stale ack. The stack only runs the
-// alternating bit in pull mode, where every cycle carries the latest
-// snapshot and the next tick's cycle repairs either accident.
 func (e *Endpoint) Kick(to ids.ID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -632,7 +630,7 @@ func (e *Endpoint) fillWindow(to ids.ID, p *peer, pull bool) int {
 		}
 		payload, batch := e.nextPayload(to, p)
 		c := cycle{seq: p.seq, payload: payload, batch: batch, sentTick: e.ticks}
-		p.seq = e.nextSeq(p.seq)
+		p.seq++
 		p.inflight = append(p.inflight, c)
 		p.kicked = false
 		e.inflightN.Add(1)
@@ -680,46 +678,24 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 	}
 	switch pkt.Kind {
 	case KindClean:
-		// Receiver half: adopt the new incarnation, drop delivery
-		// history, acknowledge. On alternating-bit links adoption is
-		// unconditional (safe there because delivery is at-least-once
-		// anyway — an adversarial CLEAN only forces a harmless extra
-		// cleanup). Strict links promise exactly-once, so a stale
-		// CLEAN — a duplicate of the
-		// current session, or of a *past* one — must not reset the
-		// sequence history and reopen the acceptance window for
-		// overtaken DATA. A genuinely cleaning sender floods CLEANs
-		// and sends no DATA until done (it needs Capacity+1
-		// CLEAN-ACKs to proceed), so the receiver adopts a session
-		// change only after more than Capacity uninterrupted
-		// observations of the same new session — the staged count is
-		// reset by live DATA delivery. Stale CLEANs (the bounded set a
-		// channel can hold, plus delayed duplicates) arrive
-		// interleaved with live traffic and therefore cannot sustain
-		// the flood signature; even if an adversary could, the
-		// displacement self-heals through the sender's staleness
-		// re-clean. Every CLEAN is acknowledged regardless — acks
-		// carry the packet's own session, so acks of a not-yet-adopted
-		// session still drive the sender's handshake and stale acks
-		// are ignored by session mismatch.
-		switch {
-		case !e.strict() || !p.rxSessionValid:
-			p.rxSession = pkt.Session
-			p.rxSessionValid = true
-			p.rxSeqValid = false
-			p.rxPendingCnt = 0
-		case pkt.Session == p.rxSession:
-			// Duplicate of the live session: re-ack only.
-		case pkt.Session == p.rxPending:
+		// Receiver half: the session rule of the package comment. A
+		// cleaning sender floods CLEANs and sends no DATA until it holds
+		// Capacity+1 CLEAN-ACKs, so it crosses the threshold; stale CLEANs
+		// arrive among live DATA, whose delivery resets the count. Every
+		// CLEAN is acknowledged with its own session, so a not-yet-adopted
+		// session still drives the sender's handshake and stale acks are
+		// ignored by session mismatch.
+		if !p.rxSessionValid || pkt.Session != p.rxSession {
+			if pkt.Session != p.rxPending {
+				p.rxPending, p.rxPendingCnt = pkt.Session, 0
+			}
 			p.rxPendingCnt++
-			if p.rxPendingCnt > e.opts.Capacity {
+			if !p.rxSessionValid || p.rxPendingCnt > e.stageCleans() {
 				p.rxSession = pkt.Session
+				p.rxSessionValid = true
 				p.rxSeqValid = false
 				p.rxPendingCnt = 0
 			}
-		default:
-			p.rxPending = pkt.Session
-			p.rxPendingCnt = 1
 		}
 		e.send(from, Packet{Kind: KindCleanAck, Session: pkt.Session})
 	case KindCleanAck:
@@ -742,34 +718,20 @@ func (e *Endpoint) HandlePacket(from ids.ID, pkt Packet) {
 			e.stats.staleIgnored.Add(1)
 			return
 		}
-		if e.strict() {
-			// Strict cumulative-sequence discipline: accept only the
-			// successor cycle (or the first after cleaning), re-ack the
-			// already-delivered cycle, and stay silent on overtaking
-			// stale duplicates — exactly-once, in-order delivery.
-			switch {
-			case !p.rxSeqValid || pkt.Seq == p.rxSeq+1:
-				e.send(from, Packet{Kind: KindAck, Session: pkt.Session, Seq: pkt.Seq})
-				p.rxSeq = pkt.Seq
-				p.rxSeqValid = true
-				// Live traffic resets any staged session change: a
-				// genuinely cleaning sender sends no DATA, so only an
-				// uninterrupted CLEAN flood can reach the adoption
-				// threshold (see KindClean).
-				p.rxPendingCnt = 0
-				e.deliverData(from, pkt)
-			case pkt.Seq == p.rxSeq:
-				e.send(from, Packet{Kind: KindAck, Session: pkt.Session, Seq: pkt.Seq})
-			default:
-				e.stats.staleIgnored.Add(1)
-			}
-			return
-		}
-		e.send(from, Packet{Kind: KindAck, Session: pkt.Session, Seq: pkt.Seq})
-		if !p.rxSeqValid || pkt.Seq != p.rxSeq {
+		// Accept only the successor cycle (or the first after adoption),
+		// re-ack the delivered cycle, and stay silent on overtaking stale
+		// duplicates: exactly-once, in-order delivery.
+		switch {
+		case !p.rxSeqValid || pkt.Seq == p.rxSeq+1:
+			e.send(from, Packet{Kind: KindAck, Session: pkt.Session, Seq: pkt.Seq})
 			p.rxSeq = pkt.Seq
 			p.rxSeqValid = true
+			p.rxPendingCnt = 0 // live traffic resets a staged session (see KindClean)
 			e.deliverData(from, pkt)
+		case pkt.Seq == p.rxSeq:
+			e.send(from, Packet{Kind: KindAck, Session: pkt.Session, Seq: pkt.Seq})
+		default:
+			e.stats.staleIgnored.Add(1)
 		}
 	case KindAck:
 		e.handleAck(from, p, pkt)
@@ -872,7 +834,7 @@ func (e *Endpoint) CorruptState(rng *rand.Rand) {
 			// A stop-and-wait link's one cycle takes the drawn label
 			// and ack count.
 			p.inflight[0].seq, p.inflight[0].acks = seq, acks
-			seq = e.nextSeq(seq)
+			seq++
 		}
 		p.seq = seq
 		p.rxSession = uint64(rng.Int63())

@@ -12,34 +12,24 @@ import (
 // TestOrderedExactDeliveryProperty is the batching hardening property:
 // under random loss/duplication/jitter schedules (table-driven seeds for
 // reproducibility), the payload sequence pushed into a link's outbound
-// queue is delivered to the receiver exactly once and in order — batched
-// or not. Batched links run the strict cumulative-sequence discipline,
-// which holds even when a duplicated stale packet overtakes its
-// successor; the legacy alternating-bit discipline (MaxBatch 1) is
-// at-least-once under duplication, so its arms run duplication-free
-// (loss + jitter reordering only), where stop-and-wait is exact.
+// queue is delivered to the receiver exactly once and in order, at every
+// batch and window, including batch 1 / window 1. The cumulative-sequence
+// receiver holds even when a duplicated stale packet overtakes its
+// successor.
 //
 // The kick arms run the same adversaries with Kick calls interleaved at
 // random points, as a node whose state changes between ticks issues them.
-// A kicked cycle carries the same queue in the same order, so the strict
-// links still deliver exactly the enqueued sequence; and since a kick
-// neither retransmits nor ages the link, it never causes a cleaning. The
-// legacy link is exact under kicks on a channel that loses and duplicates
-// but keeps order (what tcp and an undelayed inproc are). On a reordering
-// channel its one-bit label is only as good as the time between cycles:
-// a kicked link reuses a label within a round trip, a retransmission two
-// cycles old can still be in flight, and its stale ack completes a cycle
-// that never arrived. That arm therefore checks what the stack relies on
-// at batch 1 / window 1, where it only ever pulls the latest snapshot:
-// nothing is invented, the link keeps draining, and it never re-cleans.
+// A kicked cycle carries the same queue in the same order, so the link
+// still delivers exactly the enqueued sequence, on reordering channels
+// too; and since a kick neither retransmits nor ages the link, it never
+// causes a cleaning.
 func TestOrderedExactDeliveryProperty(t *testing.T) {
 	type schedule struct {
 		name     string
 		seeds    []int64
 		maxBatch int
 		// window pipelines that many cycles concurrently (0/1 = the
-		// stop-and-wait token cycle). Windowed links run the same strict
-		// cumulative-sequence discipline as batched ones.
+		// stop-and-wait token cycle).
 		window int
 		// pace bounds how many payloads may sit in the queue at once
 		// (0 = fill to MaxBatch×Window); pace 1 sends single-payload
@@ -57,8 +47,8 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 		fifo bool
 	}
 	cases := []schedule{
-		{name: "legacy-unbatched/loss+jitter", seeds: []int64{1, 7, 23},
-			maxBatch: 1, loss: 0.20, dup: 0, maxDelay: 15, payloads: 60},
+		{name: "b1w1/loss+dup+jitter", seeds: []int64{1, 7, 23},
+			maxBatch: 1, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 60},
 		{name: "batch4/loss+dup+jitter", seeds: []int64{2, 11, 29},
 			maxBatch: 4, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 120},
 		{name: "batch8/heavy-adversary", seeds: []int64{3, 13, 31},
@@ -70,10 +60,12 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 		// which a session-duplicate CLEAN must NOT reset the sequence
 		// history (it would reopen the acceptance window and redeliver
 		// overtaken stale DATA).
+		{name: "b1w1/late-dup-cleans", seeds: []int64{19, 37, 41},
+			maxBatch: 1, loss: 0.10, dup: 0.30, maxDelay: 120, payloads: 40},
 		{name: "batch4/late-dup-cleans", seeds: []int64{19, 37, 41},
 			maxBatch: 4, loss: 0.10, dup: 0.30, maxDelay: 120, payloads: 40},
 		// Pipelined windows 2/4/8 (window 1 is every arm above): the
-		// strict in-order acceptance must hold with several cycles in
+		// in-order acceptance must hold with several cycles in
 		// flight, with and without batching, under the same adversaries.
 		{name: "window2/batch1/loss+dup+jitter", seeds: []int64{4, 14, 43},
 			maxBatch: 1, window: 2, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 120},
@@ -86,9 +78,9 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 		{name: "window2/late-dup-cleans", seeds: []int64{19, 37, 41},
 			maxBatch: 4, window: 2, loss: 0.10, dup: 0.30, maxDelay: 120, payloads: 40},
 		// The same seeds and adversaries at window 1 and 4, kicked.
-		{name: "kicked/legacy-unbatched/fifo/loss+dup", seeds: []int64{1, 7, 23}, kick: true, fifo: true,
+		{name: "kicked/b1w1/fifo/loss+dup", seeds: []int64{1, 7, 23}, kick: true, fifo: true,
 			maxBatch: 1, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 60},
-		{name: "kicked/legacy-unbatched/loss+dup+jitter", seeds: []int64{1, 7, 23}, kick: true,
+		{name: "kicked/b1w1/loss+dup+jitter", seeds: []int64{1, 7, 23}, kick: true,
 			maxBatch: 1, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 60},
 		{name: "kicked/batch4/loss+dup+jitter", seeds: []int64{2, 11, 29}, kick: true,
 			maxBatch: 4, loss: 0.20, dup: 0.15, maxDelay: 15, payloads: 120},
@@ -113,9 +105,6 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 				if tc.fifo {
 					netOpts.MinDelay = tc.maxDelay
 				}
-				// The legacy label under kicks on a reordering channel: the
-				// weaker property (see the test comment).
-				weak := tc.kick && !tc.fifo && tc.maxBatch <= 1 && tc.window <= 1
 				linkOpts := Options{
 					Capacity: 8, AckThreshold: 1,
 					// Generous staleness tolerance: a re-clean drops the
@@ -145,13 +134,7 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 				// The kick schedule has its own source, so that it does not
 				// depend on what the network drew.
 				kicks := newTestRng(seed)
-				finished := func() bool {
-					if weak {
-						return next == len(want) && h.eps[1].QueueLen(2) == 0 && h.eps[1].InflightTotal() == 0
-					}
-					return len(h.delivered[2]) >= len(want)
-				}
-				for h.sched.Now() < deadline && !finished() {
+				for h.sched.Now() < deadline && len(h.delivered[2]) < len(want) {
 					for next < len(want) && h.eps[1].QueueLen(2) < bound {
 						if !h.eps[1].Enqueue(2, want[next]) {
 							t.Fatalf("seed %d: enqueue %d refused", seed, next)
@@ -182,18 +165,6 @@ func TestOrderedExactDeliveryProperty(t *testing.T) {
 						t.Fatalf("seed %d: kicked link cleaned %d times (%d timeouts), want only the cleaning that established it",
 							seed, st.Cleanings, st.TimeoutsReset)
 					}
-				}
-				if weak {
-					if !finished() {
-						t.Fatalf("seed %d: kicked legacy link stopped draining: %d/%d enqueued, %d still queued",
-							seed, next, len(want), h.eps[1].QueueLen(2))
-					}
-					for _, v := range got {
-						if n, ok := v.(int); !ok || n < 1 || n > len(want) {
-							t.Fatalf("seed %d: delivered %v, which was never enqueued", seed, v)
-						}
-					}
-					continue
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: delivered %d/%d payloads, sequence equal=%v\n got=%v",
@@ -276,8 +247,8 @@ func TestStaleCleanCannotReopenBatchedLink(t *testing.T) {
 	}
 }
 
-// TestBatchedLinkRecoversFromCorruption: the strict discipline must stay
-// self-stabilizing — after randomizing both endpoints' link state the
+// TestBatchedLinkRecoversFromCorruption: a batched link, whose receiver
+// stages session changes, must stay self-stabilizing — after randomizing both endpoints' link state the
 // link re-cleans and flows again.
 func TestBatchedLinkRecoversFromCorruption(t *testing.T) {
 	opts := DefaultOptions()
