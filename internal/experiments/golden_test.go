@@ -49,7 +49,7 @@ func TestSeed42TablesAreByteIdentical(t *testing.T) {
 	var header []string
 	differ := 0
 	for i := range max(len(gotLines), len(wantLines)) {
-		g, w := lineAt(gotLines, i), lineAt(wantLines, i)
+		g, w := at(gotLines, i), at(wantLines, i)
 		if strings.HasPrefix(w, "experiment,") {
 			header = strings.Split(w, ",") // of the cell table, then of the summary
 		}
@@ -62,9 +62,10 @@ func TestSeed42TablesAreByteIdentical(t *testing.T) {
 	t.Errorf("%d lines differ (%d lines, checked in %d)", differ, len(gotLines), len(wantLines))
 }
 
-func lineAt(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
+// at is s[i], or "" past the end of s.
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
 	}
 	return ""
 }
@@ -74,7 +75,7 @@ func movedColumns(header []string, got, want string) string {
 	g, w := strings.Split(got, ","), strings.Split(want, ",")
 	var moved []string
 	for c := range max(len(g), len(w)) {
-		if lineAt(g, c) == lineAt(w, c) {
+		if at(g, c) == at(w, c) {
 			continue
 		}
 		col := fmt.Sprintf("column %d", c+1)
