@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -14,19 +15,28 @@ import (
 )
 
 // nodeTickAllocCeiling is the number of objects one timer step of a settled
-// three-node register node may allocate, by shard count. Measured: 22.4 with
-// one shard, 47.8 with four — 107.8 and 272.3 before a step's pure functions
-// were computed once and its snapshot shared. TestQuiescentTickAllocCeiling
-// holds the tree to it and BenchmarkNodeTick fails itself above it, which is
-// how CI gates it.
+// three-node register node may allocate, by shard count. Measured: 17.4 with
+// one shard, 42.8 with four — 22.4 and 47.8 while every packet in flight
+// was a heap-allocated event and a closure, 107.8 and 272.3 before a step's
+// pure functions were computed once and its snapshot shared.
+// TestQuiescentTickAllocCeiling holds the tree to it and BenchmarkNodeTick
+// fails itself above it, which is how CI gates it.
 // What is left is what a step hands over by value: per peer the recSA
-// message with that peer's echo, the envelope and the packet around it and
-// the event that carries it, per shard and peer the payload around the
-// step's one shared record, and per step that record, the recMA message,
-// the detector's ranking and recSA's participant set (DESIGN.md §3, "What a
-// step may cache"). A step that allocates more has started to rebuild
-// something per peer or per caller again.
-var nodeTickAllocCeiling = map[int]float64{1: 26, 4: 54}
+// message with that peer's echo and the envelope and the packet around it,
+// per shard and peer the payload around the step's one shared record, and
+// per step that record, the recMA message, the detector's ranking and
+// recSA's participant set (DESIGN.md §3, "What a step may cache"). Sending
+// the packets costs nothing more: a delivery is a recycled record and its
+// event a value in the scheduler's ring. A step that allocates more has
+// started to rebuild something per peer or per caller again.
+var nodeTickAllocCeiling = map[int]float64{1: 21, 4: 49}
+
+// nodeReceiveAllocCeiling is the allocs/op BenchmarkNodeReceive may report,
+// a whole number as -benchmem prints it; the benchmark fails itself above
+// it. Delivering a packet allocates nothing. What is left is the data
+// link's ACK boxed into Send's payload: 0.44 objects per received packet
+// (1.33 while a delivery cost an event and a closure).
+const nodeReceiveAllocCeiling = 0
 
 // probe sits between the simulated network and node 1. It drops the ticks
 // the network schedules for node 1 — the caller ticks it directly, so a step
@@ -183,16 +193,43 @@ func BenchmarkNodeReceive(b *testing.B) {
 				b.StopTimer()
 				done += len(batch)
 			}
+			if got := receiveAllocs(sched, p, node, 100); math.Floor(got) > nodeReceiveAllocCeiling {
+				b.Fatalf("a Receive allocates %.2f objects, ceiling %d allocs/op", got, nodeReceiveAllocCeiling)
+			}
 		})
 	}
+}
+
+// receiveAllocs returns the mean number of objects one Receive of the
+// settled, holding node allocates over the packets of the given number of
+// the cluster's periods.
+func receiveAllocs(sched *sim.Scheduler, p *probe, node *core.Node, periods int) float64 {
+	var before, after runtime.MemStats
+	total, packets := uint64(0), 0
+	for i := 0; i < periods; i++ {
+		node.Tick()
+		sched.RunUntil(sched.Now() + 10)
+		batch := p.inbox
+		p.inbox = nil
+		runtime.ReadMemStats(&before)
+		for _, d := range batch {
+			node.Receive(d.from, d.payload)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+		packets += len(batch)
+	}
+	return float64(total) / float64(packets)
 }
 
 // BenchmarkClusterSecond times one simulated second (1000 ticks of the
 // simulator's clock, about a hundred steps per node) of a whole settled
 // cluster on the default adversarial network — every node's steps, every
 // delivery, the scheduler — which is what an experiment cell is made of.
+// Its sizes run to 32 so that a per-node cost growing faster than the
+// paper's per-peer messages shows (EXPERIMENTS.md "Simulator cost").
 func BenchmarkClusterSecond(b *testing.B) {
-	for _, n := range []int{5, 8} {
+	for _, n := range []int{5, 8, 16, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			opts := core.DefaultClusterOptions(1)
 			opts.AppsFactory = func(self ids.ID) []core.App { return shard.New(self, 1, nil).Apps() }

@@ -48,14 +48,21 @@ func DefaultOptions(n int) Options {
 // Detector is the per-processor failure detector. It is a pure state
 // machine: feed Heartbeat from the data link, read Trusted.
 type Detector struct {
-	self   ids.ID
-	opts   Options
-	counts map[ids.ID]uint64
+	self ids.ID
+	opts Options
+	// counts is the heartbeat-count vector, one entry per known peer in
+	// ascending identifier order.
+	counts []entry
 	// trusted caches Trusted() between changes of counts: every layer of a
 	// node asks for it several times per step, and a step runs on every
 	// delivery that carries news.
 	trusted      ids.Set
 	trustedValid bool
+}
+
+type entry struct {
+	id    ids.ID
+	count uint64
 }
 
 // New constructs a detector for processor self.
@@ -72,7 +79,24 @@ func New(self ids.ID, opts Options) *Detector {
 	if opts.MaxCount == 0 {
 		opts.MaxCount = 1 << 20
 	}
-	return &Detector{self: self, opts: opts, counts: make(map[ids.ID]uint64)}
+	return &Detector{self: self, opts: opts}
+}
+
+// find returns the index of peer's entry, or where it would be inserted,
+// and whether it is known.
+func (d *Detector) find(peer ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(d.counts, peer, func(e entry, id ids.ID) int {
+		return cmp.Compare(e.id, id)
+	})
+}
+
+// set writes peer's count, making the peer known.
+func (d *Detector) set(peer ids.ID, c uint64) {
+	i, known := d.find(peer)
+	if !known {
+		d.counts = slices.Insert(d.counts, i, entry{id: peer})
+	}
+	d.counts[i].count = c
 }
 
 // Bootstrap seeds the detector with zero counts for the given peers, so
@@ -85,7 +109,7 @@ func (d *Detector) Bootstrap(peers ids.Set) {
 	d.trustedValid = false
 	peers.Each(func(p ids.ID) {
 		if p != d.self && p.Valid() {
-			d.counts[p] = 0
+			d.set(p, 0)
 		}
 	})
 }
@@ -97,12 +121,18 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 		return
 	}
 	d.trustedValid = false
-	for id, c := range d.counts {
-		if id != peer && c < d.opts.MaxCount {
-			d.counts[id] = c + 1
+	known := false
+	for i := range d.counts {
+		e := &d.counts[i]
+		if e.id == peer {
+			e.count, known = 0, true
+		} else if e.count < d.opts.MaxCount {
+			e.count++
 		}
 	}
-	d.counts[peer] = 0
+	if !known {
+		d.set(peer, 0)
+	}
 }
 
 // Suspect raises a known peer's count to the cap: the state an unbroken run
@@ -112,56 +142,47 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 // the detector already keeps — and the next Heartbeat from the peer resets
 // the count as it resets any other. It reports whether the count changed.
 func (d *Detector) Suspect(peer ids.ID) bool {
-	c, known := d.counts[peer]
-	if !known || peer == d.self || c == d.opts.MaxCount {
+	i, known := d.find(peer)
+	if !known || peer == d.self || d.counts[i].count == d.opts.MaxCount {
 		return false
 	}
 	d.trustedValid = false
-	d.counts[peer] = d.opts.MaxCount
+	d.counts[i].count = d.opts.MaxCount
 	return true
 }
 
 // Forget drops a peer's entry entirely (e.g., when the processor left).
 func (d *Detector) Forget(peer ids.ID) {
 	d.trustedValid = false
-	delete(d.counts, peer)
+	if i, known := d.find(peer); known {
+		d.counts = slices.Delete(d.counts, i, i+1)
+	}
 }
 
 // Count returns the current heartbeat count for peer and whether the peer
 // is known at all.
 func (d *Detector) Count(peer ids.ID) (uint64, bool) {
-	c, ok := d.counts[peer]
-	return c, ok
+	if i, known := d.find(peer); known {
+		return d.counts[i].count, true
+	}
+	return 0, false
 }
 
 // CorruptCounts overwrites all counts with the supplied function's values —
-// the transient-fault hook for stabilization tests. Identifier order keeps
-// rng-based value generators deterministic.
+// the transient-fault hook for stabilization tests. It asks in identifier
+// order, so rng-based value generators stay deterministic.
 func (d *Detector) CorruptCounts(next func(ids.ID) uint64) {
 	d.trustedValid = false
-	order := make([]ids.ID, 0, len(d.counts))
-	for id := range d.counts {
-		order = append(order, id)
+	for i := range d.counts {
+		d.counts[i].count = next(d.counts[i].id) % d.opts.MaxCount
 	}
-	slices.Sort(order)
-	for _, id := range order {
-		d.counts[id] = next(id) % d.opts.MaxCount
-	}
-}
-
-type rankedEntry struct {
-	id    ids.ID
-	count uint64
 }
 
 // ranked returns known peers sorted by ascending count (ties by id for
 // determinism).
-func (d *Detector) ranked() []rankedEntry {
-	out := make([]rankedEntry, 0, len(d.counts))
-	for id, c := range d.counts {
-		out = append(out, rankedEntry{id, c})
-	}
-	slices.SortFunc(out, func(a, b rankedEntry) int {
+func (d *Detector) ranked() []entry {
+	out := slices.Clone(d.counts)
+	slices.SortFunc(out, func(a, b entry) int {
 		if c := cmp.Compare(a.count, b.count); c != 0 {
 			return c
 		}
@@ -197,7 +218,7 @@ func (d *Detector) Trusted() ids.Set {
 		trusted = append(trusted, e.id)
 		prev = e.count
 	}
-	d.trusted, d.trustedValid = ids.NewSet(trusted...), true
+	d.trusted, d.trustedValid = ids.Own(trusted), true
 	return d.trusted
 }
 
@@ -209,9 +230,9 @@ func (d *Detector) Estimate() int { return d.Trusted().Size() }
 func (d *Detector) Suspected() ids.Set {
 	t := d.Trusted()
 	out := ids.Set{}
-	for id := range d.counts {
-		if !t.Contains(id) {
-			out = out.Add(id)
+	for _, e := range d.counts {
+		if !t.Contains(e.id) {
+			out = out.Add(e.id)
 		}
 	}
 	return out

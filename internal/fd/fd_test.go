@@ -32,6 +32,15 @@ func TestHeartbeatResetsAndIncrements(t *testing.T) {
 	}
 }
 
+func TestHeartbeatOfAKnownPeerAllocatesNothing(t *testing.T) {
+	// Every returned token is a Heartbeat: one pass over the count vector.
+	d := New(1, DefaultOptions(8))
+	d.Bootstrap(ids.Range(2, 8))
+	if got := testing.AllocsPerRun(100, func() { d.Heartbeat(5) }); got > 0 {
+		t.Fatalf("Heartbeat of a known peer allocates %.0f objects, ceiling 0", got)
+	}
+}
+
 func TestSelfHeartbeatIgnored(t *testing.T) {
 	d := New(1, DefaultOptions(8))
 	d.Heartbeat(1)

@@ -49,7 +49,14 @@ func NewSet(members ...ID) Set {
 	if len(members) == 0 {
 		return Set{}
 	}
-	out := make([]ID, 0, len(members))
+	return Own(slices.Clone(members))
+}
+
+// Own is NewSet for a slice the caller built for the set: it filters,
+// sorts and deduplicates members in place and keeps it, so the caller must
+// not use the slice afterwards.
+func Own(members []ID) Set {
+	out := members[:0]
 	for _, id := range members {
 		if id.Valid() {
 			out = append(out, id)

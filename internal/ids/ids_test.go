@@ -2,6 +2,7 @@ package ids
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +44,17 @@ func TestNewSetDedupSort(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Members() = %v, want %v", got, want)
 		}
+	}
+}
+
+func TestOwnKeepsTheSlice(t *testing.T) {
+	members := []ID{3, 1, 0, 2, 3, -5}
+	s := Own(members)
+	if got := s.Members(); !slices.Equal(got, []ID{1, 2, 3}) {
+		t.Fatalf("Members() = %v, want [p1 p2 p3]", got)
+	}
+	if &s.members[0] != &members[0] {
+		t.Fatal("Own copied the slice it was handed")
 	}
 }
 
@@ -291,6 +303,7 @@ func TestAllocationCeilings(t *testing.T) {
 		{"Diff (nothing left)", 0, func() { sink = sub.Diff(s) }},
 		{"Diff (something left)", 1, func() { sink = s.Diff(sub) }},
 		{"Union", 1, func() { sink = s.Union(other) }},
+		{"NewSet", 1, func() { sink = NewSet(3, 1, 2) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.op); got > c.ceiling {
 			t.Errorf("%s allocates %.0f objects per call, ceiling %.0f", c.name, got, c.ceiling)

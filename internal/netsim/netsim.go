@@ -11,6 +11,11 @@
 // adversary required by the self-stabilization experiments: it can inject
 // arbitrary stale packets, fill links to capacity with garbage, cut links,
 // and crash processors.
+//
+// A packet in flight costs only its protocol's payload: its delivery is a
+// record recycled through a free list and scheduled as one event by value,
+// and nodes and links are found by indexing slices with the identifiers,
+// so a send and its delivery allocate nothing.
 package netsim
 
 import (
@@ -69,8 +74,6 @@ type nodeState struct {
 	stop    sim.Cancel
 }
 
-type linkKey struct{ from, to ids.ID }
-
 type linkState struct {
 	inFlight int
 	cut      bool
@@ -94,9 +97,14 @@ type Stats struct {
 type Network struct {
 	sched *sim.Scheduler
 	opts  Options
-	nodes map[ids.ID]*nodeState
-	links map[linkKey]*linkState
+	// nodes[id] is the node registered under id, nil for none; links[from][to]
+	// is the directed link. Both grow on demand, so an identifier — a small
+	// non-negative integer in every simulated cluster — is its own index.
+	nodes []*nodeState
+	links [][]linkState
 	stats Stats
+	// free holds the delivery records not in flight.
+	free *delivery
 	// alive caches Alive() between AddNode/Crash calls, the only two that
 	// change it: run-until predicates ask after every scheduler step.
 	alive      ids.Set
@@ -114,12 +122,7 @@ func New(sched *sim.Scheduler, opts Options) *Network {
 	if opts.TickEvery <= 0 {
 		opts.TickEvery = 10
 	}
-	return &Network{
-		sched: sched,
-		opts:  opts,
-		nodes: make(map[ids.ID]*nodeState),
-		links: make(map[linkKey]*linkState),
-	}
+	return &Network{sched: sched, opts: opts}
 }
 
 // Scheduler exposes the underlying scheduler.
@@ -132,9 +135,13 @@ func (n *Network) Rand() *rand.Rand { return n.sched.Rand() }
 // Stats returns a copy of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// AddNode registers a node and starts its periodic timer.
+// AddNode registers a node and starts its periodic timer. A negative
+// identifier names no processor and is refused.
 func (n *Network) AddNode(id ids.ID, h Handler) error {
-	if _, ok := n.nodes[id]; ok {
+	if id < 0 {
+		return fmt.Errorf("netsim: invalid node id %d", int(id))
+	}
+	if n.node(id) != nil {
 		return fmt.Errorf("netsim: node %v already registered", id)
 	}
 	ns := &nodeState{id: id, handler: h}
@@ -143,17 +150,28 @@ func (n *Network) AddNode(id ids.ID, h Handler) error {
 			ns.handler.Tick()
 		}
 	})
+	if grow := int(id) + 1 - len(n.nodes); grow > 0 {
+		n.nodes = append(n.nodes, make([]*nodeState, grow)...)
+	}
 	n.nodes[id] = ns
 	n.aliveValid = false
 	return nil
+}
+
+// node returns the node registered under id, or nil.
+func (n *Network) node(id ids.ID) *nodeState {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id]
 }
 
 // Crash stop-fails a node: it takes no further steps and receives nothing.
 // Per the paper, a crashed processor never rejoins (rejoining processors
 // are modeled as transient faults instead).
 func (n *Network) Crash(id ids.ID) {
-	ns, ok := n.nodes[id]
-	if !ok {
+	ns := n.node(id)
+	if ns == nil {
 		return
 	}
 	ns.crashed = true
@@ -163,8 +181,8 @@ func (n *Network) Crash(id ids.ID) {
 
 // Crashed reports whether the node has stop-failed.
 func (n *Network) Crashed(id ids.ID) bool {
-	ns, ok := n.nodes[id]
-	return ok && ns.crashed
+	ns := n.node(id)
+	return ns != nil && ns.crashed
 }
 
 // Alive returns the identifiers of non-crashed registered nodes.
@@ -173,46 +191,67 @@ func (n *Network) Alive() ids.Set {
 		return n.alive
 	}
 	members := make([]ids.ID, 0, len(n.nodes))
-	//repolint:allow determinism -- ids.NewSet sorts; the resulting set is identical for every iteration order
-	for id, ns := range n.nodes {
-		if !ns.crashed {
-			members = append(members, id)
+	for _, ns := range n.nodes {
+		if ns != nil && !ns.crashed {
+			members = append(members, ns.id)
 		}
 	}
-	n.alive, n.aliveValid = ids.NewSet(members...), true
+	n.alive, n.aliveValid = ids.Own(members), true
 	return n.alive
 }
 
 // SetCut severs (or restores) both directions between a and b. Packets in a
 // cut link are dropped at send time.
 func (n *Network) SetCut(a, b ids.ID, cut bool) {
-	n.link(a, b).cut = cut
-	n.link(b, a).cut = cut
+	if l := n.link(a, b); l != nil {
+		l.cut = cut
+	}
+	if l := n.link(b, a); l != nil {
+		l.cut = cut
+	}
 }
 
+// link returns the directed link from one identifier to another, or nil
+// when either is negative: no such link can carry a packet.
 func (n *Network) link(from, to ids.ID) *linkState {
-	k := linkKey{from, to}
-	l, ok := n.links[k]
-	if !ok {
-		l = &linkState{}
-		n.links[k] = l
+	if from < 0 || to < 0 {
+		return nil
 	}
-	return l
+	if grow := int(from) + 1 - len(n.links); grow > 0 {
+		n.links = append(n.links, make([][]linkState, grow)...)
+	}
+	out := n.links[from]
+	if grow := int(to) + 1 - len(out); grow > 0 {
+		out = append(out, make([]linkState, grow)...)
+		n.links[from] = out
+	}
+	return &out[to]
 }
 
 // InFlight returns the number of packets currently in the directed link.
-func (n *Network) InFlight(from, to ids.ID) int { return n.link(from, to).inFlight }
+func (n *Network) InFlight(from, to ids.ID) int {
+	if l := n.link(from, to); l != nil {
+		return l.inFlight
+	}
+	return 0
+}
 
 // Send transmits payload from one node to another, subject to the
-// adversary. It is a no-op for unregistered or crashed endpoints.
+// adversary. Toward an unregistered or crashed destination the packet takes
+// its link's capacity and the adversary's draws as any other, and is
+// dropped at delivery unless a node has registered under that identifier
+// meanwhile. It is a no-op, counted as a crash drop, for an unregistered or
+// crashed sender and for a negative destination, which no link reaches.
 func (n *Network) Send(from, to ids.ID, payload any) {
 	n.stats.Sent++
-	src, ok := n.nodes[from]
-	if !ok || src.crashed {
+	var l *linkState
+	if src := n.node(from); src != nil && !src.crashed {
+		l = n.link(from, to)
+	}
+	if l == nil {
 		n.stats.DroppedBy.Crash++
 		return
 	}
-	l := n.link(from, to)
 	if l.cut {
 		n.stats.DroppedBy.Cut++
 		return
@@ -227,10 +266,10 @@ func (n *Network) Send(from, to ids.ID, payload any) {
 		return
 	}
 	l.inFlight++
-	n.scheduleDelivery(from, to, payload, l, true)
+	n.scheduleDelivery(from, to, payload, true)
 	if rng.Float64() < n.opts.DupProb {
 		n.stats.Duplicated++
-		n.scheduleDelivery(from, to, payload, nil, false)
+		n.scheduleDelivery(from, to, payload, false)
 	}
 }
 
@@ -240,24 +279,51 @@ func (n *Network) Send(from, to ids.ID, payload any) {
 // initially (after transient faults) contain stale packets").
 func (n *Network) InjectPacket(from, to ids.ID, payload any) {
 	n.stats.Injected++
-	n.scheduleDelivery(from, to, payload, nil, false)
+	n.scheduleDelivery(from, to, payload, false)
 }
 
-func (n *Network) scheduleDelivery(from, to ids.ID, payload any, l *linkState, counted bool) {
+// delivery is one packet in flight: a record from the network's free list,
+// whose fire func is bound once, when the record is made, so scheduling a
+// delivery allocates nothing.
+type delivery struct {
+	net      *Network
+	from, to ids.ID
+	payload  any
+	// counted deliveries hold a unit of their link's capacity.
+	counted bool
+	fire    func()
+	next    *delivery // on the free list
+}
+
+func (n *Network) scheduleDelivery(from, to ids.ID, payload any, counted bool) {
 	delay := n.opts.MinDelay
 	if span := n.opts.MaxDelay - n.opts.MinDelay; span > 0 {
 		delay += sim.Time(n.sched.Rand().Int63n(int64(span) + 1))
 	}
-	n.sched.After(delay, func() {
-		if counted && l != nil {
-			l.inFlight--
-		}
-		dst, ok := n.nodes[to]
-		if !ok || dst.crashed {
-			n.stats.DroppedBy.Crash++
-			return
-		}
-		n.stats.Delivered++
-		dst.handler.Receive(from, payload)
-	})
+	d := n.free
+	if d != nil {
+		n.free = d.next
+	} else {
+		d = &delivery{net: n}
+		d.fire = d.deliver
+	}
+	d.from, d.to, d.payload, d.counted = from, to, payload, counted
+	n.sched.After(delay, d.fire)
+}
+
+// deliver hands the packet to its destination. The record goes back on the
+// free list first, so the sends the handler makes can reuse it.
+func (d *delivery) deliver() {
+	n, from, to, payload, counted := d.net, d.from, d.to, d.payload, d.counted
+	d.payload, d.next, n.free = nil, n.free, d
+	if counted {
+		n.links[from][to].inFlight--
+	}
+	dst := n.node(to)
+	if dst == nil || dst.crashed {
+		n.stats.DroppedBy.Crash++
+		return
+	}
+	n.stats.Delivered++
+	dst.handler.Receive(from, payload)
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -237,5 +238,102 @@ func TestAliveFollowsAddNodeAndCrash(t *testing.T) {
 		if got := net.Alive(); !got.Equal(want) {
 			t.Fatalf("step %d: Alive() = %v, want %v", step, got, want)
 		}
+	}
+}
+
+// tally is a handler that allocates nothing.
+type tally struct{ received, ticks int }
+
+func (c *tally) Receive(ids.ID, any) { c.received++ }
+func (c *tally) Tick()               { c.ticks++ }
+
+func TestSendAndDeliveryAllocateNothing(t *testing.T) {
+	// A packet in flight is an event by value and a delivery record from
+	// the free list: once both have grown, a Send and its delivery of a
+	// payload the caller has already boxed allocate nothing, duplicates
+	// included.
+	opts := DefaultOptions()
+	opts.DupProb = 0.5
+	sched := sim.NewScheduler(1)
+	net := New(sched, opts)
+	rx := &tally{}
+	for id, h := range map[ids.ID]Handler{1: &tally{}, 2: rx} {
+		if err := net.AddNode(id, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var payload any = "boxed once"
+	period := func() {
+		net.Send(1, 2, payload)
+		sched.RunUntil(sched.Now() + 1)
+	}
+	for i := 0; i < 1000; i++ {
+		period()
+	}
+	if got := testing.AllocsPerRun(500, period); got > 0 {
+		t.Fatalf("a Send and its delivery allocate %.0f objects, ceiling 0", got)
+	}
+	if rx.received == 0 {
+		t.Fatal("nothing was delivered")
+	}
+}
+
+func TestUnregisteredAndLateDestinations(t *testing.T) {
+	// Toward an identifier no node is registered under — ids.None, or a
+	// node that registers only later — a packet takes its link's capacity
+	// and the adversary's draws as it would toward a registered node. At
+	// delivery it is dropped, unless the node has registered meanwhile: then
+	// the node receives it.
+	opts := DefaultOptions()
+	opts.Capacity = 2
+	opts.LossProb, opts.DupProb = 0, 0 // drawn all the same
+	opts.TickJitter = 0                // a timer draws nothing
+	run := func(early bool) (*sim.Scheduler, *Network, *recorder) {
+		sched, net, _, _ := newPair(t, opts)
+		p9 := &recorder{}
+		if early {
+			if err := net.AddNode(9, p9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			net.Send(1, 9, i)
+			net.Send(1, ids.None, i)
+		}
+		if net.InFlight(1, 9) != 2 || net.InFlight(1, ids.None) != 2 {
+			t.Fatalf("in flight: %d toward p9, %d toward None; want the capacity, 2",
+				net.InFlight(1, 9), net.InFlight(1, ids.None))
+		}
+		if !early {
+			if err := net.AddNode(9, p9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched.RunUntil(sched.Now() + 20)
+		return sched, net, p9
+	}
+	lateSched, late, lateP9 := run(false)
+	earlySched, early, earlyP9 := run(true)
+	if a, b := lateSched.Rand().Int63(), earlySched.Rand().Int63(); a != b {
+		t.Fatal("sends toward an unregistered node drew differently from sends toward a registered one")
+	}
+	if got, want := late.Stats(), early.Stats(); got != want {
+		t.Fatalf("stats %+v, registered from the start %+v", got, want)
+	}
+	if !slices.Equal(lateP9.received, earlyP9.received) || len(lateP9.received) != 2 {
+		t.Fatalf("p9 registered late received %v, registered from the start %v", lateP9.received, earlyP9.received)
+	}
+	if st := late.Stats(); st.DroppedBy.Crash != 2 || st.DroppedBy.Capacity != 2 || st.Delivered != 2 {
+		t.Fatalf("stats %+v: want the two packets toward None dropped at delivery", st)
+	}
+	if late.InFlight(1, 9) != 0 || late.InFlight(1, ids.None) != 0 {
+		t.Fatal("a delivery did not return its link's capacity")
+	}
+	if late.AddNode(-1, &recorder{}) == nil {
+		t.Fatal("a negative identifier was registered")
+	}
+	late.Send(1, -1, "nowhere")
+	if st := late.Stats(); st.DroppedBy.Crash != 3 || late.InFlight(1, -1) != 0 {
+		t.Fatalf("stats %+v: a packet toward a negative identifier must be dropped at once", st)
 	}
 }

@@ -9,6 +9,12 @@
 // from a single seeded source, so that every execution — including
 // adversarial ones used by the stabilization tests — is exactly
 // reproducible from its seed.
+//
+// Every packet in flight is an event and every step is a pop, so pending
+// events are kept by value in a calendar queue: a ring of one FIFO bucket
+// per tick over the next horizon ticks, and a heap for the few events
+// scheduled further ahead. Scheduling and popping an event allocate
+// nothing once the buckets have grown, and neither sifts a heap.
 package sim
 
 import "math/rand"
@@ -17,17 +23,22 @@ import "math/rand"
 // relative order of events matters to the protocols.
 type Time int64
 
-// Event is a scheduled callback.
+// horizon is the number of ticks the ring covers ahead of now, a power of
+// two so that a tick's bucket is a mask away. It covers every packet delay
+// and node timer period the repository simulates (netsim's defaults
+// deliver within 12 ticks and tick every 10–15); longer waits — a churn
+// schedule, an agreement monitor — pass through the overflow heap.
+const horizon = 64
+
+// event is a scheduled callback, stored by value.
 type event struct {
 	at  Time
 	seq uint64 // insertion order, breaks timestamp ties deterministically
 	fn  func()
-	// canceled events stay in the heap but are skipped when popped.
-	canceled bool
 }
 
 // before orders events by timestamp, then insertion: a total order, so the
-// sequence of pops does not depend on how the heap happens to be laid out.
+// sequence of pops does not depend on how the queue happens to be laid out.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -35,57 +46,76 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventQueue is a binary min-heap on before. Every packet in flight is an
-// event, and every scheduler step is a pop, so the sifts are written out
-// rather than reached through container/heap's interface.
-type eventQueue []*event
-
-func (q *eventQueue) push(e *event) {
-	h := append(*q, e)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*q = h
+// bucket holds the events of one tick in insertion order: the slice from
+// head on is still pending.
+type bucket struct {
+	events []event
+	head   int
 }
 
-func (q *eventQueue) pop() *event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0], h[n] = h[n], nil
-	h = h[:n]
+// eventHeap is a binary min-heap on before, for events beyond the ring.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
 	for i := 0; ; {
 		least := i
-		if l := 2*i + 1; l < n && h[l].before(h[least]) {
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && h[r].before(h[least]) {
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
 			least = r
 		}
 		if least == i {
 			break
 		}
-		h[i], h[least] = h[least], h[i]
+		q[i], q[least] = q[least], q[i]
 		i = least
 	}
-	*q = h
+	*h = q
 	return top
 }
 
 // Scheduler is a deterministic virtual-time event loop. The zero value is
 // not usable; construct with NewScheduler.
+//
+// Pending events with at < now+horizon sit in ring[at%horizon], the rest
+// in far. Since now never decreases, an event in far enters its bucket as
+// soon as now+horizon passes its time, before anything else can be
+// scheduled into that bucket, so each bucket is in insertion order and the
+// pops run in (at, seq) order.
 type Scheduler struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	steps  uint64
-	halted bool
+	now      Time
+	ring     [horizon]bucket
+	inRing   int  // events in the ring
+	scanFrom Time // no ring event is earlier; while inRing > 0, now <= scanFrom
+	far      eventHeap
+	// canceled holds the seq of every canceled event until the event is
+	// discarded (a Cancel after the event ran leaves an entry that matches
+	// nothing); it is made by the first Cancel.
+	canceled map[uint64]struct{}
+	seq      uint64
+	rng      *rand.Rand
+	steps    uint64
+	halted   bool
 }
 
 // NewScheduler returns a scheduler whose randomness derives from seed.
@@ -103,31 +133,50 @@ func (s *Scheduler) Steps() uint64 { return s.steps }
 // and adversary randomness must come from here to keep runs reproducible.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// Cancel revokes a scheduled event. It is returned by At/After.
+// Cancel revokes a scheduled event. It is returned by At and Every.
 type Cancel func()
 
-// At schedules fn to run at absolute time t (clamped to now). It and After
-// are small enough to inline, so a caller that drops the Cancel — every
-// packet delivery does — never builds it.
+// At schedules fn to run at absolute time t (clamped to now) and returns
+// the Cancel that revokes it.
 func (s *Scheduler) At(t Time, fn func()) Cancel {
-	return s.schedule(t, fn).cancel
+	seq := s.schedule(t, fn)
+	return func() {
+		if s.canceled == nil {
+			s.canceled = make(map[uint64]struct{})
+		}
+		s.canceled[seq] = struct{}{}
+	}
 }
 
-func (e *event) cancel() { e.canceled = true }
+// After schedules fn to run d ticks from now. Every packet delivery is one,
+// and none is ever canceled, so it returns nothing and allocates nothing.
+func (s *Scheduler) After(d Time, fn func()) {
+	s.schedule(s.now+d, fn)
+}
 
-func (s *Scheduler) schedule(t Time, fn func()) *event {
+func (s *Scheduler) schedule(t Time, fn func()) uint64 {
 	if t < s.now {
 		t = s.now
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	e := event{at: t, seq: s.seq, fn: fn}
 	s.seq++
-	s.queue.push(e)
-	return e
+	if t-s.now >= horizon {
+		s.far.push(e)
+	} else {
+		s.enqueue(e)
+	}
+	return e.seq
 }
 
-// After schedules fn to run d ticks from now.
-func (s *Scheduler) After(d Time, fn func()) Cancel {
-	return s.At(s.now+d, fn)
+// enqueue appends e to its tick's bucket, which the caller has checked
+// lies inside the ring's window.
+func (s *Scheduler) enqueue(e event) {
+	b := &s.ring[e.at&(horizon-1)]
+	b.events = append(b.events, e)
+	if s.inRing == 0 || e.at < s.scanFrom {
+		s.scanFrom = e.at
+	}
+	s.inRing++
 }
 
 // Every schedules fn to run now+first and then every interval ticks, with a
@@ -160,33 +209,97 @@ func (s *Scheduler) Every(first, interval, jitter Time, fn func()) Cancel {
 // Halt stops Run/RunUntil/RunSteps at the next event boundary.
 func (s *Scheduler) Halt() { s.halted = true }
 
+// peek returns the time of the next pending event without moving the
+// clock, discarding the canceled events ahead of it. It reports false when
+// nothing is pending.
+func (s *Scheduler) peek() (Time, bool) {
+	for {
+		if s.inRing == 0 {
+			if len(s.far) == 0 {
+				return 0, false
+			}
+			if !s.revoked(s.far[0].seq) {
+				return s.far[0].at, true
+			}
+			s.far.pop()
+			continue
+		}
+		t := s.scanFrom
+		for b := &s.ring[t&(horizon-1)]; b.head == len(b.events); b = &s.ring[t&(horizon-1)] {
+			t++
+		}
+		s.scanFrom = t
+		if b := &s.ring[t&(horizon-1)]; !s.revoked(b.events[b.head].seq) {
+			return t, true
+		}
+		s.take(t)
+	}
+}
+
+// revoked reports whether the event numbered seq was canceled, forgetting
+// the cancel: the caller discards the event.
+func (s *Scheduler) revoked(seq uint64) bool {
+	if len(s.canceled) == 0 {
+		return false
+	}
+	if _, ok := s.canceled[seq]; !ok {
+		return false
+	}
+	delete(s.canceled, seq)
+	return true
+}
+
+// take removes and returns the first event of tick t's bucket.
+func (s *Scheduler) take(t Time) event {
+	b := &s.ring[t&(horizon-1)]
+	e := b.events[b.head]
+	b.events[b.head].fn = nil
+	if b.head++; b.head == len(b.events) {
+		b.events, b.head = b.events[:0], 0
+	}
+	s.inRing--
+	return e
+}
+
+// advance moves the clock forward to t and moves into the ring every far
+// event that the new window reaches.
+func (s *Scheduler) advance(t Time) {
+	if t <= s.now {
+		return
+	}
+	s.now = t
+	for len(s.far) > 0 && s.far[0].at-t < horizon {
+		s.enqueue(s.far.pop())
+	}
+}
+
 // step executes the next pending event. It reports false when the queue is
 // exhausted.
 func (s *Scheduler) step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		if e.canceled {
-			continue
-		}
-		s.now = e.at
-		s.steps++
-		e.fn()
-		return true
+	t, ok := s.peek()
+	if !ok {
+		return false
 	}
-	return false
+	s.advance(t)
+	e := s.take(t)
+	s.steps++
+	e.fn()
+	return true
 }
 
 // RunUntil executes events until virtual time exceeds deadline, the event
 // queue drains, or Halt is called. It reports whether the deadline was
-// reached (as opposed to draining or halting).
+// reached (as opposed to draining or halting). The clock ends at the
+// deadline if that is later than the last event run; it never goes back.
 func (s *Scheduler) RunUntil(deadline Time) bool {
 	s.halted = false
 	for !s.halted {
-		if len(s.queue) == 0 {
+		t, ok := s.peek()
+		if !ok {
 			return false
 		}
-		if s.peekTime() > deadline {
-			s.now = deadline
+		if t > deadline {
+			s.advance(deadline)
 			return true
 		}
 		s.step()
@@ -222,9 +335,5 @@ func (s *Scheduler) RunWhile(cond func() bool, maxSteps int) bool {
 	return !cond()
 }
 
-func (s *Scheduler) peekTime() Time {
-	return s.queue[0].at
-}
-
 // Pending returns the number of scheduled (possibly canceled) events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.inRing + len(s.far) }

@@ -191,25 +191,48 @@ func TestPastEventClamped(t *testing.T) {
 	s.RunUntil(100)
 }
 
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	// A deadline behind the clock runs nothing and leaves the clock where
+	// it is: the ring's buckets are indexed from now, so now never goes
+	// back.
+	s := NewScheduler(1)
+	ran := 0
+	s.At(100, func() {})
+	s.At(120, func() { ran++ })
+	s.RunUntil(100)
+	if s.Now() != 100 {
+		t.Fatalf("Now = %d, want 100", s.Now())
+	}
+	if !s.RunUntil(50) {
+		t.Fatal("a deadline behind the clock must report it was reached")
+	}
+	if s.Now() != 100 || ran != 0 {
+		t.Fatalf("after RunUntil(50): Now = %d, ran %d; want 100, 0", s.Now(), ran)
+	}
+	s.RunUntil(200)
+	if s.Now() != 120 || ran != 1 {
+		t.Fatalf("after RunUntil(200): Now = %d, ran %d; want 120, 1", s.Now(), ran)
+	}
+}
+
 func TestScheduleAllocationCeilings(t *testing.T) {
-	// Every packet in flight is one After whose Cancel is dropped: the event
-	// is the only object it may cost (the flag it is canceled by lives in
-	// the event, and the dropped Cancel is never built). A kept Cancel is
-	// one more.
+	// Every packet in flight is one After: the event is stored by value in
+	// its tick's bucket, so once the buckets have grown it allocates
+	// nothing. A kept Cancel is the one closure that remembers the event.
 	s := NewScheduler(1)
 	fn := func() {}
-	drain := func() { s.RunUntil(s.Now() + 10) }
-	for i := 0; i < 256; i++ {
-		s.After(5, fn) // grow the queue once, outside the measurement
+	drain := func() { s.RunUntil(s.Now() + horizon) }
+	for i := 0; i < 256*horizon; i++ {
+		s.After(Time(i%horizon), fn) // grow every bucket once, outside the measurement
 	}
 	drain()
-	if got := testing.AllocsPerRun(200, func() { s.After(5, fn) }); got > 1 {
-		t.Errorf("After with its Cancel dropped allocates %.0f objects, ceiling 1", got)
+	if got := testing.AllocsPerRun(200, func() { s.After(5, fn) }); got > 0 {
+		t.Errorf("After allocates %.0f objects, ceiling 0", got)
 	}
 	drain()
 	var keep Cancel
-	if got := testing.AllocsPerRun(200, func() { keep = s.At(s.Now()+5, fn) }); got > 2 {
-		t.Errorf("At with its Cancel kept allocates %.0f objects, ceiling 2", got)
+	if got := testing.AllocsPerRun(200, func() { keep = s.At(s.Now()+5, fn) }); got > 1 {
+		t.Errorf("At with its Cancel kept allocates %.0f objects, ceiling 1", got)
 	}
 	keep()
 	drain()
@@ -219,9 +242,12 @@ func TestScheduleAllocationCeilings(t *testing.T) {
 }
 
 func TestQuickPopOrderIsTimeThenInsertion(t *testing.T) {
-	// The queue is a hand-written heap: whatever is scheduled, in whatever
-	// order, with whatever canceled, runs by timestamp and, within one
-	// timestamp, in insertion order.
+	// Whatever is scheduled — before the run or by the callbacks themselves,
+	// at the current tick, in the past (clamped to now), inside the ring's
+	// window or up to ten horizons ahead — with whatever canceled, and
+	// wherever RunUntil deadlines cut the run, each event runs at its time,
+	// nothing runs past a deadline, and the events run in the order of a
+	// reference sort on (time, insertion).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler(1)
@@ -229,19 +255,85 @@ func TestQuickPopOrderIsTimeThenInsertion(t *testing.T) {
 			at  Time
 			seq int
 		}
-		var ran, want []stamp
-		for i := 0; i < 200; i++ {
-			st := stamp{at: Time(rng.Intn(20)), seq: i}
-			cancel := s.At(st.at, func() { ran = append(ran, st) })
-			if rng.Intn(5) == 0 {
-				cancel()
+		var all, ran []stamp
+		cancels := map[int]Cancel{}
+		dropped, done := map[int]bool{}, map[int]bool{}
+		bad := false
+		cancelOne := func() {
+			seq := rng.Intn(len(all))
+			if c, ok := cancels[seq]; ok {
+				c()
+				if !done[seq] {
+					dropped[seq] = true
+				}
+			}
+		}
+		var add func()
+		add = func() {
+			now := s.Now()
+			var at Time
+			switch rng.Intn(4) {
+			case 0:
+				at = now
+			case 1:
+				at = now - Time(1+rng.Intn(50)) // runs now
+			case 2:
+				at = now + Time(rng.Intn(horizon))
+			default:
+				at = now + Time(rng.Intn(10*horizon))
+			}
+			st := stamp{at: max(at, now), seq: len(all)}
+			all = append(all, st)
+			fn := func() {
+				if s.Now() != st.at || dropped[st.seq] || done[st.seq] {
+					bad = true
+				}
+				ran, done[st.seq] = append(ran, st), true
+				for k := rng.Intn(3); k > 0 && len(all) < 2000; k-- {
+					add()
+				}
+				if rng.Intn(4) == 0 {
+					cancelOne()
+				}
+			}
+			if at >= now && rng.Intn(2) == 0 {
+				s.After(at-now, fn)
 			} else {
+				cancels[st.seq] = s.At(at, fn)
+			}
+		}
+		for i := rng.Intn(200); i >= 0; i-- { // a few events leave the ring empty for a while
+			add()
+		}
+		for s.Pending() > 0 {
+			before := s.Now()
+			deadline := before - 20 + Time(rng.Intn(3*horizon))
+			until := max(before, deadline) // the clock does not go back
+			if s.RunUntil(deadline) && s.Now() != until {
+				return false
+			}
+			for _, st := range all {
+				if (st.at <= deadline && !done[st.seq] && !dropped[st.seq]) || (st.at > until && done[st.seq]) {
+					return false
+				}
+			}
+			if rng.Intn(2) == 0 {
+				cancelOne()
+			}
+		}
+		var want []stamp
+		for _, st := range all {
+			if !dropped[st.seq] {
 				want = append(want, st)
 			}
 		}
-		slices.SortStableFunc(want, func(a, b stamp) int { return int(a.at - b.at) })
-		s.RunUntil(100)
-		return slices.Equal(ran, want)
+		slices.SortFunc(want, func(a, b stamp) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			return a.seq - b.seq
+		})
+		return !bad && slices.Equal(ran, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
