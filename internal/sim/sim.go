@@ -225,11 +225,13 @@ func (s *Scheduler) peek() (Time, bool) {
 			continue
 		}
 		t := s.scanFrom
-		for b := &s.ring[t&(horizon-1)]; b.head == len(b.events); b = &s.ring[t&(horizon-1)] {
+		b := &s.ring[t&(horizon-1)]
+		for b.head == len(b.events) {
 			t++
+			b = &s.ring[t&(horizon-1)]
 		}
 		s.scanFrom = t
-		if b := &s.ring[t&(horizon-1)]; !s.revoked(b.events[b.head].seq) {
+		if !s.revoked(b.events[b.head].seq) {
 			return t, true
 		}
 		s.take(t)
