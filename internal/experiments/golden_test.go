@@ -21,8 +21,10 @@ import (
 // change to what the protocols do, or to the order in which the simulator
 // draws from its seeded source, moves a cell; work that only makes a step
 // cheaper must leave the file alone (DESIGN.md §3, "What a step may cache").
-// A deliberate re-baseline redirects that command into the file, in a
-// commit that does nothing else.
+// The full default grid (`benchtab -seed 42 -format csv`, every size) is
+// pinned the same way by testdata/seed42_full.csv, which CI compares with
+// cmp. A deliberate re-baseline redirects both commands into their files,
+// in a commit that does nothing else.
 func TestSeed42TablesAreByteIdentical(t *testing.T) {
 	rep, err := engine.Run(engine.Config{Seed: 42, Sizes: []int{4}, Repeats: 1, Workers: 2})
 	if err != nil {
