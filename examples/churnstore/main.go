@@ -30,12 +30,12 @@ func run() error {
 
 	opts := core.DefaultClusterOptions(11)
 	// Let recMA reconfigure when a quarter of the members look crashed.
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		rep := smr.NewReplica(self, smr.KVMachine{})
 		m := vs.NewManager(self, rep, nil)
 		replicas[self] = rep
 		managers[self] = m
-		return m
+		return []core.App{m}
 	}
 	cluster, err := core.BootstrapCluster(5, opts)
 	if err != nil {

@@ -40,7 +40,7 @@ func run() error {
 	for i := ids.ID(1); i <= n; i++ {
 		mem := regmem.New(i, nil)
 		node, err := core.NewNode(live, core.Params{
-			Self: i, N: 16, Initial: recsa.ConfigOf(all), App: mem,
+			Self: i, N: 16, Initial: recsa.ConfigOf(all), Apps: []core.App{mem},
 		})
 		if err != nil {
 			return err

@@ -38,12 +38,12 @@ func run() error {
 	eval := func(cur ids.Set, trusted ids.Set) bool {
 		return cur.Diff(trusted).Size() > 0
 	}
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		rep := smr.NewReplica(self, machine)
 		m := vs.NewManager(self, rep, eval)
 		replicas[self] = rep
 		managers[self] = m
-		return m
+		return []core.App{m}
 	}
 	cluster, err := core.BootstrapCluster(5, opts)
 	if err != nil {

@@ -14,11 +14,8 @@ type ClusterOptions struct {
 	Seed int64
 	Net  netsim.Options
 	Node Params // template: Self/Initial are set per node
-	// AppFactory builds the per-node application (may be nil).
-	AppFactory func(self ids.ID) App
 	// AppsFactory builds the per-node, per-shard service stacks (index =
-	// shard identifier). When non-nil it takes precedence over
-	// AppFactory.
+	// shard identifier); nil builds nodes without an application.
 	AppsFactory func(self ids.ID) []App
 }
 
@@ -97,14 +94,8 @@ func (c *Cluster) AddNode(id ids.ID, initial recsa.Config) (*Node, error) {
 	p := c.opts.Node
 	p.Self = id
 	p.Initial = initial
-	if p.N == 0 {
-		p.N = 64
-	}
-	switch {
-	case c.opts.AppsFactory != nil:
+	if c.opts.AppsFactory != nil {
 		p.Apps = c.opts.AppsFactory(id)
-	case c.opts.AppFactory != nil:
-		p.App = c.opts.AppFactory(id)
 	}
 	n, err := NewNode(c.Net, p)
 	if err != nil {

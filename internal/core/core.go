@@ -102,10 +102,9 @@ type Params struct {
 	Initial  recsa.Config // starting config value (set / ⊥ / ])
 	EvalConf recma.EvalConf
 	JoinApp  join.App
-	App      App
-	// Apps, when non-empty, replaces the single App with one service
-	// stack per shard (index = shard identifier). The reconfiguration
-	// layers stay singleton; only the application layer is sharded.
+	// Apps are the node's service stacks, one per shard (index = shard
+	// identifier; an unsharded node has one). The reconfiguration layers
+	// stay singleton; only the application layer is sharded.
 	Apps  []App
 	Link  datalink.Options
 	FD    fd.Options
@@ -191,11 +190,7 @@ func NewNode(net Transport, p Params) (*Node, error) {
 	if p.Initial.Kind == 0 {
 		p.Initial = recsa.NotParticipant()
 	}
-	apps := p.Apps
-	if len(apps) == 0 && p.App != nil {
-		apps = []App{p.App}
-	}
-	for i, a := range apps {
+	for i, a := range p.Apps {
 		if a == nil {
 			return nil, fmt.Errorf("core: nil app for shard %d", i)
 		}
@@ -203,7 +198,7 @@ func NewNode(net Transport, p Params) (*Node, error) {
 	n := &Node{
 		self:            p.Self,
 		net:             net,
-		apps:            apps,
+		apps:            p.Apps,
 		pendingJoinResp: make(map[ids.ID]*join.Response),
 		outbox:          make(map[ids.ID]Envelope),
 	}
@@ -242,7 +237,7 @@ func NewNode(net Transport, p Params) (*Node, error) {
 		ReceiptSteps() bool
 		AfterSlice(id ids.ID, fn func()) bool
 	}); ok && m.ReceiptSteps() {
-		for _, a := range apps {
+		for _, a := range p.Apps {
 			if st, ok := a.(ReceiptStepper); ok {
 				n.steppers = append(n.steppers, st)
 			}

@@ -112,11 +112,11 @@ func counterCluster(t *testing.T, n int, seed int64, exhaustAt uint64) (*core.Cl
 	t.Helper()
 	ms := managers{}
 	opts := core.DefaultClusterOptions(seed)
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		m := NewManager(self)
 		m.ExhaustAt = exhaustAt
 		ms[self] = m
-		return m
+		return []core.App{m}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {
@@ -267,10 +267,10 @@ func TestIncrementAbortsDuringReconfiguration(t *testing.T) {
 func TestIncrementFailsFastWhenNoConfig(t *testing.T) {
 	ms := managers{}
 	opts := core.DefaultClusterOptions(26)
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		m := NewManager(self)
 		ms[self] = m
-		return m
+		return []core.App{m}
 	}
 	c, err := core.ColdStartCluster(3, opts)
 	if err != nil {

@@ -23,52 +23,86 @@ const deadline sim.Time = 400_000
 
 // Each eNCell function below runs one (seed, size) cell of experiment EN:
 // a fresh, fully self-contained simulation whose outcome depends only on
-// its arguments. The engine fans cells out over a worker pool; the
-// sequential wrappers in experiments.go sweep them over a size list.
+// its arguments. The engine fans cells out over a worker pool.
+
+// replacement times Figure 2's delicate replacement on a settled n-node
+// cluster whose recSA runs with ro: p1 proposes {p1..p(n-1)} through
+// estab(), and the cluster runs until that configuration is installed
+// everywhere. The row carries the time and whether it converged, and no
+// note; accepted is estab()'s answer (the wait runs either way). A nil
+// cluster means the bootstrap failed, and the row says why.
+func replacement(seed int64, n int, ro recsa.Options) (c *core.Cluster, row workload.Row, accepted bool) {
+	opts := core.DefaultClusterOptions(seed)
+	opts.Node.RecSA = ro
+	c, err := settled(n, opts)
+	if err != nil {
+		return nil, bootFailed(n, err), false
+	}
+	target := ids.Range(1, ids.ID(n-1))
+	start := c.Sched.Now()
+	accepted = c.Node(1).Estab(target)
+	ok := c.Sched.RunWhile(func() bool {
+		cfg, conv := c.ConvergedConfig()
+		return !(conv && cfg.Equal(target))
+	}, 10_000_000)
+	return c, workload.Row{X: n, Y: float64(c.Sched.Now() - start), Valid: ok}, accepted
+}
 
 // e1Cell measures Figure 2 / Theorem 3.16: the virtual time a delicate
 // replacement takes from estab() to a system-wide installed
 // configuration.
 func e1Cell(seed int64, n int) workload.Row {
-	c, err := core.BootstrapCluster(n, core.DefaultClusterOptions(seed))
-	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
-	}
-	c.RunFor(800)
-	target := ids.Range(1, ids.ID(n-1))
-	start := c.Sched.Now()
-	if !c.Node(1).Estab(target) {
+	c, row, accepted := replacement(seed, n, recsa.Options{})
+	switch {
+	case c == nil:
+		return row
+	case !accepted:
 		return workload.Row{X: n, Note: "estab rejected"}
 	}
-	ok := c.Sched.RunWhile(func() bool {
-		cfg, conv := c.ConvergedConfig()
-		return !(conv && cfg.Equal(target))
-	}, 10_000_000)
-	return workload.Row{X: n, Y: float64(c.Sched.Now() - start), Valid: ok, Note: "estab→installed"}
+	row.Note = "estab→installed"
+	return row
 }
 
-// e2Cell measures Theorem 3.15: virtual time to converge from a fully
-// corrupted state (all layers randomized, stale packets in the channels).
-func e2Cell(seed int64, n int) workload.Row {
-	c, err := core.BootstrapCluster(n, core.DefaultClusterOptions(seed))
-	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+// e10Cell builds the cell function for one degree-gap arm of the E10
+// ablation (DESIGN.md §4 note 5): delicate replacement latency and
+// spurious resets under the given staleness tolerance.
+func e10Cell(gap int) func(seed int64, n int) workload.Row {
+	return func(seed int64, n int) workload.Row {
+		c, row, _ := replacement(seed, n, recsa.Options{DegreeGap: gap})
+		if c == nil {
+			return row
+		}
+		resets := uint64(0)
+		c.EachAlive(func(node *core.Node) { resets += node.SA.Metrics().Resets })
+		row.Note = fmt.Sprintf("spurious resets=%d", resets)
+		return row
 	}
-	c.RunFor(800)
-	d, ok := workload.MeasureConvergence(c, 4*n, deadline)
+}
+
+// convergence measures Theorem 3.15 on a settled n-node cluster: the
+// virtual time to converge from a fully corrupted state (all layers
+// randomized, stale packets in the channels).
+func convergence(seed int64, n, stale int) workload.Row {
+	c, err := settled(n, core.DefaultClusterOptions(seed))
+	if err != nil {
+		return bootFailed(n, err)
+	}
+	d, ok := workload.MeasureConvergence(c, stale, deadline)
 	return workload.Row{X: n, Y: float64(d), Valid: ok, Note: "corrupt→converged"}
 }
+
+// e2Cell is Theorem 3.15 with 4n stale packets.
+func e2Cell(seed int64, n int) workload.Row { return convergence(seed, n, 4*n) }
 
 // e3Cell measures Lemma 3.18: reconfiguration triggerings caused by
 // corrupted recMA flags, against the O(N²·cap) bound. Only the management
 // layer is corrupted; recSA stays clean, so every triggering is
 // attributable to stale flags.
 func e3Cell(seed int64, n int) workload.Row {
-	c, err := core.BootstrapCluster(n, core.DefaultClusterOptions(seed))
+	c, err := settled(n, core.DefaultClusterOptions(seed))
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
-	c.RunFor(800)
 	rng := c.Sched.Rand()
 	c.EachAlive(func(node *core.Node) {
 		node.MA.CorruptState(rng, c.IDs())
@@ -143,16 +177,15 @@ func e4PostRebuildCell(seed int64, n int) workload.Row {
 func e5Cell(seed int64, n int) workload.Row {
 	mgrs := map[ids.ID]*counter.Manager{}
 	opts := core.DefaultClusterOptions(seed)
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		m := counter.NewManager(self)
 		mgrs[self] = m
-		return m
+		return []core.App{m}
 	}
-	c, err := core.BootstrapCluster(n, opts)
+	c, err := settled(n, opts)
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
-	c.RunFor(800)
 	const opsWanted = 10
 	start := c.Sched.Now()
 	done := 0
@@ -190,53 +223,24 @@ func (a *countingApp) Deliver(r vs.Round) { a.delivered++ }
 // whether the replica state survived.
 func e6Cell(seed int64, n int) workload.Row {
 	mgrs := map[ids.ID]*vs.Manager{}
-	opts := core.DefaultClusterOptions(seed)
-	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	eval := func(cur ids.Set, trusted ids.Set) bool {
-		return cur.Diff(trusted).Size() > 0
-	}
-	opts.AppFactory = func(self ids.ID) core.App {
-		m := vs.NewManager(self, &countingApp{}, eval)
+	opts := frozenOptions(seed)
+	opts.AppsFactory = func(self ids.ID) []core.App {
+		m := vs.NewManager(self, &countingApp{}, membershipEval)
 		mgrs[self] = m
-		return m
+		return []core.App{m}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
 	// Wait for a first view and some rounds.
-	ok := c.Sched.RunWhile(func() bool {
-		_, has := mgrs[1].CurrentView()
-		return !has
-	}, 6_000_000)
-	if !ok {
+	if !awaitView(c, mgrs[1]) {
 		return workload.Row{X: n, Note: "no initial view"}
 	}
 	c.RunFor(3000)
 	state0, _ := mgrs[1].Replica().State.(int)
 	// Crash the highest non-coordinator: evalConf starts firing.
-	v, _ := mgrs[1].CurrentView()
-	victim := ids.ID(n)
-	if victim == v.Coordinator() {
-		victim = ids.ID(n - 1)
-	}
-	c.Crash(victim)
-	start := c.Sched.Now()
-	ok = c.Sched.RunWhile(func() bool {
-		cfg, conv := c.ConvergedConfig()
-		if !conv || cfg.Contains(victim) {
-			return true
-		}
-		good := true
-		c.EachAlive(func(node *core.Node) {
-			nv, has := mgrs[node.Self()].CurrentView()
-			if !has || nv.Set.Contains(victim) {
-				good = false
-			}
-		})
-		return !good
-	}, 20_000_000)
-	gap := c.Sched.Now() - start
+	gap, ok := recovered(c, n, func(id ids.ID) *vs.Manager { return mgrs[id] })
 	state1, _ := mgrs[1].Replica().State.(int)
 	preserved := state1 >= state0
 	return workload.Row{X: n, Y: float64(gap), Valid: ok && preserved,
@@ -246,11 +250,10 @@ func e6Cell(seed int64, n int) workload.Row {
 // e7Cell measures Theorem 3.26: time for a joining processor to become a
 // participant.
 func e7Cell(seed int64, n int) workload.Row {
-	c, err := core.BootstrapCluster(n, core.DefaultClusterOptions(seed))
+	c, err := settled(n, core.DefaultClusterOptions(seed))
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
-	c.RunFor(800)
 	j, err := c.AddJoiner(ids.ID(n + 10))
 	if err != nil {
 		return workload.Row{X: n, Note: "join: " + err.Error()}
@@ -261,16 +264,9 @@ func e7Cell(seed int64, n int) workload.Row {
 }
 
 // e8SelfStabCell measures recovery time of the self-stabilizing scheme
-// after a transient fault (the paper's headline claim, §1).
-func e8SelfStabCell(seed int64, n int) workload.Row {
-	c, err := core.BootstrapCluster(n, core.DefaultClusterOptions(seed))
-	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
-	}
-	c.RunFor(800)
-	d, ok := workload.MeasureConvergence(c, 2*n, deadline)
-	return workload.Row{X: n, Y: float64(d), Valid: ok, Note: "corrupt→converged"}
-}
+// after a transient fault (the paper's headline claim, §1), with 2n stale
+// packets.
+func e8SelfStabCell(seed int64, n int) workload.Row { return convergence(seed, n, 2*n) }
 
 // e8BaselineCell subjects the coherent-start baseline to the same fault:
 // it stays split forever, reported as the deadline with Valid=false.
@@ -279,7 +275,7 @@ func e8BaselineCell(seed int64, n int) workload.Row {
 	net := netsim.New(sched, netsim.DefaultOptions())
 	bc, err := baseline.NewCluster(net, n)
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
 	sched.RunUntil(800)
 	half := ids.Range(1, ids.ID(n/2))
@@ -305,15 +301,11 @@ func e8BaselineCell(seed int64, n int) workload.Row {
 
 // e9Cell measures the MWMR register emulation's write latency.
 func e9Cell(seed int64, n int) workload.Row {
-	mems, c, err := memCluster(seed, n)
+	mems, c, err := memCluster(seed, n, 1, 1, nil)
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(n, err)
 	}
-	ok := c.Sched.RunWhile(func() bool {
-		_, has := mems[1].VS().CurrentView()
-		return !has
-	}, 6_000_000)
-	if !ok {
+	if !awaitView(c, mems[1].VS()) {
 		return workload.Row{X: n, Note: "no view"}
 	}
 	const opsWanted = 8
@@ -350,7 +342,7 @@ func e11Cell(sync bool) func(seed int64, n int) workload.Row {
 		const opsPerShard = 12
 		maps, c, err := shardedMemCluster(seed, nodes, n)
 		if err != nil {
-			return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+			return bootFailed(n, err)
 		}
 		allViews := func() bool {
 			for id := ids.ID(1); id <= nodes; id++ {
@@ -386,30 +378,7 @@ func e11Cell(sync bool) func(seed int64, n int) workload.Row {
 				handles = append(handles, h)
 			}
 		}
-		ok := c.Sched.RunWhile(func() bool {
-			for _, h := range handles {
-				if !h.Done() {
-					return true
-				}
-			}
-			return false
-		}, 8_000_000)
-		elapsed := c.Sched.Now() - start
-		done := 0
-		for _, h := range handles {
-			if h.Done() {
-				done++
-			}
-		}
-		if done == 0 || elapsed <= 0 {
-			return workload.Row{X: n, Note: "no ops completed"}
-		}
-		return workload.Row{
-			X:     n,
-			Y:     float64(done) / float64(elapsed) * 1000,
-			Valid: ok,
-			Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
-		}
+		return opsRow(c, n, start, handles)
 	}
 }
 
@@ -424,119 +393,53 @@ func e11Cell(sync bool) func(seed int64, n int) workload.Row {
 // until the per-node backlog no longer fills a batch (the saturation
 // knee between 16 and 64 on this workload); per-op latency is the
 // reciprocal, giving the E9-style latency/throughput trade-off. Batch 1
-// is bit-identical to the unbatched configuration (the determinism
-// regression relies on it).
+// is the unbatched configuration; the seed-42 goldens pin its column.
 func e12Cell(sync bool) func(seed int64, n int) workload.Row {
 	return func(seed int64, n int) workload.Row {
-		const nodes = 3
-		const opsTotal = 48
-		mems, c, err := batchMemCluster(seed, nodes, n)
-		if err != nil {
-			return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
-		}
-		ok := c.Sched.RunWhile(func() bool {
-			_, has := mems[1].VS().CurrentView()
-			return !has
-		}, 6_000_000)
-		if !ok {
-			return workload.Row{X: n, Note: "no view"}
-		}
-		var handles []*regmem.Handle
-		start := c.Sched.Now()
-		for i := 0; i < opsTotal; i++ {
-			who := ids.ID(i%nodes + 1)
-			var h *regmem.Handle
-			if sync {
-				h = mems[who].SyncRead(fmt.Sprintf("k%d", i))
-			} else {
-				h = mems[who].Write(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
-			}
-			handles = append(handles, h)
-		}
-		ok = c.Sched.RunWhile(func() bool {
-			for _, h := range handles {
-				if !h.Done() {
-					return true
-				}
-			}
-			return false
-		}, 8_000_000)
-		elapsed := c.Sched.Now() - start
-		done := 0
-		for _, h := range handles {
-			if h.Done() {
-				done++
-			}
-		}
-		if done == 0 || elapsed <= 0 {
-			return workload.Row{X: n, Note: "no ops completed"}
-		}
-		return workload.Row{
-			X:     n,
-			Y:     float64(done) / float64(elapsed) * 1000,
-			Valid: ok,
-			Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
-		}
+		return registerOps(seed, n, n, 1, 48, sync)
 	}
 }
 
 // e13Cell is the throughput arm of E13 "pipelining frontier": register
 // write throughput on a fixed 3-node single-shard cluster with the
 // hot-path batch bound held at 16 (E12's knee) while the swept N is the
-// datalink WINDOW — the in-flight token cycles per link. Window 1 is
-// bit-identical to the E12 batch-16 cell; wider windows restart the token
-// cycle on acknowledgment instead of waiting for the next tick, so
-// throughput rises with the window until the queue no longer keeps it
-// full. Together with the codec-bytes series below it charts the
-// latency/throughput frontier's two levers (window, codec). The offered
-// load doubles E12's (96 ops, issued round-robin) so the pipeline has a
-// backlog to stream; throughput is still comparable since both
-// experiments report steady-state aggregate ops/kilotick.
+// datalink WINDOW — the in-flight token cycles per link. Window 1 runs
+// the E12 batch-16 configuration, but not its load: the offered load
+// doubles E12's (96 ops, issued round-robin) so the pipeline has a
+// backlog to stream, and the two cells read differently. Wider windows
+// restart the token cycle on acknowledgment instead of waiting for the
+// next tick, so throughput rises with the window until the queue no
+// longer keeps it full. Together with the codec-bytes series below it
+// charts the latency/throughput frontier's two levers (window, codec).
 func e13Cell(seed int64, n int) workload.Row {
+	return registerOps(seed, n, 16, n, 96, false)
+}
+
+// registerOps is the measured-ops loop of E12 and E13: on a 3-node
+// register cluster with the given batch bound and window it issues ops
+// writes (or, with sync, synchronous reads) of distinct registers
+// round-robin across the nodes and reports their aggregate throughput;
+// x is the row's grid size.
+func registerOps(seed int64, x, batch, window, ops int, sync bool) workload.Row {
 	const nodes = 3
-	const batch = 16
-	const opsTotal = 96
-	mems, c, err := pipelinedMemCluster(seed, nodes, batch, n)
+	mems, c, err := memCluster(seed, nodes, batch, window, nil)
 	if err != nil {
-		return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
+		return bootFailed(x, err)
 	}
-	ok := c.Sched.RunWhile(func() bool {
-		_, has := mems[1].VS().CurrentView()
-		return !has
-	}, 6_000_000)
-	if !ok {
-		return workload.Row{X: n, Note: "no view"}
+	if !awaitView(c, mems[1].VS()) {
+		return workload.Row{X: x, Note: "no view"}
 	}
 	var handles []*regmem.Handle
 	start := c.Sched.Now()
-	for i := 0; i < opsTotal; i++ {
-		who := ids.ID(i%nodes + 1)
-		handles = append(handles, mems[who].Write(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
-	}
-	ok = c.Sched.RunWhile(func() bool {
-		for _, h := range handles {
-			if !h.Done() {
-				return true
-			}
-		}
-		return false
-	}, 8_000_000)
-	elapsed := c.Sched.Now() - start
-	done := 0
-	for _, h := range handles {
-		if h.Done() {
-			done++
+	for i := 0; i < ops; i++ {
+		mem := mems[ids.ID(i%nodes+1)]
+		if sync {
+			handles = append(handles, mem.SyncRead(fmt.Sprintf("k%d", i)))
+		} else {
+			handles = append(handles, mem.Write(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)))
 		}
 	}
-	if done == 0 || elapsed <= 0 {
-		return workload.Row{X: n, Note: "no ops completed"}
-	}
-	return workload.Row{
-		X:     n,
-		Y:     float64(done) / float64(elapsed) * 1000,
-		Valid: ok,
-		Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
-	}
+	return opsRow(c, x, start, handles)
 }
 
 // e13CodecCell is E13's codec lever, measured without a simulation: the
@@ -573,15 +476,11 @@ const e14Regs = 8
 // e14Seed seeds a churn cluster and completes the pre-churn register
 // workload, returning the cluster handles and whether setup succeeded.
 func e14Seed(seed int64, nodes, batch, window int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, string) {
-	mems, c, err := churnMemCluster(seed, nodes, batch, window)
+	mems, c, err := memCluster(seed, nodes, batch, window, membershipEval)
 	if err != nil {
 		return nil, nil, "bootstrap: " + err.Error()
 	}
-	ok := c.Sched.RunWhile(func() bool {
-		_, has := mems[1].VS().CurrentView()
-		return !has
-	}, 6_000_000)
-	if !ok {
+	if !awaitView(c, mems[1].VS()) {
 		return nil, nil, "no initial view"
 	}
 	var handles []*regmem.Handle
@@ -589,15 +488,7 @@ func e14Seed(seed int64, nodes, batch, window int) (map[ids.ID]*regmem.SharedMem
 		who := ids.ID(i%nodes + 1)
 		handles = append(handles, mems[who].Write(fmt.Sprintf("r%d", i), fmt.Sprintf("v%d", i)))
 	}
-	ok = c.Sched.RunWhile(func() bool {
-		for _, h := range handles {
-			if !h.Done() {
-				return true
-			}
-		}
-		return false
-	}, 8_000_000)
-	if !ok {
+	if _, ok := awaitAll(c, handles); !ok {
 		return nil, nil, "pre-churn writes incomplete"
 	}
 	return mems, c, ""
@@ -634,7 +525,7 @@ func e14Survived(mem *regmem.SharedMemory) bool {
 }
 
 // e14KillCell is the E14 kill/recover profile: a 5-node churn cluster
-// (the real membership eval, see churnMemCluster) completes a register
+// (the real membership eval, see memCluster) completes a register
 // workload, then the highest non-coordinator is crashed mid-service.
 // The measured value is the virtual time from the crash to full
 // recovery — configuration converged without the victim, every
@@ -651,28 +542,7 @@ func e14KillCell(batch int) func(seed int64, n int) workload.Row {
 		if note != "" {
 			return workload.Row{X: n, Note: note}
 		}
-		v, _ := mems[1].VS().CurrentView()
-		victim := ids.ID(nodes)
-		if victim == v.Coordinator() {
-			victim = ids.ID(nodes - 1)
-		}
-		c.Crash(victim)
-		start := c.Sched.Now()
-		ok := c.Sched.RunWhile(func() bool {
-			cfg, conv := c.ConvergedConfig()
-			if !conv || cfg.Contains(victim) {
-				return true
-			}
-			good := true
-			c.EachAlive(func(node *core.Node) {
-				nv, has := mems[node.Self()].VS().CurrentView()
-				if !has || nv.Set.Contains(victim) {
-					good = false
-				}
-			})
-			return !good
-		}, 20_000_000)
-		recovery := c.Sched.Now() - start
+		recovery, ok := recovered(c, nodes, func(id ids.ID) *vs.Manager { return mems[id].VS() })
 		survived := e14Survived(mems[1])
 		resumed := e14PostWrite(c, mems[1])
 		return workload.Row{X: n, Y: float64(recovery), Valid: ok && survived && resumed,
@@ -716,31 +586,5 @@ func e14JoinCell(batch int) func(seed int64, n int) workload.Row {
 		serving := e14PostWrite(c, mems[jid])
 		return workload.Row{X: n, Y: float64(adopt), Valid: ok && serving,
 			Note: fmt.Sprintf("batch %d: adopted state, serving=%v", batch, serving)}
-	}
-}
-
-// e10Cell builds the cell function for one degree-gap arm of the E10
-// ablation (DESIGN.md §4 note 5): delicate replacement latency and
-// spurious resets under the given staleness tolerance.
-func e10Cell(gap int) func(seed int64, n int) workload.Row {
-	return func(seed int64, n int) workload.Row {
-		opts := core.DefaultClusterOptions(seed)
-		opts.Node.RecSA = recsa.Options{DegreeGap: gap}
-		c, err := core.BootstrapCluster(n, opts)
-		if err != nil {
-			return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
-		}
-		c.RunFor(800)
-		target := ids.Range(1, ids.ID(n-1))
-		start := c.Sched.Now()
-		c.Node(1).Estab(target)
-		ok := c.Sched.RunWhile(func() bool {
-			cfg, conv := c.ConvergedConfig()
-			return !(conv && cfg.Equal(target))
-		}, 10_000_000)
-		resets := uint64(0)
-		c.EachAlive(func(node *core.Node) { resets += node.SA.Metrics().Resets })
-		return workload.Row{X: n, Y: float64(c.Sched.Now() - start), Valid: ok,
-			Note: fmt.Sprintf("spurious resets=%d", resets)}
 	}
 }

@@ -8,18 +8,14 @@
 // the live chaos harness (DESIGN.md §16) — producing the series
 // recorded in EXPERIMENTS.md.
 //
-// The per-cell simulations live in cells.go; this file registers them
-// with the engine registry (internal/experiments/engine), which
-// bench_test.go and cmd/benchtab drive. The exported EN functions are
-// kept as thin sequential wrappers over the registry for tests and
-// direct callers.
+// The per-cell simulations live in cells.go, on the shared cluster
+// harness in helpers.go; this file registers them with the engine
+// registry (internal/experiments/engine), which cmd/benchtab and the
+// benchmark's sim workload drive.
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/experiments/engine"
-	"repro/internal/workload"
 )
 
 // Sizes is the default N sweep.
@@ -153,138 +149,4 @@ func init() {
 			{Key: "join_b16", Name: "E14 join→serving, batch 16 (ticks)", Run: e14JoinCell(16)},
 		},
 	})
-}
-
-// runSeries sweeps one registered series sequentially over sizes, using
-// the same base seed for every size (the pre-engine contract kept for
-// tests and direct callers; the engine derives decorrelated per-cell
-// seeds instead).
-func runSeries(id, key string, seed int64, sizes []int) workload.Series {
-	d, ok := engine.Get(id)
-	if !ok {
-		panic(fmt.Sprintf("experiments: %s not registered", id))
-	}
-	for _, spec := range d.Series {
-		if spec.Key != key {
-			continue
-		}
-		s := workload.Series{Name: spec.Name}
-		for _, n := range sizes {
-			if n < d.MinSize {
-				n = d.MinSize
-			}
-			s.Rows = append(s.Rows, spec.Run(seed, n))
-		}
-		return s
-	}
-	panic(fmt.Sprintf("experiments: %s has no series %q", id, key))
-}
-
-// E1DelicateLatency measures Figure 2 / Theorem 3.16 (see e1Cell).
-func E1DelicateLatency(seed int64, sizes []int) workload.Series {
-	return runSeries("E1", "", seed, sizes)
-}
-
-// E2BruteForceConvergence measures Theorem 3.15 (see e2Cell).
-func E2BruteForceConvergence(seed int64, sizes []int) workload.Series {
-	return runSeries("E2", "", seed, sizes)
-}
-
-// E3SpuriousTriggers measures Lemma 3.18 (see e3Cell).
-func E3SpuriousTriggers(seed int64, sizes []int) workload.Series {
-	return runSeries("E3", "", seed, sizes)
-}
-
-// E4LabelCreations measures Theorem 4.4 in both arms: creations from an
-// arbitrary corrupted start and right after a clean rebuild.
-func E4LabelCreations(seed int64, sizes []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E4", "arbitrary", seed, sizes),
-		runSeries("E4", "postreco", seed, sizes),
-	}
-}
-
-// E5CounterIncrement measures Theorem 4.6 operationally (see e5Cell).
-func E5CounterIncrement(seed int64, sizes []int) workload.Series {
-	return runSeries("E5", "", seed, sizes)
-}
-
-// E6VSReconfiguration measures Theorem 4.13 (see e6Cell). Sizes below 5
-// are raised to 5.
-func E6VSReconfiguration(seed int64, sizes []int) workload.Series {
-	return runSeries("E6", "", seed, sizes)
-}
-
-// E7JoinLatency measures Theorem 3.26 (see e7Cell).
-func E7JoinLatency(seed int64, sizes []int) workload.Series {
-	return runSeries("E7", "", seed, sizes)
-}
-
-// E8BaselineComparison reproduces the paper's headline claim (§1): after
-// a transient fault the self-stabilizing scheme recovers while the
-// coherent-start baseline stays split forever (reported as the deadline).
-func E8BaselineComparison(seed int64, sizes []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E8", "selfstab", seed, sizes),
-		runSeries("E8", "baseline", seed, sizes),
-	}
-}
-
-// E9SharedMemory measures the MWMR register emulation's operation latency
-// (see e9Cell).
-func E9SharedMemory(seed int64, sizes []int) workload.Series {
-	return runSeries("E9", "", seed, sizes)
-}
-
-// E10Ablation compares the degree-gap staleness tolerance (DESIGN.md §4
-// note 5): paper-strict gap 1 versus the default 2.
-func E10Ablation(seed int64, sizes []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E10", "gap1", seed, sizes),
-		runSeries("E10", "gap2", seed, sizes),
-	}
-}
-
-// E11ShardScaling measures aggregate write and sync-read throughput as
-// the register namespace is partitioned over 1/2/4/8 shards (see
-// e11Cell; sizes are shard counts).
-func E11ShardScaling(seed int64, shardCounts []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E11", "write", seed, shardCounts),
-		runSeries("E11", "syncread", seed, shardCounts),
-	}
-}
-
-// E12BatchScaling measures write and sync-read throughput as the hot
-// path batches 1/4/16/64 payloads per datalink token and commands per
-// round (see e12Cell; sizes are batch bounds).
-func E12BatchScaling(seed int64, batches []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E12", "write", seed, batches),
-		runSeries("E12", "syncread", seed, batches),
-	}
-}
-
-// E13PipeliningFrontier charts the latency/throughput frontier's two
-// levers (see e13Cell and e13CodecCell; sizes are datalink windows, and
-// the codec series' batch sizes): write throughput as the window widens,
-// plus the deterministic bytes-per-payload of the wire codec.
-func E13PipeliningFrontier(seed int64, windows []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E13", "write", seed, windows),
-		runSeries("E13", "binbytes", seed, windows),
-	}
-}
-
-// E14ChurnRecovery measures recovery from live churn in the simulator:
-// crash-of-a-member recovery time and fresh-joiner adoption time, each
-// at batch 1 and 16, swept over the datalink window (see e14KillCell
-// and e14JoinCell). The deterministic baseline for cmd/nodeload -noded.
-func E14ChurnRecovery(seed int64, windows []int) []workload.Series {
-	return []workload.Series{
-		runSeries("E14", "kill_b1", seed, windows),
-		runSeries("E14", "kill_b16", seed, windows),
-		runSeries("E14", "join_b1", seed, windows),
-		runSeries("E14", "join_b16", seed, windows),
-	}
 }

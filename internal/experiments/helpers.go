@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -8,6 +9,9 @@ import (
 	"repro/internal/label"
 	"repro/internal/regmem"
 	"repro/internal/shard"
+	"repro/internal/sim"
+	"repro/internal/vs"
+	"repro/internal/workload"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -65,59 +69,53 @@ func exchangeLabels(stores map[ids.ID]*label.Store, members ids.Set, maxRounds i
 	return -1
 }
 
-// memCluster builds a shared-memory cluster for E9.
-func memCluster(seed int64, n int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
-	return batchMemCluster(seed, n, 1)
+// bootFailed is the row of a cell whose cluster could not be built.
+func bootFailed(n int, err error) workload.Row {
+	return workload.Row{X: n, Note: "bootstrap: " + err.Error()}
 }
 
-// batchMemCluster builds a shared-memory cluster whose hot path batches
-// up to `batch` payloads per datalink token and commands per round
-// input (E12; batch 1 is exactly the unbatched E9 configuration).
-func batchMemCluster(seed int64, n, batch int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
-	return pipelinedMemCluster(seed, n, batch, 1)
-}
-
-// pipelinedMemCluster builds a shared-memory cluster with the full
-// hot-path lever set: up to `batch` payloads per datalink token cycle
-// and commands per round input, up to `window` token cycles in flight
-// per link (E13; window 1 is exactly the E12 configuration).
-func pipelinedMemCluster(seed int64, n, batch, window int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
-	mems := map[ids.ID]*regmem.SharedMemory{}
-	opts := core.DefaultClusterOptions(seed)
-	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	opts.Node.Link.MaxBatch = batch
-	opts.Node.Link.Window = window
-	opts.AppFactory = func(self ids.ID) core.App {
-		s := regmem.New(self, nil)
-		s.SetMaxBatch(batch)
-		mems[self] = s
-		return s
-	}
+// settled bootstraps an n-node cluster and runs it for 800 ticks, long
+// enough for every link and detector to come up.
+func settled(n int, opts core.ClusterOptions) (*core.Cluster, error) {
 	c, err := core.BootstrapCluster(n, opts)
-	return mems, c, err
+	if err != nil {
+		return nil, err
+	}
+	c.RunFor(800)
+	return c, nil
 }
 
-// churnMemCluster builds the E14 cluster: a shared-memory stack per
-// node whose vs layer runs the real membership eval — a configuration
-// member leaving the trusted set triggers the coordinator-led delicate
-// reconfiguration, exactly the noded wiring — unlike the throughput
-// clusters' frozen eval. Churn is the point here: crash cells need the
-// reconfiguration to fire, join cells need the view to follow the
-// participant set.
-func churnMemCluster(seed int64, n, batch, window int) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
-	mems := map[ids.ID]*regmem.SharedMemory{}
+// frozenOptions are the cluster options of the vs-stacked cells: the
+// recMA eval never asks for a reconfiguration, so only the vs layer's
+// own eval (if it has one) can start one.
+func frozenOptions(seed int64) core.ClusterOptions {
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
+	return opts
+}
+
+// membershipEval is noded's vs eval: a configuration member leaving the
+// trusted set starts the coordinator-led delicate reconfiguration.
+func membershipEval(cur, trusted ids.Set) bool {
+	return cur.Diff(trusted).Size() > 0
+}
+
+// memCluster builds the register cluster: n nodes, each hosting one
+// shared memory whose hot path carries up to batch payloads per datalink
+// token cycle and commands per round input, with up to window token
+// cycles in flight per link. eval is the vs layer's eval: nil for the
+// throughput cells, membershipEval for the churn cells, which need a
+// crash to reconfigure and a view to follow the participant set.
+func memCluster(seed int64, n, batch, window int, eval vs.EvalConf) (map[ids.ID]*regmem.SharedMemory, *core.Cluster, error) {
+	mems := map[ids.ID]*regmem.SharedMemory{}
+	opts := frozenOptions(seed)
 	opts.Node.Link.MaxBatch = batch
 	opts.Node.Link.Window = window
-	eval := func(cur ids.Set, trusted ids.Set) bool {
-		return cur.Diff(trusted).Size() > 0
-	}
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		s := regmem.New(self, eval)
 		s.SetMaxBatch(batch)
 		mems[self] = s
-		return s
+		return []core.App{s}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	return mems, c, err
@@ -128,8 +126,7 @@ func churnMemCluster(seed int64, n, batch, window int) (map[ids.ID]*regmem.Share
 // layer.
 func shardedMemCluster(seed int64, nodes, shards int) (map[ids.ID]*shard.Map, *core.Cluster, error) {
 	maps := map[ids.ID]*shard.Map{}
-	opts := core.DefaultClusterOptions(seed)
-	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
+	opts := frozenOptions(seed)
 	opts.AppsFactory = func(self ids.ID) []core.App {
 		m := shard.New(self, shards, nil)
 		maps[self] = m
@@ -137,4 +134,76 @@ func shardedMemCluster(seed int64, nodes, shards int) (map[ids.ID]*shard.Map, *c
 	}
 	c, err := core.BootstrapCluster(nodes, opts)
 	return maps, c, err
+}
+
+// awaitView runs the cluster until m has installed a first view.
+func awaitView(c *core.Cluster, m *vs.Manager) bool {
+	return c.Sched.RunWhile(func() bool {
+		_, has := m.CurrentView()
+		return !has
+	}, 6_000_000)
+}
+
+// awaitAll runs the cluster until every handle is done, and counts the
+// done ones; ok is false when the run hit its bound first.
+func awaitAll(c *core.Cluster, handles []*regmem.Handle) (done int, ok bool) {
+	ok = c.Sched.RunWhile(func() bool {
+		for _, h := range handles {
+			if !h.Done() {
+				return true
+			}
+		}
+		return false
+	}, 8_000_000)
+	for _, h := range handles {
+		if h.Done() {
+			done++
+		}
+	}
+	return done, ok
+}
+
+// opsRow waits for the operations issued since start and reports their
+// aggregate throughput in operations per kilotick.
+func opsRow(c *core.Cluster, x int, start sim.Time, handles []*regmem.Handle) workload.Row {
+	done, ok := awaitAll(c, handles)
+	elapsed := c.Sched.Now() - start
+	if done == 0 || elapsed <= 0 {
+		return workload.Row{X: x, Note: "no ops completed"}
+	}
+	return workload.Row{
+		X:     x,
+		Y:     float64(done) / float64(elapsed) * 1000,
+		Valid: ok,
+		Note:  fmt.Sprintf("%d/%d ops in %d ticks", done, len(handles), elapsed),
+	}
+}
+
+// recovered crashes the highest node of 1..n that is not the
+// coordinator of view(1)'s view, then runs until the configuration has
+// converged without it and every survivor's view excludes it. It
+// returns the virtual time that took.
+func recovered(c *core.Cluster, n int, view func(ids.ID) *vs.Manager) (sim.Time, bool) {
+	v, _ := view(1).CurrentView()
+	victim := ids.ID(n)
+	if victim == v.Coordinator() {
+		victim = ids.ID(n - 1)
+	}
+	c.Crash(victim)
+	start := c.Sched.Now()
+	ok := c.Sched.RunWhile(func() bool {
+		cfg, conv := c.ConvergedConfig()
+		if !conv || cfg.Contains(victim) {
+			return true
+		}
+		good := true
+		c.EachAlive(func(node *core.Node) {
+			nv, has := view(node.Self()).CurrentView()
+			if !has || nv.Set.Contains(victim) {
+				good = false
+			}
+		})
+		return !good
+	}, 20_000_000)
+	return c.Sched.Now() - start, ok
 }

@@ -20,10 +20,10 @@ func newMemCluster(t *testing.T, n int, seed int64, eval vs.EvalConf) *memCluste
 	mc := &memCluster{mems: map[ids.ID]*SharedMemory{}}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		s := New(self, eval)
 		mc.mems[self] = s
-		return s
+		return []core.App{s}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {

@@ -16,7 +16,7 @@ func newStoredCluster(t *testing.T, n int, seed int64, mk func(self ids.ID) stor
 	bes := map[ids.ID]storage.Backend{}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		s := New(self, nil)
 		if mk != nil {
 			be := mk(self)
@@ -26,7 +26,7 @@ func newStoredCluster(t *testing.T, n int, seed int64, mk func(self ids.ID) stor
 			bes[self] = be
 		}
 		mc.mems[self] = s
-		return s
+		return []core.App{s}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {

@@ -116,12 +116,12 @@ func newSMRCluster(t *testing.T, n int, seed int64, sm StateMachine) *smrCluster
 	sc := &smrCluster{mgrs: map[ids.ID]*vs.Manager{}, reps: map[ids.ID]*Replica{}}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		rep := NewReplica(self, sm)
 		m := vs.NewManager(self, rep, nil)
 		sc.mgrs[self] = m
 		sc.reps[self] = rep
-		return m
+		return []core.App{m}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {

@@ -38,12 +38,6 @@ func New(seed int64, opts transport.Options) *Net {
 	return &Net{sched: sched, net: netsim.New(sched, opts.Netsim())}
 }
 
-// Wrap adapts an existing scheduler/network pair (e.g. a core.Cluster's)
-// so transport-generic code can drive it.
-func Wrap(sched *sim.Scheduler, net *netsim.Network) *Net {
-	return &Net{sched: sched, net: net}
-}
-
 // Scheduler exposes the underlying scheduler for pumping virtual time.
 func (s *Net) Scheduler() *sim.Scheduler { return s.sched }
 

@@ -22,14 +22,14 @@ func newAdoptCluster(t *testing.T, n int, seed int64) (*vsCluster, map[ids.ID]*a
 	hooks := map[ids.ID]*adoptApp{}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false }
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		app := &adoptApp{logApp: logApp{self: self}}
 		m := NewManager(self, app, nil)
 		m.Counter().OptsFor = func(v int) label.StoreOptions { return label.DefaultStoreOptions(v, 8) }
 		vc.mgrs[self] = m
 		vc.apps[self] = &app.logApp
 		hooks[self] = app
-		return m
+		return []core.App{m}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {

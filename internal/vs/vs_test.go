@@ -59,13 +59,13 @@ func newVSCluster(t *testing.T, n int, seed int64, eval EvalConf) *vsCluster {
 	vc := &vsCluster{mgrs: map[ids.ID]*Manager{}, apps: map[ids.ID]*logApp{}}
 	opts := core.DefaultClusterOptions(seed)
 	opts.Node.EvalConf = func(ids.Set, ids.Set) bool { return false } // recMA prediction off: the VS coordinator drives reconfigurations
-	opts.AppFactory = func(self ids.ID) core.App {
+	opts.AppsFactory = func(self ids.ID) []core.App {
 		app := &logApp{self: self}
 		m := NewManager(self, app, eval)
 		m.Counter().OptsFor = func(v int) label.StoreOptions { return label.DefaultStoreOptions(v, 8) }
 		vc.mgrs[self] = m
 		vc.apps[self] = app
-		return m
+		return []core.App{m}
 	}
 	c, err := core.BootstrapCluster(n, opts)
 	if err != nil {

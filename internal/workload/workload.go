@@ -1,11 +1,11 @@
 // Package workload provides the churn, fault-injection and measurement
-// machinery shared by the benchmark harness (bench_test.go) and the
-// examples: scripted join/crash schedules, transient-fault campaigns, and
-// convergence measurement against a core.Cluster.
+// machinery shared by the experiments, cmd/recsim and the examples:
+// scripted join/crash schedules, transient-fault campaigns, convergence
+// measurement against a core.Cluster, and the rows the experiment engine
+// aggregates.
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -99,23 +99,12 @@ func MeasureConvergence(c *core.Cluster, stalePackets int, deadline sim.Time) (s
 	return c.RunUntilConverged(deadline)
 }
 
-// Series is one (x, y) result series for a benchmark table.
-type Series struct {
-	Name string
-	Rows []Row
-}
-
 // Row is one measurement row.
 type Row struct {
 	X     int
 	Y     float64
 	Note  string
 	Valid bool
-}
-
-// Add appends a row.
-func (s *Series) Add(x int, y float64, valid bool, note string) {
-	s.Rows = append(s.Rows, Row{X: x, Y: y, Valid: valid, Note: note})
 }
 
 // Agg summarizes repeated measurements at one x: the mean/std/min/max of
@@ -174,20 +163,6 @@ func Aggregate(rows []Row) []Agg {
 			a.Std = math.Sqrt(ss / float64(len(g)-1))
 		}
 		out = append(out, a)
-	}
-	return out
-}
-
-// Render prints the series as a fixed-width table, the format the
-// benchmark harness and benchtab binary emit for EXPERIMENTS.md.
-func (s *Series) Render() string {
-	out := fmt.Sprintf("%-28s %8s %14s  %s\n", s.Name, "x", "y", "note")
-	for _, r := range s.Rows {
-		status := ""
-		if !r.Valid {
-			status = " (timeout)"
-		}
-		out += fmt.Sprintf("%-28s %8d %14.2f  %s%s\n", "", r.X, r.Y, r.Note, status)
 	}
 	return out
 }

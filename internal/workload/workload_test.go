@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -63,18 +62,5 @@ func TestMeasureConvergence(t *testing.T) {
 	}
 	if d <= 0 {
 		t.Fatalf("implausible recovery time %d", d)
-	}
-}
-
-func TestSeriesRender(t *testing.T) {
-	s := Series{Name: "demo"}
-	s.Add(4, 123.5, true, "fine")
-	s.Add(8, 0, false, "stuck")
-	out := s.Render()
-	if !strings.Contains(out, "demo") || !strings.Contains(out, "timeout") {
-		t.Fatalf("render missing pieces:\n%s", out)
-	}
-	if !strings.Contains(out, "123.50") {
-		t.Fatalf("value not rendered:\n%s", out)
 	}
 }
