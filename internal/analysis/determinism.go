@@ -9,9 +9,11 @@ import (
 // DeterministicPackages are the package names (matched as import-path
 // segments) whose seed-42 outputs must stay byte-identical across runs
 // and parallelism levels — the EXPERIMENTS.md contract CI pins with
-// cmp-based determinism smokes.
+// cmp-based determinism smokes — and every package a simulated step runs
+// through.
 var DeterministicPackages = []string{
 	"experiments", "netsim", "datalink", "smr", "vs", "regmem", "shard", "sim",
+	"label", "counter", "recsa", "recma", "fd", "join", "core", "quorum", "ids",
 }
 
 // Determinism forbids nondeterminism sources in the deterministic
@@ -31,7 +33,8 @@ var DeterministicPackages = []string{
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "no wall clock, global math/rand, env reads, or order-sensitive map iteration " +
-		"in the byte-determinism packages (experiments, netsim, datalink, smr, vs, regmem, shard, sim)",
+		"in the byte-determinism packages (experiments, netsim, datalink, smr, vs, regmem, shard, sim, " +
+		"label, counter, recsa, recma, fd, join, core, quorum, ids)",
 	Run: runDeterminism,
 }
 

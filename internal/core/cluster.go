@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -143,7 +144,8 @@ func (c *Cluster) IDs() ids.Set {
 	for id := range c.nodes {
 		members = append(members, id)
 	}
-	return ids.NewSet(members...)
+	slices.Sort(members)
+	return ids.Own(members)
 }
 
 // Alive returns non-crashed node identifiers.

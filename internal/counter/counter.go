@@ -16,8 +16,11 @@
 package counter
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/label"
@@ -136,17 +139,27 @@ func (s *Store) Rebuild(members ids.Set) {
 }
 
 // prune drops seqn entries for labels by non-members and bounds the map.
+// Past the bound it evicts the smallest keys by (creator, rest), so what
+// survives does not depend on map iteration order.
 func (s *Store) prune() {
+	const bound = 4096
 	members := s.labels.Members()
 	for k := range s.seqns {
 		if !members.Contains(k.creator) {
 			delete(s.seqns, k)
 		}
 	}
+	if len(s.seqns) <= bound {
+		return
+	}
+	keys := make([]epochKey, 0, len(s.seqns))
 	for k := range s.seqns {
-		if len(s.seqns) <= 4096 {
-			break
-		}
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b epochKey) int {
+		return cmp.Or(cmp.Compare(a.creator, b.creator), strings.Compare(a.rest, b.rest))
+	})
+	for _, k := range keys[:len(keys)-bound] {
 		delete(s.seqns, k)
 	}
 }

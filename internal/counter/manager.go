@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 
@@ -63,12 +64,37 @@ type Op struct {
 	seq    uint64
 	conf   ids.Set
 	phase  OpPhase
-	reads  map[ids.ID]Pair
-	readOK map[ids.ID]bool
-	acks   map[ids.ID]bool
+	reads  []response // read responses, ascending by member
+	acks   ids.Set
 	newCtr Counter
 	result Counter
 	err    error
+}
+
+// response is one member's answer to an op's read: the pair it reported,
+// if it had one.
+type response struct {
+	from ids.ID
+	p    Pair
+	has  bool
+}
+
+// find returns the index of the member's read response, or where it would
+// be inserted, and whether the member has answered.
+func (o *Op) find(from ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(o.reads, from, func(r response, id ids.ID) int { return cmp.Compare(r.from, id) })
+}
+
+// read records a read response from a member. A later response that
+// carries no pair keeps the pair an earlier one reported.
+func (o *Op) read(from ids.ID, p Pair, has bool) {
+	i, ok := o.find(from)
+	if !ok {
+		o.reads = slices.Insert(o.reads, i, response{from: from})
+	}
+	if has {
+		o.reads[i].p, o.reads[i].has = p, true
+	}
 }
 
 // Done reports completion (successfully or not).
@@ -108,7 +134,7 @@ type Manager struct {
 	confValid bool
 
 	nextSeq uint64
-	ops     map[uint64]*Op
+	ops     []*Op            // in-flight operations, ascending by seq
 	outbox  map[ids.ID][]RPC // pending responses per peer (bounded)
 	// gossip is the store's maximal pair as a ready payload, built by the
 	// first Outgoing of a step that gossips and shared, read-only, by every
@@ -128,7 +154,6 @@ var _ core.App = (*Manager)(nil)
 func NewManager(self ids.ID) *Manager {
 	return &Manager{
 		self:   self,
-		ops:    make(map[uint64]*Op),
 		outbox: make(map[ids.ID][]RPC),
 	}
 }
@@ -151,13 +176,7 @@ func (m *Manager) labelOpts(v int) label.StoreOptions {
 func (m *Manager) Increment(n *core.Node) *Op {
 	m.gossipOK = false
 	m.nextSeq++
-	op := &Op{
-		seq:    m.nextSeq,
-		phase:  PhaseRead,
-		reads:  make(map[ids.ID]Pair),
-		readOK: make(map[ids.ID]bool),
-		acks:   make(map[ids.ID]bool),
-	}
+	op := &Op{seq: m.nextSeq, phase: PhaseRead}
 	q, ok := n.Quorum()
 	if !ok || !n.NoReco() {
 		op.phase = PhaseFailed
@@ -167,7 +186,7 @@ func (m *Manager) Increment(n *core.Node) *Op {
 	}
 	op.conf = q
 	m.selfServe(op)
-	m.ops[op.seq] = op
+	m.ops = append(m.ops, op)
 	return op
 }
 
@@ -180,13 +199,11 @@ func (m *Manager) selfServe(op *Op) {
 	}
 	switch op.phase {
 	case PhaseRead:
-		if p, ok := m.store.MaxPair(); ok {
-			op.reads[m.self] = p
-		}
-		op.readOK[m.self] = true
+		p, ok := m.store.MaxPair()
+		op.read(m.self, p, ok)
 	case PhaseWrite:
 		m.store.Observe(m.self, op.newCtr)
-		op.acks[m.self] = true
+		op.acks = op.acks.Add(m.self)
 	}
 }
 
@@ -218,24 +235,10 @@ func (m *Manager) Tick(n *core.Node) {
 	}
 
 	// Progress operations in sequence order (deterministic across runs).
-	for _, seq := range m.opOrder() {
-		op := m.ops[seq]
-		if op.Done() {
-			delete(m.ops, seq)
-			continue
-		}
+	m.ops = slices.DeleteFunc(m.ops, (*Op).Done)
+	for _, op := range m.ops {
 		m.progress(op)
 	}
-}
-
-// opOrder returns the in-flight operation sequence numbers, ascending.
-func (m *Manager) opOrder() []uint64 {
-	order := make([]uint64, 0, len(m.ops))
-	for seq := range m.ops {
-		order = append(order, seq)
-	}
-	slices.Sort(order)
-	return order
 }
 
 func (m *Manager) progress(op *Op) {
@@ -243,8 +246,8 @@ func (m *Manager) progress(op *Op) {
 	switch op.phase {
 	case PhaseRead:
 		got := 0
-		for id := range op.readOK {
-			if op.conf.Contains(id) {
+		for _, r := range op.reads {
+			if op.conf.Contains(r.from) {
 				got++
 			}
 		}
@@ -273,13 +276,7 @@ func (m *Manager) progress(op *Op) {
 		op.phase = PhaseWrite
 		m.selfServe(op)
 	case PhaseWrite:
-		got := 0
-		for id := range op.acks {
-			if op.conf.Contains(id) {
-				got++
-			}
-		}
-		if got >= maj {
+		if op.acks.Intersect(op.conf).Size() >= maj {
 			op.result = op.newCtr
 			op.phase = PhaseDone
 			m.metrics.Increments++
@@ -299,23 +296,20 @@ func (m *Manager) exhaustBound() uint64 {
 // responses: members fold them into their store (Algorithm 4.4), other
 // participants take the largest legit non-exhausted response (4.5).
 func (m *Manager) deriveMax(op *Op) (Counter, bool) {
-	readOrder := make([]ids.ID, 0, len(op.reads))
-	for from := range op.reads {
-		readOrder = append(readOrder, from)
-	}
-	slices.Sort(readOrder)
 	if m.store != nil {
-		for _, from := range readOrder {
-			m.store.ObservePair(from, op.reads[from])
+		for _, r := range op.reads {
+			if r.has {
+				m.store.ObservePair(r.from, r.p)
+			}
 		}
 		return m.store.MaxCounter()
 	}
 	var best Counter
 	found := false
 	exhaust := m.exhaustBound()
-	for _, from := range readOrder {
-		p := op.reads[from]
-		if !p.Legit() || p.MCT.Seqn >= exhaust {
+	for _, r := range op.reads {
+		p := r.p
+		if !r.has || !p.Legit() || p.MCT.Seqn >= exhaust {
 			continue
 		}
 		if !found || best.Less(p.MCT) {
@@ -346,18 +340,17 @@ func (m *Manager) Outgoing(to ids.ID, n *core.Node) any {
 	if gossip != nil {
 		msg = gossip.(Message)
 	}
-	for _, seq := range m.opOrder() {
-		op := m.ops[seq]
+	for _, op := range m.ops {
 		if op.Done() || !op.conf.Contains(to) {
 			continue
 		}
 		switch op.phase {
 		case PhaseRead:
-			if !op.readOK[to] {
+			if _, answered := op.find(to); !answered {
 				msg.RPCs = append(msg.RPCs, RPC{Kind: ReadReq, Seq: op.seq})
 			}
 		case PhaseWrite:
-			if !op.acks[to] {
+			if !op.acks.Contains(to) {
 				msg.RPCs = append(msg.RPCs, RPC{
 					Kind: WriteReq, Seq: op.seq,
 					Counter: Pair{MCT: op.newCtr}, HasCtr: true,
@@ -415,7 +408,7 @@ func (m *Manager) handleRPC(from ids.ID, r RPC, n *core.Node) {
 		}
 		m.enqueue(from, resp)
 	case ReadResp:
-		op, ok := m.ops[r.Seq]
+		op, ok := m.op(r.Seq)
 		if !ok || op.phase != PhaseRead {
 			return
 		}
@@ -425,12 +418,9 @@ func (m *Manager) handleRPC(from ids.ID, r RPC, n *core.Node) {
 			m.metrics.Aborts++
 			return
 		}
-		if r.HasCtr {
-			op.reads[from] = r.Counter
-		}
-		op.readOK[from] = true
+		op.read(from, r.Counter, r.HasCtr)
 	case WriteResp:
-		op, ok := m.ops[r.Seq]
+		op, ok := m.op(r.Seq)
 		if !ok || op.phase != PhaseWrite {
 			return
 		}
@@ -440,8 +430,17 @@ func (m *Manager) handleRPC(from ids.ID, r RPC, n *core.Node) {
 			m.metrics.Aborts++
 			return
 		}
-		op.acks[from] = true
+		op.acks = op.acks.Add(from)
 	}
+}
+
+// op returns the in-flight operation with sequence number seq.
+func (m *Manager) op(seq uint64) (*Op, bool) {
+	i, ok := slices.BinarySearchFunc(m.ops, seq, func(o *Op, seq uint64) int { return cmp.Compare(o.seq, seq) })
+	if !ok {
+		return nil, false
+	}
+	return m.ops[i], true
 }
 
 // enqueue appends a response for the peer, bounding the queue (stale

@@ -1,6 +1,7 @@
 package label
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/ids"
@@ -41,24 +42,51 @@ type Metrics struct {
 
 // Store is the per-processor label bookkeeping of Algorithm 4.2: the max[]
 // array of label pairs and the storedLabels[] array of bounded queues, with
-// the receipt action that converges to a global maximal label.
+// the receipt action that converges to a global maximal label. Both arrays
+// are kept ascending by processor identifier, the order every loop of the
+// receipt action walks them in, so the order is the state itself and no
+// copy of it can go stale (DESIGN.md §3).
 type Store struct {
 	self    ids.ID
 	opts    StoreOptions
 	members ids.Set
-	max     map[ids.ID]Pair // max[j]: last pair received from member j; max[self] is the local maximum
-	maxSet  map[ids.ID]bool
-	queues  map[ids.ID][]Pair // storedLabels[creator], front = most recent
-	// maxOrd and queueOrd cache maxOrder() and queueOrder(): pure functions
-	// of which max entries are set and which queues exist. setMax, setQueue
-	// and the two places that replace a map whole are the only writers of
-	// those key sets, and each clears the flag it may have outdated
-	// (DESIGN.md §3, "What a step may cache").
-	maxOrd, queueOrd     []ids.ID
-	maxOrdOK, queueOrdOK bool
+	max     []slot[Pair]   // max[j]: last pair received from member j; max[self] is the local maximum
+	queues  []slot[[]Pair] // storedLabels[creator], front = most recent
 	// legit is Receive's scratch list of the legit max[] labels.
 	legit   []Label
 	metrics Metrics
+}
+
+// slot is one entry of a per-processor array: the value kept for id.
+type slot[T any] struct {
+	id ids.ID
+	v  T
+}
+
+// find returns the index of id's slot in a, or where it would be
+// inserted, and whether it is there.
+func find[T any](a []slot[T], id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(a, id, func(e slot[T], id ids.ID) int { return cmp.Compare(e.id, id) })
+}
+
+// get returns id's value in a.
+func get[T any](a []slot[T], id ids.ID) (T, bool) {
+	if i, ok := find(a, id); ok {
+		return a[i].v, true
+	}
+	var zero T
+	return zero, false
+}
+
+// put records v as id's value in a, inserting the slot in order when id
+// has none.
+func put[T any](a []slot[T], id ids.ID, v T) []slot[T] {
+	i, ok := find(a, id)
+	if !ok {
+		return slices.Insert(a, i, slot[T]{id: id, v: v})
+	}
+	a[i].v = v
+	return a
 }
 
 // NewStore builds the store for the given configuration member set.
@@ -83,22 +111,11 @@ func (s *Store) Members() ids.Set { return s.members }
 // non-member creators are dropped.
 func (s *Store) Rebuild(members ids.Set) {
 	s.members = members
-	s.queues = make(map[ids.ID][]Pair, members.Size())
-	s.queueOrdOK = false
-	newMax := make(map[ids.ID]Pair, members.Size())
-	newSet := make(map[ids.ID]bool, members.Size())
-	for j, p := range s.max {
-		if !members.Contains(j) || !s.maxSet[j] {
-			continue
-		}
-		if !members.Contains(p.ML.Creator) || (p.Cancel != nil && !members.Contains(p.Cancel.Creator)) {
-			continue // cleanMax: labels by non-member creators are voided
-		}
-		newMax[j] = p
-		newSet[j] = true
-	}
-	s.max, s.maxSet = newMax, newSet
-	s.maxOrdOK = false
+	s.queues = nil
+	s.max = slices.DeleteFunc(s.max, func(e slot[Pair]) bool {
+		_, ok := s.CleanPair(e.v) // cleanMax: labels by non-member creators are voided
+		return !members.Contains(e.id) || !ok
+	})
 	// Re-derive the local maximum from what survived (line 14).
 	s.Receive(Pair{}, false, Pair{}, false, s.self)
 }
@@ -116,41 +133,21 @@ func (s *Store) CleanPair(p Pair) (Pair, bool) {
 }
 
 // LocalMax returns the processor's current maximal label pair.
-func (s *Store) LocalMax() (Pair, bool) {
-	p, ok := s.max[s.self]
-	return p, ok && s.maxSet[s.self]
-}
+func (s *Store) LocalMax() (Pair, bool) { return get(s.max, s.self) }
 
 // MaxOf returns the stored pair for member j.
-func (s *Store) MaxOf(j ids.ID) (Pair, bool) {
-	p, ok := s.max[j]
-	return p, ok && s.maxSet[j]
-}
-
-// setMax records p as max[j].
-func (s *Store) setMax(j ids.ID, p Pair) {
-	if !s.maxSet[j] {
-		s.maxOrdOK = false
-	}
-	s.max[j] = p
-	s.maxSet[j] = true
-}
-
-// setQueue replaces storedLabels[owner].
-func (s *Store) setQueue(owner ids.ID, q []Pair) {
-	if _, ok := s.queues[owner]; !ok {
-		s.queueOrdOK = false
-	}
-	s.queues[owner] = q
-}
+func (s *Store) MaxOf(j ids.ID) (Pair, bool) { return get(s.max, j) }
 
 // queueOf returns the stored queue for a creator.
-func (s *Store) queueOf(creator ids.ID) []Pair { return s.queues[creator] }
+func (s *Store) queueOf(creator ids.ID) []Pair {
+	q, _ := get(s.queues, creator)
+	return q
+}
 
 // addFront inserts a pair at the front of creator's queue, enforcing the
 // bound and the one-entry-per-ml rule (canceled copies win).
 func (s *Store) addFront(creator ids.ID, p Pair) {
-	q := s.queues[creator]
+	q := s.queueOf(creator)
 	out := make([]Pair, 0, len(q)+1)
 	out = append(out, p)
 	for _, e := range q {
@@ -162,22 +159,26 @@ func (s *Store) addFront(creator ids.ID, p Pair) {
 		}
 		out = append(out, e)
 	}
-	limit := s.opts.QueueCap
-	if creator == s.self {
-		limit = s.opts.OwnQueueCap
-	}
-	if len(out) > limit {
+	if limit := s.limit(creator); len(out) > limit {
 		out = out[:limit]
 	}
-	s.setQueue(creator, out)
+	s.queues = put(s.queues, creator, out)
+}
+
+// limit is the bound on owner's queue.
+func (s *Store) limit(owner ids.ID) int {
+	if owner == s.self {
+		return s.opts.OwnQueueCap
+	}
+	return s.opts.QueueCap
 }
 
 // staleInfo reports structurally impossible storage: a queue entry whose
 // label was created by a different processor than the queue's owner.
 func (s *Store) staleInfo() bool {
-	for owner, q := range s.queues {
-		for _, p := range q {
-			if p.ML.Creator != owner {
+	for _, e := range s.queues {
+		for _, p := range e.v {
+			if p.ML.Creator != e.id {
 				return true
 			}
 		}
@@ -194,11 +195,11 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 	// Lines 18–19: record the sender's maximum; adopt a cancellation of
 	// our own current maximum.
 	if haveSent && s.members.Contains(from) {
-		s.setMax(from, sentMax)
+		s.max = put(s.max, from, sentMax)
 	}
 	if haveLast && !lastSent.Legit() {
 		if own, ok := s.LocalMax(); ok && own.ML.Equal(lastSent.ML) {
-			s.setMax(s.self, lastSent)
+			s.max = put(s.max, s.self, lastSent)
 			s.metrics.Cancellations++
 		}
 	}
@@ -208,31 +209,25 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 	// bound, as bounded local storage must survive transient faults.
 	if s.staleInfo() {
 		s.metrics.QueueFlushes++
-		s.queues = make(map[ids.ID][]Pair, s.members.Size())
-		s.queueOrdOK = false
+		s.queues = nil
 	}
-	for owner, q := range s.queues {
-		limit := s.opts.QueueCap
-		if owner == s.self {
-			limit = s.opts.OwnQueueCap
-		}
-		if len(q) > limit {
-			s.queues[owner] = q[:limit]
+	for i, e := range s.queues {
+		if limit := s.limit(e.id); len(e.v) > limit {
+			s.queues[i].v = e.v[:limit]
 		}
 	}
 
 	// Line 21: every known max must be recorded in its creator's queue.
-	for _, j := range s.maxOrder() {
-		p := s.max[j]
-		if !s.recorded(p) {
-			s.addFront(p.ML.Creator, p)
+	for _, e := range s.max {
+		if !s.recorded(e.v) {
+			s.addFront(e.v.ML.Creator, e.v)
 		}
 	}
 
 	// Line 22: a stored legit pair that does not dominate some other
 	// entry of its queue is canceled by that entry.
-	for _, owner := range s.queueOrder() {
-		q := s.queues[owner]
+	for _, e := range s.queues {
+		q := e.v
 		for i, lp := range q {
 			if !lp.Legit() {
 				continue
@@ -248,33 +243,30 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 				}
 			}
 		}
-		s.queues[owner] = q
 	}
 
 	// Line 23: propagate cancellations seen in max[] into the queues.
-	for _, j := range s.maxOrder() {
-		p := s.max[j]
-		if p.Legit() {
+	for _, e := range s.max {
+		if e.v.Legit() {
 			continue
 		}
-		q := s.queueOf(p.ML.Creator)
+		q := s.queueOf(e.v.ML.Creator)
 		for i, lp := range q {
-			if lp.ML.Equal(p.ML) && lp.Legit() {
-				q[i] = p
+			if lp.ML.Equal(e.v.ML) && lp.Legit() {
+				q[i] = e.v
 			}
 		}
 	}
 
 	// Line 25: a legit max[] entry whose queue copy is canceled adopts
 	// the cancellation.
-	for _, j := range s.maxOrder() {
-		p := s.max[j]
-		if !p.Legit() {
+	for i, e := range s.max {
+		if !e.v.Legit() {
 			continue
 		}
-		for _, lp := range s.queueOf(p.ML.Creator) {
-			if lp.ML.Equal(p.ML) && !lp.Legit() {
-				s.max[j] = lp
+		for _, lp := range s.queueOf(e.v.ML.Creator) {
+			if lp.ML.Equal(e.v.ML) && !lp.Legit() {
+				s.max[i].v = lp
 				s.metrics.Cancellations++
 				break
 			}
@@ -284,54 +276,17 @@ func (s *Store) Receive(sentMax Pair, haveSent bool, lastSent Pair, haveLast boo
 	// Lines 26–27: adopt the globally maximal legit label, or fall back
 	// to (possibly creating) an own label.
 	legit := s.legit[:0]
-	for _, j := range s.maxOrder() {
-		if p := s.max[j]; p.Legit() {
-			legit = append(legit, p.ML)
+	for _, e := range s.max {
+		if e.v.Legit() {
+			legit = append(legit, e.v.ML)
 		}
 	}
 	s.legit = legit
 	if m, ok := MaxLegit(legit); ok {
-		s.setMax(s.self, Pair{ML: m})
+		s.max = put(s.max, s.self, Pair{ML: m})
 		return
 	}
 	s.useOwnLabel()
-}
-
-// maxOrder returns the identifiers with known max entries, ascending. The
-// result is shared between calls: callers only read it.
-func (s *Store) maxOrder() []ids.ID {
-	if !s.maxOrdOK {
-		s.maxOrd, s.maxOrdOK = s.computeMaxOrder(), true
-	}
-	return s.maxOrd
-}
-
-func (s *Store) computeMaxOrder() []ids.ID {
-	order := make([]ids.ID, 0, len(s.max))
-	for j := range s.max {
-		if s.maxSet[j] {
-			order = append(order, j)
-		}
-	}
-	slices.Sort(order)
-	return order
-}
-
-// queueOrder returns the queue owners, ascending; shared like maxOrder's.
-func (s *Store) queueOrder() []ids.ID {
-	if !s.queueOrdOK {
-		s.queueOrd, s.queueOrdOK = s.computeQueueOrder(), true
-	}
-	return s.queueOrd
-}
-
-func (s *Store) computeQueueOrder() []ids.ID {
-	order := make([]ids.ID, 0, len(s.queues))
-	for j := range s.queues {
-		order = append(order, j)
-	}
-	slices.Sort(order)
-	return order
 }
 
 // recorded reports whether the pair's ml exists in its creator's queue.
@@ -347,14 +302,15 @@ func (s *Store) recorded(p Pair) bool {
 // useOwnLabel adopts a legit stored own label or creates a fresh one that
 // dominates everything in the own queue (Algorithm 4.2's useOwnLabel()).
 func (s *Store) useOwnLabel() {
-	for _, lp := range s.queueOf(s.self) {
+	own := s.queueOf(s.self)
+	for _, lp := range own {
 		if lp.Legit() {
-			s.setMax(s.self, lp)
+			s.max = put(s.max, s.self, lp)
 			return
 		}
 	}
-	dominate := make([]Label, 0, len(s.queueOf(s.self))*2)
-	for _, lp := range s.queueOf(s.self) {
+	dominate := make([]Label, 0, len(own)*2)
+	for _, lp := range own {
 		dominate = append(dominate, lp.ML)
 		if lp.Cancel != nil {
 			dominate = append(dominate, *lp.Cancel)
@@ -363,17 +319,17 @@ func (s *Store) useOwnLabel() {
 	s.metrics.Creations++
 	fresh := Pair{ML: NextLabel(s.self, dominate, s.opts.Domain)}
 	s.addFront(s.self, fresh)
-	s.setMax(s.self, fresh)
+	s.max = put(s.max, s.self, fresh)
 }
 
 // InjectPair force-feeds an arbitrary pair into a queue — the
 // transient-fault hook for the labeling experiments (corrupt labels
 // appearing anywhere in the state).
 func (s *Store) InjectPair(owner ids.ID, p Pair) {
-	s.setQueue(owner, append([]Pair{p}, s.queues[owner]...))
+	s.queues = put(s.queues, owner, append([]Pair{p}, s.queueOf(owner)...))
 }
 
 // InjectMax force-feeds an arbitrary max[] entry.
 func (s *Store) InjectMax(j ids.ID, p Pair) {
-	s.setMax(j, p)
+	s.max = put(s.max, j, p)
 }

@@ -262,6 +262,7 @@ func (r *RecSA) configSet(val Config) {
 	r.prp = DefaultNtf()
 	r.all = false
 	r.allSeen = make(map[ids.ID]bool)
+	//repolint:allow determinism -- each pass writes only its own entry
 	for _, v := range r.views {
 		v.Config = val
 		v.Prp = DefaultNtf()
@@ -362,6 +363,7 @@ func (r *RecSA) step(fdSet, part ids.Set) {
 // cleanNonParticipants implements line 25's "clean after crashes": entries
 // of processors outside the participant set revert to (], dfltNtf).
 func (r *RecSA) cleanNonParticipants(part ids.Set) {
+	//repolint:allow determinism -- each pass writes only its own entry and deletes its own allSeen key
 	for k, v := range r.views {
 		if !part.Contains(k) {
 			v.Config = NotParticipant()
@@ -394,6 +396,7 @@ func (r *RecSA) cleanType1(part ids.Set) {
 		r.metrics.StaleType1++
 		r.prp = DefaultNtf()
 	}
+	//repolint:allow determinism -- each pass writes only its own entry and bumps a commutative counter
 	for _, v := range r.views {
 		if v.Prp.Phase == 0 && v.Prp.HasSet {
 			r.metrics.StaleType1++

@@ -13,7 +13,6 @@
 package regmem
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -318,12 +317,7 @@ func (s *SharedMemory) Pending() bool { return s.rep.Pending() }
 // the same last-write-wins outcome.
 func (s *SharedMemory) Deliver(r vs.Round) {
 	s.rep.Deliver(r)
-	members := make([]ids.ID, 0, len(r.Inputs))
-	for m := range r.Inputs {
-		members = append(members, m)
-	}
-	slices.Sort(members)
-	for _, m := range members {
+	for _, m := range r.Members() {
 		s.deliverInput(r.Inputs[m])
 	}
 }

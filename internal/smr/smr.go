@@ -8,7 +8,6 @@ package smr
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/vs"
@@ -109,12 +108,7 @@ func (r *Replica) InitState() any { return r.sm.Init() }
 // member order (the deterministic order virtual synchrony prescribes),
 // unfolding each member's Batch in submission order.
 func (r *Replica) Apply(state any, round vs.Round) any {
-	members := make([]ids.ID, 0, len(round.Inputs))
-	for m := range round.Inputs {
-		members = append(members, m)
-	}
-	slices.Sort(members)
-	for _, m := range members {
+	for _, m := range round.Members() {
 		for _, cmd := range Commands(round.Inputs[m]) {
 			state = r.sm.Apply(state, cmd)
 		}
@@ -144,12 +138,7 @@ func (r *Replica) Fetch() any {
 // Deliver implements vs.App: record the round's commands in the log,
 // one entry per command (batches unfold in submission order).
 func (r *Replica) Deliver(round vs.Round) {
-	members := make([]ids.ID, 0, len(round.Inputs))
-	for m := range round.Inputs {
-		members = append(members, m)
-	}
-	slices.Sort(members)
-	for _, m := range members {
+	for _, m := range round.Members() {
 		for _, cmd := range Commands(round.Inputs[m]) {
 			r.log = append(r.log, Applied{
 				View: round.View, Rnd: round.Rnd, Member: m, Cmd: cmd,

@@ -2,13 +2,12 @@ package storage
 
 import "time"
 
-// Memory is the in-RAM Backend: the default noded configuration and
-// the baseline the disk backend is measured against. It implements the
-// full module surface — appends, snapshots with log truncation,
-// recovery, stats — but its contents die with the process, exactly like
-// the pre-storage behavior. Within a process it recovers (tests reuse
-// one instance across a simulated restart); across processes it is
-// empty, which is what "memory backend" means.
+// Memory is the in-RAM Backend, a test fake: noded never builds one (without
+// -data-dir it attaches no backend at all). It implements the full module
+// surface — appends, snapshots with log truncation, recovery, stats — but
+// its contents die with the process. Within a process it recovers (tests
+// reuse one instance across a simulated restart); across processes it is
+// empty.
 type Memory struct {
 	snapshot []byte
 	snapIdx  uint64

@@ -8,11 +8,12 @@
 // and — after a crash — replays snapshot plus log tail to recover the
 // last durable state without asking a peer for a full state transfer.
 //
-// Two implementations ship: Memory (today's behavior — nothing survives
-// the process, but the module surface and its stats are real, so the
-// admin API reports uniformly) and Disk (per-shard directory holding a
-// CRC-framed WAL and an atomically-replaced snapshot file, with
-// truncated-tail recovery and an fsync policy knob).
+// Two implementations ship: Disk (per-shard directory holding a CRC-framed
+// WAL and an atomically-replaced snapshot file, with truncated-tail
+// recovery and an fsync policy knob), which noded attaches under
+// -data-dir, and Memory, a test fake whose contents die with the process.
+// Without -data-dir noded attaches no backend, and its storage routes
+// answer storage_unavailable.
 //
 // The Backend works on opaque byte records: the schema of what a record
 // or snapshot *means* belongs to the service layer (internal/regmem

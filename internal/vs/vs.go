@@ -20,6 +20,7 @@ package vs
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/counter"
@@ -75,6 +76,17 @@ type Round struct {
 	View   View
 	Rnd    uint64
 	Inputs map[ids.ID]any
+}
+
+// Members returns the members that contributed an input, ascending: the
+// order a round's inputs are applied and delivered in.
+func (r Round) Members() []ids.ID {
+	members := make([]ids.ID, 0, len(r.Inputs))
+	for m := range r.Inputs {
+		members = append(members, m)
+	}
+	slices.Sort(members)
+	return members
 }
 
 // App is the replicated application: a deterministic state machine plus an

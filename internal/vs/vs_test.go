@@ -2,7 +2,6 @@ package vs
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -24,12 +23,7 @@ func (a *logApp) InitState() any { return "" }
 
 func (a *logApp) Apply(state any, r Round) any {
 	s, _ := state.(string)
-	keys := make([]ids.ID, 0, len(r.Inputs))
-	for k := range r.Inputs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range r.Members() {
 		s += fmt.Sprintf("[%v:%v]", k, r.Inputs[k])
 	}
 	return s
