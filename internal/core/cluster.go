@@ -135,9 +135,6 @@ func (c *Cluster) ConnectFull() {
 // Node returns the node with the given id (nil if absent).
 func (c *Cluster) Node(id ids.ID) *Node { return c.nodes[id] }
 
-// Nodes returns all registered nodes keyed by id.
-func (c *Cluster) Nodes() map[ids.ID]*Node { return c.nodes }
-
 // IDs returns the identifiers of all registered nodes.
 func (c *Cluster) IDs() ids.Set {
 	members := make([]ids.ID, 0, len(c.nodes))
@@ -223,26 +220,6 @@ func (c *Cluster) ConvergedConfig() (ids.Set, bool) {
 		return ids.Set{}, false
 	}
 	return agreed, ok
-}
-
-// ConflictFree reports the weaker safety condition: no two alive
-// participants hold different proper configurations (⊥/] are permitted).
-func (c *Cluster) ConflictFree() bool {
-	var seen *ids.Set
-	ok := true
-	c.EachAlive(func(n *Node) {
-		cfg := n.SA.CurrentConfig()
-		if cfg.Kind != recsa.KindSet {
-			return
-		}
-		if seen == nil {
-			s := cfg.Set
-			seen = &s
-		} else if !seen.Equal(cfg.Set) {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // RunUntilConverged drives the simulation until ConvergedConfig holds or

@@ -5,8 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
+
+// TestSimulatorHasNoSlices: NewNode gives a node receipt-driven steps only
+// on a medium with an AfterSlice method. The simulator's network must
+// never grow one: its events have no end to put a step at, and every
+// count on the simulated clock (the seed-42 tables) assumes that only the
+// timer steps an application.
+func TestSimulatorHasNoSlices(t *testing.T) {
+	var net Transport = netsim.New(sim.NewScheduler(1), netsim.DefaultOptions())
+	if _, ok := net.(interface{ AfterSlice(ids.ID, func()) bool }); ok {
+		t.Fatal("*netsim.Network has AfterSlice: nodes on the simulator would step on receipt")
+	}
+}
 
 func TestBootstrapStaysConverged(t *testing.T) {
 	c, err := BootstrapCluster(5, DefaultClusterOptions(1))

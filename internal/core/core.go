@@ -53,7 +53,7 @@ type App interface {
 
 // ReceiptStepper is an App that can also take its step when a delivery or
 // a submission changed what the step would read, instead of waiting for
-// the timer. On a medium that allows it (Transport.ReceiptSteps) the node
+// the timer. On a medium that allows it (Transport.AfterSlice) the node
 // offers every such app a step after each Receive and, when one of them
 // asked for it (RequestStep), once at the end of the slice that is running;
 // on the simulator only Tick ever steps an app.
@@ -228,15 +228,14 @@ func NewNode(net Transport, p Params) (*Node, error) {
 		},
 	})
 	n.batching = n.Endpoint.MaxBatch() > 1 || n.Endpoint.Window() > 1
-	// Whether a delivery may trigger a step, and whether a slice has an end
-	// a step can be put at, are properties of the medium. The methods are
+	// Whether a delivery may trigger a step is a property of the medium: a
+	// live one has slices with an end a step can be put at. AfterSlice is
 	// part of transport.Transport, so a decorator that embeds the interface
-	// passes them through; the simulator's network and other bare
-	// core.Transports lack them and stay tick-driven.
+	// passes it through; the simulator's network and other bare
+	// core.Transports lack it and stay tick-driven.
 	if m, ok := net.(interface {
-		ReceiptSteps() bool
 		AfterSlice(id ids.ID, fn func()) bool
-	}); ok && m.ReceiptSteps() {
+	}); ok {
 		for _, a := range p.Apps {
 			if st, ok := a.(ReceiptStepper); ok {
 				n.steppers = append(n.steppers, st)

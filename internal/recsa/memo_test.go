@@ -132,3 +132,62 @@ func TestQuickMemoIsWhatScratchComputes(t *testing.T) {
 			resets, installs, accepted, joined)
 	}
 }
+
+func TestQuickCorruptMemoLivesOneStep(t *testing.T) {
+	// Property: the memo is derived state, so a transient fault may leave
+	// it holding anything — here, a memo whose key still matches (ok, and
+	// fd equal to the trusted set plus self) but whose participants, NoReco
+	// and chsConfig are wrong, each marked as known. memoAgrees must see
+	// that, and one Step of the processor must be enough for every memoized
+	// answer of every processor to be the scratch one again.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(4)
+		all := ids.Range(1, ids.ID(n))
+		nodes := map[ids.ID]*RecSA{}
+		all.Each(func(id ids.ID) {
+			d := fd.New(id, fd.DefaultOptions(8))
+			d.Bootstrap(all.Remove(id))
+			nodes[id] = New(id, d, ConfigOf(all), DefaultOptions())
+		})
+		// Some gossip first, so the memo is corrupted in a state of some
+		// history rather than the boot one.
+		for k := rng.Intn(40); k > 0; k-- {
+			id, peer := ids.ID(1+rng.Intn(n)), ids.ID(1+rng.Intn(n))
+			if m, ok := nodes[peer].OutgoingMessage(id); ok {
+				nodes[id].HandleMessage(peer, m)
+			}
+			nodes[id].Step()
+		}
+		r := nodes[ids.ID(1+rng.Intn(n))]
+		fdSet := r.trustedSet()
+		part := r.computeParticipants(fdSet)
+		wrongPart := part
+		for wrongPart.Equal(part) {
+			wrongPart = all.Add(ids.ID(n + 1)).Filter(func(ids.ID) bool { return rng.Intn(2) == 0 })
+		}
+		wrongChs := Bottom()
+		if r.computeChsConfig(fdSet).Equal(wrongChs) {
+			wrongChs = ConfigOf(wrongPart)
+		}
+		r.memo = derived{
+			ok: true, fd: fdSet, part: wrongPart,
+			noRecoOK: true, noReco: !r.computeNoReco(fdSet, part),
+			chsOK: true, chs: wrongChs,
+		}
+		if memoAgrees(t, r, "the corruption") {
+			t.Logf("seed %d: memoAgrees missed a corrupted memo of %v", seed, r.self)
+			return false
+		}
+		r.Step()
+		for _, r := range nodes {
+			if !memoAgrees(t, r, "one Step") {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}

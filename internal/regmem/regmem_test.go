@@ -52,6 +52,16 @@ func TestWriteThenReadEverywhere(t *testing.T) {
 	if !ok {
 		t.Fatal("write never completed")
 	}
+	// On the simulator only the timer steps: netsim.Network has no
+	// AfterSlice, so no node stepped on a delivery or a submission, none
+	// kicked a link cycle off the timer, and nothing reported a lost peer.
+	for id := ids.ID(1); id <= 4; id++ {
+		n := mc.Node(id)
+		if steps, downs, kicked := n.ReceiptSteps(), n.PeerDowns(), n.Endpoint.Stats().KickedCycles; steps != 0 || downs != 0 || kicked != 0 {
+			t.Errorf("node %v on the simulator: %d receipt-driven steps, %d peer-down hints, %d kicked cycles; want none",
+				id, steps, downs, kicked)
+		}
+	}
 	// After the round completes everywhere, every node reads 42.
 	ok = mc.Sched.RunWhile(func() bool {
 		for id := ids.ID(1); id <= 4; id++ {

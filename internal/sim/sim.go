@@ -114,7 +114,6 @@ type Scheduler struct {
 	canceled map[uint64]struct{}
 	seq      uint64
 	rng      *rand.Rand
-	steps    uint64
 	halted   bool
 }
 
@@ -125,9 +124,6 @@ func NewScheduler(seed int64) *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Steps returns the number of events executed so far.
-func (s *Scheduler) Steps() uint64 { return s.steps }
 
 // Rand returns the scheduler's deterministic random source. All protocol
 // and adversary randomness must come from here to keep runs reproducible.
@@ -284,7 +280,6 @@ func (s *Scheduler) step() bool {
 	}
 	s.advance(t)
 	e := s.take(t)
-	s.steps++
 	e.fn()
 	return true
 }

@@ -7,13 +7,15 @@
 // register cluster — two service stacks multiplexed over one transport
 // with shard-tagged envelopes — completing writes on every shard
 // concurrently, and the live write path: receipt-driven steps, the
-// end-of-slice hook and the burst that rides one round on the live
-// backends, with the simulator pinned to the tick counts it had before
-// each of them existed.
+// end-of-slice hook, the burst that rides one round, connection-loss
+// hints and the node timer's pacing.
 //
 // Backends invoke Run from their own test files, so `go test ./...`
-// exercises the suite against simnet, inproc and tcp in one sweep (the
-// CI -race run covers the live backends' concurrency).
+// exercises the suite against inproc and tcp in one sweep (the CI -race
+// run covers their concurrency). Both run on the wall clock: the suite
+// sleeps to let them make progress. The simulator is no Transport; it is
+// reached through core.Cluster on netsim, and its counts are pinned by
+// the seed-42 goldens of internal/experiments.
 package conformance
 
 import (
@@ -35,30 +37,13 @@ import (
 	"repro/internal/vs"
 )
 
-// simFollowerTicks and simCoordTicks are what the 100 commits of each
-// ReceiptDrivenWrites loop cost on the simulator, in ticks of the writing
-// node, at the subtest's fixed seed — measured at the commit before
-// receipt-driven steps existed. The simulator must never move off them.
-const (
-	simFollowerTicks = 334
-	simCoordTicks    = 243
-)
-
 // Backend describes one transport implementation under test.
 type Backend struct {
 	// Name labels the subtests.
 	Name string
 	// New builds a fresh transport able to host any of the given node
 	// identifiers. The suite closes it.
-	New func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) Harness
-}
-
-// Harness couples a transport with the way model time advances on it:
-// virtual (the test pumps a scheduler) or real (the test sleeps).
-type Harness struct {
-	Net transport.Transport
-	// Settle lets the medium make roughly d of model-time progress.
-	Settle func(d time.Duration)
+	New func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) transport.Transport
 }
 
 // handler counts events; its fields are only touched from the node's
@@ -112,24 +97,24 @@ func quietOpts() transport.Options {
 	}
 }
 
-// await polls cond (outside any node context) every settle step until it
-// holds or the model-time budget runs out.
-func await(h Harness, budget time.Duration, cond func() bool) bool {
+// await polls cond (outside any node context) every 20 ms until it holds
+// or the budget runs out.
+func await(budget time.Duration, cond func() bool) bool {
 	step := 20 * time.Millisecond
 	for spent := time.Duration(0); spent < budget; spent += step {
 		if cond() {
 			return true
 		}
-		h.Settle(step)
+		time.Sleep(step)
 	}
 	return cond()
 }
 
 // inspected reads a value from inside the node's execution context.
-func inspected[T any](t *testing.T, h Harness, id ids.ID, read func() T) T {
+func inspected[T any](t *testing.T, net transport.Transport, id ids.ID, read func() T) T {
 	t.Helper()
 	var out T
-	if !h.Net.Inspect(id, func() { out = read() }) {
+	if !net.Inspect(id, func() { out = read() }) {
 		t.Fatalf("Inspect(%v) failed", id)
 	}
 	return out
@@ -137,17 +122,17 @@ func inspected[T any](t *testing.T, h Harness, id ids.ID, read func() T) T {
 
 // connectAll links every node to every other and seeds its failure
 // detector with them, each inside its own execution context.
-func connectAll(t *testing.T, h Harness, nodes map[ids.ID]*core.Node) {
+func connectAll(t *testing.T, net transport.Transport, nodes map[ids.ID]*core.Node) {
 	t.Helper()
 	all := ids.Set{}
 	for id := range nodes {
 		all = all.Add(id)
 	}
-	// In identifier order: on the simulator the links draw their session
-	// nonces from the one seeded source as they are connected.
+	// Every node draws its links' session nonces from a source of its own
+	// (Transport.Rand at NewNode), so the order changes nothing.
 	all.Each(func(id ids.ID) {
 		others := all.Remove(id)
-		if !h.Net.Inspect(id, func() {
+		if !net.Inspect(id, func() {
 			nodes[id].ConnectAll(others)
 			nodes[id].Detector.Bootstrap(others)
 		}) {
@@ -157,12 +142,13 @@ func connectAll(t *testing.T, h Harness, nodes map[ids.ID]*core.Node) {
 }
 
 // registerCluster builds one single-shard register node per member on
-// medium (h.Net, or a decorator of it), wires them and waits until each has
-// installed the view of all of them; it returns the view's coordinator.
-// eval is the coordinator's reconfiguration predicate (nil: never).
-func registerCluster(t *testing.T, h Harness, medium transport.Transport, all ids.Set, eval vs.EvalConf) (map[ids.ID]*core.Node, map[ids.ID]*regmem.SharedMemory, ids.ID) {
+// medium (the backend, or a decorator of it), wires them and waits until
+// each has installed the view of all of them; it returns the view's
+// coordinator. eval is the coordinator's reconfiguration predicate (nil:
+// never).
+func registerCluster(t *testing.T, medium transport.Transport, all ids.Set, eval vs.EvalConf) (map[ids.ID]*core.Node, map[ids.ID]*regmem.SharedMemory, ids.ID) {
 	t.Helper()
-	nodes, mems, coords := shardedCluster(t, h, medium, all, eval, 1, datalink.Options{})
+	nodes, mems, coords := shardedCluster(t, medium, all, eval, 1, datalink.Options{})
 	return nodes, mems[0], coords[0]
 }
 
@@ -170,7 +156,7 @@ func registerCluster(t *testing.T, h Harness, medium transport.Transport, all id
 // shards over links with the given options, every shard bundling up to
 // link.MaxBatch commands into a round input. The stacks and the
 // coordinators come back by shard.
-func shardedCluster(t *testing.T, h Harness, medium transport.Transport, all ids.Set, eval vs.EvalConf, shards int, link datalink.Options) (map[ids.ID]*core.Node, []map[ids.ID]*regmem.SharedMemory, []ids.ID) {
+func shardedCluster(t *testing.T, medium transport.Transport, all ids.Set, eval vs.EvalConf, shards int, link datalink.Options) (map[ids.ID]*core.Node, []map[ids.ID]*regmem.SharedMemory, []ids.ID) {
 	t.Helper()
 	mems := make([]map[ids.ID]*regmem.SharedMemory, shards)
 	for s := range mems {
@@ -195,10 +181,10 @@ func shardedCluster(t *testing.T, h Harness, medium transport.Transport, all ids
 		}
 		nodes[i] = node
 	})
-	connectAll(t, h, nodes)
+	connectAll(t, medium, nodes)
 	coords := make([]ids.ID, shards)
 	for s := range coords {
-		if !awaitView(t, h, mems[s], all, all, &coords[s]) {
+		if !awaitView(t, medium, mems[s], all, all, &coords[s]) {
 			t.Fatalf("no full view of shard %d on every node", s)
 		}
 	}
@@ -207,11 +193,11 @@ func shardedCluster(t *testing.T, h Harness, medium transport.Transport, all ids
 
 // awaitView waits until every node of at has installed the view whose
 // members are exactly want, and stores its coordinator.
-func awaitView(t *testing.T, h Harness, mems map[ids.ID]*regmem.SharedMemory, at, want ids.Set, coord *ids.ID) bool {
+func awaitView(t *testing.T, net transport.Transport, mems map[ids.ID]*regmem.SharedMemory, at, want ids.Set, coord *ids.ID) bool {
 	t.Helper()
-	return await(h, 60*time.Second, func() bool {
+	return await(60*time.Second, func() bool {
 		for _, i := range at.Members() {
-			v := inspected(t, h, i, func() vs.View { v, _ := mems[i].VS().CurrentView(); return v })
+			v := inspected(t, net, i, func() vs.View { v, _ := mems[i].VS().CurrentView(); return v })
 			if !v.Valid() || !v.Set.Equal(want) {
 				return false
 			}
@@ -297,68 +283,56 @@ func (l *sliceLog) Tick() { l.events = append(l.events, "tick") }
 // the configuration once it has a member the detector no longer trusts.
 func evictUntrusted(cur, trusted ids.Set) bool { return cur.Diff(trusted).Size() > 0 }
 
-// simBurstTicks is how many ticks of the submitting node BurstRidesOneRound's
-// five bursts cost on the simulator, submission to last completion, at the
-// subtest's fixed seed — measured at the commit before the end-of-slice
-// step existed. The simulator has no slices, so it must never move.
-const simBurstTicks = 15
-
-// simDetectTicks is how many ticks of a survivor pass on the simulator
-// between CrashHint's crash and both survivors suspecting the victim, at the
-// subtest's fixed seed — measured at the commit before connection-loss
-// hints existed. No medium reports anything there, so it must never move.
-const simDetectTicks = 65
-
 // Run executes the conformance suite against the backend.
 func Run(t *testing.T, b Backend) {
 	universe := ids.Range(1, 8)
 
 	t.Run("TicksAndRegistration", func(t *testing.T) {
-		h := b.New(t, 1, quietOpts(), universe)
-		defer h.Net.Close()
+		net := b.New(t, 1, quietOpts(), universe)
+		defer net.Close()
 		ha := &handler{}
-		if err := h.Net.AddNode(1, ha); err != nil {
+		if err := net.AddNode(1, ha); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(1, &handler{}); err == nil {
+		if err := net.AddNode(1, &handler{}); err == nil {
 			t.Fatal("duplicate AddNode accepted")
 		}
-		if !await(h, 5*time.Second, func() bool {
-			return inspected(t, h, 1, func() int { return ha.ticks }) >= 5
+		if !await(5*time.Second, func() bool {
+			return inspected(t, net, 1, func() int { return ha.ticks }) >= 5
 		}) {
 			t.Fatal("node never ticked")
 		}
-		if !h.Net.Alive().Contains(1) {
+		if !net.Alive().Contains(1) {
 			t.Fatal("registered node not alive")
 		}
 	})
 
 	t.Run("LosslessDelivery", func(t *testing.T) {
-		h := b.New(t, 2, quietOpts(), universe)
-		defer h.Net.Close()
+		net := b.New(t, 2, quietOpts(), universe)
+		defer net.Close()
 		src, dst := &handler{}, &handler{}
-		if err := h.Net.AddNode(1, src); err != nil {
+		if err := net.AddNode(1, src); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, dst); err != nil {
+		if err := net.AddNode(2, dst); err != nil {
 			t.Fatal(err)
 		}
 		const k = 20
 		for i := 0; i < k; i++ {
-			h.Net.Send(1, 2, i)
+			net.Send(1, 2, i)
 		}
-		if !await(h, 10*time.Second, func() bool {
-			return inspected(t, h, 2, func() int { return dst.received }) == k
+		if !await(10*time.Second, func() bool {
+			return inspected(t, net, 2, func() int { return dst.received }) == k
 		}) {
-			got := inspected(t, h, 2, func() int { return dst.received })
+			got := inspected(t, net, 2, func() int { return dst.received })
 			t.Fatalf("delivered %d/%d", got, k)
 		}
 		// No spurious duplication without DupProb.
-		h.Settle(100 * time.Millisecond)
-		if got := inspected(t, h, 2, func() int { return dst.received }); got != k {
+		time.Sleep(100 * time.Millisecond)
+		if got := inspected(t, net, 2, func() int { return dst.received }); got != k {
 			t.Fatalf("delivered %d after settling, want exactly %d", got, k)
 		}
-		from := inspected(t, h, 2, func() ids.ID { return dst.lastFrom })
+		from := inspected(t, net, 2, func() ids.ID { return dst.lastFrom })
 		if from != 1 {
 			t.Fatalf("sender identity %v, want p1", from)
 		}
@@ -367,20 +341,20 @@ func Run(t *testing.T, b Backend) {
 	t.Run("TotalLossDeliversNothing", func(t *testing.T) {
 		opts := quietOpts()
 		opts.LossProb = 1
-		h := b.New(t, 3, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 3, opts, universe)
+		defer net.Close()
 		dst := &handler{}
-		if err := h.Net.AddNode(1, &handler{}); err != nil {
+		if err := net.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, dst); err != nil {
+		if err := net.AddNode(2, dst); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			h.Net.Send(1, 2, i)
+			net.Send(1, 2, i)
 		}
-		h.Settle(200 * time.Millisecond)
-		if got := inspected(t, h, 2, func() int { return dst.received }); got != 0 {
+		time.Sleep(200 * time.Millisecond)
+		if got := inspected(t, net, 2, func() int { return dst.received }); got != 0 {
 			t.Fatalf("full loss delivered %d packets", got)
 		}
 	})
@@ -388,64 +362,64 @@ func Run(t *testing.T, b Backend) {
 	t.Run("DuplicationInjection", func(t *testing.T) {
 		opts := quietOpts()
 		opts.DupProb = 1
-		h := b.New(t, 4, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 4, opts, universe)
+		defer net.Close()
 		dst := &handler{}
-		if err := h.Net.AddNode(1, &handler{}); err != nil {
+		if err := net.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, dst); err != nil {
+		if err := net.AddNode(2, dst); err != nil {
 			t.Fatal(err)
 		}
-		h.Net.Send(1, 2, "once")
-		if !await(h, 5*time.Second, func() bool {
-			return inspected(t, h, 2, func() int { return dst.received }) >= 2
+		net.Send(1, 2, "once")
+		if !await(5*time.Second, func() bool {
+			return inspected(t, net, 2, func() int { return dst.received }) >= 2
 		}) {
-			got := inspected(t, h, 2, func() int { return dst.received })
+			got := inspected(t, net, 2, func() int { return dst.received })
 			t.Fatalf("DupProb=1 delivered %d copies, want >= 2", got)
 		}
 	})
 
 	t.Run("CrashStopsNode", func(t *testing.T) {
-		h := b.New(t, 5, quietOpts(), universe)
-		defer h.Net.Close()
+		net := b.New(t, 5, quietOpts(), universe)
+		defer net.Close()
 		victim := &handler{}
-		if err := h.Net.AddNode(1, &handler{}); err != nil {
+		if err := net.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, victim); err != nil {
+		if err := net.AddNode(2, victim); err != nil {
 			t.Fatal(err)
 		}
-		if !await(h, 5*time.Second, func() bool {
-			return inspected(t, h, 2, func() int { return victim.ticks }) > 0
+		if !await(5*time.Second, func() bool {
+			return inspected(t, net, 2, func() int { return victim.ticks }) > 0
 		}) {
 			t.Fatal("victim never ticked")
 		}
-		h.Net.Crash(2)
-		if h.Net.Alive().Contains(2) {
+		net.Crash(2)
+		if net.Alive().Contains(2) {
 			t.Fatal("crashed node still alive")
 		}
-		if h.Net.Inspect(2, func() {}) {
+		if net.Inspect(2, func() {}) {
 			t.Fatal("Inspect of crashed node succeeded")
 		}
 		// Unknown/crashed destinations drop silently.
-		h.Net.Send(1, 2, "into the void")
-		h.Net.Send(1, 99, "into the void")
-		h.Settle(50 * time.Millisecond)
+		net.Send(1, 2, "into the void")
+		net.Send(1, 99, "into the void")
+		time.Sleep(50 * time.Millisecond)
 	})
 
 	t.Run("CloseIdempotent", func(t *testing.T) {
-		h := b.New(t, 6, quietOpts(), universe)
-		if err := h.Net.AddNode(1, &handler{}); err != nil {
+		net := b.New(t, 6, quietOpts(), universe)
+		if err := net.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.Close(); err != nil {
+		if err := net.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.Close(); err != nil {
+		if err := net.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(3, &handler{}); err == nil {
+		if err := net.AddNode(3, &handler{}); err == nil {
 			t.Fatal("AddNode after Close accepted")
 		}
 	})
@@ -458,13 +432,13 @@ func Run(t *testing.T, b Backend) {
 		// batch field end to end, envelopes (with shard tags) and raw
 		// payloads mixed.
 		opts := quietOpts()
-		h := b.New(t, 9, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 9, opts, universe)
+		defer net.Close()
 		dst := &packetRecorder{}
-		if err := h.Net.AddNode(1, &handler{}); err != nil {
+		if err := net.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, dst); err != nil {
+		if err := net.AddNode(2, dst); err != nil {
 			t.Fatal(err)
 		}
 		const k = 12
@@ -482,22 +456,22 @@ func Run(t *testing.T, b Backend) {
 				},
 			}
 			sent[pkt.Session] = pkt
-			h.Net.Send(1, 2, pkt)
+			net.Send(1, 2, pkt)
 		}
 		// A single-payload packet shares the stream unharmed.
 		single := datalink.Packet{Kind: datalink.KindData, Session: k + 1, Seq: 0, Payload: "single"}
 		sent[single.Session] = single
-		h.Net.Send(1, 2, single)
+		net.Send(1, 2, single)
 
-		if !await(h, 10*time.Second, func() bool {
-			return inspected(t, h, 2, func() int { return len(dst.pkts) }) == len(sent)
+		if !await(10*time.Second, func() bool {
+			return inspected(t, net, 2, func() int { return len(dst.pkts) }) == len(sent)
 		}) {
-			got := inspected(t, h, 2, func() int { return len(dst.pkts) })
+			got := inspected(t, net, 2, func() int { return len(dst.pkts) })
 			t.Fatalf("delivered %d/%d batched packets", got, len(sent))
 		}
 		// No late duplicates across batch boundaries.
-		h.Settle(100 * time.Millisecond)
-		pkts := inspected(t, h, 2, func() []datalink.Packet {
+		time.Sleep(100 * time.Millisecond)
+		pkts := inspected(t, net, 2, func() []datalink.Packet {
 			return append([]datalink.Packet(nil), dst.pkts...)
 		})
 		if len(pkts) != len(sent) {
@@ -532,12 +506,12 @@ func Run(t *testing.T, b Backend) {
 			TickEvery:  time.Millisecond,
 			TickJitter: time.Millisecond,
 		}
-		h := b.New(t, 7, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 7, opts, universe)
+		defer net.Close()
 		all := ids.Range(1, 3)
 		nodes := make(map[ids.ID]*core.Node)
 		for i := ids.ID(1); i <= 3; i++ {
-			n, err := core.NewNode(h.Net, core.Params{
+			n, err := core.NewNode(net, core.Params{
 				Self: i, N: 16, Initial: recsa.ConfigOf(all),
 			})
 			if err != nil {
@@ -545,10 +519,10 @@ func Run(t *testing.T, b Backend) {
 			}
 			nodes[i] = n
 		}
-		connectAll(t, h, nodes)
+		connectAll(t, net, nodes)
 		converged := func() bool {
 			for i := ids.ID(1); i <= 3; i++ {
-				ok := inspected(t, h, i, func() bool {
+				ok := inspected(t, net, i, func() bool {
 					q, has := nodes[i].Quorum()
 					return has && q.Equal(all) && nodes[i].NoReco()
 				})
@@ -558,7 +532,7 @@ func Run(t *testing.T, b Backend) {
 			}
 			return true
 		}
-		if !await(h, 60*time.Second, converged) {
+		if !await(60*time.Second, converged) {
 			t.Fatal("full stack never converged on this backend")
 		}
 	})
@@ -566,14 +540,12 @@ func Run(t *testing.T, b Backend) {
 	t.Run("ReceiptDrivenWrites", func(t *testing.T) {
 		// The live write path: a 3-node single-shard register cluster, a
 		// depth-1 write loop at a follower and then at the coordinator.
-		// On a medium that lets a delivery trigger a step only the
-		// coordinator's two ticks are left of a commit — the one that starts
-		// the round and the one that completes it; inputs and echoes travel
-		// between them. On the simulator only the timer steps, every hop
-		// waits for one, and the run is the function of the seed it always
-		// was. Around the loop the cluster sits idle, and an idle cluster
-		// takes no receipt-driven step and starts no cycle off the timer —
-		// one token per link per tick.
+		// A delivery may trigger a step, so only the coordinator's two ticks
+		// are left of a commit — the one that starts the round and the one
+		// that completes it; inputs and echoes travel between them. Around
+		// the loop the cluster sits idle, and an idle cluster takes no
+		// receipt-driven step and starts no cycle off the timer — one token
+		// per link per tick.
 		const n = 3
 		// A tick long enough that what happens between two ticks fits into
 		// it many times over even under the race detector: the comparison
@@ -583,10 +555,10 @@ func Run(t *testing.T, b Backend) {
 			TickEvery:  10 * time.Millisecond,
 			TickJitter: 5 * time.Millisecond,
 		}
-		h := b.New(t, 12, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 12, opts, universe)
+		defer net.Close()
 		all := ids.Range(1, n)
-		nodes, mems, coord := registerCluster(t, h, h.Net, all, nil)
+		nodes, mems, coord := registerCluster(t, net, all, nil)
 		follower := all.Remove(coord).Members()[0]
 
 		// idle lets the cluster sit for a while and checks, per node, how
@@ -598,12 +570,12 @@ func Run(t *testing.T, b Backend) {
 			return counts{nodes[i].Ticks(), st.CyclesDone, nodes[i].ReceiptSteps(), st.KickedCycles}
 		}
 		idle := func(when string) {
-			h.Settle(100 * time.Millisecond) // let the last commit's rounds drain
+			time.Sleep(100 * time.Millisecond) // let the last commit's rounds drain
 			before := map[ids.ID]counts{}
 			for i := ids.ID(1); i <= n; i++ {
 				before[i] = read(i)
 			}
-			h.Settle(400 * time.Millisecond)
+			time.Sleep(400 * time.Millisecond)
 			for i := ids.ID(1); i <= n; i++ {
 				a, z := before[i], read(i)
 				ticks, cycles := z.ticks-a.ticks, z.cycles-a.cycles
@@ -630,17 +602,17 @@ func Run(t *testing.T, b Backend) {
 			start := nodes[at].Ticks()
 			for c := 0; c < commits; c++ {
 				var hnd *regmem.Handle
-				if !h.Net.Inspect(at, func() { hnd = mems[at].Write("r", fmt.Sprintf("%v-%d", at, c)) }) {
+				if !net.Inspect(at, func() { hnd = mems[at].Write("r", fmt.Sprintf("%v-%d", at, c)) }) {
 					t.Fatalf("Inspect(%v) failed", at)
 				}
 				for waited := time.Duration(0); !hnd.Done(); waited += 100 * time.Microsecond {
 					if waited > 30*time.Second {
 						t.Fatalf("write %d at %v never completed", c, at)
 					}
-					h.Settle(100 * time.Microsecond)
+					time.Sleep(100 * time.Microsecond)
 				}
 				for i := ids.ID(1); i <= n; i++ {
-					if tr := inspected(t, h, i, func() ids.Set { return nodes[i].Trusted() }); !tr.Equal(all) {
+					if tr := inspected(t, net, i, func() ids.Set { return nodes[i].Trusted() }); !tr.Equal(all) {
 						t.Fatalf("after write %d at %v, node %v trusts %v", c, at, i, tr)
 					}
 				}
@@ -650,30 +622,18 @@ func Run(t *testing.T, b Backend) {
 		atFollower := loop(follower)
 		atCoord := loop(coord)
 		t.Logf("%d commits cost %d ticks at follower %v and %d at coordinator %v", commits, atFollower, follower, atCoord, coord)
-		if h.Net.ReceiptSteps() {
-			// Two ticks a commit, and slack for a commit that straddles a third.
-			if most := uint64(commits * 9 / 4); atFollower > most || atCoord > most {
-				t.Errorf("a live medium pays more than the coordinator's two ticks per commit: %d commits cost %d ticks at the follower, %d at the coordinator",
-					commits, atFollower, atCoord)
-			}
-			// The followers stepped on receipt; the coordinator, whose
-			// rounds are the view's clock, only ever on its timer.
-			if s := nodes[follower].ReceiptSteps(); s == 0 {
-				t.Errorf("follower %v took no receipt-driven step", follower)
-			}
-			if s := nodes[coord].ReceiptSteps(); s != 0 {
-				t.Errorf("coordinator %v took %d receipt-driven steps", coord, s)
-			}
-		} else {
-			if atFollower != simFollowerTicks || atCoord != simCoordTicks {
-				t.Errorf("the simulator moved: %d commits cost %d ticks at the follower (were %d), %d at the coordinator (were %d)",
-					commits, atFollower, simFollowerTicks, atCoord, simCoordTicks)
-			}
-			for i := ids.ID(1); i <= n; i++ {
-				if s := nodes[i].ReceiptSteps(); s != 0 {
-					t.Errorf("node %v took %d receipt-driven steps on the simulator", i, s)
-				}
-			}
+		// Two ticks a commit, and slack for a commit that straddles a third.
+		if most := uint64(commits * 9 / 4); atFollower > most || atCoord > most {
+			t.Errorf("a live medium pays more than the coordinator's two ticks per commit: %d commits cost %d ticks at the follower, %d at the coordinator",
+				commits, atFollower, atCoord)
+		}
+		// The followers stepped on receipt; the coordinator, whose
+		// rounds are the view's clock, only ever on its timer.
+		if s := nodes[follower].ReceiptSteps(); s == 0 {
+			t.Errorf("follower %v took no receipt-driven step", follower)
+		}
+		if s := nodes[coord].ReceiptSteps(); s != 0 {
+			t.Errorf("coordinator %v took %d receipt-driven steps", coord, s)
 		}
 		idle("after the writes")
 	})
@@ -684,29 +644,29 @@ func Run(t *testing.T, b Backend) {
 		// ends, before the tick that fell due meanwhile and before the
 		// deliveries queued behind it; a node holds one request at a time; a
 		// request from outside wakes a parked node; a stopped or unknown node
-		// accepts none. The simulator accepts none at all.
+		// accepts none.
 		opts := transport.Options{Capacity: 64, TickEvery: time.Millisecond}
-		h := b.New(t, 17, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 17, opts, universe)
+		defer net.Close()
 		log := &sliceLog{}
-		if err := h.Net.AddNode(1, log); err != nil {
+		if err := net.AddNode(1, log); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, &handler{}); err != nil {
+		if err := net.AddNode(2, &handler{}); err != nil {
 			t.Fatal(err)
 		}
 		note := func(what string) func() { return func() { log.events = append(log.events, what) } }
 		const queued = 9
 		var first, second bool
 		var start int
-		if !h.Net.Inspect(1, func() {
-			first = h.Net.AfterSlice(1, note("first"))
-			second = h.Net.AfterSlice(1, note("second"))
+		if !net.Inspect(1, func() {
+			first = net.AfterSlice(1, note("first"))
+			second = net.AfterSlice(1, note("second"))
 			start = len(log.events)
 			for i := 0; i < queued; i++ {
-				h.Net.Send(2, 1, i)
+				net.Send(2, 1, i)
 			}
-			h.Settle(20 * opts.TickEvery) // the deliveries are queued and a tick is overdue
+			time.Sleep(20 * opts.TickEvery) // the deliveries are queued and a tick is overdue
 		}) {
 			t.Fatal("Inspect(1) failed")
 		}
@@ -718,26 +678,14 @@ func Run(t *testing.T, b Backend) {
 			}
 			return n
 		}
-		if !await(h, 10*time.Second, func() bool {
-			return inspected(t, h, 1, func() int { return received(log.events[start:]) }) == queued
+		if !await(10*time.Second, func() bool {
+			return inspected(t, net, 1, func() int { return received(log.events[start:]) }) == queued
 		}) {
 			t.Fatal("the queued deliveries never arrived")
 		}
-		after := inspected(t, h, 1, func() []string { return append([]string(nil), log.events[start:]...) })
-		if h.Net.AfterSlice(99, func() {}) {
+		after := inspected(t, net, 1, func() []string { return append([]string(nil), log.events[start:]...) })
+		if net.AfterSlice(99, func() {}) {
 			t.Error("a node nobody registered accepted an end-of-slice request")
-		}
-		if !h.Net.ReceiptSteps() {
-			if first || second || h.Net.AfterSlice(1, note("outside")) {
-				t.Error("the simulator accepted an end-of-slice request")
-			}
-			h.Settle(20 * opts.TickEvery)
-			for _, e := range inspected(t, h, 1, func() []string { return log.events }) {
-				if e != "receive" && e != "tick" {
-					t.Errorf("%q ran on the simulator", e)
-				}
-			}
-			return
 		}
 		if !first || second {
 			t.Errorf("two requests in one slice were answered %v and %v, want the first accepted and the second refused", first, second)
@@ -753,12 +701,12 @@ func Run(t *testing.T, b Backend) {
 
 		// A parked node: its timer is an hour away and nothing is sent to it.
 		parked := b.New(t, 18, transport.Options{Capacity: 64, TickEvery: time.Hour}, universe)
-		defer parked.Net.Close()
-		if err := parked.Net.AddNode(1, &handler{}); err != nil {
+		defer parked.Close()
+		if err := parked.AddNode(1, &handler{}); err != nil {
 			t.Fatal(err)
 		}
 		woke := make(chan struct{})
-		if !parked.Net.AfterSlice(1, func() { close(woke) }) {
+		if !parked.AfterSlice(1, func() { close(woke) }) {
 			t.Fatal("a parked node refused an end-of-slice request")
 		}
 		select {
@@ -766,8 +714,8 @@ func Run(t *testing.T, b Backend) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("a request from outside did not wake the parked node")
 		}
-		parked.Net.Crash(1)
-		if parked.Net.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a crashed node") }) {
+		parked.Crash(1)
+		if parked.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a crashed node") }) {
 			t.Error("a crashed node accepted an end-of-slice request")
 		}
 	})
@@ -781,24 +729,22 @@ func Run(t *testing.T, b Backend) {
 		// coordinator ticks later. (Stepping on the first command of a shard
 		// instead fetched a batch of one or two and left the rest for the
 		// round after.) The medium is seen through a decorator that knows
-		// nothing of the hook, as the benchmark's traced pass sees it. On the
-		// simulator a burst waits for the timer as it always did.
+		// nothing of the hook, as the benchmark's traced pass sees it.
 		const shards, batch, window, bursts = 4, 16, 4, 5
 		opts := transport.Options{
 			Capacity:   64,
 			TickEvery:  10 * time.Millisecond,
 			TickJitter: 5 * time.Millisecond,
 		}
-		h := b.New(t, 19, opts, universe)
-		defer h.Net.Close()
-		live := h.Net.ReceiptSteps()
+		net := b.New(t, 19, opts, universe)
+		defer net.Close()
 		all := ids.Range(1, 3)
-		spy := &sliceSpy{Transport: h.Net}
-		nodes, mems, coords := shardedCluster(t, h, &muted{Transport: spy}, all, nil,
+		spy := &sliceSpy{Transport: net}
+		nodes, mems, coords := shardedCluster(t, &muted{Transport: spy}, all, nil,
 			shards, datalink.Options{MaxBatch: batch, Window: window})
 		at := all.Remove(coords[0]).Members()[0]
-		h.Settle(100 * time.Millisecond) // the view installs have drained
-		h.Net.Inspect(at, func() { spy.watch, spy.steps = at, nodes[at].ReceiptSteps })
+		time.Sleep(100 * time.Millisecond) // the view installs have drained
+		net.Inspect(at, func() { spy.watch, spy.steps = at, nodes[at].ReceiptSteps })
 
 		var cost uint64 // ticks of the submitting node, submission to last completion
 		for burst := 0; burst < bursts; burst++ {
@@ -808,7 +754,7 @@ func Run(t *testing.T, b Backend) {
 			}
 			var handles []*regmem.Handle
 			var inSlice uint64
-			if !h.Net.Inspect(at, func() {
+			if !net.Inspect(at, func() {
 				spy.accepted, spy.rose = 0, nil
 				stepsBefore := nodes[at].ReceiptSteps()
 				for c := 0; c < batch; c++ {
@@ -833,17 +779,14 @@ func Run(t *testing.T, b Backend) {
 				if waited > 30*time.Second {
 					t.Fatalf("burst %d: %d of %d writes completed", burst, done, len(handles))
 				}
-				h.Settle(100 * time.Microsecond)
+				time.Sleep(100 * time.Microsecond)
 			}
 			cost += nodes[at].Ticks() - before[at]
-			if !live {
-				continue
-			}
 			if inSlice != 0 {
 				t.Errorf("burst %d: %d receipt-driven steps ran inside the submitting slice, want one step at its end", burst, inSlice)
 			}
-			accepted := inspected(t, h, at, func() int { return spy.accepted })
-			rose := inspected(t, h, at, func() []uint64 { return spy.rose })
+			accepted := inspected(t, net, at, func() int { return spy.accepted })
+			rose := inspected(t, net, at, func() []uint64 { return spy.rose })
 			if accepted != 1 || len(rose) != 1 || rose[0] == 0 || rose[0] > shards {
 				t.Errorf("burst %d made %d end-of-slice requests that ran as %v app steps, want one request and at most one step per shard", burst, accepted, rose)
 			}
@@ -857,7 +800,7 @@ func Run(t *testing.T, b Backend) {
 		// How the commands travelled: the rounds in which each shard
 		// delivered each burst (a write's value is its burst).
 		for s := 0; s < shards; s++ {
-			rounds := inspected(t, h, at, func() map[string]map[uint64]int {
+			rounds := inspected(t, net, at, func() map[string]map[uint64]int {
 				out := map[string]map[uint64]int{}
 				for _, a := range mems[s][at].SMR().Log() {
 					if w, ok := a.Cmd.(regmem.WriteCmd); ok && a.Member == at {
@@ -879,17 +822,6 @@ func Run(t *testing.T, b Backend) {
 			}
 		}
 		t.Logf("%d bursts of %d writes at node %v (coordinators %v) cost it %d ticks", bursts, shards*batch, at, coords, cost)
-		if live {
-			return
-		}
-		if cost != simBurstTicks {
-			t.Errorf("the simulator moved: %d bursts cost %d ticks of node %v (were %d)", bursts, cost, at, simBurstTicks)
-		}
-		for i, n := range nodes {
-			if st := n.ReceiptSteps(); st != 0 {
-				t.Errorf("node %v took %d receipt-driven steps on the simulator", i, st)
-			}
-		}
 	})
 
 	t.Run("StoppedNodeTakesNoStep", func(t *testing.T) {
@@ -898,40 +830,35 @@ func Run(t *testing.T, b Backend) {
 		// that reached its inbox meanwhile, not what that very step asked to
 		// have run when it ends.
 		opts := quietOpts()
-		h := b.New(t, 14, opts, universe)
-		defer h.Net.Close()
-		live := h.Net.ReceiptSteps()
+		net := b.New(t, 14, opts, universe)
+		defer net.Close()
 		subject, peer := &lateStepper{atCrash: -1}, &handler{}
 		subject.crash = func() {
-			h.Net.AfterSlice(1, func() { subject.afterSlice++ })
-			h.Net.Crash(2)
-			if live {
-				time.Sleep(20 * opts.TickEvery) // the hint about 2 is in the inbox
-			}
-			h.Net.Crash(1)
-			if live {
-				time.Sleep(5 * opts.TickEvery) // and a tick is overdue
-			}
+			net.AfterSlice(1, func() { subject.afterSlice++ })
+			net.Crash(2)
+			time.Sleep(20 * opts.TickEvery) // the hint about 2 is in the inbox
+			net.Crash(1)
+			time.Sleep(5 * opts.TickEvery) // and a tick is overdue
 		}
-		if err := h.Net.AddNode(1, subject); err != nil {
+		if err := net.AddNode(1, subject); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Net.AddNode(2, peer); err != nil {
+		if err := net.AddNode(2, peer); err != nil {
 			t.Fatal(err)
 		}
 		// 1 reaches 2 first: only a link that was up can report a loss.
-		h.Net.Send(1, 2, "hello")
-		if !await(h, 10*time.Second, func() bool {
-			return inspected(t, h, 2, func() int { return peer.received }) == 1
+		net.Send(1, 2, "hello")
+		if !await(10*time.Second, func() bool {
+			return inspected(t, net, 2, func() int { return peer.received }) == 1
 		}) {
 			t.Fatal("1 never reached 2")
 		}
-		h.Net.Send(2, 1, "crash yourself")
-		if !await(h, 10*time.Second, func() bool { return !h.Net.Alive().Contains(1) }) {
+		net.Send(2, 1, "crash yourself")
+		if !await(10*time.Second, func() bool { return !net.Alive().Contains(1) }) {
 			t.Fatal("the subject never crashed itself")
 		}
-		h.Settle(20 * opts.TickEvery)
-		h.Net.Close() // no step after this: the handler may be read
+		time.Sleep(20 * opts.TickEvery)
+		net.Close() // no step after this: the handler may be read
 		if subject.atCrash < 0 {
 			t.Fatal("Receive never returned")
 		}
@@ -944,7 +871,7 @@ func Run(t *testing.T, b Backend) {
 		if subject.afterSlice != 0 {
 			t.Errorf("%d end-of-slice requests ran after the node was crashed", subject.afterSlice)
 		}
-		if h.Net.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a closed medium") }) {
+		if net.AfterSlice(1, func() { t.Error("an end-of-slice request ran on a closed medium") }) {
 			t.Error("a closed medium accepted an end-of-slice request")
 		}
 	})
@@ -963,23 +890,22 @@ func Run(t *testing.T, b Backend) {
 		// A 3-node register cluster loses a member the way a process dies.
 		// A connection-oriented medium tells the survivors (inproc: the
 		// crash itself; tcp: the connection broke and the redial was
-		// refused) and their detectors suspect it within a few ticks; on the
-		// simulator nothing tells them, and the count gap takes exactly the
-		// ticks it always took. Either way the configuration is replaced and
-		// a write commits in the two-member view.
-		h := b.New(t, 15, hintOpts, universe)
-		defer h.Net.Close()
+		// refused) and their detectors suspect it within a few ticks. The
+		// configuration is then replaced and a write commits in the
+		// two-member view.
+		net := b.New(t, 15, hintOpts, universe)
+		defer net.Close()
 		all := ids.Range(1, 3)
-		nodes, mems, coord := registerCluster(t, h, h.Net, all, evictUntrusted)
+		nodes, mems, coord := registerCluster(t, net, all, evictUntrusted)
 		victim := all.Remove(coord).Members()[1]
 		rest := all.Remove(victim)
 		watcher := rest.Members()[0]
 
 		before := nodes[watcher].Ticks()
-		h.Net.Crash(victim)
-		if !await(h, 60*time.Second, func() bool {
+		net.Crash(victim)
+		if !await(60*time.Second, func() bool {
 			for _, i := range rest.Members() {
-				if inspected(t, h, i, func() bool { return nodes[i].Trusted().Contains(victim) }) {
+				if inspected(t, net, i, func() bool { return nodes[i].Trusted().Contains(victim) }) {
 					return false
 				}
 			}
@@ -990,32 +916,23 @@ func Run(t *testing.T, b Backend) {
 		took := nodes[watcher].Ticks() - before
 		t.Logf("survivors suspected %v within %d ticks of node %v", victim, took, watcher)
 		for _, i := range rest.Members() {
-			count := inspected(t, h, i, func() uint64 { c, _ := nodes[i].Detector.Count(victim); return c })
-			hints := nodes[i].PeerDowns()
-			if h.Net.ReceiptSteps() {
-				if hints != 1 || count != gap.MaxCount {
-					t.Errorf("node %v: %d hints and count %d for the crashed node, want one hint and the cap", i, hints, count)
-				}
-			} else if hints != 0 || count <= gapCount || count >= gap.MaxCount {
-				t.Errorf("node %v: %d hints and count %d on the simulator, want none and a count past the gap", i, hints, count)
+			count := inspected(t, net, i, func() uint64 { c, _ := nodes[i].Detector.Count(victim); return c })
+			if hints := nodes[i].PeerDowns(); hints != 1 || count != gap.MaxCount {
+				t.Errorf("node %v: %d hints and count %d for the crashed node, want one hint and the cap", i, hints, count)
 			}
 		}
-		if h.Net.ReceiptSteps() {
-			if took > 10 {
-				t.Errorf("a connection-oriented medium took %d ticks to have a crashed peer suspected, want at most 10", took)
-			}
-		} else if took != simDetectTicks {
-			t.Errorf("the simulator moved: suspicion took %d ticks (was %d)", took, simDetectTicks)
+		if took > 10 {
+			t.Errorf("a connection-oriented medium took %d ticks to have a crashed peer suspected, want at most 10", took)
 		}
 
-		if !awaitView(t, h, mems, rest, rest, &coord) {
+		if !awaitView(t, net, mems, rest, rest, &coord) {
 			t.Fatal("the survivors never installed their two-member view")
 		}
 		var hnd *regmem.Handle
-		if !h.Net.Inspect(watcher, func() { hnd = mems[watcher].Write("r", "after the crash") }) {
+		if !net.Inspect(watcher, func() { hnd = mems[watcher].Write("r", "after the crash") }) {
 			t.Fatalf("Inspect(%v) failed", watcher)
 		}
-		if !await(h, 60*time.Second, hnd.Done) {
+		if !await(60*time.Second, hnd.Done) {
 			t.Fatal("no write committed in the new view")
 		}
 	})
@@ -1026,17 +943,17 @@ func Run(t *testing.T, b Backend) {
 		// No medium has anything to report, so on every backend the
 		// survivors suspect it only once its count has passed the gap.
 		all := ids.Range(1, 3)
-		h := b.New(t, 16, hintOpts, universe)
-		defer h.Net.Close()
-		medium := &muted{Transport: h.Net}
-		nodes, _, coord := registerCluster(t, h, medium, all, evictUntrusted)
+		net := b.New(t, 16, hintOpts, universe)
+		defer net.Close()
+		medium := &muted{Transport: net}
+		nodes, _, coord := registerCluster(t, medium, all, evictUntrusted)
 		medium.victim = all.Remove(coord).Members()[1]
 		rest := all.Remove(medium.victim)
 		medium.silenced.Store(true)
 		for _, i := range rest.Members() {
 			var count uint64
-			if !await(h, 60*time.Second, func() bool {
-				return inspected(t, h, i, func() bool {
+			if !await(60*time.Second, func() bool {
+				return inspected(t, net, i, func() bool {
 					count, _ = nodes[i].Detector.Count(medium.victim)
 					return !nodes[i].Trusted().Contains(medium.victim)
 				})
@@ -1063,21 +980,17 @@ func Run(t *testing.T, b Backend) {
 		opts := transport.Options{Capacity: 64, TickEvery: every}
 		var median time.Duration
 		for attempt := 1; attempt <= 3; attempt++ {
-			h := b.New(t, 13, opts, universe)
-			if !h.Net.ReceiptSteps() {
-				h.Net.Close()
-				t.Skip("no wall-clock timer on this backend")
-			}
+			net := b.New(t, 13, opts, universe)
 			st := &tickStamper{at: make([]time.Time, 0, 2*ticks)}
-			if err := h.Net.AddNode(1, st); err != nil {
+			if err := net.AddNode(1, st); err != nil {
 				t.Fatal(err)
 			}
-			if !await(h, 30*time.Second, func() bool {
-				return inspected(t, h, 1, func() int { return len(st.at) }) > ticks
+			if !await(30*time.Second, func() bool {
+				return inspected(t, net, 1, func() int { return len(st.at) }) > ticks
 			}) {
 				t.Fatal("node stopped ticking")
 			}
-			h.Net.Close() // no step after this: the stamps may be read
+			net.Close() // no step after this: the stamps may be read
 			gaps := make([]time.Duration, 0, len(st.at))
 			for k := 1; k < len(st.at); k++ {
 				gap := st.at[k].Sub(st.at[k-1])
@@ -1112,15 +1025,15 @@ func Run(t *testing.T, b Backend) {
 			TickEvery:  time.Millisecond,
 			TickJitter: time.Millisecond,
 		}
-		h := b.New(t, 8, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 8, opts, universe)
+		defer net.Close()
 		all := ids.Range(1, n)
 		maps := make(map[ids.ID]*shard.Map)
 		nodes := make(map[ids.ID]*core.Node)
 		for i := ids.ID(1); i <= n; i++ {
 			m := shard.New(i, shards, nil)
 			maps[i] = m
-			node, err := core.NewNode(h.Net, core.Params{
+			node, err := core.NewNode(net, core.Params{
 				Self: i, N: 16, Initial: recsa.ConfigOf(all),
 				EvalConf: func(ids.Set, ids.Set) bool { return false },
 				Apps:     m.Apps(),
@@ -1130,11 +1043,11 @@ func Run(t *testing.T, b Backend) {
 			}
 			nodes[i] = node
 		}
-		connectAll(t, h, nodes)
+		connectAll(t, net, nodes)
 		// Every shard of every node installs a view.
-		if !await(h, 60*time.Second, func() bool {
+		if !await(60*time.Second, func() bool {
 			for i := ids.ID(1); i <= n; i++ {
-				ok := inspected(t, h, i, func() bool {
+				ok := inspected(t, net, i, func() bool {
 					for s := 0; s < shards; s++ {
 						mem, err := maps[i].Mem(s)
 						if err != nil {
@@ -1162,7 +1075,7 @@ func Run(t *testing.T, b Backend) {
 			names[s] = group[0]
 		}
 		handles := make([]*regmem.Handle, shards)
-		if !h.Net.Inspect(1, func() {
+		if !net.Inspect(1, func() {
 			for s, name := range names {
 				hnd, got := maps[1].Write(name, fmt.Sprintf("v%d", s))
 				if got != s {
@@ -1173,8 +1086,8 @@ func Run(t *testing.T, b Backend) {
 		}) {
 			t.Fatal("Inspect(1) failed")
 		}
-		if !await(h, 60*time.Second, func() bool {
-			return inspected(t, h, 1, func() bool {
+		if !await(60*time.Second, func() bool {
+			return inspected(t, net, 1, func() bool {
 				for _, hnd := range handles {
 					if !hnd.Done() {
 						return false
@@ -1186,9 +1099,9 @@ func Run(t *testing.T, b Backend) {
 			t.Fatal("cross-shard writes never completed")
 		}
 		// Both registers are readable on every node through the router.
-		if !await(h, 60*time.Second, func() bool {
+		if !await(60*time.Second, func() bool {
 			for i := ids.ID(1); i <= n; i++ {
-				ok := inspected(t, h, i, func() bool {
+				ok := inspected(t, net, i, func() bool {
 					for s, name := range names {
 						if v, _ := maps[i].Read(name); v != fmt.Sprintf("v%d", s) {
 							return false
@@ -1209,9 +1122,9 @@ func Run(t *testing.T, b Backend) {
 	t.Run("SharedSnapshot", func(t *testing.T) {
 		// One step publishes one replica record, one recMA message and one
 		// gossip payload, and every peer's envelope carries those same
-		// objects (DESIGN.md §3, "What a step may cache"). simnet and inproc
-		// hand a payload over by reference, so the sender's outbox and two
-		// receivers — each on its own goroutine on inproc — then hold one
+		// objects (DESIGN.md §3, "What a step may cache"). inproc hands a
+		// payload over by reference, so the sender's outbox and two
+		// receivers — each on its own goroutine — then hold one
 		// record, and each receiver stores it without a copy. Writes at
 		// every node at once keep every round loaded, so all that reads a
 		// stored record runs (follow, adopt, the rounds handed to the
@@ -1225,20 +1138,20 @@ func Run(t *testing.T, b Backend) {
 			TickEvery:  time.Millisecond,
 			TickJitter: time.Millisecond,
 		}
-		h := b.New(t, 17, opts, universe)
-		defer h.Net.Close()
+		net := b.New(t, 17, opts, universe)
+		defer net.Close()
 		all := ids.Range(1, n)
-		_, mems, _ := registerCluster(t, h, h.Net, all, nil)
+		_, mems, _ := registerCluster(t, net, all, nil)
 		for r := 0; r < rounds; r++ {
 			handles := make(map[ids.ID]*regmem.Handle)
 			all.Each(func(i ids.ID) {
-				if !h.Net.Inspect(i, func() {
+				if !net.Inspect(i, func() {
 					handles[i] = mems[i].Write(fmt.Sprintf("r%v", i), fmt.Sprintf("%v-%d", i, r))
 				}) {
 					t.Fatalf("Inspect(%v) failed", i)
 				}
 			})
-			if !await(h, 60*time.Second, func() bool {
+			if !await(60*time.Second, func() bool {
 				for _, hnd := range handles {
 					if !hnd.Done() {
 						return false
@@ -1249,10 +1162,10 @@ func Run(t *testing.T, b Backend) {
 				t.Fatalf("round %d of concurrent writes never completed", r)
 			}
 		}
-		if !await(h, 60*time.Second, func() bool {
+		if !await(60*time.Second, func() bool {
 			for _, at := range all.Members() {
 				for _, of := range all.Members() {
-					v := inspected(t, h, at, func() string { v, _ := mems[at].Read(fmt.Sprintf("r%v", of)); return v })
+					v := inspected(t, net, at, func() string { v, _ := mems[at].Read(fmt.Sprintf("r%v", of)); return v })
 					if v != fmt.Sprintf("%v-%d", of, rounds-1) {
 						return false
 					}

@@ -14,9 +14,8 @@ import (
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Backend{
 		Name: "inproc",
-		New: func(t *testing.T, seed int64, opts transport.Options, _ ids.Set) conformance.Harness {
-			n := inproc.New(seed, opts)
-			return conformance.Harness{Net: n, Settle: time.Sleep}
+		New: func(t *testing.T, seed int64, opts transport.Options, _ ids.Set) transport.Transport {
+			return inproc.New(seed, opts)
 		},
 	})
 }

@@ -3,24 +3,18 @@ package transport
 import (
 	"math/rand"
 	"time"
-
-	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // SimTick is the wall-clock duration one virtual tick of the simulator
-// stands for when converting between the unified Options (durations) and
-// netsim.Options (virtual ticks).
+// stands for: the definition the benchmark's sim workload (bench/simwl.go)
+// names when it reports simulated ticks as milliseconds.
 const SimTick = time.Millisecond
 
-// Options is the backend-independent fault and timing configuration — one
-// adversary description that simulated and live runs share, so the fault
-// model injected into a netsim experiment is the same one a live cluster
-// faces. Durations are wall-clock; the simnet backend maps them to
-// virtual ticks at SimTick per tick.
+// Options is the fault and timing configuration of the live backends
+// (inproc, tcp): the adversary a live cluster faces. Durations are
+// wall-clock.
 type Options struct {
-	// Capacity bounds in-flight packets per directed link (simnet) or
-	// the per-node inbox and per-peer send queue (inproc, tcp). Sends
+	// Capacity bounds the per-node inbox and per-peer send queue. Sends
 	// beyond the bound are dropped — the paper's bounded-capacity link.
 	Capacity int
 	// MinDelay/MaxDelay bound artificial per-packet delivery latency;
@@ -43,11 +37,6 @@ type Options struct {
 	// it missed and counts from now — it never runs a catch-up burst.
 	TickEvery, TickJitter time.Duration
 }
-
-// DefaultOptions mirrors netsim.DefaultOptions at SimTick scale: the
-// moderately adversarial configuration (10% loss, 5% duplication, link
-// capacity 8, overlapping delays) used throughout the tests.
-func DefaultOptions() Options { return FromNetsim(netsim.DefaultOptions()) }
 
 // LiveDefaults is a gentler configuration for long-lived live clusters:
 // roomier queues and lower loss, with the duplication and jitter knobs
@@ -100,39 +89,4 @@ func (o Options) Fate(rng *rand.Rand) (copies int, delays [2]time.Duration) {
 		}
 	}
 	return copies, delays
-}
-
-// Netsim converts the unified configuration to the simulator's
-// virtual-tick units (rounding delays up so sub-tick durations stay
-// nonzero where they were nonzero).
-func (o Options) Netsim() netsim.Options {
-	return netsim.Options{
-		Capacity:   o.Capacity,
-		MinDelay:   toTicks(o.MinDelay),
-		MaxDelay:   toTicks(o.MaxDelay),
-		LossProb:   o.LossProb,
-		DupProb:    o.DupProb,
-		TickEvery:  toTicks(o.TickEvery),
-		TickJitter: toTicks(o.TickJitter),
-	}
-}
-
-// FromNetsim lifts a simulator configuration to the unified form.
-func FromNetsim(o netsim.Options) Options {
-	return Options{
-		Capacity:   o.Capacity,
-		MinDelay:   time.Duration(o.MinDelay) * SimTick,
-		MaxDelay:   time.Duration(o.MaxDelay) * SimTick,
-		LossProb:   o.LossProb,
-		DupProb:    o.DupProb,
-		TickEvery:  time.Duration(o.TickEvery) * SimTick,
-		TickJitter: time.Duration(o.TickJitter) * SimTick,
-	}
-}
-
-func toTicks(d time.Duration) sim.Time {
-	if d <= 0 {
-		return 0
-	}
-	return sim.Time((d + SimTick - 1) / SimTick)
 }

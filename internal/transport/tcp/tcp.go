@@ -379,9 +379,6 @@ func (t *Net) Done(id ids.ID) <-chan struct{} {
 	return transport.Stopped
 }
 
-// ReceiptSteps implements transport.Transport: a live medium.
-func (t *Net) ReceiptSteps() bool { return true }
-
 // AfterSlice implements transport.Transport: the node's goroutine takes fn
 // when the slice it is running ends, or at once if it is parked.
 func (t *Net) AfterSlice(id ids.ID, fn func()) bool {

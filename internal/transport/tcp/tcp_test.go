@@ -16,13 +16,12 @@ import (
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Backend{
 		Name: "tcp",
-		New: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) conformance.Harness {
+		New: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) transport.Transport {
 			addrs, err := tcp.FreeAddrs(universe.Members()...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts})
-			return conformance.Harness{Net: n, Settle: time.Sleep}
+			return tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts})
 		},
 	})
 }

@@ -1,23 +1,23 @@
-// Package transport defines the pluggable communication substrate the
+// Package transport defines the live communication substrate the
 // reconfiguration stack runs on. A Transport carries the netsim.Handler
-// protocol (Receive/Tick) between nodes; three interchangeable backends
-// implement it:
+// protocol (Receive/Tick) between nodes on the wall clock; two
+// interchangeable backends implement it:
 //
-//   - transport/simnet — adapter over the deterministic discrete-event
-//     simulator (internal/netsim). Tests, benchmarks, and the experiment
-//     suite use it; whole runs are a pure function of the seed.
 //   - transport/inproc — bounded channels as lossy links between nodes of
 //     one process. The examples and in-process deployments use it.
 //   - transport/tcp — real OS processes over TCP with length-prefixed,
 //     versioned frames (transport/wire). cmd/noded runs on it.
 //
-// All three present the same fault model (transport.Options): bounded
-// link capacity, probabilistic loss and duplication, delivery-delay
-// reordering, and jittered node timers — so an adversary configured for
-// a simulated run injects the same faults into a live one. The two live
-// backends share everything but how a packet reaches a node: each node
-// runs on a Loop (its execution context and timer), and each Send draws
-// the packet's fate from Options.Fate.
+// Both present the same fault model (transport.Options): bounded link
+// capacity, probabilistic loss and duplication, delivery-delay
+// reordering, and jittered node timers. They share everything but how a
+// packet reaches a node: each node runs on a Loop (its execution context
+// and timer), and each Send draws the packet's fate from Options.Fate.
+//
+// The deterministic simulator is not a Transport: tests, benchmarks and
+// the experiment suite reach it through core.Cluster on internal/netsim,
+// whose Network is a bare core.Transport, and a whole run there is a pure
+// function of the seed.
 //
 // The Transport interface is a superset of core.Transport: any Transport
 // can be passed directly to core.NewNode.
@@ -67,14 +67,6 @@ type Transport interface {
 	// never existed. Whoever waits for something the node would do
 	// selects on it.
 	Done(id ids.ID) <-chan struct{}
-	// ReceiptSteps reports whether a delivery may trigger an application
-	// step on this medium, as the asynchronous model allows, or only the
-	// timer may. It is a fact about the medium, not a setting: the live
-	// backends say yes; the simulator says no, because its tables count
-	// steps on the simulated timer. core.NewNode reads it once. A
-	// decorator that embeds Transport inherits the answer of what it
-	// wraps.
-	ReceiptSteps() bool
 	// AfterSlice asks for fn to run in the node's execution context at the
 	// end of the slice that is running there now: right after the Inspect
 	// closure, Receive, Tick or PeerDown in progress returns, before the
@@ -83,11 +75,13 @@ type Transport interface {
 	// node holds one request at a time: AfterSlice reports false, and fn
 	// never runs, while an earlier one has not started yet — and for an
 	// unknown or stopped node. It never blocks and may be called from any
-	// goroutine. Like ReceiptSteps it is a fact about the medium: a live
-	// run loop has slices with an end; the simulator's events have none,
-	// so it always reports false there. core.Node uses it to take one
-	// application step per burst of submissions (DESIGN.md §17). A
-	// decorator that embeds Transport inherits it.
+	// goroutine. It is a fact about the medium: a live run loop has slices
+	// with an end. core.NewNode looks for this method once: where it is
+	// found, a delivery may trigger an application step, as the
+	// asynchronous model allows, and the node takes one application step
+	// per burst of submissions (DESIGN.md §17). netsim.Network, whose
+	// events have no end, lacks it, so on the simulator only the timer
+	// steps an application. A decorator that embeds Transport inherits it.
 	AfterSlice(id ids.ID, fn func()) bool
 	// Close stops every node and releases backend resources (sockets,
 	// goroutines). It is idempotent.

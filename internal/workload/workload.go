@@ -1,5 +1,5 @@
 // Package workload provides the churn, fault-injection and measurement
-// machinery shared by the experiments, cmd/recsim and the examples:
+// machinery shared by the experiments and the examples:
 // scripted join/crash schedules, transient-fault campaigns, convergence
 // measurement against a core.Cluster, and the rows the experiment engine
 // aggregates.
