@@ -87,7 +87,7 @@ type DaemonConfig struct {
 	// (0 disables automatic snapshots; DataDir or Backends only).
 	SnapEvery uint64
 	// Backends overrides DataDir with caller-built per-shard backends
-	// (tests inject memory or failing backends here). When set, Kind
+	// (tests inject temp-dir or failing backends here). When set, Kind
 	// and the storage document reflect what it returns.
 	Backends func(shard int) (storage.Backend, error)
 	// Logf receives storage diagnostics (discarded-snapshot warnings,

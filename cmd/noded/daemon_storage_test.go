@@ -42,6 +42,17 @@ func storedDaemon(t *testing.T, seed int64, shards int, cfg DaemonConfig) (*Daem
 	return d, c
 }
 
+// tempDiskBackends returns a Backends hook that opens each shard's disk
+// backend under one fresh temporary directory. Call it before the
+// daemon's transport is built, so the directory outlives the node's last
+// step (cleanups run last-registered first).
+func tempDiskBackends(t *testing.T) func(int) (storage.Backend, error) {
+	root := t.TempDir()
+	return func(sh int) (storage.Backend, error) {
+		return storage.OpenDisk(filepath.Join(root, fmt.Sprint(sh)), storage.DiskOptions{Fsync: storage.FsyncSnapshot})
+	}
+}
+
 // TestStorageRoutesWithoutBackend: a diskless daemon still answers the
 // node-level document (Attached=false) but refuses per-shard stats and
 // snapshot triggers with storage_unavailable.
@@ -83,14 +94,14 @@ func TestStorageRoutesWithoutBackend(t *testing.T) {
 	}
 }
 
-// TestStorageRoutesLiveStats: a daemon with per-shard memory backends
+// TestStorageRoutesLiveStats: a daemon with per-shard disk backends
 // reports live WAL counters through GET /v1/storage after real writes,
 // and POST /v1/storage/snapshot compacts on demand — the whole journey
 // through pkg/client.
 func TestStorageRoutesLiveStats(t *testing.T) {
 	const shards = 2
 	_, c := storedDaemon(t, 41, shards, DaemonConfig{
-		Backends: func(int) (storage.Backend, error) { return storage.NewMemory(), nil },
+		Backends: tempDiskBackends(t),
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -109,7 +120,7 @@ func TestStorageRoutesLiveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Attached || st.Kind != "memory" || len(st.Shards) != shards {
+	if !st.Attached || st.Kind != "disk" || len(st.Shards) != shards {
 		t.Fatalf("storage doc %+v", st)
 	}
 	for _, sh := range st.Shards {
@@ -120,7 +131,7 @@ func TestStorageRoutesLiveStats(t *testing.T) {
 
 	// Per-shard route agrees with the node-level document.
 	one, err := c.ShardStorage(ctx, 1)
-	if err != nil || one.Shard != 1 || one.Kind != "memory" {
+	if err != nil || one.Shard != 1 || one.Kind != "disk" {
 		t.Fatalf("shard storage: %+v, %v", one, err)
 	}
 

@@ -14,25 +14,25 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
-// soloDaemonStored boots a single-node daemon with per-shard memory
+// soloDaemonStored boots a single-node daemon with per-shard disk
 // backends (so the storage metric families have live values) and
 // returns a test server over its handler.
 func soloDaemonStored(t *testing.T, shards int, opTimeout time.Duration) (*Daemon, *httptest.Server) {
 	t.Helper()
+	backends := tempDiskBackends(t)
 	tr := inproc.New(47, transport.Options{Capacity: 64, TickEvery: time.Millisecond})
 	t.Cleanup(func() { tr.Close() })
 	one := ids.NewSet(1)
 	d, err := NewDaemon(tr, 1, DaemonConfig{
 		Peers: one, Members: one, Shards: shards, Batch: 1, MaxN: 8,
 		OpTimeout: opTimeout,
-		Backends:  func(int) (storage.Backend, error) { return storage.NewMemory(), nil },
+		Backends:  backends,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func waitServing(t *testing.T, srv *httptest.Server) {
 	}
 }
 
-// TestMetricsEndpoint boots a solo daemon with in-memory storage,
+// TestMetricsEndpoint boots a solo daemon with disk storage,
 // applies load through the API, and checks GET /metrics serves
 // strict-parser-clean Prometheus text covering the subsystem families
 // with live values.

@@ -310,21 +310,22 @@ func (s *SharedMemory) Fetch() any { return s.rep.Fetch() }
 // Pending implements vs.App.
 func (s *SharedMemory) Pending() bool { return s.rep.Pending() }
 
-// Deliver implements vs.App: write-ahead-logs the round's commands and
-// completes handles whose commands appear (each member's round input
-// may be a smr.Batch bundling several). Inputs are walked in ascending
-// member order — the order Apply executes them — so the WAL replays to
-// the same last-write-wins outcome.
+// Deliver implements vs.App: write-ahead-logs the round's writes as one
+// record, then completes handles whose commands appear (each member's
+// round input may be a smr.Batch bundling several). Inputs are walked in
+// ascending member order — the order Apply executes them — so the WAL
+// replays to the same last-write-wins outcome.
 func (s *SharedMemory) Deliver(r vs.Round) {
 	s.rep.Deliver(r)
-	for _, m := range r.Members() {
+	members := r.Members()
+	s.logRound(r, members)
+	for _, m := range members {
 		s.deliverInput(r.Inputs[m])
 	}
 }
 
 func (s *SharedMemory) deliverInput(in any) {
 	for _, cmd := range smr.Commands(in) {
-		s.logCommand(cmd)
 		switch c := cmd.(type) {
 		case WriteCmd:
 			if c.Writer == s.self {

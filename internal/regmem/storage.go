@@ -1,26 +1,28 @@
 package regmem
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/ids"
+	"repro/internal/smr"
 	"repro/internal/storage"
 	"repro/internal/vs"
 )
 
 // Durable register files: a storage.Backend attached to a SharedMemory
-// turns the replica into a write-ahead-logged state machine. Every
-// delivered command is appended to the WAL before the round that
-// carries it is applied (vs delivers before it applies, so the log
-// always runs ahead of the observable state); the materialized register
-// map is periodically saved as a compacted snapshot, truncating the
-// log; and AttachStorage replays snapshot plus tail at boot, seeding
-// the replica with its last durable state through vs.Manager.Restore —
-// a restarting node recovers locally instead of pulling a full state
-// transfer from a peer.
+// turns the replica into a write-ahead-logged state machine. Each
+// delivered round's writes are one WAL record, appended before the round
+// is applied (vs delivers before it applies, so the log always runs ahead
+// of the observable state) — replay always lands on a round boundary;
+// the materialized register map is periodically saved as a compacted
+// snapshot, truncating the log; and AttachStorage replays snapshot plus
+// tail at boot, seeding the replica with its last durable state through
+// vs.Manager.Restore — a restarting node recovers locally instead of
+// pulling a full state transfer from a peer.
 //
 // When the manager adopts a remote state wholesale (view install after
 // a partition, a round jump past rounds this replica never delivered),
@@ -31,26 +33,56 @@ import (
 // attached backend.
 var ErrNoStorage = errors.New("regmem: no storage backend attached")
 
-// walEntry is the concrete WAL record schema. Exactly one field is set.
-// Markers are logged too — the WAL is the round history, and replaying
-// a marker is a no-op, so faithfulness costs nothing.
-type walEntry struct {
-	Write  *WriteCmd
-	Marker *MarkerCmd
+// durableFormat is the first byte of every WAL record and snapshot; the
+// rest is name/value pairs (appendPut) — a record's in the order Apply
+// runs them, a snapshot's in name order. Data written before it (gob
+// streams, which never start with a byte in 0x80–0xf7) is refused.
+const durableFormat = 0x81
+
+// appendPut appends one name/value pair of the durable encoding.
+func appendPut(dst []byte, name, value string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	return append(dst, value...)
 }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// replay decodes one record or snapshot, calling put for each pair in
+// order. Every length is checked against the bytes left before it is
+// used; on error some pairs may already have been put.
+func replay(data []byte, put func(name, value string)) error {
+	if len(data) == 0 || data[0] != durableFormat {
+		return fmt.Errorf("not in format %#02x: data written by an earlier build is refused", durableFormat)
 	}
-	return buf.Bytes(), nil
+	for rest := data[1:]; len(rest) > 0; {
+		name, r, okName := nextString(rest)
+		value, r, okValue := nextString(r)
+		if !okName || !okValue {
+			return errors.New("truncated pair")
+		}
+		put(name, value)
+		rest = r
+	}
+	return nil
+}
+
+// nextString splits one length-prefixed string off b. A length spelled
+// in more bytes than it needs is refused, so every accepted input is the
+// one appendPut writes.
+func nextString(b []byte) (s string, rest []byte, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || (k > 1 && b[k-1] == 0) || n > uint64(len(b)-k) {
+		return "", nil, false
+	}
+	end := k + int(n)
+	return string(b[k:end]), b[end:], true
 }
 
 // AttachStorage wires a durability backend into the register file and
 // runs recovery: the backend's snapshot and WAL tail are replayed into
 // a register state and installed as the replica's pre-serving state.
-// snapEvery bounds the WAL records accumulated between automatic
+// A snapshot or record in any other format fails the attach and installs
+// nothing. snapEvery bounds the WAL records accumulated between automatic
 // snapshots (0 disables the policy; adoption- and force-triggered
 // snapshots still run). Attach before the node starts ticking.
 func (s *SharedMemory) AttachStorage(be storage.Backend, snapEvery uint64) error {
@@ -59,26 +91,19 @@ func (s *SharedMemory) AttachStorage(be storage.Backend, snapEvery uint64) error
 		return fmt.Errorf("regmem: recover: %w", err)
 	}
 	st := State{}
-	recovered := false
 	if snap != nil {
-		var m map[string]string
-		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&m); err != nil {
-			return fmt.Errorf("regmem: decode snapshot: %w", err)
+		m := map[string]string{}
+		if err := replay(snap, func(name, value string) { m[name] = value }); err != nil {
+			return fmt.Errorf("regmem: snapshot: %w", err)
 		}
 		st = State{Base: m}
-		recovered = true
 	}
 	for i, rec := range tail {
-		var e walEntry
-		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&e); err != nil {
-			return fmt.Errorf("regmem: decode wal record %d: %w", i, err)
+		if err := replay(rec, func(name, value string) { st = st.put(name, value) }); err != nil {
+			return fmt.Errorf("regmem: wal record %d: %w", i, err)
 		}
-		if e.Write != nil {
-			st = st.put(e.Write.Name, e.Write.Value)
-		}
-		recovered = true
 	}
-	if recovered {
+	if snap != nil || len(tail) > 0 {
 		s.mgr.Restore(st)
 	}
 	s.store = be
@@ -86,31 +111,26 @@ func (s *SharedMemory) AttachStorage(be storage.Backend, snapEvery uint64) error
 	return nil
 }
 
-// logCommand write-ahead-logs one delivered command. Append errors are
-// not propagated into the delivery path — the backend latches the fault
-// and Stats exposes it (the service keeps serving from memory; the
-// admin API reports storage_unavailable).
-func (s *SharedMemory) logCommand(cmd any) {
+// logRound write-ahead-logs a delivered round's writes as one record,
+// walking members in the order Apply runs them. A round without writes
+// appends nothing. Append errors are not propagated into the delivery
+// path — the backend latches the fault and Stats exposes it (the service
+// keeps serving from memory; the admin API reports storage_unavailable).
+func (s *SharedMemory) logRound(r vs.Round, members []ids.ID) {
 	if s.store == nil {
 		return
 	}
-	var e walEntry
-	switch c := cmd.(type) {
-	case WriteCmd:
-		e.Write = &c
-	case MarkerCmd:
-		e.Marker = &c
-	default:
-		// Commands foreign to the register machine (e.g. raw SMR
-		// proposals) leave the register state untouched, so the WAL
-		// does not need them.
-		return
+	rec := []byte{durableFormat}
+	for _, m := range members {
+		for _, cmd := range smr.Commands(r.Inputs[m]) {
+			if w, ok := cmd.(WriteCmd); ok {
+				rec = appendPut(rec, w.Name, w.Value)
+			}
+		}
 	}
-	data, err := encodeGob(e)
-	if err != nil {
-		return
+	if len(rec) > 1 {
+		_ = s.store.Append(rec)
 	}
-	_ = s.store.Append(data)
 }
 
 // StateAdopted implements vs.StateAdopter: the replica state was
@@ -155,9 +175,15 @@ func (s *SharedMemory) saveSnapshot() error {
 }
 
 func (s *SharedMemory) saveSnapshotInner() error {
-	data, err := encodeGob(asState(s.mgr.Replica().State).snapshot())
-	if err != nil {
-		return fmt.Errorf("regmem: encode snapshot: %w", err)
+	regs := asState(s.mgr.Replica().State).snapshot()
+	names := make([]string, 0, len(regs))
+	for name := range regs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	data := []byte{durableFormat}
+	for _, name := range names {
+		data = appendPut(data, name, regs[name])
 	}
 	if err := s.store.SaveSnapshot(data); err != nil {
 		return err

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/storage"
@@ -8,9 +10,14 @@ import (
 
 func TestAttachStorageFansOutPerShard(t *testing.T) {
 	m := New(1, 3, nil)
-	bes := map[int]*storage.Memory{}
+	root := t.TempDir()
+	bes := map[int]*storage.Disk{}
 	err := m.AttachStorage(func(shard int) (storage.Backend, error) {
-		be := storage.NewMemory()
+		be, err := storage.OpenDisk(filepath.Join(root, fmt.Sprint(shard)), storage.DiskOptions{Fsync: storage.FsyncSnapshot})
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { be.Close() })
 		bes[shard] = be
 		return be, nil
 	}, 8)
@@ -22,7 +29,7 @@ func TestAttachStorageFansOutPerShard(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		st, ok := m.StorageStats(i)
-		if !ok || st.Kind != "memory" {
+		if !ok || st.Kind != "disk" {
 			t.Errorf("shard %d: stats ok=%v kind=%q", i, ok, st.Kind)
 		}
 		if err := m.ForceSnapshot(i); err != nil {

@@ -173,10 +173,11 @@ func (d *Disk) Kind() string { return "disk" }
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// fail latches the first storage fault: every later mutating call
-// returns it without touching the files again (half-written state is
-// exactly what the CRC framing exists to survive, but flapping between
-// failing writes would grind the serving path).
+// fail latches the first storage fault, an over-bound record or snapshot
+// included: every later mutating call returns it without touching the
+// files again (half-written state is exactly what the CRC framing exists
+// to survive, but flapping between failing writes would grind the
+// serving path), and Stats.Failed reports it to callers that drop errors.
 func (d *Disk) fail(err error) error {
 	if d.failed == nil {
 		d.failed = err
@@ -193,7 +194,7 @@ func (d *Disk) Append(data []byte) error {
 		return d.failed
 	}
 	if 8+len(data) > MaxRecord {
-		return fmt.Errorf("storage: record of %d bytes exceeds MaxRecord %d", len(data), MaxRecord)
+		return d.fail(fmt.Errorf("storage: record of %d bytes exceeds MaxRecord %d", len(data), MaxRecord))
 	}
 	frame := AppendRecord(nil, d.stats.Appended+1, data)
 	if _, err := d.wal.Write(frame); err != nil {
@@ -216,7 +217,7 @@ func (d *Disk) SaveSnapshot(data []byte) error {
 		return d.failed
 	}
 	if len(data) > MaxSnapshot {
-		return fmt.Errorf("storage: snapshot of %d bytes exceeds MaxSnapshot %d", len(data), MaxSnapshot)
+		return d.fail(fmt.Errorf("storage: snapshot of %d bytes exceeds MaxSnapshot %d", len(data), MaxSnapshot))
 	}
 	// The WAL must be durable up to the index the snapshot claims to
 	// cover before the claim itself becomes durable.

@@ -1,23 +1,23 @@
-// Package storage is the pluggable durability module behind a shard's
-// register file (ROADMAP item 1; the modular-subsystem framing of
-// Minsky's modularization principle: the service layer talks to a
-// law-governed storage interface, never to files). One Backend instance
-// serves one shard: the service appends every applied command to an
-// append-only write-ahead log before the state that includes it can be
-// observed, periodically replaces the log with a compacted snapshot,
-// and — after a crash — replays snapshot plus log tail to recover the
-// last durable state without asking a peer for a full state transfer.
+// Package storage is the durability module behind a shard's register
+// file (the modular-subsystem framing of Minsky's modularization
+// principle: the service layer talks to a law-governed storage
+// interface, never to files). One Backend instance serves one shard:
+// the service appends every delivered round's writes to an append-only
+// write-ahead log before the state that includes them can be observed,
+// periodically replaces the log with a compacted snapshot, and — after
+// a crash — replays snapshot plus log tail to recover the last durable
+// state without asking a peer for a full state transfer.
 //
-// Two implementations ship: Disk (per-shard directory holding a CRC-framed
-// WAL and an atomically-replaced snapshot file, with truncated-tail
-// recovery and an fsync policy knob), which noded attaches under
-// -data-dir, and Memory, a test fake whose contents die with the process.
-// Without -data-dir noded attaches no backend, and its storage routes
-// answer storage_unavailable.
+// One implementation ships: Disk (per-shard directory holding a
+// CRC-framed WAL and an atomically-replaced snapshot file, with
+// truncated-tail recovery and an fsync policy knob), which noded attaches
+// under -data-dir and tests open in a temporary directory. Without
+// -data-dir noded attaches no backend, and its storage routes answer
+// storage_unavailable.
 //
 // The Backend works on opaque byte records: the schema of what a record
 // or snapshot *means* belongs to the service layer (internal/regmem
-// encodes its commands and register maps), so storage stays reusable by
+// encodes its rounds and register maps), so storage stays reusable by
 // any replicated application and fuzzable in isolation.
 package storage
 
@@ -28,7 +28,8 @@ import "time"
 // execution context (the same single-threaded discipline the service
 // stack itself runs under).
 type Backend interface {
-	// Kind identifies the implementation ("memory", "disk").
+	// Kind identifies the implementation ("disk"; a wrapper may report
+	// its own).
 	Kind() string
 	// Append durably logs one record. Records are write-ahead: the
 	// caller appends a command before exposing any state that includes

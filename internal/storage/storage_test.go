@@ -360,66 +360,45 @@ func TestDiskSnapshotTruncatesWAL(t *testing.T) {
 	}
 }
 
-func TestMemoryBackendRoundTrip(t *testing.T) {
-	m := NewMemory()
-	if m.Kind() != "memory" {
-		t.Fatalf("kind = %q", m.Kind())
-	}
-	if snap, tail, _ := m.Recover(); snap != nil || tail != nil {
-		t.Fatal("fresh memory backend recovered something")
-	}
-	for i := 1; i <= 3; i++ {
-		if err := m.Append([]byte(fmt.Sprintf("cmd-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.SaveSnapshot([]byte("snap@3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Append([]byte("cmd-4")); err != nil {
-		t.Fatal(err)
-	}
-	snap, tail, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(snap) != "snap@3" || len(tail) != 1 || string(tail[0]) != "cmd-4" {
-		t.Fatalf("recovered snap=%q tail=%q", snap, tail)
-	}
-	st := m.Stats()
-	if st.Appended != 4 || st.WALRecords != 1 || st.SnapshotIndex != 3 || st.Snapshots != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDiskFailureLatches(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		fault func(d *Disk, dir string) error
+	}{
+		// Yank the directory out from under the backend: the snapshot
+		// install fails at the rename/dir step once it is gone.
+		{"snapshot into removed dir", func(d *Disk, dir string) error {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			return d.SaveSnapshot([]byte("snap"))
+		}},
+		// A record over the bound is refused before a byte is written
+		// (the slice is never touched, so it costs no resident memory).
+		{"append over MaxRecord", func(d *Disk, _ string) error {
+			return d.Append(make([]byte, MaxRecord))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if err := d.Append([]byte("ok")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fault(d, dir); err == nil {
+				t.Fatal("fault input succeeded")
+			}
+			st := d.Stats()
+			if !st.Failed || st.LastError == "" {
+				t.Fatalf("failure not latched: %+v", st)
+			}
+			if err := d.Append([]byte("more")); err == nil {
+				t.Fatal("append after latched failure succeeded")
+			}
+		})
 	}
-	if err := d.Append([]byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	// Yank the file out from under the backend: the next fsync'd append
-	// still succeeds (the fd is alive), but snapshot install fails at
-	// the rename/dir step once the directory is gone.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	err = d.SaveSnapshot([]byte("snap"))
-	if err == nil {
-		t.Fatal("snapshot into removed dir succeeded")
-	}
-	st := d.Stats()
-	if !st.Failed || st.LastError == "" {
-		t.Fatalf("failure not latched: %+v", st)
-	}
-	if err2 := d.Append([]byte("more")); err2 == nil {
-		t.Fatal("append after latched failure succeeded")
-	}
-	d.Close()
 }

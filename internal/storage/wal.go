@@ -19,10 +19,11 @@ import (
 // unreachable anyway (a later record's durability never precedes an
 // earlier one's under an append-only discipline).
 
-// MaxRecord bounds one WAL record's framed payload (index + data). A
-// register write is tiny; the bound only stops a corrupted length field
-// from making recovery allocate wildly.
-const MaxRecord = 16 << 20
+// MaxRecord bounds one WAL record's framed payload (index + data): a
+// record holds one delivered round's writes, never more bytes than the
+// wire.MaxMessage (64 MiB) multicast that carried the round (pinned in
+// internal/transport/wire), and recovery never allocates past it.
+const MaxRecord = 8 + 64<<20
 
 // walHeaderLen is the fixed per-record framing overhead.
 const walHeaderLen = 8 // length + CRC
