@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +51,9 @@ type Daemon struct {
 	reg      *obs.Registry
 	httpReqs *httpInstruments
 	pprof    bool
+	// closeOnce makes Close run once; closeErr is what it returned.
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // DaemonConfig carries everything NewDaemon needs beyond the transport
@@ -175,6 +179,21 @@ func NewDaemon(tr transport.Transport, self ids.ID, cfg DaemonConfig) (*Daemon, 
 	d.pprof = cfg.Pprof
 	d.initMetrics()
 	return d, nil
+}
+
+// Close stops the node and then closes every shard's storage backend,
+// once: the final fsync that storage.FsyncSnapshot promises on close runs
+// here. The node is stopped from inside one of its own slices, so the step
+// that was running when Close was called has returned and none follows it:
+// no Append races the close. (A node that was already stopped is left to
+// whoever stopped it: Transport.Close waits for its last step.) Drain the
+// client API first; later calls return the first call's result.
+func (d *Daemon) Close() error {
+	d.closeOnce.Do(func() {
+		d.tr.Inspect(d.self, func() { d.tr.Crash(d.self) })
+		d.closeErr = d.mem.CloseStorage()
+	})
+	return d.closeErr
 }
 
 // Node exposes the underlying core node (tests).

@@ -3,15 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/regmem"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -252,5 +255,97 @@ func TestDiskDaemonRecoversAcrossRestart(t *testing.T) {
 	}
 	if !recovered {
 		t.Fatalf("no shard reports recovery after reboot: %+v", st2.Shards)
+	}
+}
+
+// closeWatch wraps a shard backend: it counts Close calls and refuses,
+// failing the test, any Append after the first.
+type closeWatch struct {
+	storage.Backend
+	t      *testing.T
+	closes atomic.Int32
+}
+
+func (w *closeWatch) Append(rec []byte) error {
+	if w.closes.Load() > 0 {
+		w.t.Error("an Append reached a closed backend")
+		return errors.New("closed")
+	}
+	return w.Backend.Append(rec)
+}
+
+func (w *closeWatch) Close() error {
+	w.closes.Add(1)
+	return w.Backend.Close()
+}
+
+// TestCloseStopsTheNodeThenClosesEveryBackendOnce: Daemon.Close, called
+// while writes keep arriving, stops the node before it closes the shard
+// backends — no Append reaches a closed one — closes each exactly once,
+// however often it is called, and leaves on disk every write that
+// completed.
+func TestCloseStopsTheNodeThenClosesEveryBackendOnce(t *testing.T) {
+	const shards = 2
+	open := tempDiskBackends(t)
+	var watches []*closeWatch
+	d, _ := storedDaemon(t, 61, shards, DaemonConfig{Backends: func(sh int) (storage.Backend, error) {
+		be, err := open(sh)
+		if err != nil {
+			return nil, err
+		}
+		w := &closeWatch{Backend: be, t: t}
+		watches = append(watches, w)
+		return w, nil
+	}})
+
+	write := func(i int) (h *regmem.Handle, ok bool) {
+		ok = d.tr.Inspect(d.self, func() { h, _ = d.Mem().Write(fmt.Sprintf("r%d", i), "v") })
+		return h, ok
+	}
+	for i := 0; i < 8; i++ {
+		h, _ := write(i)
+		select {
+		case <-h.Wait():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("write %d never completed", i)
+		}
+	}
+	looped := make(chan int)
+	go func() {
+		i := 8
+		for _, ok := write(i); ok; _, ok = write(i) {
+			i++
+		}
+		looped <- i
+	}()
+	time.Sleep(20 * time.Millisecond) // writes are in flight
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d writes submitted before the node stopped", <-looped)
+	for sh, w := range watches {
+		if n := w.closes.Load(); n != 1 {
+			t.Errorf("shard %d's backend was closed %d times, want once", sh, n)
+		}
+	}
+
+	recovered := 0
+	for sh := 0; sh < shards; sh++ {
+		be, err := open(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tail, err := be.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered += len(tail)
+		be.Close()
+	}
+	if recovered < 8 {
+		t.Errorf("%d WAL records on disk after Close, want at least the 8 completed writes", recovered)
 	}
 }

@@ -67,6 +67,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -265,17 +267,26 @@ func runDaemon(args []string) error {
 	select {
 	case sig := <-sigc:
 		logger.Info("noded shutting down", "id", int(self), "reason", sig.String())
-		srv.Close()
-		return nil
+		return shutdown(srv, d)
 	case <-joinc:
 		logger.Error("noded shutting down", "id", int(self), "reason", "join_timeout",
 			"join_timeout", joinTO.String())
-		srv.Close()
-		return fmt.Errorf("joiner not serving within -join-timeout %s", *joinTO)
+		return errors.Join(fmt.Errorf("joiner not serving within -join-timeout %s", *joinTO), shutdown(srv, d))
 	case err := <-errc:
 		logger.Error("noded shutting down", "id", int(self), "reason", err.Error())
-		return err
+		return errors.Join(err, d.Close())
 	}
+}
+
+// shutdown drains the client API, dropping what is still in flight after
+// two seconds, then stops the node and closes its storage (Daemon.Close).
+func shutdown(srv *http.Server, d *Daemon) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if srv.Shutdown(ctx) != nil {
+		srv.Close()
+	}
+	return d.Close()
 }
 
 // joinWatchdog polls the daemon's status until it reports serving,

@@ -55,7 +55,7 @@ func (d *Daemon) initMetrics() {
 		"Timer ticks executed by the node's step machine.",
 		nil, d.node.Ticks)
 	reg.CounterFunc("repro_node_receipt_steps_total",
-		"Service-layer steps taken on a delivery or a submission instead of the timer.",
+		"Service-layer steps taken on a delivery, a submission or a connection-loss hint instead of the timer: a follower's write path, and every phase of a view change.",
 		nil, d.node.ReceiptSteps)
 	reg.CounterFunc("repro_fd_peer_down_total",
 		"Connection-loss hints from the transport that raised a failure-detector count.",

@@ -51,12 +51,13 @@ type App interface {
 	Outgoing(to ids.ID, n *Node) any
 }
 
-// ReceiptStepper is an App that can also take its step when a delivery or
-// a submission changed what the step would read, instead of waiting for
-// the timer. On a medium that allows it (Transport.AfterSlice) the node
-// offers every such app a step after each Receive and, when one of them
-// asked for it (RequestStep), once at the end of the slice that is running;
-// on the simulator only Tick ever steps an app.
+// ReceiptStepper is an App that can also take its step when a delivery, a
+// submission or a connection-loss hint changed what the step would read,
+// instead of waiting for the timer. On a medium that allows it
+// (Transport.AfterSlice) the node offers every such app a step after each
+// Receive, after each hint that raised a count (PeerDown) and, when one of
+// them asked for it (RequestStep), once at the end of the slice that is
+// running; on the simulator only Tick ever steps an app.
 type ReceiptStepper interface {
 	App
 	// ReceiptStep runs one iteration of the app's loop if something that
@@ -360,9 +361,11 @@ func (n *Node) Receive(from ids.ID, payload any) {
 // PeerDown implements transport.PeerDownHandler: the medium saw its
 // connection to peer break and a redial fail, so the failure detector takes
 // peer's count to where the other peers' tokens would have taken it anyway
-// (fd.Detector.Suspect; DESIGN.md §4). Nothing is stepped: recSA, recMA, the
-// apps and joining read the smaller trusted set on their next tick, and one
-// token returned by peer undoes it.
+// (fd.Detector.Suspect; DESIGN.md §4). A hint that raised the count is news
+// to the apps, which are offered a step at once (stepApps): a coordinator
+// whose view lost a member starts the view change now, not on its next
+// tick. recSA, recMA and joining read the smaller trusted set on their next
+// tick, and one token returned by peer undoes it.
 func (n *Node) PeerDown(peer ids.ID) {
 	if !n.Detector.Suspect(peer) {
 		return
@@ -371,6 +374,7 @@ func (n *Node) PeerDown(peer ids.ID) {
 	if n.onPeerDown != nil {
 		n.onPeerDown(peer)
 	}
+	n.stepApps()
 }
 
 // RequestStep asks for one receipt-driven step of the apps at the end of the
@@ -390,9 +394,10 @@ func (n *Node) RequestStep() {
 
 // stepApps offers every app a receipt-driven step (ReceiptStepper) and, if
 // one of them changed what its peers act on, snapshots the new application
-// payloads and asks every link for a cycle. It runs after each delivery and
-// at the end of a slice that asked for it (RequestStep), and does nothing
-// on a medium without receipt-driven steps.
+// payloads and asks every link for a cycle. It runs after each delivery,
+// after a hint that raised a count (PeerDown) and at the end of a slice that
+// asked for it (RequestStep), and does nothing on a medium without
+// receipt-driven steps.
 //
 // The reconfiguration layers are not stepped and their part of the
 // snapshot is left as the last tick built it: recSA, recMA, joining and

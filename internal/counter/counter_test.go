@@ -349,3 +349,54 @@ func TestGossipPayloadIsWhatTheStoreAnswers(t *testing.T) {
 		t.Fatalf("the run exercised too little: payload held at %d checks, %d epoch turns", held, turns)
 	}
 }
+
+func TestNewsAndOutputsFollowTheRPCs(t *testing.T) {
+	// News is what a receipt-driven step may act on: a response for an
+	// operation in the phase that asked for it, or a request that was
+	// answered — never gossip, never a stale response. Outputs moves when
+	// what Outgoing sends besides gossip changes, and not while an
+	// operation merely stays in flight.
+	c, ms := counterCluster(t, 3, 23, 0)
+	client, server := ms[1], ms[2]
+	n1, n2 := c.Node(1), c.Node(2)
+
+	out := client.Outputs()
+	op := client.Increment(n1)
+	if client.Outputs() == out {
+		t.Fatal("starting an operation left Outputs alone")
+	}
+	out = client.Outputs()
+	client.Tick(n1)
+	if client.Outputs() != out {
+		t.Fatal("an operation that stayed in its phase moved Outputs")
+	}
+
+	p, _ := server.Store().MaxPair()
+	server.HandleApp(1, Message{Gossip: p, HasGossip: true}, n2)
+	if server.News() {
+		t.Fatal("gossip was news")
+	}
+	sout := server.Outputs()
+	server.HandleApp(1, client.Outgoing(2, n1), n2)
+	if !server.News() || server.Outputs() == sout {
+		t.Fatalf("a request was answered: news %v, outputs %d → %d", server.News(), sout, server.Outputs())
+	}
+	server.Tick(n2)
+	if server.News() {
+		t.Fatal("a tick left the news in place")
+	}
+
+	client.HandleApp(2, Message{RPCs: []RPC{{Kind: ReadResp, Seq: op.seq + 7}}}, n1)
+	if client.News() {
+		t.Fatal("a response for no operation was news")
+	}
+	client.HandleApp(2, server.Outgoing(1, n2), n1)
+	if !client.News() {
+		t.Fatal("the read response was not news")
+	}
+	out = client.Outputs()
+	client.Tick(n1)
+	if op.phase != PhaseWrite || client.Outputs() == out {
+		t.Fatalf("the read completed: phase %v, outputs %d → %d", op.phase, out, client.Outputs())
+	}
+}

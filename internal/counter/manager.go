@@ -145,7 +145,13 @@ type Manager struct {
 	gossipOK bool
 	lastLbl  label.Label
 	haveLbl  bool
-	metrics  Metrics
+	// news: since the last Tick a response arrived for an operation in the
+	// phase that asked for it, or a request arrived and was answered (News).
+	news bool
+	// outputs counts the changes to the RPCs Outgoing sends: an operation
+	// started or moved phase, or a response was queued (Outputs).
+	outputs uint64
+	metrics Metrics
 }
 
 var _ core.App = (*Manager)(nil)
@@ -163,6 +169,23 @@ func (m *Manager) Store() *Store { return m.store }
 
 // Metrics returns a copy of the counters.
 func (m *Manager) Metrics() Metrics { return m.metrics }
+
+// News reports that since the last Tick a response arrived for an
+// operation in the phase that asked for it, or a peer's request arrived
+// and its response was queued: something the next Tick, or the envelope
+// built after it, acts on. Gossip is never news.
+func (m *Manager) News() bool { return m.news }
+
+// Outputs counts the changes, so far, to the requests and responses
+// Outgoing sends: an operation started or moved phase, or a response was
+// queued. An operation that merely stays in flight changes nothing.
+func (m *Manager) Outputs() uint64 { return m.outputs }
+
+// setPhase moves an operation to a new phase.
+func (m *Manager) setPhase(op *Op, p OpPhase) {
+	op.phase = p
+	m.outputs++
+}
 
 func (m *Manager) labelOpts(v int) label.StoreOptions {
 	if m.OptsFor != nil {
@@ -187,6 +210,7 @@ func (m *Manager) Increment(n *core.Node) *Op {
 	op.conf = q
 	m.selfServe(op)
 	m.ops = append(m.ops, op)
+	m.outputs++
 	return op
 }
 
@@ -211,6 +235,7 @@ func (m *Manager) selfServe(op *Op) {
 // turns, progress client operations.
 func (m *Manager) Tick(n *core.Node) {
 	m.gossipOK = false
+	m.news = false
 	q, ok := n.Quorum()
 	steady := ok && n.NoReco()
 
@@ -268,17 +293,17 @@ func (m *Manager) progress(op *Op) {
 			c, ok = m.store.MaxCounter()
 		}
 		if !ok {
-			op.phase = PhaseFailed
+			m.setPhase(op, PhaseFailed)
 			op.err = ErrNoCounter
 			return
 		}
 		op.newCtr = Counter{Lbl: c.Lbl, Seqn: c.Seqn + 1, WID: m.self}
-		op.phase = PhaseWrite
+		m.setPhase(op, PhaseWrite)
 		m.selfServe(op)
 	case PhaseWrite:
 		if op.acks.Intersect(op.conf).Size() >= maj {
 			op.result = op.newCtr
-			op.phase = PhaseDone
+			m.setPhase(op, PhaseDone)
 			m.metrics.Increments++
 		}
 	}
@@ -412,8 +437,9 @@ func (m *Manager) handleRPC(from ids.ID, r RPC, n *core.Node) {
 		if !ok || op.phase != PhaseRead {
 			return
 		}
+		m.news = true
 		if r.Abort {
-			op.phase = PhaseFailed
+			m.setPhase(op, PhaseFailed)
 			op.err = ErrAborted
 			m.metrics.Aborts++
 			return
@@ -424,8 +450,9 @@ func (m *Manager) handleRPC(from ids.ID, r RPC, n *core.Node) {
 		if !ok || op.phase != PhaseWrite {
 			return
 		}
+		m.news = true
 		if r.Abort {
-			op.phase = PhaseFailed
+			m.setPhase(op, PhaseFailed)
 			op.err = ErrAborted
 			m.metrics.Aborts++
 			return
@@ -444,8 +471,11 @@ func (m *Manager) op(seq uint64) (*Op, bool) {
 }
 
 // enqueue appends a response for the peer, bounding the queue (stale
-// responses are safe to drop: clients re-request).
+// responses are safe to drop: clients re-request). A queued response is
+// news and changes what Outgoing sends.
 func (m *Manager) enqueue(to ids.ID, r RPC) {
+	m.news = true
+	m.outputs++
 	q := append(m.outbox[to], r)
 	const bound = 16
 	if len(q) > bound {

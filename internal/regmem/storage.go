@@ -208,6 +208,16 @@ func (s *SharedMemory) ForceSnapshot() error {
 	return s.saveSnapshot()
 }
 
+// CloseStorage closes the attached backend, if any (storage.Backend.Close:
+// under storage.FsyncSnapshot its final fsync runs here). Call it once the
+// node takes no further step: nothing may be delivered after it.
+func (s *SharedMemory) CloseStorage() error {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Close()
+}
+
 // StorageStats returns the attached backend's counters; ok is false
 // when no backend is attached.
 func (s *SharedMemory) StorageStats() (storage.Stats, bool) {

@@ -11,6 +11,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
@@ -184,6 +185,18 @@ func (m *Map) AttachStorage(mk func(shard int) (storage.Backend, error), snapEve
 		}
 	}
 	return nil
+}
+
+// CloseStorage closes every shard's backend (regmem.CloseStorage) and
+// joins their errors. Call it once, when the node takes no further step.
+func (m *Map) CloseStorage() error {
+	var errs []error
+	for i, mem := range m.mems {
+		if err := mem.CloseStorage(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // StorageStats returns shard i's backend counters; ok is false when

@@ -36,6 +36,9 @@ type Manager struct {
 
 	pendingInc  *counter.Op
 	reconfReady bool
+	// incFailed: the last increment failed or was aborted. The retry waits
+	// for the timer; a receipt-driven step never starts it.
+	incFailed bool
 	// confOfView is the configuration under which the current view was
 	// proposed; a configuration change forces a new view (Lemma 4.11).
 	confOfView ids.Set
@@ -47,6 +50,14 @@ type Manager struct {
 	// dirty: a record the next iteration reads changed, in a field it
 	// gates on, since the last iteration ran (receipt-driven steps).
 	dirty bool
+	// hints is the node's hint count (core.Node.PeerDowns) and noReco the
+	// reconfiguration layer's noReco() as the last iteration read them:
+	// either having moved is news to a receipt-driven step.
+	hints  uint64
+	noReco bool
+	// ctrOut is the counter's output count (counter.Manager.Outputs) as
+	// the node last published it.
+	ctrOut uint64
 	// published is rep as the last iteration left it, in the form peers
 	// get it: cloned by the first Outgoing after that iteration and
 	// immutable from then on. Every envelope of the step carries this one
@@ -176,11 +187,21 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 	return best, found
 }
 
-// Tick implements core.App — one iteration of Algorithm 4.7's do-forever
-// loop for a participant.
+// Tick implements core.App: the timer's iteration of Algorithm 4.7's
+// do-forever loop. Only these iterations count in the tick metrics.
 func (m *Manager) Tick(n *core.Node) {
+	m.iterate(n, true)
+	m.ctrOut = m.ctr.Outputs()
+}
+
+// iterate is one iteration of the do-forever loop for a participant, on
+// the timer or on receipt. A receipt-driven iteration leaves two things to
+// the timer: starting or completing a multicast round (the view's clock),
+// and retrying an increment that failed.
+func (m *Manager) iterate(n *core.Node, onTimer bool) {
 	m.dirty = false
 	m.published = nil
+	m.hints, m.noReco = n.PeerDowns(), n.NoReco()
 	m.ctr.Tick(n)
 	if !n.IsParticipant() {
 		return
@@ -190,7 +211,9 @@ func (m *Manager) Tick(n *core.Node) {
 		// No agreed configuration (brute-force recovery in progress):
 		// freeze the service; recSA will restore a configuration.
 		m.rep.NoCrd = true
-		m.metrics.noCrdTicks.Add(1)
+		if onTimer {
+			m.metrics.noCrdTicks.Add(1)
+		}
 		return
 	}
 	trusted := n.Trusted()
@@ -201,15 +224,19 @@ func (m *Manager) Tick(n *core.Node) {
 	m.rep.Crd = crd
 	if !haveCrd {
 		m.rep.Crd = ids.None
-		m.metrics.noCrdTicks.Add(1)
+		if onTimer {
+			m.metrics.noCrdTicks.Add(1)
+		}
 	}
 
 	// Suspension discipline (line 9 + Algorithm 4.6): an established
 	// coordinator raises suspend from the prediction function; everyone
 	// suspends during a reconfiguration.
-	if !n.NoReco() {
+	if !m.noReco {
 		m.rep.Suspend = true
-		m.metrics.suspendedTicks.Add(1)
+		if onTimer {
+			m.metrics.suspendedTicks.Add(1)
+		}
 	} else if haveCrd && crd == m.self && m.rep.Status == StatusMulticast {
 		m.rep.Suspend = m.evalConf(conf, trusted)
 		if !m.rep.Suspend {
@@ -218,11 +245,11 @@ func (m *Manager) Tick(n *core.Node) {
 	}
 
 	// Proposal trigger (line 10).
-	m.maybePropose(n, conf, trusted, part, crd, haveCrd)
+	m.maybePropose(n, conf, trusted, part, crd, haveCrd, onTimer)
 
 	switch {
 	case haveCrd && crd == m.self:
-		m.coordinate(n, conf)
+		m.coordinate(n, conf, onTimer)
 	case haveCrd:
 		m.follow(crd)
 	}
@@ -235,41 +262,78 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 	return m.eval(conf, trusted)
 }
 
-// ReceiptStep implements core.ReceiptStepper: a follower runs the same
-// iteration as Tick when a delivery or a submission gave that iteration
-// something new to read and there is a command to move — a stored record
-// changed in a field the iteration gates on while some view member's
-// command is in flight, or the application has a command to fetch and the
-// input slot is free. changed reports that the iteration altered this
-// processor's own record in a gated field; only then does the node send
+// ReceiptStep implements core.ReceiptStepper: the same iteration as Tick,
+// run when a delivery, a submission or a hint gave it something new to
+// read and there is something for it to move. That is the case
+//
+//   - while a view is changing (changing), on any news: a stored record
+//     changed in a field the iteration gates on, the counter service has
+//     news (counter.Manager.News), a connection-loss hint raised a
+//     failure-detector count, or the reconfiguration layer's noReco()
+//     moved — on the coordinator and the followers alike, so each phase of
+//     the change (suspend, increment, propose, install) moves when its
+//     echo arrives;
+//   - on a hint, which is what starts a change;
+//   - on a follower of an installed view, when a stored record changed in
+//     a gated field while some view member's command is in flight, or the
+//     application has a command to fetch and the input slot is free.
+//
+// changed reports that the iteration altered this processor's own record
+// in a gated field or what its counter service sends (an operation started
+// or moved phase, or a response was queued); only then does the node send
 // anything.
 //
-// The coordinator never steps here. Its round counter is the view's clock:
-// a round starts and completes on the coordinator's timer, and everything
-// between two of its ticks — a follower's input reaching it, the members'
-// echoes of the round it started — happens at the network's pace. A write
-// therefore costs two coordinator ticks, however fast or slow the
-// processors are at that moment, instead of a chain of processing times
-// (DESIGN.md §17 has the measurements behind that choice). Nor does an
-// idle view step here (its empty rounds keep the timer's pace and its
-// links one token per tick), a view change, or a suspended view.
+// The coordinator of an installed view never steps here. Its round counter
+// is the view's clock: a round starts and completes on the coordinator's
+// timer, and everything between two of its ticks — a follower's input
+// reaching it, the members' echoes of the round it started — happens at the
+// network's pace. A write therefore costs two coordinator ticks, however
+// fast or slow the processors are at that moment, instead of a chain of
+// processing times (DESIGN.md §17 has the measurements behind that choice).
+// Nor does an idle view step here: its empty rounds keep the timer's pace
+// and its links one token per tick.
 func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
-	if !m.receiptStepDue() {
+	if !m.receiptStepDue(n) {
 		return false, false
 	}
 	before := m.rep
-	m.Tick(n)
-	return true, !m.rep.sameGate(before)
+	m.iterate(n, false)
+	if before.Status == StatusInstall && m.rep.Status == StatusMulticast && m.rep.Crd == m.self {
+		// The coordinator installed a view: the view's first iteration,
+		// whose predicate may suspend it at once for the reconfiguration
+		// that follows, runs now and not on the next tick. Peers see the
+		// state after both.
+		m.iterate(n, false)
+	}
+	out := m.ctr.Outputs()
+	changed = !m.rep.sameGate(before) || out != m.ctrOut
+	m.ctrOut = out
+	return true, changed
 }
 
-// receiptStepDue is ReceiptStep's condition: a follower on the live write
-// path, with news to read and a command to move, or with a command to
-// fetch into a free slot.
-func (m *Manager) receiptStepDue() bool {
-	if m.rep.Status != StatusMulticast || !m.rep.View.Valid() || m.rep.NoCrd || m.rep.Suspend || m.rep.Crd == m.self {
+// receiptStepDue is ReceiptStep's condition: news while a view changes or
+// a hint arrived, or a follower on the live write path with news to read
+// and a command to move, or with a command to fetch into a free slot.
+func (m *Manager) receiptStepDue(n *core.Node) bool {
+	if hinted := n.PeerDowns() != m.hints; hinted || m.changing() {
+		return hinted || m.dirty || m.ctr.News() || n.NoReco() != m.noReco
+	}
+	if !m.rep.View.Valid() || m.rep.Crd == m.self {
 		return false
 	}
 	return (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
+}
+
+// changing reports that a view change is under way as far as this
+// processor can tell: it has no coordinator, an increment of its own is in
+// flight, or its own record or its coordinator's stored one is proposing,
+// installing or suspended.
+func (m *Manager) changing() bool {
+	if m.pendingInc != nil || m.rep.NoCrd || m.rep.changing() {
+		return true
+	}
+	r, ok := m.views[m.rep.Crd]
+	return ok && r.changing()
 }
 
 // loaded reports whether a command of some view member is in flight: a
@@ -292,7 +356,7 @@ func (m *Manager) loaded() bool {
 // coordinator anywhere (with a participant majority agreeing), or this
 // processor being the coordinator of a view that no longer matches the
 // participant set or the configuration.
-func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd ids.ID, haveCrd bool) {
+func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd ids.ID, haveCrd, onTimer bool) {
 	// Complete a staged proposal whose counter arrived.
 	if m.pendingInc != nil {
 		if !m.pendingInc.Done() {
@@ -300,6 +364,7 @@ func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd id
 		}
 		ctr, err := m.pendingInc.Result()
 		m.pendingInc = nil
+		m.incFailed = err != nil
 		if err == nil {
 			m.rep.PropV = View{ID: counter.Counter{Lbl: ctr.Lbl, Seqn: ctr.Seqn, WID: m.self}, Set: part}
 			m.rep.Status = StatusPropose
@@ -352,14 +417,18 @@ func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd id
 		}
 		needNew = confChanged || setChanged
 	}
-	if needNew {
+	// A retry after a failed increment waits for the timer: labels that
+	// have not converged fail every increment, and retrying at the
+	// network's pace would ping-pong until they do.
+	if needNew && (onTimer || !m.incFailed) {
 		m.pendingInc = m.ctr.Increment(n)
 	}
 }
 
 // coordinate drives lines 11–17: the coordinator's propose → install →
 // multicast progression, gated on every relevant member echoing its state.
-func (m *Manager) coordinate(n *core.Node, conf ids.Set) {
+// Rounds start and complete only on the timer.
+func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
 	trusted := n.Trusted()
 	switch m.rep.Status {
 	case StatusPropose:
@@ -421,8 +490,10 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set) {
 			}
 			return // no rounds while suspended
 		}
-		if !n.NoReco() {
-			return // line 14: no round increments during reconfiguration
+		// Rounds are the view's clock: they run on the timer only. Line
+		// 14: no round increments during a reconfiguration.
+		if !onTimer || !n.NoReco() {
+			return
 		}
 		// Deliver and apply the completed round, then assemble the next.
 		consumed := m.rep.Input == nil

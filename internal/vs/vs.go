@@ -147,6 +147,10 @@ func (r Replica) sameGate(o Replica) bool {
 		r.View.Equal(o.View) && r.PropV.Equal(o.PropV)
 }
 
+// changing reports that the record is in a view change: proposing,
+// installing, or suspended.
+func (r Replica) changing() bool { return r.Status != StatusMulticast || r.Suspend }
+
 // clone returns a shallow copy with a fresh Inputs map (state values are
 // treated as immutable snapshots).
 func (r Replica) clone() Replica {
