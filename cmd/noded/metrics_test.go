@@ -112,7 +112,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"repro_fd_peer_down_total",
+		"repro_fd_peer_down_total", "repro_vs_echo_rounds_total",
 		"repro_datalink_cycles_total", "repro_datalink_queue_depth",
 		"repro_smr_pending_commands", "repro_storage_wal_records",
 	} {

@@ -55,6 +55,7 @@ var metricFamilies = map[string]metricFamily{
 	"repro_vs_state_adoptions_total":      {kind: "counter", labels: []string{"shard"}},
 	"repro_vs_state_mismatches_total":     {kind: "counter", labels: []string{"shard"}},
 	"repro_vs_no_coordinator_ticks_total": {kind: "counter", labels: []string{"shard"}},
+	"repro_vs_echo_rounds_total":          {kind: "counter", labels: []string{"shard"}},
 	"repro_smr_pending_commands":          {kind: "gauge", labels: []string{"shard"}},
 	"repro_shard_ops_total":               {kind: "counter", labels: []string{"shard", "op"}},
 

@@ -365,11 +365,14 @@ func (n *Node) Receive(from ids.ID, payload any) {
 // to the apps, which are offered a step at once (stepApps): a coordinator
 // whose view lost a member starts the view change now, not on its next
 // tick. recSA, recMA and joining read the smaller trusted set on their next
-// tick, and one token returned by peer undoes it.
+// tick, and one token returned by peer for a cycle started after the hint
+// undoes it: the cycles in flight are fenced (datalink.Endpoint.Fence), so
+// an ack the peer sent before it died cannot.
 func (n *Node) PeerDown(peer ids.ID) {
 	if !n.Detector.Suspect(peer) {
 		return
 	}
+	n.Endpoint.Fence(peer)
 	n.peerDowns.Add(1)
 	if n.onPeerDown != nil {
 		n.onPeerDown(peer)

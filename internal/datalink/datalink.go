@@ -182,7 +182,10 @@ const (
 // and the endpoint tick at which it was first sent (for the ack-RTT
 // histogram).
 type cycle struct {
-	seq      uint8
+	seq uint8
+	// fenced: the cycle was in flight when Fence was called, so the ack
+	// that completes it returns no token.
+	fenced   bool
 	payload  any
 	batch    []any
 	acks     int
@@ -544,6 +547,22 @@ func (e *Endpoint) nonce() uint64 {
 	return 1
 }
 
+// Fence marks every cycle now in flight toward a peer: the ack that
+// completes one completes it as before but returns no token (Heartbeat).
+// The owner calls it when its medium reports the peer's endpoint gone: an
+// ack the peer sent before it died may still be in the medium, behind that
+// report, and would undo the suspicion. Only a cycle started after the
+// fence proves the peer alive after it.
+func (e *Endpoint) Fence(to ids.ID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if p, ok := e.peers[to]; ok {
+		for i := range p.inflight {
+			p.inflight[i].fenced = true
+		}
+	}
+}
+
 // Tick drives retransmission for every peer in ascending identifier order
 // (map order would make same-seed simulations diverge across runs); the
 // owner calls it on its periodic timer.
@@ -768,6 +787,9 @@ func (e *Endpoint) handleAck(from ids.ID, p *peer, pkt Packet) {
 	if p.inflight[idx].acks < e.opts.AckThreshold {
 		return
 	}
+	// The fenced cycles are a prefix of inflight, so the newest one
+	// completed speaks for all of them.
+	token := !p.inflight[idx].fenced
 	for i := 0; i <= idx; i++ {
 		c := &p.inflight[i]
 		e.stats.cyclesDone.Add(1)
@@ -783,7 +805,9 @@ func (e *Endpoint) handleAck(from ids.ID, p *peer, pkt Packet) {
 	p.inflight = p.inflight[:n]
 	e.inflightN.Add(-int64(idx + 1))
 	p.sessionAcked = true // receiver anchored; open the full window
-	e.heartbeat(from)
+	if token {
+		e.heartbeat(from)
+	}
 	switch {
 	case e.windowed():
 		e.fillWindow(from, p, false)

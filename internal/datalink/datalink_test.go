@@ -308,3 +308,67 @@ func TestPeersFollowsConnectDisconnectAndFirstPacket(t *testing.T) {
 		}
 	}
 }
+
+func TestFencedCycleReturnsNoToken(t *testing.T) {
+	// A cycle in flight when the link is fenced completes on its ack but
+	// returns no token; the next cycle's ack does. Packets are handed over
+	// by hand, so the ack of the fenced cycle can be held back past the
+	// fence as a medium holds a dead peer's last ack past its hint.
+	out := map[ids.ID][]Packet{}
+	beats := map[ids.ID]int{}
+	eps := map[ids.ID]*Endpoint{}
+	for _, id := range []ids.ID{1, 2} {
+		id := id
+		eps[id] = NewEndpoint(Config{
+			Self: id, Opts: DefaultOptions(), Rand: newTestRng(int64(id)),
+			Send:      func(to ids.ID, pkt Packet) { out[id] = append(out[id], pkt) },
+			Heartbeat: func(ids.ID) { beats[id]++ },
+			Source:    func(ids.ID) any { return "x" },
+		})
+	}
+	// deliver hands every packet a sent to its peer and returns how many.
+	deliver := func(a, b ids.ID) int {
+		pkts := out[a]
+		out[a] = nil
+		for _, pkt := range pkts {
+			eps[b].HandlePacket(a, pkt)
+		}
+		return len(pkts)
+	}
+	eps[1].Connect(2)
+	eps[2].Connect(1)
+	for i := 0; beats[1] == 0; i++ {
+		if i > 100 {
+			t.Fatal("the link never settled")
+		}
+		eps[1].Tick()
+		eps[2].Tick()
+		deliver(1, 2)
+		deliver(2, 1)
+	}
+	out[1], out[2] = nil, nil
+
+	eps[1].Tick() // a cycle toward 2
+	if deliver(1, 2) == 0 {
+		t.Fatal("the tick started no cycle")
+	}
+	ack := out[2]
+	out[2] = nil
+	eps[1].Fence(2)
+	before, done := beats[1], eps[1].Stats().CyclesDone
+	for _, pkt := range ack {
+		eps[1].HandlePacket(2, pkt)
+	}
+	if eps[1].Stats().CyclesDone == done {
+		t.Fatal("the fenced cycle's ack did not complete it")
+	}
+	if beats[1] != before {
+		t.Fatal("the fenced cycle's ack returned a token")
+	}
+	eps[1].Tick()
+	deliver(1, 2)
+	deliver(2, 1)
+	if beats[1] != before+1 {
+		t.Fatalf("a cycle started after the fence returned %d tokens, want 1", beats[1]-before)
+	}
+}

@@ -58,6 +58,11 @@ type Manager struct {
 	// ctrOut is the counter's output count (counter.Manager.Outputs) as
 	// the node last published it.
 	ctrOut uint64
+	// kind is what the round this coordinator is collecting was assembled
+	// for (roundKind): it decides whether the round's last echo completes
+	// it (onEcho). Every round assembly, and the install that makes round
+	// 0, rewrites it; a tick that finds a notice unechoed marks it late.
+	kind roundKind
 	// published is rep as the last iteration left it, in the form peers
 	// get it: cloned by the first Outgoing after that iteration and
 	// immutable from then on. Every envelope of the step carries this one
@@ -190,15 +195,50 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 // Tick implements core.App: the timer's iteration of Algorithm 4.7's
 // do-forever loop. Only these iterations count in the tick metrics.
 func (m *Manager) Tick(n *core.Node) {
-	m.iterate(n, true)
+	m.iterate(n, onTick)
 	m.ctrOut = m.ctr.Outputs()
 }
 
+// step is what an iteration of the do-forever loop runs on.
+type step uint8
+
+const (
+	// onTick: the node's timer.
+	onTick step = iota
+	// onReceipt: news while a view changes, or a follower's command to move.
+	onReceipt
+	// onEcho: the last echo of a loaded tick round or of a late notice
+	// (roundKind).
+	onEcho
+)
+
+// roundKind is what the coordinator assembled a round for. One loaded
+// round starts per tick, and the round that announces its delivery carries
+// no inputs, so the number of loaded rounds a tick completes is one
+// whatever the processing times are (DESIGN.md §17).
+type roundKind uint8
+
+const (
+	// tickRound: a tick assembled it, or the late notice that stood in for
+	// a tick did. Loaded, it completes on its last echo; empty (an idle
+	// view), on the next tick.
+	tickRound roundKind = iota
+	// notice: the echo step assembled it, without inputs, to carry the
+	// delivery of the loaded round to the followers. The next tick
+	// completes it and assembles the next loaded round.
+	notice
+	// lateNotice: a notice the tick found unechoed. Its last echo
+	// completes it and assembles the loaded round of that tick.
+	lateNotice
+)
+
 // iterate is one iteration of the do-forever loop for a participant, on
 // the timer or on receipt. A receipt-driven iteration leaves two things to
-// the timer: starting or completing a multicast round (the view's clock),
-// and retrying an increment that failed.
-func (m *Manager) iterate(n *core.Node, onTimer bool) {
+// the timer: starting a loaded multicast round (the view's clock), and
+// retrying an increment that failed. It completes a round only on onEcho,
+// which starts a loaded round only for a tick that found a late notice.
+func (m *Manager) iterate(n *core.Node, on step) {
+	onTimer := on == onTick
 	m.dirty = false
 	m.published = nil
 	m.hints, m.noReco = n.PeerDowns(), n.NoReco()
@@ -249,7 +289,7 @@ func (m *Manager) iterate(n *core.Node, onTimer bool) {
 
 	switch {
 	case haveCrd && crd == m.self:
-		m.coordinate(n, conf, onTimer)
+		m.coordinate(n, conf, on)
 	case haveCrd:
 		m.follow(crd)
 	}
@@ -276,34 +316,42 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 //   - on a hint, which is what starts a change;
 //   - on a follower of an installed view, when a stored record changed in
 //     a gated field while some view member's command is in flight, or the
-//     application has a command to fetch and the input slot is free.
+//     application has a command to fetch and the input slot is free;
+//   - on the coordinator of an installed view, when the echo just received
+//     makes every trusted member report a loaded round that a tick
+//     assembled, or a notice that a tick found unechoed (onEcho). The step
+//     completes that round — delivery, Apply with its durable append — and
+//     assembles the next: after a loaded round a notice, which carries the
+//     delivery to the followers and no inputs; after a late notice the
+//     loaded round of the tick that found it.
 //
 // changed reports that the iteration altered this processor's own record
 // in a gated field or what its counter service sends (an operation started
 // or moved phase, or a response was queued); only then does the node send
 // anything.
 //
-// The coordinator of an installed view never steps here. Its round counter
-// is the view's clock: a round starts and completes on the coordinator's
-// timer, and everything between two of its ticks — a follower's input
-// reaching it, the members' echoes of the round it started — happens at the
-// network's pace. A write therefore costs two coordinator ticks, however
-// fast or slow the processors are at that moment, instead of a chain of
-// processing times (DESIGN.md §17 has the measurements behind that choice).
-// Nor does an idle view step here: its empty rounds keep the timer's pace
-// and its links one token per tick.
+// The coordinator's round counter is the view's clock: every loaded round
+// starts on the coordinator's timer (or, when the notice before it was
+// still out at the tick, on that notice's last echo), and what lies
+// between a tick and the round's last echo — a follower's input reaching
+// it, the members' echoes — happens at the network's pace. A write costs
+// one coordinator tick, and a tick carries one loaded round, however fast
+// or slow the processors are at that moment (DESIGN.md §17 has the
+// measurements behind that choice). An idle view never steps here: its
+// empty rounds keep the timer's pace and its links one token per tick.
 func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
-	if !m.receiptStepDue(n) {
+	on, due := m.receiptStepDue(n)
+	if !due {
 		return false, false
 	}
 	before := m.rep
-	m.iterate(n, false)
+	m.iterate(n, on)
 	if before.Status == StatusInstall && m.rep.Status == StatusMulticast && m.rep.Crd == m.self {
 		// The coordinator installed a view: the view's first iteration,
 		// whose predicate may suspend it at once for the reconfiguration
 		// that follows, runs now and not on the next tick. Peers see the
 		// state after both.
-		m.iterate(n, false)
+		m.iterate(n, onReceipt)
 	}
 	out := m.ctr.Outputs()
 	changed = !m.rep.sameGate(before) || out != m.ctrOut
@@ -311,17 +359,23 @@ func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 	return true, changed
 }
 
-// receiptStepDue is ReceiptStep's condition: news while a view changes or
-// a hint arrived, or a follower on the live write path with news to read
-// and a command to move, or with a command to fetch into a free slot.
-func (m *Manager) receiptStepDue(n *core.Node) bool {
+// receiptStepDue is ReceiptStep's condition, and what the step runs on:
+// news while a view changes or a hint arrived, or a follower on the live
+// write path with news to read and a command to move, or with a command to
+// fetch into a free slot, or the coordinator holding the last echo of a
+// loaded tick round or of a late notice.
+func (m *Manager) receiptStepDue(n *core.Node) (step, bool) {
 	if hinted := n.PeerDowns() != m.hints; hinted || m.changing() {
-		return hinted || m.dirty || m.ctr.News() || n.NoReco() != m.noReco
+		return onReceipt, hinted || m.dirty || m.ctr.News() || n.NoReco() != m.noReco
 	}
-	if !m.rep.View.Valid() || m.rep.Crd == m.self {
-		return false
+	if !m.rep.View.Valid() {
+		return onReceipt, false
 	}
-	return (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
+	if m.rep.Crd == m.self {
+		due := m.kind == lateNotice || (m.kind == tickRound && len(m.rep.Inputs) > 0)
+		return onEcho, m.dirty && due && n.NoReco() && m.roundEchoed(n.Trusted())
+	}
+	return onReceipt, (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
 }
 
 // changing reports that a view change is under way as far as this
@@ -427,8 +481,10 @@ func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd id
 
 // coordinate drives lines 11–17: the coordinator's propose → install →
 // multicast progression, gated on every relevant member echoing its state.
-// Rounds start and complete only on the timer.
-func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
+// Loaded rounds start on the timer, and complete on their last echo
+// (onEcho) with a notice; the notice, and an idle view's empty round,
+// complete on the timer (roundKind).
+func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 	trusted := n.Trusted()
 	switch m.rep.Status {
 	case StatusPropose:
@@ -460,14 +516,16 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
 		// lost across a reconfiguration. For a fresh bootstrap there is
 		// no prior round and Inputs stays nil.
 		m.rep.Rnd = 0
+		m.kind = tickRound
 		m.rep.Suspend = false
 		m.reconfReady = false
 		m.lastDelivered, m.haveDelivered = 0, false
 		m.metrics.viewsInstalled.Add(1)
 	case StatusMulticast:
-		if !m.allReport(m.rep.View.Set, trusted, func(r Replica) bool {
-			return r.Status == StatusMulticast && r.View.Equal(m.rep.View) && r.Rnd == m.rep.Rnd
-		}) {
+		if !m.roundEchoed(trusted) {
+			if on == onTick && m.kind == notice {
+				m.kind = lateNotice
+			}
 			return
 		}
 		// Algorithm 4.6: once every view member has suspended, the
@@ -490,9 +548,11 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
 			}
 			return // no rounds while suspended
 		}
-		// Rounds are the view's clock: they run on the timer only. Line
-		// 14: no round increments during a reconfiguration.
-		if !onTimer || !n.NoReco() {
+		// Rounds are the view's clock: a receipt-driven step completes
+		// one only on the last echo of a loaded tick round or of a late
+		// notice (receiptStepDue). Line 14: no round increments during a
+		// reconfiguration.
+		if on == onReceipt || !n.NoReco() {
 			return
 		}
 		// Deliver and apply the completed round, then assemble the next.
@@ -510,8 +570,17 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
 		if consumed {
 			m.rep.Input = m.app.Fetch()
 		}
+		// The echo step that completes a loaded round assembles a notice:
+		// the inputs that wait now ride the next tick's round.
+		kind := tickRound
+		if on == onEcho && m.kind == tickRound {
+			kind = notice
+		}
 		next := make(map[ids.ID]any, m.rep.View.Set.Size())
 		m.rep.View.Set.Each(func(j ids.ID) {
+			if kind == notice {
+				return
+			}
 			if j == m.self {
 				if m.rep.Input != nil {
 					next[j] = m.rep.Input
@@ -522,9 +591,21 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, onTimer bool) {
 				next[j] = r.Input
 			}
 		})
+		if on == onEcho {
+			m.metrics.echoRounds.Add(1)
+		}
 		m.rep.Inputs = next
 		m.rep.Rnd++
+		m.kind = kind
 	}
+}
+
+// roundEchoed reports that every trusted member of the installed view
+// reports the round this coordinator is collecting.
+func (m *Manager) roundEchoed(trusted ids.Set) bool {
+	return m.allReport(m.rep.View.Set, trusted, func(r Replica) bool {
+		return r.Status == StatusMulticast && r.View.Equal(m.rep.View) && r.Rnd == m.rep.Rnd
+	})
 }
 
 // allReport checks a predicate against every member of set (self included)

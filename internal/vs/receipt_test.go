@@ -1,6 +1,7 @@
 package vs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -72,5 +73,242 @@ func TestReceiptStepNeedsNewsAndLeavesRetriesToTheTimer(t *testing.T) {
 	m.Tick(n)
 	if m.pendingInc == nil {
 		t.Fatal("the timer did not retry the failed increment")
+	}
+}
+
+// loadedTimerRound runs a settled 3-node cluster (eval is its
+// reconfiguration predicate) until its coordinator's timer has assembled a
+// round that carries the coordinator's first command, with the rest of cmds
+// queued behind it, and returns the coordinator.
+func loadedTimerRound(t *testing.T, seed int64, eval EvalConf, cmds ...string) (*vsCluster, ids.ID) {
+	t.Helper()
+	vc := newVSCluster(t, 3, seed, eval)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	m := vc.mgrs[crd]
+	vc.apps[crd].pending = cmds
+	if !vc.Sched.RunWhile(func() bool { return len(m.rep.Inputs) == 0 }, 3_000_000) {
+		t.Fatal("the coordinator's timer never assembled a loaded round")
+	}
+	if m.kind != tickRound {
+		t.Fatalf("a round the timer assembled is of kind %d, want a tick round", m.kind)
+	}
+	return vc, crd
+}
+
+// echo hands the coordinator follower f's record reporting the round the
+// coordinator is collecting, as a delivery would.
+func (vc *vsCluster) echo(crd, f ids.ID) {
+	m := vc.mgrs[crd]
+	r := vc.mgrs[f].Replica()
+	r.Status, r.View, r.Rnd = StatusMulticast, m.rep.View, m.rep.Rnd
+	m.HandleApp(f, Payload{Replica: &r}, vc.Node(crd))
+}
+
+// echoAll hands the coordinator every follower's echo and reports whether
+// the last one was followed by a receipt-driven step.
+func (vc *vsCluster) echoAll(crd ids.ID) (ran bool) {
+	m := vc.mgrs[crd]
+	for _, f := range m.rep.View.Set.Remove(crd).Members() {
+		vc.echo(crd, f)
+		ran, _ = m.ReceiptStep(vc.Node(crd))
+	}
+	return ran
+}
+
+// echoRounds is how many rounds the coordinator completed on an echo
+// since before.
+func echoRounds(m *Manager, before Metrics) uint64 {
+	return m.Metrics().EchoRounds - before.EchoRounds
+}
+
+func TestLastEchoCompletesALoadedTimerRound(t *testing.T) {
+	// A loaded round that the coordinator's timer started completes inside
+	// the receipt-driven step of its last echo — delivery, Apply — and not
+	// on the next tick. A non-final echo takes no step. The round the echo
+	// step assembles is a notice without inputs, though w2 waits: the next
+	// tick completes it and starts w2's round.
+	vc, crd := loadedTimerRound(t, 45, nil, "w1", "w2")
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	followers := m.rep.View.Set.Remove(crd).Members()
+	rnd, before := m.rep.Rnd, m.Metrics()
+
+	vc.echo(crd, followers[0])
+	if ran, _ := m.ReceiptStep(n); ran {
+		t.Fatal("a non-final echo took a receipt-driven step")
+	}
+	vc.echo(crd, followers[1])
+	ran, changed := m.ReceiptStep(n)
+	if !ran || !changed {
+		t.Fatalf("the last echo of a loaded timer round: ran=%v changed=%v, want a step that publishes", ran, changed)
+	}
+	if m.rep.Rnd != rnd+1 {
+		t.Fatalf("the last echo left the coordinator at round %d, want %d", m.rep.Rnd, rnd+1)
+	}
+	got := vc.apps[crd].delivered
+	if last := got[len(got)-1]; last.Rnd != rnd || last.Inputs[crd] != "w1" {
+		t.Fatalf("the echo step delivered round %d with %v, want round %d with w1", last.Rnd, last.Inputs, rnd)
+	}
+	if s, _ := m.Replica().State.(string); !contains(s, fmt.Sprintf("[%v:w1]", crd)) {
+		t.Fatalf("the echo step did not apply w1: state %q", s)
+	}
+	if d := echoRounds(m, before); d != 1 {
+		t.Fatalf("the echo step counted %d echo rounds, want 1", d)
+	}
+	if m.kind != notice || len(m.rep.Inputs) != 0 || m.rep.Input != "w2" {
+		t.Fatalf("the echo step assembled a round of kind %d with %v (w2 pending: %v), want an empty notice", m.kind, m.rep.Inputs, m.rep.Input)
+	}
+
+	// The notice's last echo takes no step; the tick completes it.
+	if vc.echoAll(crd) {
+		t.Fatal("the last echo of a notice took a step")
+	}
+	if m.rep.Rnd != rnd+1 {
+		t.Fatalf("a notice completed off the timer: round %d", m.rep.Rnd)
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+2 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" {
+		t.Fatalf("the tick left round %d of kind %d with %v, want round %d, a tick round with w2", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+2)
+	}
+	if d := echoRounds(m, before); d != 1 {
+		t.Fatalf("%d echo rounds, want the one", d)
+	}
+}
+
+func TestLateNoticeCompletesOnItsLastEcho(t *testing.T) {
+	// A notice still out when the next tick comes is marked late, and its
+	// last echo completes it and starts that tick's loaded round: the tick
+	// is not lost, and it carries one loaded round, not two.
+	vc, crd := loadedTimerRound(t, 49, nil, "w1", "w2", "w3")
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	followers := m.rep.View.Set.Remove(crd).Members()
+	rnd, before := m.rep.Rnd, m.Metrics()
+	if !vc.echoAll(crd) || m.kind != notice {
+		t.Fatal("the last echo of a loaded timer round did not complete it with a notice")
+	}
+	// A tick before the notice's echoes: nothing completes.
+	m.Tick(n)
+	if m.rep.Rnd != rnd+1 || m.kind != lateNotice {
+		t.Fatalf("the tick left round %d of kind %d, want round %d, a late notice", m.rep.Rnd, m.kind, rnd+1)
+	}
+	vc.echo(crd, followers[0])
+	if ran, _ := m.ReceiptStep(n); ran {
+		t.Fatal("a non-final echo of a late notice took a step")
+	}
+	vc.echo(crd, followers[1])
+	if ran, _ := m.ReceiptStep(n); !ran {
+		t.Fatal("the last echo of a late notice took no step")
+	}
+	if m.rep.Rnd != rnd+2 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" {
+		t.Fatalf("the late notice's echo left round %d of kind %d with %v, want round %d, a tick round with w2", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+2)
+	}
+	// That round is the tick's: its last echo completes it with a notice,
+	// and w3 waits for the next tick.
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || m.kind != notice {
+		t.Fatalf("the tick's late round did not complete on its echo: round %d of kind %d", m.rep.Rnd, m.kind)
+	}
+	if vc.echoAll(crd) || m.rep.Rnd != rnd+3 {
+		t.Fatal("a notice completed on its echo without a tick")
+	}
+	if d := echoRounds(m, before); d != 3 {
+		t.Fatalf("%d echo rounds, want 3 (w1, the late notice, w2)", d)
+	}
+	// A loaded round still out at the tick is not a notice: the tick does
+	// not mark it, and its echo completes it as before.
+	m.Tick(n)
+	if m.rep.Inputs[crd] != "w3" {
+		t.Fatalf("the tick assembled %v, want w3", m.rep.Inputs)
+	}
+	m.Tick(n)
+	if m.kind != tickRound {
+		t.Fatalf("a tick marked an unechoed loaded round as %d", m.kind)
+	}
+}
+
+func TestEmptyRoundNeverCompletesOnReceipt(t *testing.T) {
+	// An idle view's rounds carry nothing: a tick assembles them, their
+	// last echo takes no step, and they keep the timer's pace.
+	vc := newVSCluster(t, 3, 46, nil)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	m.Tick(n)
+	rnd := m.rep.Rnd
+	if len(m.rep.Inputs) != 0 || m.kind != tickRound {
+		t.Fatalf("an idle view's round carries %v (kind %d)", m.rep.Inputs, m.kind)
+	}
+	if vc.echoAll(crd) || m.rep.Rnd != rnd {
+		t.Fatalf("the last echo of an empty round took a step: round %d → %d", rnd, m.rep.Rnd)
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+1 || m.kind != tickRound {
+		t.Fatalf("the tick left round %d of kind %d, want round %d, a tick round", m.rep.Rnd, m.kind, rnd+1)
+	}
+	if got := m.Metrics().EchoRounds; got != 0 {
+		t.Fatalf("an idle view completed %d rounds on an echo", got)
+	}
+}
+
+func TestCorruptRoundKindLivesOneRound(t *testing.T) {
+	// A kind corrupted to lateNotice on a notice lets that notice complete
+	// on its echo — once: the assembly that completion makes rewrites the
+	// kind. A kind corrupted to a value no assembly writes takes no echo
+	// step, and the tick that completes its round rewrites it.
+	vc, crd := loadedTimerRound(t, 47, nil, "w1", "w2", "w3")
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	rnd := m.rep.Rnd
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+1 || m.kind != notice {
+		t.Fatal("the last echo of a loaded timer round did not complete it with a notice")
+	}
+	m.kind = lateNotice
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+2 {
+		t.Fatal("a corrupted kind did not act")
+	}
+	if m.kind != tickRound || !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || m.kind != notice {
+		t.Fatalf("the corruption outlived the round it hit: round %d, kind %d", m.rep.Rnd, m.kind)
+	}
+	vc.echoAll(crd)
+	m.Tick(n)
+	if m.rep.Inputs[crd] != "w3" {
+		t.Fatalf("the tick assembled %v, want w3", m.rep.Inputs)
+	}
+	m.kind = 9
+	if vc.echoAll(crd) || m.rep.Rnd != rnd+4 {
+		t.Fatal("an out-of-range kind completed a round on its echo")
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+5 || m.kind != tickRound {
+		t.Fatalf("the tick left round %d of kind %d, want round %d, a tick round", m.rep.Rnd, m.kind, rnd+5)
+	}
+}
+
+func TestChangingViewNeverCompletesOnReceipt(t *testing.T) {
+	// A suspended coordinator, or one without a coordinator in its record,
+	// is changing its view: the last echo of a loaded timer round runs
+	// today's iteration on news, and the round waits for the timer.
+	for _, c := range []struct {
+		name   string
+		change func(m *Manager, suspend *bool)
+	}{
+		{"suspended", func(m *Manager, suspend *bool) { *suspend, m.rep.Suspend = true, true }},
+		{"no coordinator", func(m *Manager, _ *bool) { m.rep.NoCrd = true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			suspend := false
+			vc, crd := loadedTimerRound(t, 48, func(ids.Set, ids.Set) bool { return suspend }, "w1")
+			m := vc.mgrs[crd]
+			rnd := m.rep.Rnd
+			c.change(m, &suspend)
+			if !m.changing() {
+				t.Fatal("the view is not changing")
+			}
+			for _, f := range m.rep.View.Set.Remove(crd).Members() {
+				vc.echo(crd, f)
+			}
+			if ran, _ := m.ReceiptStep(vc.Node(crd)); !ran {
+				t.Fatal("a changing view with news took no receipt-driven step")
+			}
+			if m.rep.Rnd != rnd || m.Metrics().EchoRounds != 0 {
+				t.Fatalf("a changing view completed round %d on an echo (now %d)", rnd, m.rep.Rnd)
+			}
+		})
 	}
 }

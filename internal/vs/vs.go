@@ -188,6 +188,9 @@ type Metrics struct {
 	// candidate). Under churn this is the service-side half of the
 	// availability gap the client observes.
 	NoCoordinatorTicks uint64
+	// EchoRounds counts rounds this processor completed as coordinator on
+	// the last echo of the round instead of on a tick (live media only).
+	EchoRounds uint64
 }
 
 // metricsCounters are the live counters behind Metrics, atomic so a
@@ -201,6 +204,7 @@ type metricsCounters struct {
 	adoptions        atomic.Uint64
 	stateMismatches  atomic.Uint64
 	noCrdTicks       atomic.Uint64
+	echoRounds       atomic.Uint64
 }
 
 func (c *metricsCounters) snapshot() Metrics {
@@ -213,5 +217,6 @@ func (c *metricsCounters) snapshot() Metrics {
 		Adoptions:          c.adoptions.Load(),
 		StateMismatches:    c.stateMismatches.Load(),
 		NoCoordinatorTicks: c.noCrdTicks.Load(),
+		EchoRounds:         c.echoRounds.Load(),
 	}
 }

@@ -72,7 +72,8 @@ echo "ok: survival.lost_acked_writes = 0"
 # shard's requests to that shard's preferred endpoint, so with fewer
 # shards than nodes some node legitimately serves no register ops —
 # the cluster-wide nonzero total is asserted above via the report's
-# folded server.shard_ops series.
+# folded server.shard_ops series. Echo rounds are presence-only too: only
+# a shard's coordinator completes rounds, on a tick or on an echo.
 FAMILIES=(
   repro_node_ticks_total=nonzero
   repro_node_tick_late_seconds=nonzero
@@ -86,6 +87,7 @@ FAMILIES=(
   repro_datalink_queue_depth
   repro_vs_rounds_applied_total=nonzero
   repro_vs_views_installed_total=nonzero
+  repro_vs_echo_rounds_total
   repro_smr_pending_commands
   repro_shard_ops_total
   repro_storage_appends_total=nonzero
