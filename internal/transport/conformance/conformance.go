@@ -7,8 +7,9 @@
 // register cluster — two service stacks multiplexed over one transport
 // with shard-tagged envelopes — completing writes on every shard
 // concurrently, and the live write path: receipt-driven steps, the
-// end-of-slice hook, the burst that rides one round, connection-loss
-// hints and the node timer's pacing.
+// spaced writes an idle view starts on arrival, the end-of-slice hook,
+// the burst that rides one round, connection-loss hints and the node
+// timer's pacing.
 //
 // Backends invoke Run from their own test files, so `go test ./...`
 // exercises the suite against inproc and tcp in one sweep (the CI -race
@@ -545,10 +546,12 @@ func Run(t *testing.T, b Backend) {
 		// after it, and the round's last echo completes it at once, in one
 		// receipt-driven step of the coordinator; the notice that step
 		// assembles carries the delivery to the followers and completes on
-		// the next tick, with the next write's round. Around the loop the
-		// cluster sits idle, and an idle cluster takes no receipt-driven
-		// step and starts no cycle off the timer — one token per link per
-		// tick.
+		// the next tick, with the next write's round. A loop's first write
+		// finds the view idle, and its input starts the round on arrival
+		// (the fast start): one more step, and one round without a tick.
+		// Around the loop the cluster sits idle, and an idle cluster takes
+		// no receipt-driven step and starts no cycle off the timer — one
+		// token per link per tick.
 		const n = 3
 		// A tick long enough that what happens between two ticks fits into
 		// it many times over even under the race detector: the comparison
@@ -646,19 +649,69 @@ func Run(t *testing.T, b Backend) {
 				commits, atFollower, atCoord)
 		}
 		// The followers stepped on receipt; the coordinator at most once a
-		// commit, on the round's last echo, and never more than once a
-		// tick: the round the echo step starts is a notice, which waits
-		// for the timer.
+		// commit, on the round's last echo, plus one fast start a loop, and
+		// never more than once a tick beyond those: the round the echo step
+		// starts is a notice, which waits for the timer, and a closed loop's
+		// next input beats the tick.
 		if s := nodes[follower].ReceiptSteps(); s == 0 {
 			t.Errorf("follower %v took no receipt-driven step", follower)
 		}
-		if steps > 2*commits {
-			t.Errorf("coordinator %v took %d receipt-driven steps for %d commits, want at most one a commit", coord, steps, 2*commits)
+		if steps > 2*commits+2 {
+			t.Errorf("coordinator %v took %d receipt-driven steps for %d commits, want at most one a commit and one fast start a loop", coord, steps, 2*commits)
 		}
-		if echoRounds > coordTicks {
-			t.Errorf("coordinator %v completed %d rounds on an echo in %d ticks, want at most one a tick", coord, echoRounds, coordTicks)
+		if echoRounds > coordTicks+2 {
+			t.Errorf("coordinator %v completed %d rounds on an echo in %d ticks, want at most one a tick and one fast start a loop", coord, echoRounds, coordTicks)
 		}
 		idle("after the writes")
+	})
+
+	t.Run("SpacedWritesStartOnArrival", func(t *testing.T) {
+		// Light open-loop load: writes at a follower spaced at least three
+		// coordinator ticks apart, so each finds the view idle — the tick
+		// before it assembled an empty round and nothing else started one.
+		// The coordinator then starts the write's round when the input
+		// arrives (the fast start), not on its next tick, and the round's
+		// last echo completes it. Counted in the coordinator's ticks, a
+		// write waits none unless a tick falls while its round travels; a
+		// coordinator that started loaded rounds on its ticks only would
+		// make every write wait at least one.
+		const n, writes = 3, 20
+		opts := transport.Options{
+			Capacity:   64,
+			TickEvery:  10 * time.Millisecond,
+			TickJitter: 5 * time.Millisecond,
+		}
+		net := b.New(t, 14, opts, universe)
+		defer net.Close()
+		all := ids.Range(1, n)
+		nodes, mems, coord := registerCluster(t, net, all, nil)
+		follower := all.Remove(coord).Members()[0]
+		var waited uint64
+		for c := 0; c < writes; c++ {
+			if from := nodes[coord].Ticks(); !await(10*time.Second, func() bool { return nodes[coord].Ticks() >= from+3 }) {
+				t.Fatalf("coordinator %v stopped ticking", coord)
+			}
+			var hnd *regmem.Handle
+			var start uint64
+			if !net.Inspect(follower, func() {
+				start = nodes[coord].Ticks()
+				hnd = mems[follower].Write("r", fmt.Sprintf("spaced-%d", c))
+			}) {
+				t.Fatalf("Inspect(%v) failed", follower)
+			}
+			for polled := time.Duration(0); !hnd.Done(); polled += 100 * time.Microsecond {
+				if polled > 30*time.Second {
+					t.Fatalf("write %d at %v never completed", c, follower)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			waited += nodes[coord].Ticks() - start
+		}
+		t.Logf("%d spaced writes at follower %v waited %d ticks of coordinator %v in all (%.2f a write)",
+			writes, follower, waited, coord, float64(waited)/writes)
+		if 2*waited > writes {
+			t.Errorf("%d spaced writes waited %d coordinator ticks, want at most half a tick a write: the idle view waited for its tick to start a round", writes, waited)
+		}
 	})
 
 	t.Run("EndOfSlice", func(t *testing.T) {

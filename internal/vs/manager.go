@@ -63,6 +63,11 @@ type Manager struct {
 	// it (onEcho). Every round assembly, and the install that makes round
 	// 0, rewrites it; a tick that finds a notice unechoed marks it late.
 	kind roundKind
+	// loadedSinceTick: this coordinator assembled a loaded round since its
+	// last tick. Every Tick clears it and every loaded assembly sets it; the
+	// fast start (onInput) runs only while it is clear, so a tick interval
+	// starts at most one loaded round.
+	loadedSinceTick bool
 	// published is rep as the last iteration left it, in the form peers
 	// get it: cloned by the first Outgoing after that iteration and
 	// immutable from then on. Every envelope of the step carries this one
@@ -195,8 +200,15 @@ func (m *Manager) computeValCrd(n *core.Node, conf ids.Set) (ids.ID, bool) {
 // Tick implements core.App: the timer's iteration of Algorithm 4.7's
 // do-forever loop. Only these iterations count in the tick metrics.
 func (m *Manager) Tick(n *core.Node) {
+	m.loadedSinceTick = false
 	m.iterate(n, onTick)
 	m.ctrOut = m.ctr.Outputs()
+	if m.echoDue(n) {
+		// A one-member view echoes its round as it is assembled, and no
+		// delivery will come to step on: the tick asks for the echo step.
+		m.dirty = true
+		n.RequestStep()
+	}
 }
 
 // step is what an iteration of the do-forever loop runs on.
@@ -210,6 +222,10 @@ const (
 	// onEcho: the last echo of a loaded tick round or of a late notice
 	// (roundKind).
 	onEcho
+	// onInput: an input in an idle tick interval — the fast start. It
+	// completes the empty tick round every member has echoed and assembles
+	// the loaded round the next tick would have.
+	onInput
 )
 
 // roundKind is what the coordinator assembled a round for. One loaded
@@ -234,9 +250,11 @@ const (
 
 // iterate is one iteration of the do-forever loop for a participant, on
 // the timer or on receipt. A receipt-driven iteration leaves two things to
-// the timer: starting a loaded multicast round (the view's clock), and
-// retrying an increment that failed. It completes a round only on onEcho,
-// which starts a loaded round only for a tick that found a late notice.
+// the timer: starting a loaded multicast round (the view's clock) once one
+// has started in the tick interval, and retrying an increment that failed.
+// It completes a round only on onEcho, which starts a loaded round only for
+// a tick that found a late notice, and on onInput, which starts the
+// interval's loaded round when the tick found none to start.
 func (m *Manager) iterate(n *core.Node, on step) {
 	onTimer := on == onTick
 	m.dirty = false
@@ -323,22 +341,33 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 //     completes that round — delivery, Apply with its durable append — and
 //     assembles the next: after a loaded round a notice, which carries the
 //     delivery to the followers and no inputs; after a late notice the
-//     loaded round of the tick that found it.
+//     loaded round of the tick that found it;
+//   - on the coordinator of an installed view, when some view member has an
+//     input while the coordinator collects an empty tick round that every
+//     trusted member has echoed and no loaded round was assembled since its
+//     last tick (onInput, the fast start). The step completes the empty
+//     round and assembles the loaded round the next tick would have
+//     assembled; its last echo completes it with a notice, as above. A
+//     round that is echoed as it is assembled (a one-member view) completes
+//     in the same step.
 //
 // changed reports that the iteration altered this processor's own record
 // in a gated field or what its counter service sends (an operation started
 // or moved phase, or a response was queued); only then does the node send
 // anything.
 //
-// The coordinator's round counter is the view's clock: every loaded round
+// The coordinator's round counter is the view's clock: a loaded round
 // starts on the coordinator's timer (or, when the notice before it was
-// still out at the tick, on that notice's last echo), and what lies
-// between a tick and the round's last echo — a follower's input reaching
-// it, the members' echoes — happens at the network's pace. A write costs
-// one coordinator tick, and a tick carries one loaded round, however fast
+// still out at the tick, on that notice's last echo), or, in an interval
+// whose tick found no input, when the first input arrives; what lies
+// between the start and the round's last echo — a follower's input
+// reaching it, the members' echoes — happens at the network's pace. A
+// write under load costs one coordinator tick, a write into an idle view
+// none, and a tick interval carries at most one loaded round, however fast
 // or slow the processors are at that moment (DESIGN.md §17 has the
-// measurements behind that choice). An idle view never steps here: its
-// empty rounds keep the timer's pace and its links one token per tick.
+// measurements behind that choice). An idle view without inputs never
+// steps here: its empty rounds keep the timer's pace and its links one
+// token per tick.
 func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 	on, due := m.receiptStepDue(n)
 	if !due {
@@ -353,6 +382,11 @@ func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 		// state after both.
 		m.iterate(n, onReceipt)
 	}
+	if on == onInput && m.echoDue(n) {
+		// The fast start assembled a round that is already echoed (a
+		// one-member view): its echo step runs now, in the same step.
+		m.iterate(n, onEcho)
+	}
 	out := m.ctr.Outputs()
 	changed = !m.rep.sameGate(before) || out != m.ctrOut
 	m.ctrOut = out
@@ -363,7 +397,8 @@ func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 // news while a view changes or a hint arrived, or a follower on the live
 // write path with news to read and a command to move, or with a command to
 // fetch into a free slot, or the coordinator holding the last echo of a
-// loaded tick round or of a late notice.
+// loaded tick round or of a late notice, or an input in an idle tick
+// interval.
 func (m *Manager) receiptStepDue(n *core.Node) (step, bool) {
 	if hinted := n.PeerDowns() != m.hints; hinted || m.changing() {
 		return onReceipt, hinted || m.dirty || m.ctr.News() || n.NoReco() != m.noReco
@@ -372,10 +407,51 @@ func (m *Manager) receiptStepDue(n *core.Node) (step, bool) {
 		return onReceipt, false
 	}
 	if m.rep.Crd == m.self {
-		due := m.kind == lateNotice || (m.kind == tickRound && len(m.rep.Inputs) > 0)
-		return onEcho, m.dirty && due && n.NoReco() && m.roundEchoed(n.Trusted())
+		if m.fastStartDue(n) {
+			return onInput, true
+		}
+		return onEcho, m.dirty && m.echoDue(n)
 	}
 	return onReceipt, (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
+}
+
+// collecting reports that this processor coordinates an installed view
+// that is not changing: the only state in which its rounds move on receipt.
+func (m *Manager) collecting() bool {
+	return m.rep.Crd == m.self && m.rep.View.Valid() && !m.changing()
+}
+
+// echoDue reports that the round this coordinator collects completes on
+// its last echo — a loaded tick round or a late notice — and every trusted
+// member has echoed it.
+func (m *Manager) echoDue(n *core.Node) bool {
+	due := m.kind == lateNotice || (m.kind == tickRound && len(m.rep.Inputs) > 0)
+	return due && m.collecting() && n.NoReco() && m.roundEchoed(n.Trusted())
+}
+
+// fastStartDue reports that an input waits in an idle tick interval: the
+// coordinator collects an empty tick round that every trusted member has
+// echoed, it assembled no loaded round since its last tick, and some view
+// member has an input (its own, one its application would hand over, or
+// one in a stored record). The tick would find the same inputs and
+// assemble the same round; the fast start only does it sooner.
+func (m *Manager) fastStartDue(n *core.Node) bool {
+	if m.loadedSinceTick || m.kind != tickRound || len(m.rep.Inputs) > 0 || !m.collecting() || !n.NoReco() {
+		return false
+	}
+	return m.inputWaiting() && m.roundEchoed(n.Trusted())
+}
+
+// inputWaiting reports whether some view member has an input that the
+// next assembly would put in a round.
+func (m *Manager) inputWaiting() bool {
+	found := m.app.Pending()
+	m.rep.View.Set.Each(func(k ids.ID) {
+		if r, ok := m.replicaOf(k); ok && r.Input != nil {
+			found = true
+		}
+	})
+	return found
 }
 
 // changing reports that a view change is under way as far as this
@@ -481,9 +557,10 @@ func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd id
 
 // coordinate drives lines 11–17: the coordinator's propose → install →
 // multicast progression, gated on every relevant member echoing its state.
-// Loaded rounds start on the timer, and complete on their last echo
-// (onEcho) with a notice; the notice, and an idle view's empty round,
-// complete on the timer (roundKind).
+// Loaded rounds start on the timer, or on an input in an idle tick interval
+// (onInput), and complete on their last echo (onEcho) with a notice; the
+// notice, and an idle view's empty round, complete on the timer
+// (roundKind).
 func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 	trusted := n.Trusted()
 	switch m.rep.Status {
@@ -550,7 +627,8 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 		}
 		// Rounds are the view's clock: a receipt-driven step completes
 		// one only on the last echo of a loaded tick round or of a late
-		// notice (receiptStepDue). Line 14: no round increments during a
+		// notice, or on an input in an idle tick interval
+		// (receiptStepDue). Line 14: no round increments during a
 		// reconfiguration.
 		if on == onReceipt || !n.NoReco() {
 			return
@@ -597,6 +675,9 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 		m.rep.Inputs = next
 		m.rep.Rnd++
 		m.kind = kind
+		if len(next) > 0 {
+			m.loadedSinceTick = true
+		}
 	}
 }
 

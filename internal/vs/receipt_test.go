@@ -312,3 +312,247 @@ func TestChangingViewNeverCompletesOnReceipt(t *testing.T) {
 		})
 	}
 }
+
+// idleRound ticks the coordinator of a settled view, twice, each tick
+// followed by every follower's echo, so that it collects an empty tick round
+// all members have echoed, and checks that none of those echoes took a
+// step: an idle view without inputs keeps the timer's pace. (The first tick
+// may find round 0 of a fresh view, which carries no round to deliver.)
+func (vc *vsCluster) idleRound(t *testing.T, crd ids.ID) {
+	t.Helper()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	for i := 0; i < 2; i++ {
+		m.Tick(n)
+		if vc.echoAll(crd) {
+			t.Fatal("the echoes of an empty round took a step")
+		}
+	}
+	if m.rep.Inputs == nil || len(m.rep.Inputs) != 0 || m.kind != tickRound || m.loadedSinceTick {
+		t.Fatalf("the ticks left a round of kind %d with %v (loaded since tick: %v), want an empty tick round", m.kind, m.rep.Inputs, m.loadedSinceTick)
+	}
+}
+
+// input hands the coordinator follower f's echo of the round it collects,
+// carrying the input cmd, as the delivery of f's step would.
+func (vc *vsCluster) input(crd, f ids.ID, cmd string) {
+	m := vc.mgrs[crd]
+	r := vc.mgrs[f].Replica()
+	r.Status, r.View, r.Rnd, r.Input = StatusMulticast, m.rep.View, m.rep.Rnd, cmd
+	m.HandleApp(f, Payload{Replica: &r}, vc.Node(crd))
+}
+
+func TestFastStartAssemblesOnAFollowersInput(t *testing.T) {
+	// An idle view — its coordinator collects an empty tick round every
+	// member has echoed — starts the loaded round in the step a follower's
+	// input arrives in: that step completes the empty round and assembles
+	// the round the next tick would have. Its last echo completes it with a
+	// notice, and no tick ran in between.
+	vc := newVSCluster(t, 3, 50, nil)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	f := m.rep.View.Set.Remove(crd).Members()[0]
+	vc.idleRound(t, crd)
+	rnd, before := m.rep.Rnd, m.Metrics()
+
+	vc.input(crd, f, "x")
+	ran, changed := m.ReceiptStep(n)
+	if !ran || !changed {
+		t.Fatalf("a follower's input in an idle interval: ran=%v changed=%v, want a step that publishes", ran, changed)
+	}
+	if m.rep.Rnd != rnd+1 || m.kind != tickRound || m.rep.Inputs[f] != "x" || !m.loadedSinceTick {
+		t.Fatalf("the fast start left round %d of kind %d with %v (loaded since tick: %v), want round %d, a tick round with x",
+			m.rep.Rnd, m.kind, m.rep.Inputs, m.loadedSinceTick, rnd+1)
+	}
+	if got := vc.apps[crd].delivered; got[len(got)-1].Rnd != rnd {
+		t.Fatalf("the fast start did not deliver the empty round %d", rnd)
+	}
+	if d := echoRounds(m, before); d != 0 {
+		t.Fatalf("the fast start counted %d echo rounds, want 0", d)
+	}
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+2 || m.kind != notice {
+		t.Fatalf("the fast-started round did not complete on its last echo: round %d of kind %d", m.rep.Rnd, m.kind)
+	}
+	if s, _ := m.Replica().State.(string); !contains(s, fmt.Sprintf("[%v:x]", f)) {
+		t.Fatalf("the echo step did not apply x: state %q", s)
+	}
+}
+
+func TestSecondInputOfAnIntervalWaitsForTheTick(t *testing.T) {
+	// The interval's one loaded round was fast-started: the next input, at
+	// the coordinator or a follower, waits for the tick, however long the
+	// notice has been echoed.
+	vc := newVSCluster(t, 3, 51, nil)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	followers := m.rep.View.Set.Remove(crd).Members()
+	vc.idleRound(t, crd)
+	rnd := m.rep.Rnd
+	vc.input(crd, followers[0], "x")
+	if ran, _ := m.ReceiptStep(n); !ran || !vc.echoAll(crd) || m.kind != notice {
+		t.Fatal("the first input of an idle interval did not fast-start its round")
+	}
+	if vc.echoAll(crd) || m.rep.Rnd != rnd+2 {
+		t.Fatalf("the notice's echoes moved the round to %d", m.rep.Rnd)
+	}
+	vc.apps[crd].pending = []string{"w"}
+	if ran, _ := m.ReceiptStep(n); ran {
+		t.Fatal("a second input in the interval, at the coordinator, took a step")
+	}
+	vc.input(crd, followers[1], "y")
+	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd+2 {
+		t.Fatal("a second input in the interval, at a follower, took a step")
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+3 || m.kind != tickRound || m.rep.Inputs[crd] != "w" || m.rep.Inputs[followers[1]] != "y" {
+		t.Fatalf("the tick left round %d of kind %d with %v, want round %d, a tick round with w and y", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+3)
+	}
+}
+
+func TestLoadedTickBlocksTheFastStartUntilTheNextTick(t *testing.T) {
+	// A tick that assembled a loaded round used its interval's one start.
+	// Should the coordinator then collect an empty round every member has
+	// echoed — as a view installed later in the interval would leave it —
+	// an input still waits for the next tick, which takes it.
+	vc, crd := loadedTimerRound(t, 52, nil, "w1")
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	f := m.rep.View.Set.Remove(crd).Members()[0]
+	if !m.loadedSinceTick {
+		t.Fatal("a tick that assembled a loaded round did not note it")
+	}
+	rnd := m.rep.Rnd
+	m.rep.Inputs, m.rep.Input = map[ids.ID]any{}, nil
+	if vc.echoAll(crd) {
+		t.Fatal("the echoes of an empty round took a step")
+	}
+	vc.input(crd, f, "x")
+	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd {
+		t.Fatalf("an input fast-started a second loaded round in the interval: round %d → %d", rnd, m.rep.Rnd)
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+1 || m.rep.Inputs[f] != "x" || !m.loadedSinceTick {
+		t.Fatalf("the next tick left round %d with %v, want round %d with x", m.rep.Rnd, m.rep.Inputs, rnd+1)
+	}
+}
+
+func TestChangingViewNeverFastStarts(t *testing.T) {
+	// A suspended coordinator, or one without a coordinator in its record,
+	// takes today's iteration on an input in an idle interval: the round
+	// stays where it is and waits for the view change.
+	for _, c := range []struct {
+		name   string
+		change func(m *Manager, suspend *bool)
+	}{
+		{"suspended", func(m *Manager, suspend *bool) { *suspend, m.rep.Suspend = true, true }},
+		{"no coordinator", func(m *Manager, _ *bool) { m.rep.NoCrd = true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			suspend := false
+			vc := newVSCluster(t, 3, 53, func(ids.Set, ids.Set) bool { return suspend })
+			crd := vc.waitView(t, 3_000_000).Coordinator()
+			n, m := vc.Node(crd), vc.mgrs[crd]
+			vc.idleRound(t, crd)
+			rnd := m.rep.Rnd
+			c.change(m, &suspend)
+			if !m.changing() {
+				t.Fatal("the view is not changing")
+			}
+			vc.input(crd, m.rep.View.Set.Remove(crd).Members()[0], "x")
+			if ran, _ := m.ReceiptStep(n); !ran {
+				t.Fatal("a changing view with news took no receipt-driven step")
+			}
+			if m.rep.Rnd != rnd || len(m.rep.Inputs) != 0 || m.loadedSinceTick {
+				t.Fatalf("a changing view fast-started: round %d → %d with %v", rnd, m.rep.Rnd, m.rep.Inputs)
+			}
+		})
+	}
+}
+
+func TestOneMemberViewCompletesInTheSliceThatAssembledIt(t *testing.T) {
+	// A one-member view echoes its round as it is assembled. A tick that
+	// assembles a loaded round asks for the echo step at the end of its
+	// slice (on the simulator that request does nothing, so the test takes
+	// the step), and the fast start completes its round in its own step:
+	// a write costs one tick under load and none in an idle interval.
+	vc := newVSCluster(t, 1, 54, nil)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	m.Tick(n)
+	m.Tick(n)
+	rnd, before := m.rep.Rnd, m.Metrics()
+	if len(m.rep.Inputs) != 0 || m.kind != tickRound {
+		t.Fatalf("an idle one-member view collects a round of kind %d with %v", m.kind, m.rep.Inputs)
+	}
+
+	vc.apps[crd].pending = []string{"w1", "w2"}
+	ran, changed := m.ReceiptStep(n)
+	if !ran || !changed {
+		t.Fatalf("a submission to an idle one-member view: ran=%v changed=%v", ran, changed)
+	}
+	if m.rep.Rnd != rnd+2 || m.kind != notice {
+		t.Fatalf("the fast start left round %d of kind %d, want round %d, a notice", m.rep.Rnd, m.kind, rnd+2)
+	}
+	if got := vc.apps[crd].delivered; got[len(got)-1].Inputs[crd] != "w1" {
+		t.Fatalf("the fast start's step did not deliver w1: %v", got[len(got)-1].Inputs)
+	}
+	if ran, _ := m.ReceiptStep(n); ran {
+		t.Fatal("w2 took a step in the interval that started w1")
+	}
+
+	m.Tick(n)
+	if m.rep.Rnd != rnd+3 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" || !m.dirty {
+		t.Fatalf("the tick left round %d of kind %d with %v (step asked for: %v), want round %d, a tick round with w2 and the echo step asked for",
+			m.rep.Rnd, m.kind, m.rep.Inputs, m.dirty, rnd+3)
+	}
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Rnd != rnd+4 || m.kind != notice {
+		t.Fatalf("the end of the tick's slice left round %d of kind %d, want round %d, a notice", m.rep.Rnd, m.kind, rnd+4)
+	}
+	if got := vc.apps[crd].delivered; got[len(got)-1].Inputs[crd] != "w2" {
+		t.Fatalf("the echo step did not deliver w2: %v", got[len(got)-1].Inputs)
+	}
+	if d := echoRounds(m, before); d != 2 {
+		t.Fatalf("%d echo rounds, want 2 (w1, w2)", d)
+	}
+}
+
+func TestCorruptLoadedSinceTickLivesOneTick(t *testing.T) {
+	// The flag corrupted to set in an idle interval holds an input back
+	// until the next tick, which clears it and takes the input; the
+	// interval after that fast-starts again. Corrupted to clear after a
+	// loaded round started, it starts nothing: the round the coordinator
+	// collects then is a notice.
+	vc := newVSCluster(t, 3, 55, nil)
+	crd := vc.waitView(t, 3_000_000).Coordinator()
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	f := m.rep.View.Set.Remove(crd).Members()[0]
+	vc.idleRound(t, crd)
+	rnd := m.rep.Rnd
+	m.loadedSinceTick = true
+	vc.input(crd, f, "x")
+	if ran, _ := m.ReceiptStep(n); ran {
+		t.Fatal("an input fast-started under a set flag")
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+1 || m.rep.Inputs[f] != "x" {
+		t.Fatalf("the tick left round %d with %v, want round %d with x", m.rep.Rnd, m.rep.Inputs, rnd+1)
+	}
+	if !vc.echoAll(crd) || m.kind != notice {
+		t.Fatal("the tick's loaded round did not complete on its echo")
+	}
+	if vc.echoAll(crd) {
+		t.Fatal("the echoes of a notice took a step")
+	}
+	m.loadedSinceTick = false
+	vc.input(crd, f, "y")
+	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd+2 {
+		t.Fatalf("a cleared flag started a round past a notice: round %d", m.rep.Rnd)
+	}
+	m.Tick(n) // completes the notice and takes y
+	if !vc.echoAll(crd) || m.kind != notice || vc.echoAll(crd) {
+		t.Fatal("y's round did not complete on its echo with a notice")
+	}
+	vc.idleRound(t, crd)
+	vc.input(crd, f, "z")
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Inputs[f] != "z" {
+		t.Fatalf("the interval after the corruption did not fast-start: %v", m.rep.Inputs)
+	}
+}
