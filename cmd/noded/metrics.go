@@ -230,7 +230,7 @@ func (d *Daemon) registerShards(reg *obs.Registry) {
 				func() uint64 { return mgr.Metrics().StateMismatches }},
 			{"repro_vs_no_coordinator_ticks_total", "Participant ticks spent without an established coordinator.",
 				func() uint64 { return mgr.Metrics().NoCoordinatorTicks }},
-			{"repro_vs_echo_rounds_total", "Rounds this node completed as coordinator on the round's last echo instead of on a tick.",
+			{"repro_vs_echo_rounds_total", "Loaded rounds this node completed as coordinator on their last echo instead of on a tick.",
 				func() uint64 { return mgr.Metrics().EchoRounds }},
 		}
 		for _, c := range vsCounters {

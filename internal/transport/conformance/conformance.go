@@ -641,8 +641,9 @@ func Run(t *testing.T, b Backend) {
 		echoRounds = mems[coord].VS().Metrics().EchoRounds - echoRounds
 		kicks = kicked() - kicks
 		steps := nodes[coord].ReceiptSteps() - coordSteps
+		links := uint64(n * (n - 1))
 		t.Logf("%d commits cost coordinator %v %d ticks written at follower %v and %d written at the coordinator; it completed %d rounds on an echo in %d receipt-driven steps; the %d links kicked %.2f cycles each per coordinator tick",
-			commits, coord, atFollower, follower, atCoord, echoRounds, steps, n*(n-1), float64(kicks)/float64(n*(n-1))/float64(coordTicks))
+			commits, coord, atFollower, follower, atCoord, echoRounds, steps, links, float64(kicks)/float64(links)/float64(coordTicks))
 		// One tick a commit, and slack for a commit that straddles a second.
 		if most := uint64(commits * 5 / 4); atFollower > most || atCoord > most {
 			t.Errorf("a live medium pays more than the coordinator's one tick per commit: %d commits cost the coordinator %d ticks written at the follower, %d written at the coordinator",
@@ -661,6 +662,12 @@ func Run(t *testing.T, b Backend) {
 		}
 		if echoRounds > coordTicks+2 {
 			t.Errorf("coordinator %v completed %d rounds on an echo in %d ticks, want at most one a tick and one fast start a loop", coord, echoRounds, coordTicks)
+		}
+		// The token-rate bound (DESIGN.md §17): the coordinator's record
+		// moves at most twice per interval on receipt, so a link carries at
+		// most four kicked cycles per coordinator tick.
+		if kicks > 4*links*coordTicks {
+			t.Errorf("the %d links kicked %d cycles in %d coordinator ticks, want at most 4 per link per tick", links, kicks, coordTicks)
 		}
 		idle("after the writes")
 	})

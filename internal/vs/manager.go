@@ -58,15 +58,11 @@ type Manager struct {
 	// ctrOut is the counter's output count (counter.Manager.Outputs) as
 	// the node last published it.
 	ctrOut uint64
-	// kind is what the round this coordinator is collecting was assembled
-	// for (roundKind): it decides whether the round's last echo completes
-	// it (onEcho). Every round assembly, and the install that makes round
-	// 0, rewrites it; a tick that finds a notice unechoed marks it late.
-	kind roundKind
-	// loadedSinceTick: this coordinator assembled a loaded round since its
-	// last tick. Every Tick clears it and every loaded assembly sets it; the
-	// fast start (onInput) runs only while it is clear, so a tick interval
-	// starts at most one loaded round.
+	// loadedSinceTick: this coordinator spent its tick interval's start:
+	// since its last tick it assembled a loaded round, or a receipt step
+	// completed a round. Every Tick clears it; an empty round completes on
+	// receipt only while it is clear (roundDue), so a tick interval starts
+	// at most one loaded round and moves the round at most twice on receipt.
 	loadedSinceTick bool
 	// published is rep as the last iteration left it, in the form peers
 	// get it: cloned by the first Outgoing after that iteration and
@@ -203,10 +199,9 @@ func (m *Manager) Tick(n *core.Node) {
 	m.loadedSinceTick = false
 	m.iterate(n, onTick)
 	m.ctrOut = m.ctr.Outputs()
-	if m.echoDue(n) {
+	if m.roundDue(n) {
 		// A one-member view echoes its round as it is assembled, and no
-		// delivery will come to step on: the tick asks for the echo step.
-		m.dirty = true
+		// delivery will come to step on: the tick asks for the round step.
 		n.RequestStep()
 	}
 }
@@ -219,42 +214,15 @@ const (
 	onTick step = iota
 	// onReceipt: news while a view changes, or a follower's command to move.
 	onReceipt
-	// onEcho: the last echo of a loaded tick round or of a late notice
-	// (roundKind).
-	onEcho
-	// onInput: an input in an idle tick interval — the fast start. It
-	// completes the empty tick round every member has echoed and assembles
-	// the loaded round the next tick would have.
-	onInput
-)
-
-// roundKind is what the coordinator assembled a round for. One loaded
-// round starts per tick, and the round that announces its delivery carries
-// no inputs, so the number of loaded rounds a tick completes is one
-// whatever the processing times are (DESIGN.md §17).
-type roundKind uint8
-
-const (
-	// tickRound: a tick assembled it, or the late notice that stood in for
-	// a tick did. Loaded, it completes on its last echo; empty (an idle
-	// view), on the next tick.
-	tickRound roundKind = iota
-	// notice: the echo step assembled it, without inputs, to carry the
-	// delivery of the loaded round to the followers. The next tick
-	// completes it and assembles the next loaded round.
-	notice
-	// lateNotice: a notice the tick found unechoed. Its last echo
-	// completes it and assembles the loaded round of that tick.
-	lateNotice
+	// onRound: the coordinator's round is due on receipt (roundDue).
+	onRound
 )
 
 // iterate is one iteration of the do-forever loop for a participant, on
 // the timer or on receipt. A receipt-driven iteration leaves two things to
-// the timer: starting a loaded multicast round (the view's clock) once one
-// has started in the tick interval, and retrying an increment that failed.
-// It completes a round only on onEcho, which starts a loaded round only for
-// a tick that found a late notice, and on onInput, which starts the
-// interval's loaded round when the tick found none to start.
+// the timer: moving the coordinator's round (the view's clock) unless the
+// round is due on receipt (onRound, roundDue), and retrying an increment
+// that failed.
 func (m *Manager) iterate(n *core.Node, on step) {
 	onTimer := on == onTick
 	m.dirty = false
@@ -335,21 +303,16 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 //   - on a follower of an installed view, when a stored record changed in
 //     a gated field while some view member's command is in flight, or the
 //     application has a command to fetch and the input slot is free;
-//   - on the coordinator of an installed view, when the echo just received
-//     makes every trusted member report a loaded round that a tick
-//     assembled, or a notice that a tick found unechoed (onEcho). The step
-//     completes that round — delivery, Apply with its durable append — and
-//     assembles the next: after a loaded round a notice, which carries the
-//     delivery to the followers and no inputs; after a late notice the
-//     loaded round of the tick that found it;
-//   - on the coordinator of an installed view, when some view member has an
-//     input while the coordinator collects an empty tick round that every
-//     trusted member has echoed and no loaded round was assembled since its
-//     last tick (onInput, the fast start). The step completes the empty
-//     round and assembles the loaded round the next tick would have
-//     assembled; its last echo completes it with a notice, as above. A
-//     round that is echoed as it is assembled (a one-member view) completes
-//     in the same step.
+//   - on the coordinator of an installed view, when its round is due
+//     (roundDue, onRound): every trusted member has echoed it, and it
+//     carries inputs, or it is empty and some view member has an input in a
+//     tick interval that has not spent its start. The step completes the
+//     round — delivery, Apply with its durable append — and assembles the
+//     next: after a loaded round a notice, which carries the delivery to
+//     the followers and no inputs; after an empty one the loaded round the
+//     next tick would have assembled. While the round it assembled is due
+//     as well (a one-member view echoes its round as it is assembled), the
+//     step completes that one too.
 //
 // changed reports that the iteration altered this processor's own record
 // in a gated field or what its counter service sends (an operation started
@@ -357,12 +320,11 @@ func (m *Manager) evalConf(conf, trusted ids.Set) bool {
 // anything.
 //
 // The coordinator's round counter is the view's clock: a loaded round
-// starts on the coordinator's timer (or, when the notice before it was
-// still out at the tick, on that notice's last echo), or, in an interval
-// whose tick found no input, when the first input arrives; what lies
-// between the start and the round's last echo — a follower's input
-// reaching it, the members' echoes — happens at the network's pace. A
-// write under load costs one coordinator tick, a write into an idle view
+// starts on the coordinator's timer or, in an interval whose tick did not
+// start one, when an input finds the round it collects empty and echoed;
+// what lies between the start and the round's last echo — a follower's
+// input reaching it, the members' echoes — happens at the network's pace.
+// A write under load costs one coordinator tick, a write into an idle view
 // none, and a tick interval carries at most one loaded round, however fast
 // or slow the processors are at that moment (DESIGN.md §17 has the
 // measurements behind that choice). An idle view without inputs never
@@ -382,10 +344,11 @@ func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 		// state after both.
 		m.iterate(n, onReceipt)
 	}
-	if on == onInput && m.echoDue(n) {
-		// The fast start assembled a round that is already echoed (a
-		// one-member view): its echo step runs now, in the same step.
-		m.iterate(n, onEcho)
+	for on == onRound && m.roundDue(n) {
+		// The round just assembled is already echoed (a one-member view).
+		// Every round step sets loadedSinceTick, so only a loaded round is
+		// due again, and the notice that completes it ends the loop.
+		m.iterate(n, onRound)
 	}
 	out := m.ctr.Outputs()
 	changed = !m.rep.sameGate(before) || out != m.ctrOut
@@ -396,9 +359,7 @@ func (m *Manager) ReceiptStep(n *core.Node) (ran, changed bool) {
 // receiptStepDue is ReceiptStep's condition, and what the step runs on:
 // news while a view changes or a hint arrived, or a follower on the live
 // write path with news to read and a command to move, or with a command to
-// fetch into a free slot, or the coordinator holding the last echo of a
-// loaded tick round or of a late notice, or an input in an idle tick
-// interval.
+// fetch into a free slot, or the coordinator's round due on receipt.
 func (m *Manager) receiptStepDue(n *core.Node) (step, bool) {
 	if hinted := n.PeerDowns() != m.hints; hinted || m.changing() {
 		return onReceipt, hinted || m.dirty || m.ctr.News() || n.NoReco() != m.noReco
@@ -407,10 +368,7 @@ func (m *Manager) receiptStepDue(n *core.Node) (step, bool) {
 		return onReceipt, false
 	}
 	if m.rep.Crd == m.self {
-		if m.fastStartDue(n) {
-			return onInput, true
-		}
-		return onEcho, m.dirty && m.echoDue(n)
+		return onRound, m.roundDue(n)
 	}
 	return onReceipt, (m.dirty && m.loaded()) || (m.rep.Input == nil && m.app.Pending())
 }
@@ -421,25 +379,17 @@ func (m *Manager) collecting() bool {
 	return m.rep.Crd == m.self && m.rep.View.Valid() && !m.changing()
 }
 
-// echoDue reports that the round this coordinator collects completes on
-// its last echo — a loaded tick round or a late notice — and every trusted
-// member has echoed it.
-func (m *Manager) echoDue(n *core.Node) bool {
-	due := m.kind == lateNotice || (m.kind == tickRound && len(m.rep.Inputs) > 0)
-	return due && m.collecting() && n.NoReco() && m.roundEchoed(n.Trusted())
-}
-
-// fastStartDue reports that an input waits in an idle tick interval: the
-// coordinator collects an empty tick round that every trusted member has
-// echoed, it assembled no loaded round since its last tick, and some view
-// member has an input (its own, one its application would hand over, or
-// one in a stored record). The tick would find the same inputs and
-// assemble the same round; the fast start only does it sooner.
-func (m *Manager) fastStartDue(n *core.Node) bool {
-	if m.loadedSinceTick || m.kind != tickRound || len(m.rep.Inputs) > 0 || !m.collecting() || !n.NoReco() {
+// roundDue reports that the round this coordinator collects completes on
+// receipt: every trusted member has echoed it, and it carries inputs, or it
+// is empty and some view member has an input (its own, one its application
+// would hand over, or one in a stored record) in a tick interval that has
+// not spent its start (loadedSinceTick). The empty round's step assembles
+// the round the next tick would have from the same inputs, only sooner.
+func (m *Manager) roundDue(n *core.Node) bool {
+	if !m.collecting() || (len(m.rep.Inputs) == 0 && (m.loadedSinceTick || !m.inputWaiting())) {
 		return false
 	}
-	return m.inputWaiting() && m.roundEchoed(n.Trusted())
+	return n.NoReco() && m.roundEchoed(n.Trusted())
 }
 
 // inputWaiting reports whether some view member has an input that the
@@ -557,10 +507,10 @@ func (m *Manager) maybePropose(n *core.Node, conf, trusted, part ids.Set, crd id
 
 // coordinate drives lines 11–17: the coordinator's propose → install →
 // multicast progression, gated on every relevant member echoing its state.
-// Loaded rounds start on the timer, or on an input in an idle tick interval
-// (onInput), and complete on their last echo (onEcho) with a notice; the
-// notice, and an idle view's empty round, complete on the timer
-// (roundKind).
+// Loaded rounds start on the timer, or on receipt in an interval whose tick
+// did not start one, and complete on their last echo with a notice; the
+// notice, and an idle view's empty round, complete on the timer or on the
+// input that starts such an interval's loaded round (roundDue).
 func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 	trusted := n.Trusted()
 	switch m.rep.Status {
@@ -593,16 +543,12 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 		// lost across a reconfiguration. For a fresh bootstrap there is
 		// no prior round and Inputs stays nil.
 		m.rep.Rnd = 0
-		m.kind = tickRound
 		m.rep.Suspend = false
 		m.reconfReady = false
 		m.lastDelivered, m.haveDelivered = 0, false
 		m.metrics.viewsInstalled.Add(1)
 	case StatusMulticast:
 		if !m.roundEchoed(trusted) {
-			if on == onTick && m.kind == notice {
-				m.kind = lateNotice
-			}
 			return
 		}
 		// Algorithm 4.6: once every view member has suspended, the
@@ -626,14 +572,15 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 			return // no rounds while suspended
 		}
 		// Rounds are the view's clock: a receipt-driven step completes
-		// one only on the last echo of a loaded tick round or of a late
-		// notice, or on an input in an idle tick interval
-		// (receiptStepDue). Line 14: no round increments during a
-		// reconfiguration.
+		// one only when it is due (roundDue). Line 14: no round
+		// increments during a reconfiguration.
 		if on == onReceipt || !n.NoReco() {
 			return
 		}
-		// Deliver and apply the completed round, then assemble the next.
+		// Deliver and apply the completed round, then assemble the next:
+		// after a loaded round completed on receipt, a notice without
+		// inputs, so the inputs that wait now ride the next tick's round.
+		notice := on == onRound && len(m.rep.Inputs) > 0
 		consumed := m.rep.Input == nil
 		if m.rep.Inputs != nil {
 			round := Round{View: m.rep.View, Rnd: m.rep.Rnd, Inputs: copyInputs(m.rep.Inputs)}
@@ -648,36 +595,25 @@ func (m *Manager) coordinate(n *core.Node, conf ids.Set, on step) {
 		if consumed {
 			m.rep.Input = m.app.Fetch()
 		}
-		// The echo step that completes a loaded round assembles a notice:
-		// the inputs that wait now ride the next tick's round.
-		kind := tickRound
-		if on == onEcho && m.kind == tickRound {
-			kind = notice
-		}
 		next := make(map[ids.ID]any, m.rep.View.Set.Size())
-		m.rep.View.Set.Each(func(j ids.ID) {
-			if kind == notice {
-				return
-			}
-			if j == m.self {
-				if m.rep.Input != nil {
-					next[j] = m.rep.Input
-				}
-				return
-			}
-			if r, ok := m.views[j]; ok && r.Input != nil {
-				next[j] = r.Input
-			}
-		})
-		if on == onEcho {
+		if notice {
 			m.metrics.echoRounds.Add(1)
+		} else {
+			m.rep.View.Set.Each(func(j ids.ID) {
+				if j == m.self {
+					if m.rep.Input != nil {
+						next[j] = m.rep.Input
+					}
+					return
+				}
+				if r, ok := m.views[j]; ok && r.Input != nil {
+					next[j] = r.Input
+				}
+			})
 		}
 		m.rep.Inputs = next
 		m.rep.Rnd++
-		m.kind = kind
-		if len(next) > 0 {
-			m.loadedSinceTick = true
-		}
+		m.loadedSinceTick = m.loadedSinceTick || on == onRound || len(next) > 0
 	}
 }
 

@@ -89,8 +89,8 @@ func loadedTimerRound(t *testing.T, seed int64, eval EvalConf, cmds ...string) (
 	if !vc.Sched.RunWhile(func() bool { return len(m.rep.Inputs) == 0 }, 3_000_000) {
 		t.Fatal("the coordinator's timer never assembled a loaded round")
 	}
-	if m.kind != tickRound {
-		t.Fatalf("a round the timer assembled is of kind %d, want a tick round", m.kind)
+	if !m.loadedSinceTick {
+		t.Fatal("a tick that assembled a loaded round did not note it")
 	}
 	return vc, crd
 }
@@ -154,8 +154,8 @@ func TestLastEchoCompletesALoadedTimerRound(t *testing.T) {
 	if d := echoRounds(m, before); d != 1 {
 		t.Fatalf("the echo step counted %d echo rounds, want 1", d)
 	}
-	if m.kind != notice || len(m.rep.Inputs) != 0 || m.rep.Input != "w2" {
-		t.Fatalf("the echo step assembled a round of kind %d with %v (w2 pending: %v), want an empty notice", m.kind, m.rep.Inputs, m.rep.Input)
+	if len(m.rep.Inputs) != 0 || m.rep.Input != "w2" {
+		t.Fatalf("the echo step assembled a round with %v (w2 pending: %v), want an empty notice", m.rep.Inputs, m.rep.Input)
 	}
 
 	// The notice's last echo takes no step; the tick completes it.
@@ -166,8 +166,8 @@ func TestLastEchoCompletesALoadedTimerRound(t *testing.T) {
 		t.Fatalf("a notice completed off the timer: round %d", m.rep.Rnd)
 	}
 	m.Tick(n)
-	if m.rep.Rnd != rnd+2 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" {
-		t.Fatalf("the tick left round %d of kind %d with %v, want round %d, a tick round with w2", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+2)
+	if m.rep.Rnd != rnd+2 || m.rep.Inputs[crd] != "w2" {
+		t.Fatalf("the tick left round %d with %v, want round %d with w2", m.rep.Rnd, m.rep.Inputs, rnd+2)
 	}
 	if d := echoRounds(m, before); d != 1 {
 		t.Fatalf("%d echo rounds, want the one", d)
@@ -175,20 +175,21 @@ func TestLastEchoCompletesALoadedTimerRound(t *testing.T) {
 }
 
 func TestLateNoticeCompletesOnItsLastEcho(t *testing.T) {
-	// A notice still out when the next tick comes is marked late, and its
-	// last echo completes it and starts that tick's loaded round: the tick
-	// is not lost, and it carries one loaded round, not two.
+	// A notice still out when the next tick comes is an empty round whose
+	// interval has not spent its start: with an input waiting, its last echo
+	// completes it and starts that tick's loaded round, so the tick is not
+	// lost, and it carries one loaded round, not two.
 	vc, crd := loadedTimerRound(t, 49, nil, "w1", "w2", "w3")
 	n, m := vc.Node(crd), vc.mgrs[crd]
 	followers := m.rep.View.Set.Remove(crd).Members()
 	rnd, before := m.rep.Rnd, m.Metrics()
-	if !vc.echoAll(crd) || m.kind != notice {
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+1 || len(m.rep.Inputs) != 0 {
 		t.Fatal("the last echo of a loaded timer round did not complete it with a notice")
 	}
 	// A tick before the notice's echoes: nothing completes.
 	m.Tick(n)
-	if m.rep.Rnd != rnd+1 || m.kind != lateNotice {
-		t.Fatalf("the tick left round %d of kind %d, want round %d, a late notice", m.rep.Rnd, m.kind, rnd+1)
+	if m.rep.Rnd != rnd+1 || m.loadedSinceTick {
+		t.Fatalf("the tick left round %d (loaded since tick: %v), want round %d and its start unspent", m.rep.Rnd, m.loadedSinceTick, rnd+1)
 	}
 	vc.echo(crd, followers[0])
 	if ran, _ := m.ReceiptStep(n); ran {
@@ -198,29 +199,71 @@ func TestLateNoticeCompletesOnItsLastEcho(t *testing.T) {
 	if ran, _ := m.ReceiptStep(n); !ran {
 		t.Fatal("the last echo of a late notice took no step")
 	}
-	if m.rep.Rnd != rnd+2 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" {
-		t.Fatalf("the late notice's echo left round %d of kind %d with %v, want round %d, a tick round with w2", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+2)
+	if m.rep.Rnd != rnd+2 || m.rep.Inputs[crd] != "w2" || !m.loadedSinceTick {
+		t.Fatalf("the late notice's echo left round %d with %v (loaded since tick: %v), want round %d with w2", m.rep.Rnd, m.rep.Inputs, m.loadedSinceTick, rnd+2)
 	}
 	// That round is the tick's: its last echo completes it with a notice,
 	// and w3 waits for the next tick.
-	if !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || m.kind != notice {
-		t.Fatalf("the tick's late round did not complete on its echo: round %d of kind %d", m.rep.Rnd, m.kind)
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("the tick's late round did not complete on its echo: round %d with %v", m.rep.Rnd, m.rep.Inputs)
 	}
 	if vc.echoAll(crd) || m.rep.Rnd != rnd+3 {
 		t.Fatal("a notice completed on its echo without a tick")
 	}
-	if d := echoRounds(m, before); d != 3 {
-		t.Fatalf("%d echo rounds, want 3 (w1, the late notice, w2)", d)
+	// The late notice carried no inputs: it is not an echo round.
+	if d := echoRounds(m, before); d != 2 {
+		t.Fatalf("%d echo rounds, want 2 (w1, w2)", d)
 	}
-	// A loaded round still out at the tick is not a notice: the tick does
-	// not mark it, and its echo completes it as before.
+	// A loaded round still out at the tick completes on its echo as before,
+	// and that receipt step spends the new interval's start: the notice it
+	// assembles waits for the tick, though an input waits.
 	m.Tick(n)
 	if m.rep.Inputs[crd] != "w3" {
 		t.Fatalf("the tick assembled %v, want w3", m.rep.Inputs)
 	}
 	m.Tick(n)
-	if m.kind != tickRound {
-		t.Fatalf("a tick marked an unechoed loaded round as %d", m.kind)
+	if m.rep.Rnd != rnd+4 || m.loadedSinceTick {
+		t.Fatalf("a tick moved an unechoed round: round %d (loaded since tick: %v)", m.rep.Rnd, m.loadedSinceTick)
+	}
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+5 || len(m.rep.Inputs) != 0 || !m.loadedSinceTick {
+		t.Fatalf("w3's round did not complete on its echo with a notice: round %d with %v", m.rep.Rnd, m.rep.Inputs)
+	}
+	vc.echo(crd, followers[0])
+	vc.input(crd, followers[1], "y")
+	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd+5 {
+		t.Fatalf("a notice started a second round in the interval of its echo step: round %d", m.rep.Rnd)
+	}
+	m.Tick(n)
+	if m.rep.Rnd != rnd+6 || m.rep.Inputs[followers[1]] != "y" {
+		t.Fatalf("the tick left round %d with %v, want round %d with y", m.rep.Rnd, m.rep.Inputs, rnd+6)
+	}
+}
+
+func TestLateNoticeWaitsForAnInput(t *testing.T) {
+	// A notice that outlived its tick, echoed by every member, with no input
+	// waiting, takes no step: it waits like an idle round and keeps its round
+	// number. A follower's input then starts the loaded round in the step it
+	// arrives in.
+	vc, crd := loadedTimerRound(t, 56, nil, "w1")
+	n, m := vc.Node(crd), vc.mgrs[crd]
+	f := m.rep.View.Set.Remove(crd).Members()[0]
+	rnd, before := m.rep.Rnd, m.Metrics()
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+1 || len(m.rep.Inputs) != 0 || m.rep.Input != nil {
+		t.Fatal("the last echo of a loaded timer round did not complete it with a notice")
+	}
+	m.Tick(n) // the notice is still out
+	if vc.echoAll(crd) || m.rep.Rnd != rnd+1 {
+		t.Fatalf("the echoes of a late notice with no input waiting took a step: round %d → %d", rnd+1, m.rep.Rnd)
+	}
+	vc.input(crd, f, "x")
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Rnd != rnd+2 || m.rep.Inputs[f] != "x" || !m.loadedSinceTick {
+		t.Fatalf("a follower's input after a late notice: ran=%v, round %d with %v, want round %d with x", ran, m.rep.Rnd, m.rep.Inputs, rnd+2)
+	}
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("x's round did not complete on its last echo: round %d with %v", m.rep.Rnd, m.rep.Inputs)
+	}
+	if d := echoRounds(m, before); d != 2 {
+		t.Fatalf("%d echo rounds, want 2 (w1, x)", d)
 	}
 }
 
@@ -232,51 +275,18 @@ func TestEmptyRoundNeverCompletesOnReceipt(t *testing.T) {
 	n, m := vc.Node(crd), vc.mgrs[crd]
 	m.Tick(n)
 	rnd := m.rep.Rnd
-	if len(m.rep.Inputs) != 0 || m.kind != tickRound {
-		t.Fatalf("an idle view's round carries %v (kind %d)", m.rep.Inputs, m.kind)
+	if len(m.rep.Inputs) != 0 {
+		t.Fatalf("an idle view's round carries %v", m.rep.Inputs)
 	}
 	if vc.echoAll(crd) || m.rep.Rnd != rnd {
 		t.Fatalf("the last echo of an empty round took a step: round %d → %d", rnd, m.rep.Rnd)
 	}
 	m.Tick(n)
-	if m.rep.Rnd != rnd+1 || m.kind != tickRound {
-		t.Fatalf("the tick left round %d of kind %d, want round %d, a tick round", m.rep.Rnd, m.kind, rnd+1)
+	if m.rep.Rnd != rnd+1 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("the tick left round %d with %v, want round %d, empty", m.rep.Rnd, m.rep.Inputs, rnd+1)
 	}
 	if got := m.Metrics().EchoRounds; got != 0 {
 		t.Fatalf("an idle view completed %d rounds on an echo", got)
-	}
-}
-
-func TestCorruptRoundKindLivesOneRound(t *testing.T) {
-	// A kind corrupted to lateNotice on a notice lets that notice complete
-	// on its echo — once: the assembly that completion makes rewrites the
-	// kind. A kind corrupted to a value no assembly writes takes no echo
-	// step, and the tick that completes its round rewrites it.
-	vc, crd := loadedTimerRound(t, 47, nil, "w1", "w2", "w3")
-	n, m := vc.Node(crd), vc.mgrs[crd]
-	rnd := m.rep.Rnd
-	if !vc.echoAll(crd) || m.rep.Rnd != rnd+1 || m.kind != notice {
-		t.Fatal("the last echo of a loaded timer round did not complete it with a notice")
-	}
-	m.kind = lateNotice
-	if !vc.echoAll(crd) || m.rep.Rnd != rnd+2 {
-		t.Fatal("a corrupted kind did not act")
-	}
-	if m.kind != tickRound || !vc.echoAll(crd) || m.rep.Rnd != rnd+3 || m.kind != notice {
-		t.Fatalf("the corruption outlived the round it hit: round %d, kind %d", m.rep.Rnd, m.kind)
-	}
-	vc.echoAll(crd)
-	m.Tick(n)
-	if m.rep.Inputs[crd] != "w3" {
-		t.Fatalf("the tick assembled %v, want w3", m.rep.Inputs)
-	}
-	m.kind = 9
-	if vc.echoAll(crd) || m.rep.Rnd != rnd+4 {
-		t.Fatal("an out-of-range kind completed a round on its echo")
-	}
-	m.Tick(n)
-	if m.rep.Rnd != rnd+5 || m.kind != tickRound {
-		t.Fatalf("the tick left round %d of kind %d, want round %d, a tick round", m.rep.Rnd, m.kind, rnd+5)
 	}
 }
 
@@ -314,8 +324,8 @@ func TestChangingViewNeverCompletesOnReceipt(t *testing.T) {
 }
 
 // idleRound ticks the coordinator of a settled view, twice, each tick
-// followed by every follower's echo, so that it collects an empty tick round
-// all members have echoed, and checks that none of those echoes took a
+// followed by every follower's echo, so that it collects an empty round all
+// members have echoed in an interval that has not spent its start, and checks that none of those echoes took a
 // step: an idle view without inputs keeps the timer's pace. (The first tick
 // may find round 0 of a fresh view, which carries no round to deliver.)
 func (vc *vsCluster) idleRound(t *testing.T, crd ids.ID) {
@@ -327,8 +337,8 @@ func (vc *vsCluster) idleRound(t *testing.T, crd ids.ID) {
 			t.Fatal("the echoes of an empty round took a step")
 		}
 	}
-	if m.rep.Inputs == nil || len(m.rep.Inputs) != 0 || m.kind != tickRound || m.loadedSinceTick {
-		t.Fatalf("the ticks left a round of kind %d with %v (loaded since tick: %v), want an empty tick round", m.kind, m.rep.Inputs, m.loadedSinceTick)
+	if m.rep.Inputs == nil || len(m.rep.Inputs) != 0 || m.loadedSinceTick {
+		t.Fatalf("the ticks left a round with %v (loaded since tick: %v), want an empty tick round", m.rep.Inputs, m.loadedSinceTick)
 	}
 }
 
@@ -342,8 +352,8 @@ func (vc *vsCluster) input(crd, f ids.ID, cmd string) {
 }
 
 func TestFastStartAssemblesOnAFollowersInput(t *testing.T) {
-	// An idle view — its coordinator collects an empty tick round every
-	// member has echoed — starts the loaded round in the step a follower's
+	// An idle view — its coordinator collects an empty round every member
+	// has echoed — starts the loaded round in the step a follower's
 	// input arrives in: that step completes the empty round and assembles
 	// the round the next tick would have. Its last echo completes it with a
 	// notice, and no tick ran in between.
@@ -359,9 +369,9 @@ func TestFastStartAssemblesOnAFollowersInput(t *testing.T) {
 	if !ran || !changed {
 		t.Fatalf("a follower's input in an idle interval: ran=%v changed=%v, want a step that publishes", ran, changed)
 	}
-	if m.rep.Rnd != rnd+1 || m.kind != tickRound || m.rep.Inputs[f] != "x" || !m.loadedSinceTick {
-		t.Fatalf("the fast start left round %d of kind %d with %v (loaded since tick: %v), want round %d, a tick round with x",
-			m.rep.Rnd, m.kind, m.rep.Inputs, m.loadedSinceTick, rnd+1)
+	if m.rep.Rnd != rnd+1 || m.rep.Inputs[f] != "x" || !m.loadedSinceTick {
+		t.Fatalf("the fast start left round %d with %v (loaded since tick: %v), want round %d with x",
+			m.rep.Rnd, m.rep.Inputs, m.loadedSinceTick, rnd+1)
 	}
 	if got := vc.apps[crd].delivered; got[len(got)-1].Rnd != rnd {
 		t.Fatalf("the fast start did not deliver the empty round %d", rnd)
@@ -369,8 +379,11 @@ func TestFastStartAssemblesOnAFollowersInput(t *testing.T) {
 	if d := echoRounds(m, before); d != 0 {
 		t.Fatalf("the fast start counted %d echo rounds, want 0", d)
 	}
-	if !vc.echoAll(crd) || m.rep.Rnd != rnd+2 || m.kind != notice {
-		t.Fatalf("the fast-started round did not complete on its last echo: round %d of kind %d", m.rep.Rnd, m.kind)
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+2 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("the fast-started round did not complete on its last echo with a notice: round %d with %v", m.rep.Rnd, m.rep.Inputs)
+	}
+	if d := echoRounds(m, before); d != 1 {
+		t.Fatalf("the fast-started round counted %d echo rounds, want 1", d)
 	}
 	if s, _ := m.Replica().State.(string); !contains(s, fmt.Sprintf("[%v:x]", f)) {
 		t.Fatalf("the echo step did not apply x: state %q", s)
@@ -388,7 +401,7 @@ func TestSecondInputOfAnIntervalWaitsForTheTick(t *testing.T) {
 	vc.idleRound(t, crd)
 	rnd := m.rep.Rnd
 	vc.input(crd, followers[0], "x")
-	if ran, _ := m.ReceiptStep(n); !ran || !vc.echoAll(crd) || m.kind != notice {
+	if ran, _ := m.ReceiptStep(n); !ran || !vc.echoAll(crd) || len(m.rep.Inputs) != 0 {
 		t.Fatal("the first input of an idle interval did not fast-start its round")
 	}
 	if vc.echoAll(crd) || m.rep.Rnd != rnd+2 {
@@ -403,8 +416,8 @@ func TestSecondInputOfAnIntervalWaitsForTheTick(t *testing.T) {
 		t.Fatal("a second input in the interval, at a follower, took a step")
 	}
 	m.Tick(n)
-	if m.rep.Rnd != rnd+3 || m.kind != tickRound || m.rep.Inputs[crd] != "w" || m.rep.Inputs[followers[1]] != "y" {
-		t.Fatalf("the tick left round %d of kind %d with %v, want round %d, a tick round with w and y", m.rep.Rnd, m.kind, m.rep.Inputs, rnd+3)
+	if m.rep.Rnd != rnd+3 || m.rep.Inputs[crd] != "w" || m.rep.Inputs[followers[1]] != "y" {
+		t.Fatalf("the tick left round %d with %v, want round %d with w and y", m.rep.Rnd, m.rep.Inputs, rnd+3)
 	}
 }
 
@@ -469,18 +482,19 @@ func TestChangingViewNeverFastStarts(t *testing.T) {
 
 func TestOneMemberViewCompletesInTheSliceThatAssembledIt(t *testing.T) {
 	// A one-member view echoes its round as it is assembled. A tick that
-	// assembles a loaded round asks for the echo step at the end of its
+	// assembles a loaded round asks for the round step at the end of its
 	// slice (on the simulator that request does nothing, so the test takes
-	// the step), and the fast start completes its round in its own step:
-	// a write costs one tick under load and none in an idle interval.
+	// the step), and a step that assembles a round that is due at once
+	// completes it too: a write costs one tick under load and none in an
+	// idle interval.
 	vc := newVSCluster(t, 1, 54, nil)
 	crd := vc.waitView(t, 3_000_000).Coordinator()
 	n, m := vc.Node(crd), vc.mgrs[crd]
 	m.Tick(n)
 	m.Tick(n)
 	rnd, before := m.rep.Rnd, m.Metrics()
-	if len(m.rep.Inputs) != 0 || m.kind != tickRound {
-		t.Fatalf("an idle one-member view collects a round of kind %d with %v", m.kind, m.rep.Inputs)
+	if len(m.rep.Inputs) != 0 || m.loadedSinceTick {
+		t.Fatalf("an idle one-member view collects a round with %v (loaded since tick: %v)", m.rep.Inputs, m.loadedSinceTick)
 	}
 
 	vc.apps[crd].pending = []string{"w1", "w2"}
@@ -488,8 +502,8 @@ func TestOneMemberViewCompletesInTheSliceThatAssembledIt(t *testing.T) {
 	if !ran || !changed {
 		t.Fatalf("a submission to an idle one-member view: ran=%v changed=%v", ran, changed)
 	}
-	if m.rep.Rnd != rnd+2 || m.kind != notice {
-		t.Fatalf("the fast start left round %d of kind %d, want round %d, a notice", m.rep.Rnd, m.kind, rnd+2)
+	if m.rep.Rnd != rnd+2 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("the fast start left round %d with %v, want round %d, a notice", m.rep.Rnd, m.rep.Inputs, rnd+2)
 	}
 	if got := vc.apps[crd].delivered; got[len(got)-1].Inputs[crd] != "w1" {
 		t.Fatalf("the fast start's step did not deliver w1: %v", got[len(got)-1].Inputs)
@@ -499,12 +513,12 @@ func TestOneMemberViewCompletesInTheSliceThatAssembledIt(t *testing.T) {
 	}
 
 	m.Tick(n)
-	if m.rep.Rnd != rnd+3 || m.kind != tickRound || m.rep.Inputs[crd] != "w2" || !m.dirty {
-		t.Fatalf("the tick left round %d of kind %d with %v (step asked for: %v), want round %d, a tick round with w2 and the echo step asked for",
-			m.rep.Rnd, m.kind, m.rep.Inputs, m.dirty, rnd+3)
+	if m.rep.Rnd != rnd+3 || m.rep.Inputs[crd] != "w2" || !m.roundDue(n) {
+		t.Fatalf("the tick left round %d with %v (due: %v), want round %d with w2, due at once",
+			m.rep.Rnd, m.rep.Inputs, m.roundDue(n), rnd+3)
 	}
-	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Rnd != rnd+4 || m.kind != notice {
-		t.Fatalf("the end of the tick's slice left round %d of kind %d, want round %d, a notice", m.rep.Rnd, m.kind, rnd+4)
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Rnd != rnd+4 || len(m.rep.Inputs) != 0 {
+		t.Fatalf("the end of the tick's slice left round %d with %v, want round %d, a notice", m.rep.Rnd, m.rep.Inputs, rnd+4)
 	}
 	if got := vc.apps[crd].delivered; got[len(got)-1].Inputs[crd] != "w2" {
 		t.Fatalf("the echo step did not deliver w2: %v", got[len(got)-1].Inputs)
@@ -517,13 +531,14 @@ func TestOneMemberViewCompletesInTheSliceThatAssembledIt(t *testing.T) {
 func TestCorruptLoadedSinceTickLivesOneTick(t *testing.T) {
 	// The flag corrupted to set in an idle interval holds an input back
 	// until the next tick, which clears it and takes the input; the
-	// interval after that fast-starts again. Corrupted to clear after a
-	// loaded round started, it starts nothing: the round the coordinator
-	// collects then is a notice.
+	// interval after that fast-starts again. Corrupted to clear on a notice,
+	// it lets one loaded round start in that interval — the step that starts
+	// it sets the flag again — and no second one before the tick.
 	vc := newVSCluster(t, 3, 55, nil)
 	crd := vc.waitView(t, 3_000_000).Coordinator()
 	n, m := vc.Node(crd), vc.mgrs[crd]
-	f := m.rep.View.Set.Remove(crd).Members()[0]
+	followers := m.rep.View.Set.Remove(crd).Members()
+	f := followers[0]
 	vc.idleRound(t, crd)
 	rnd := m.rep.Rnd
 	m.loadedSinceTick = true
@@ -535,24 +550,36 @@ func TestCorruptLoadedSinceTickLivesOneTick(t *testing.T) {
 	if m.rep.Rnd != rnd+1 || m.rep.Inputs[f] != "x" {
 		t.Fatalf("the tick left round %d with %v, want round %d with x", m.rep.Rnd, m.rep.Inputs, rnd+1)
 	}
-	if !vc.echoAll(crd) || m.kind != notice {
-		t.Fatal("the tick's loaded round did not complete on its echo")
+	if !vc.echoAll(crd) || len(m.rep.Inputs) != 0 {
+		t.Fatal("the tick's loaded round did not complete on its echo with a notice")
 	}
 	if vc.echoAll(crd) {
 		t.Fatal("the echoes of a notice took a step")
 	}
 	m.loadedSinceTick = false
 	vc.input(crd, f, "y")
-	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd+2 {
-		t.Fatalf("a cleared flag started a round past a notice: round %d", m.rep.Rnd)
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Rnd != rnd+3 || m.rep.Inputs[f] != "y" || !m.loadedSinceTick {
+		t.Fatalf("a cleared flag on a notice: ran=%v, round %d with %v (loaded since tick: %v), want round %d with y and the flag set again",
+			ran, m.rep.Rnd, m.rep.Inputs, m.loadedSinceTick, rnd+3)
 	}
-	m.Tick(n) // completes the notice and takes y
-	if !vc.echoAll(crd) || m.kind != notice || vc.echoAll(crd) {
+	if !vc.echoAll(crd) || m.rep.Rnd != rnd+4 || len(m.rep.Inputs) != 0 {
 		t.Fatal("y's round did not complete on its echo with a notice")
 	}
+	vc.echo(crd, f)
+	vc.input(crd, followers[1], "z")
+	if ran, _ := m.ReceiptStep(n); ran || m.rep.Rnd != rnd+4 {
+		t.Fatalf("a second loaded round started in the corrupted interval: round %d", m.rep.Rnd)
+	}
+	m.Tick(n) // completes the notice and takes z
+	if m.rep.Rnd != rnd+5 || m.rep.Inputs[followers[1]] != "z" {
+		t.Fatalf("the tick left round %d with %v, want round %d with z", m.rep.Rnd, m.rep.Inputs, rnd+5)
+	}
+	if !vc.echoAll(crd) || len(m.rep.Inputs) != 0 || vc.echoAll(crd) {
+		t.Fatal("z's round did not complete on its echo with a notice")
+	}
 	vc.idleRound(t, crd)
-	vc.input(crd, f, "z")
-	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Inputs[f] != "z" {
+	vc.input(crd, f, "w")
+	if ran, _ := m.ReceiptStep(n); !ran || m.rep.Inputs[f] != "w" {
 		t.Fatalf("the interval after the corruption did not fast-start: %v", m.rep.Inputs)
 	}
 }

@@ -188,8 +188,8 @@ type Metrics struct {
 	// candidate). Under churn this is the service-side half of the
 	// availability gap the client observes.
 	NoCoordinatorTicks uint64
-	// EchoRounds counts rounds this processor completed as coordinator on
-	// the last echo of the round instead of on a tick (live media only).
+	// EchoRounds counts loaded rounds this processor completed as
+	// coordinator on their last echo instead of on a tick (live media only).
 	EchoRounds uint64
 }
 
